@@ -12,7 +12,7 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 .PHONY: all build vet c4vet lint fmt-check test test-race kernel-race \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
-	campaign-smoke docker \
+	campaign-smoke perf-check docker \
 	ci bench experiments bench-json bench-baseline bench-check cover clean
 
 all: ci
@@ -111,16 +111,26 @@ campaign-smoke:
 	$(GO) run ./cmd/c4campaign check -manifest campaigns/smoke.json CAMP_merged.json
 	@rm -f CAMP_serial.json CAMP_p0.json CAMP_p1.json CAMP_merged_serial.json CAMP_merged.json CAMP_s0.ckpt CAMP_s1.ckpt
 
+# The host-time benchmark's gate. bench/perf is a module of its own (its
+# go.mod replaces c4 => ../..), so the root ./... patterns above skip it:
+# vet, test and c4vet it here. Its tests run every workload at tiny size
+# and re-check the committed bench/baseline.json at seed 1, so a baseline
+# re-pin that disagrees with the code fails this target.
+perf-check:
+	cd bench/perf && $(GO) vet ./... && $(GO) test ./...
+	$(GO) run ./cmd/c4vet -C bench/perf ./...
+
 # Container image for the daemon (requires docker; CI runs it on push).
 docker:
 	docker build -t c4serve:$(SHA) .
 
-ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke
+ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
 
 # Microbenchmarks, including the incremental-vs-full-recompute pair
 # (internal/telemetry: BenchmarkIncrementalObserve vs
 # BenchmarkBatchAnalyzePass) behind the online/scale-sweep scenario and
-# the network-kernel trio (internal/netsim: BenchmarkRecomputePerFlow vs
+# the network-kernel trio (internal/netsim: the per-flow test oracle
+# BenchmarkRecomputePerFlow vs the flow-class kernel
 # BenchmarkRecomputeAggregated vs BenchmarkSettleParallel).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -94,8 +94,9 @@ type (
 	Topology = topo.Topology
 	// Network is the flow-level fluid simulator.
 	Network = netsim.Network
-	// NetConfig tunes the network simulator, including the flow-class
-	// kernel (Aggregate) and parallel component settle (SettleWorkers).
+	// NetConfig tunes the network simulator: its calibration and the
+	// parallel component settle width (SettleWorkers), the flow-class
+	// kernel's one performance knob.
 	NetConfig = netsim.Config
 	// KernelStats counts the network kernel's deterministic work
 	// (recomputes, link visits, flow visits).
@@ -136,14 +137,6 @@ func OpenNetwork(opts NetworkOptions) (*Network, error) {
 		cfg = *opts.Config
 	}
 	return netsim.New(opts.Engine, opts.Topology, cfg), nil
-}
-
-// NewNetwork creates the fluid network simulator.
-//
-// Deprecated: use OpenNetwork, which defaults the calibration and reads
-// clearly at call sites.
-func NewNetwork(eng *Engine, t *Topology, cfg NetConfig) *Network {
-	return netsim.New(eng, t, cfg)
 }
 
 // DefaultNetConfig is the calibration used throughout the repository.
@@ -214,13 +207,6 @@ func OpenC4PMaster(opts C4PMasterOptions) (*C4PMaster, error) {
 		r = sim.NewRand(opts.Seed)
 	}
 	return c4p.NewMaster(opts.Topology, opts.Mode, r), nil
-}
-
-// NewC4PMaster creates a C4P master for the fabric.
-//
-// Deprecated: use OpenC4PMaster.
-func NewC4PMaster(t *Topology, mode C4PMode, r *Rand) *C4PMaster {
-	return c4p.NewMaster(t, mode, r)
 }
 
 // C4D fault detection.
@@ -409,12 +395,6 @@ func OpenEnv(opts EnvOptions) (*Env, error) {
 	}
 	return &Env{Eng: eng, Topo: t, Net: net}, nil
 }
-
-// NewEnv builds an experiment environment, panicking on a bad spec.
-//
-// Deprecated: use OpenEnv, which reports spec errors and accepts a
-// network calibration.
-func NewEnv(spec ClusterSpec) *Env { return harness.NewEnv(spec) }
 
 // errNeed reports a missing required option.
 func errNeed(ctor, what string) error {

@@ -1,6 +1,7 @@
 package accl
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -9,19 +10,21 @@ import (
 	"c4/internal/topo"
 )
 
+// collectiveGolden is the SHA-256 digest of the outcome below, recorded
+// from the per-flow kernel before the flow-class kernel became netsim's
+// only production path.
+const collectiveGolden = "37f658c677271dbffbfdb8a861365ab01fc14f6137a98385261c61a861f4e289"
+
 // TestCollectivesEquivalentAcrossKernels runs a multi-op collective
 // workload — a cross-group ring allreduce, an allgather, and a broadcast
-// tree racing on one fabric — under the per-flow, aggregated, and
-// parallel-settle netsim kernels. The collective layer sees the network
-// only through flow completion instants, so every result (start, end,
-// busbw) and the engine's fired-event count must be bit-identical across
-// kernels.
+// tree racing on one fabric — with serial and with 4-worker parallel
+// settle. The collective layer sees the network only through flow
+// completion instants, so every result (start, end, busbw) and the
+// engine's fired-event count must match the per-flow golden exactly.
 func TestCollectivesEquivalentAcrossKernels(t *testing.T) {
-	type outcome struct {
-		results string
-		fired   uint64
-	}
-	run := func(cfg netsim.Config) outcome {
+	for _, workers := range []int{0, 4} {
+		cfg := netsim.DefaultConfig()
+		cfg.SettleWorkers = workers
 		eng := sim.NewEngine()
 		tp := topo.MustNew(topo.PaperTestbed())
 		net := netsim.New(eng, tp, cfg)
@@ -35,39 +38,19 @@ func TestCollectivesEquivalentAcrossKernels(t *testing.T) {
 			}
 			return c
 		}
-		var results string
+		var outcome string
 		done := func(op string) func(Result) {
 			return func(r Result) {
-				results += fmt.Sprintf("%s: start=%d end=%d bus=%v\n", op, r.Start, r.End, r.BusGbps)
+				outcome += fmt.Sprintf("%s: start=%d end=%d bus=%v\n", op, r.Start, r.End, r.BusGbps)
 			}
 		}
 		mk([]int{0, 2, 4, 6}).AllReduce(256*MiB, nil, done("allreduce"))
 		mk([]int{1, 3, 5, 7}).AllGather(64*MiB, nil, done("allgather"))
 		mk([]int{8, 10, 12, 14}).Broadcast(128*MiB, nil, done("broadcast"))
 		eng.Run()
-		return outcome{results: results, fired: eng.Fired()}
-	}
-
-	base := netsim.DefaultConfig()
-	agg := base
-	agg.Aggregate = true
-	par := agg
-	par.SettleWorkers = 4
-
-	ref := run(base)
-	if ref.results == "" {
-		t.Fatal("no collective completed")
-	}
-	for _, kc := range []struct {
-		name string
-		cfg  netsim.Config
-	}{{"aggregated", agg}, {"parallel", par}} {
-		got := run(kc.cfg)
-		if got.results != ref.results {
-			t.Errorf("%s kernel diverged:\n%s\nper-flow:\n%s", kc.name, got.results, ref.results)
-		}
-		if got.fired != ref.fired {
-			t.Errorf("%s kernel fired %d events, per-flow fired %d", kc.name, got.fired, ref.fired)
+		outcome += fmt.Sprintf("fired=%d\n", eng.Fired())
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(outcome))); sum != collectiveGolden {
+			t.Errorf("settle workers %d: outcome diverged from the per-flow golden (sha256 %s):\n%s", workers, sum, outcome)
 		}
 	}
 }

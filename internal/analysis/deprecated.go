@@ -9,13 +9,13 @@ import (
 
 // Deprecated returns the deprecated-use analyzer: any reference to a
 // declaration whose doc comment carries a standard "Deprecated:"
-// paragraph is flagged, so new call sites of retired APIs (the PR 7
-// positional constructors c4.NewEnv/NewNetwork/NewC4PMaster) fail CI
-// instead of accreting. The analyzer accumulates deprecated declarations
-// as packages are analyzed; because the driver visits packages in
-// dependency order, a package's deprecations are always registered
-// before its dependents are checked. Each driver run needs a fresh
-// instance, hence the constructor.
+// paragraph is flagged, so new call sites of retired APIs fail CI instead
+// of accreting, and an API with no references left can be deleted (as the
+// positional facade constructors c4.NewEnv/NewNetwork/NewC4PMaster were).
+// The analyzer accumulates deprecated declarations as packages are
+// analyzed; because the driver visits packages in dependency order, a
+// package's deprecations are always registered before its dependents are
+// checked. Each driver run needs a fresh instance, hence the constructor.
 func Deprecated() *Analyzer {
 	registry := map[types.Object]string{}
 	a := &Analyzer{

@@ -116,8 +116,8 @@ func f() {
 }
 
 // Cross-package deprecation: a dependent package referencing a
-// deprecated declaration from its dependency is flagged, which is the
-// real c4.NewEnv/NewNetwork/NewC4PMaster scenario.
+// deprecated declaration from its dependency is flagged — the case of a
+// facade constructor retired in favour of an options-struct one.
 func TestDeprecatedAcrossPackages(t *testing.T) {
 	fset := token.NewFileSet()
 	dep, err := analysis.CheckFixtureFiles(fset, "c4/internal/old", []analysis.FixtureFile{{

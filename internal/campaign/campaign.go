@@ -290,14 +290,16 @@ func (ts TrialSpec) Run() faults.TrialResult {
 // Expand turns the manifest into its numbered trial list. The expansion
 // is pure: entries in order, seeds ascending, knob combinations in
 // listed order, trials in generation order — so every holder of an
-// equal-hash manifest derives the identical list.
+// equal-hash manifest derives the identical list. It validates (and so
+// normalizes) the manifest first, so a manifest built in Go expands
+// exactly like the same document read through ReadManifest.
 func (m *Manifest) Expand() ([]TrialSpec, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	var out []TrialSpec
 	for ei, e := range m.Entries {
-		fam, ok := faults.ByName(e.Family)
-		if !ok {
-			return nil, fmt.Errorf("campaign: entry %d: unknown family %q", ei, e.Family)
-		}
+		fam, _ := faults.ByName(e.Family)
 		horizon := fam.Horizon
 		if e.HorizonS > 0 {
 			horizon = sim.FromSeconds(e.HorizonS)

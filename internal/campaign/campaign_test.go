@@ -132,6 +132,42 @@ func TestExpand(t *testing.T) {
 	}
 }
 
+// TestExpandGoBuiltManifest checks a manifest built in Go — never passed
+// through ReadManifest, so its seed ranges are unset — expands to exactly
+// the trials of the same document read from JSON.
+func TestExpandGoBuiltManifest(t *testing.T) {
+	built := &Manifest{Version: Version, Name: "tiny",
+		Entries: []Entry{{Family: "mixed", Trials: 5, HorizonS: 90}}}
+	got, err := built.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	want, err := testManifest(t, tinyManifest).Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("Go-built manifest expands to\n%+v\nwant\n%+v", got, want)
+	}
+	if built.Hash() != testManifest(t, tinyManifest).Hash() {
+		t.Fatal("Expand did not normalize the Go-built manifest")
+	}
+}
+
+// TestExpandInvalidManifest checks Expand reports a manifest Validate
+// would reject instead of panicking on it.
+func TestExpandInvalidManifest(t *testing.T) {
+	for name, m := range map[string]*Manifest{
+		"no-version":     {Name: "x", Entries: []Entry{{Family: "mixed"}}},
+		"unknown-family": {Version: Version, Name: "x", Entries: []Entry{{Family: "nope"}}},
+		"empty-seeds":    {Version: Version, Name: "x", Entries: []Entry{{Family: "mixed", Seeds: &SeedRange{From: 1}}}},
+	} {
+		if specs, err := m.Expand(); err == nil {
+			t.Errorf("%s: Expand returned %d trials and no error", name, len(specs))
+		}
+	}
+}
+
 // runShard is a test helper executing one shard without checkpointing.
 func runShard(t *testing.T, m *Manifest, shard, of int) *Partial {
 	t.Helper()

@@ -2,33 +2,39 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"c4/internal/sim"
 	"c4/internal/topo"
+	"c4/internal/trace"
 )
 
-// kernelConfigs are the three kernel variants every equivalence test runs:
-// the reference per-flow kernel, the flow-class kernel serial, and the
-// flow-class kernel with parallel component settle. All three must produce
-// bit-identical simulations.
-func kernelConfigs() []struct {
-	name string
-	cfg  Config
-} {
-	base := DefaultConfig()
-	agg := base
-	agg.Aggregate = true
-	par := agg
-	par.SettleWorkers = 4
-	return []struct {
-		name string
-		cfg  Config
-	}{
-		{"per-flow", base},
-		{"aggregated", agg},
-		{"parallel", par},
+// kernelVariant is one way to run the rate recompute. Every equivalence
+// test runs all three kernelVariants — the per-flow oracle, the class
+// kernel serial, and the class kernel with parallel component settle —
+// and they must produce bit-identical simulations.
+type kernelVariant struct {
+	name    string
+	workers int  // Config.SettleWorkers
+	oracle  bool // the per-flow oracle instead of the class kernel
+}
+
+var kernelVariants = []kernelVariant{
+	{name: "per-flow", oracle: true},
+	{name: "classes"},
+	{name: "parallel", workers: 4},
+}
+
+// build creates a Network on tp running this variant's kernel.
+func (kv kernelVariant) build(eng *sim.Engine, tp *topo.Topology) *Network {
+	cfg := DefaultConfig()
+	cfg.SettleWorkers = kv.workers
+	n := New(eng, tp, cfg)
+	if kv.oracle {
+		usePerFlow(n)
 	}
+	return n
 }
 
 // wtrace is the observable outcome of one simulated workload: completion
@@ -66,10 +72,10 @@ func (tr *wtrace) equal(other *wtrace) error {
 // kernel has — multi-member classes, shared bottlenecks, loss, capacity
 // degradation, a link failure with reroute, and a mid-flight cancel — and
 // returns its trace.
-func runWorkload(cfg Config) *wtrace {
+func runWorkload(kv kernelVariant) *wtrace {
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
-	n := New(eng, tp, cfg)
+	n := kv.build(eng, tp)
 	tr := &wtrace{done: map[string]sim.Time{}, bits: map[string]float64{}}
 
 	finish := func(f *Flow) { tr.done[f.Label] = eng.Now() }
@@ -122,40 +128,61 @@ func runWorkload(cfg Config) *wtrace {
 	return tr
 }
 
-// TestKernelsEquivalentOnMixedWorkload is the core oath of the flow-class
-// rebuild: the aggregated kernel — serial or parallel — replays the
-// per-flow kernel byte for byte.
+// TestKernelsEquivalentOnMixedWorkload is the class kernel's core oath:
+// serial or parallel, it replays the per-flow oracle byte for byte.
 func TestKernelsEquivalentOnMixedWorkload(t *testing.T) {
 	var ref *wtrace
-	for _, kc := range kernelConfigs() {
-		tr := runWorkload(kc.cfg)
+	for _, kv := range kernelVariants {
+		tr := runWorkload(kv)
 		if ref == nil {
 			ref = tr
 			continue
 		}
 		if err := tr.equal(ref); err != nil {
-			t.Fatalf("%s kernel diverged from per-flow: %v", kc.name, err)
+			t.Fatalf("%s kernel diverged from per-flow: %v", kv.name, err)
 		}
 	}
 }
 
-func aggTestbed(workers int) (*sim.Engine, *Network) {
-	eng := sim.NewEngine()
-	tp := topo.MustNew(topo.PaperTestbed())
-	cfg := DefaultConfig()
-	cfg.Aggregate = true
-	cfg.SettleWorkers = workers
-	return eng, New(eng, tp, cfg)
+// Bottleneck shares within rateEpsilon of each other are one filling
+// level even when they sit in different link components: the per-flow
+// oracle freezes both at the smaller share, so component-wise filling must
+// take its rounds from the global bottleneck, not from each component's own.
+func TestNearEqualBottlenecksAcrossComponents(t *testing.T) {
+	var ref []sim.Time
+	for _, kv := range kernelVariants {
+		eng := sim.NewEngine()
+		tp := topo.MustNew(topo.PaperTestbed())
+		n := kv.build(eng, tp)
+		p, _ := tp.PathFor(0, 2, 0, 0, 0, 0)
+		q, _ := tp.PathFor(4, 6, 1, 1, 1, 1)
+		n.SetLinkCapacity(p.SrcPort.Up, 100)
+		n.SetLinkCapacity(q.SrcPort.Up, 100*(1+1e-9))
+		var done []sim.Time
+		record := func(f *Flow) { done = append(done, eng.Now()) }
+		a := n.StartFlow(p, 100e9, "p", record)
+		b := n.StartFlow(q, 100e9, "q", record)
+		eng.RunUntil(sim.Millisecond)
+		if a.Rate() != b.Rate() {
+			t.Fatalf("[%s] near-equal bottlenecks filled at %v and %v, want one level", kv.name, a.Rate(), b.Rate())
+		}
+		eng.Run()
+		if ref == nil {
+			ref = done
+		} else if !slices.Equal(done, ref) {
+			t.Fatalf("[%s] completions %v, per-flow %v", kv.name, done, ref)
+		}
+	}
 }
 
 // Cancelling one member mid-flight must shrink the class, not kill it:
 // the survivors keep flowing and the freed share speeds them up exactly
-// like the per-flow kernel says it should.
+// like the per-flow oracle says it should.
 func TestClassMemberCancelMidClass(t *testing.T) {
-	for _, kc := range kernelConfigs() {
+	for _, kv := range kernelVariants {
 		eng := sim.NewEngine()
 		tp := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, tp, kc.cfg)
+		n := kv.build(eng, tp)
 		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 		var survivorDone sim.Time
 		doomed := n.StartFlow(p, 400e9, "doomed", func(f *Flow) { t.Error("cancelled flow completed") })
@@ -165,10 +192,10 @@ func TestClassMemberCancelMidClass(t *testing.T) {
 		// 100 Gbps for 1s (200 shared by 2), then 200 Gbps for the last
 		// 300 Gb: done at ~2.5s.
 		if !almostEqual(survivorDone.Seconds(), 2.5, 0.01) {
-			t.Fatalf("[%s] survivor done at %v, want ~2.5s", kc.name, survivorDone)
+			t.Fatalf("[%s] survivor done at %v, want ~2.5s", kv.name, survivorDone)
 		}
 		if n.ActiveFlows() != 0 {
-			t.Fatalf("[%s] %d active flows left", kc.name, n.ActiveFlows())
+			t.Fatalf("[%s] %d active flows left", kv.name, n.ActiveFlows())
 		}
 	}
 }
@@ -176,7 +203,7 @@ func TestClassMemberCancelMidClass(t *testing.T) {
 // Rerouting a member must split it out of its class into the class of the
 // new chain (created on demand) and merge it with any existing one.
 func TestRerouteSplitsClass(t *testing.T) {
-	eng, n := aggTestbed(0)
+	eng, n := testbed()
 	tp := n.Topo
 	p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 	alt, _ := tp.PathFor(0, 4, 0, 0, 1, 0)
@@ -203,12 +230,12 @@ func TestRerouteSplitsClass(t *testing.T) {
 }
 
 // A link failure must fan OnPathDown out to every member of every class
-// crossing it, in flow admission order, exactly like the per-flow path.
+// crossing it, in flow admission order, exactly like the per-flow oracle.
 func TestOnPathDownFansOutToMembers(t *testing.T) {
-	for _, kc := range kernelConfigs() {
+	for _, kv := range kernelVariants {
 		eng := sim.NewEngine()
 		tp := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, tp, kc.cfg)
+		n := kv.build(eng, tp)
 		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 		var notified []string
 		for i := 0; i < 5; i++ {
@@ -219,24 +246,27 @@ func TestOnPathDownFansOutToMembers(t *testing.T) {
 		eng.RunUntil(2 * sim.Second)
 		want := []string{"m0", "m1", "m2", "m3", "m4"}
 		if len(notified) != len(want) {
-			t.Fatalf("[%s] %d notifications, want %d", kc.name, len(notified), len(want))
+			t.Fatalf("[%s] %d notifications, want %d", kv.name, len(notified), len(want))
 		}
 		for i := range want {
 			if notified[i] != want[i] {
-				t.Fatalf("[%s] notification order %v, want %v", kc.name, notified, want)
+				t.Fatalf("[%s] notification order %v, want %v", kv.name, notified, want)
 			}
 		}
 	}
 }
 
-// Classes must die with their last member: after everything completes or
-// is cancelled the class table is empty, not leaking one entry per chain
-// ever seen.
+// Classes must retire with their last member: after everything completes
+// or is cancelled the live class list is empty, while the index keeps one
+// dead class per chain for revival.
 func TestClassLifecycle(t *testing.T) {
-	eng, n := aggTestbed(0)
+	eng, n := testbed()
 	tp := n.Topo
 	p, _ := tp.PathFor(0, 2, 0, 0, 0, 0)
 	q, _ := tp.PathFor(4, 6, 1, 1, 1, 1)
+	if n.ClassCount() != 0 {
+		t.Fatalf("classes = %d on a fresh network, want 0", n.ClassCount())
+	}
 	n.StartFlow(p, 10e9, "a", nil)
 	n.StartFlow(p, 20e9, "b", nil)
 	c := n.StartFlow(q, 1e12, "c", nil)
@@ -252,20 +282,79 @@ func TestClassLifecycle(t *testing.T) {
 	if n.ActiveFlows() != 0 {
 		t.Fatalf("%d active flows left", n.ActiveFlows())
 	}
+	if len(n.classIndex) != 2 {
+		t.Fatalf("class index holds %d classes, want one per chain used (2)", len(n.classIndex))
+	}
 }
 
-// ForceAggregate is the replay-test plumbing: it must override the kernel
-// selection of every subsequently built Network until restored.
-func TestForceAggregate(t *testing.T) {
-	restore := ForceAggregate(3)
-	eng := sim.NewEngine()
-	n := New(eng, topo.MustNew(topo.PaperTestbed()), DefaultConfig())
-	if !n.Cfg.Aggregate || n.Cfg.SettleWorkers != 3 {
-		t.Fatalf("forced kernel not applied: %+v", n.Cfg)
+// A chain that drains and refills revives its dead class: the same class
+// object, re-entering the live list, with no allocation in classAdmit.
+func TestClassRevivedWithoutAllocation(t *testing.T) {
+	eng, n := testbed()
+	p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+	first := n.StartFlow(p, 10e9, "first", nil)
+	eng.RunUntil(sim.Millisecond)
+	fc := first.class
+	eng.Run()
+	if !first.Done() || n.ClassCount() != 0 {
+		t.Fatalf("done=%v classes=%d, want the flow finished and the network idle", first.Done(), n.ClassCount())
+	}
+	second := n.StartFlow(p, 10e9, "second", nil)
+	eng.RunUntil(eng.Now() + sim.Millisecond)
+	if second.class != fc || n.ClassCount() != 1 {
+		t.Fatalf("class %p (live %d), want the retired class %p revived", second.class, n.ClassCount(), fc)
+	}
+	eng.Run()
+	f := &Flow{Path: p}
+	allocs := testing.AllocsPerRun(100, func() {
+		n.classAdmit(f)
+		n.classRemove(f)
+	})
+	if allocs != 0 {
+		t.Fatalf("reviving a class allocates %v times, want 0", allocs)
+	}
+}
+
+// Under tracing, each class lifetime is one span: a chain that drains and
+// refills opens a second span rather than reopening the first.
+func TestClassSpanPerLifetime(t *testing.T) {
+	eng, n := testbed()
+	tr := trace.New()
+	tr.Bind(eng)
+	n.Trace = tr
+	p, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
+	n.StartFlow(p, 10e9, "a", nil)
+	n.StartFlow(p, 20e9, "b", nil)
+	eng.Run()
+	n.StartFlow(p, 10e9, "c", nil)
+	eng.Run()
+	var classes []*trace.Span
+	for _, s := range tr.Spans() {
+		if s.Kind == "class" {
+			classes = append(classes, s)
+		}
+	}
+	if len(classes) != 2 {
+		t.Fatalf("%d class spans, want 2 (one per lifetime)", len(classes))
+	}
+	if classes[0].Open() || classes[1].Open() || classes[1].Start < classes[0].End {
+		t.Fatalf("class spans [%v, %v] and [%v, %v] must be closed and disjoint",
+			classes[0].Start, classes[0].End, classes[1].Start, classes[1].End)
+	}
+}
+
+// ForceSettleWorkers is the replay-test plumbing: it must override the
+// settle width of every subsequently built Network until restored.
+func TestForceSettleWorkers(t *testing.T) {
+	restore := ForceSettleWorkers(3)
+	n := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), DefaultConfig())
+	if n.Cfg.SettleWorkers != 3 {
+		t.Fatalf("forced settle width not applied: %+v", n.Cfg)
 	}
 	restore()
-	n2 := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), DefaultConfig())
-	if n2.Cfg.Aggregate {
-		t.Fatal("restore did not clear the forced kernel")
+	cfg := DefaultConfig()
+	cfg.SettleWorkers = 2
+	if n2 := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), cfg); n2.Cfg.SettleWorkers != 2 {
+		t.Fatalf("restore did not clear the override: %+v", n2.Cfg)
 	}
 }

@@ -6,160 +6,75 @@ import (
 	"c4/internal/sim"
 )
 
-// This file holds the reference per-flow rate kernel. It is the oracle the
-// aggregated kernel (class.go) is proven against: every scenario family in
-// bench/baseline.json runs through this code, and the aggregated kernel
-// must reproduce its allocations byte for byte on those workloads. Change
-// the two together or not at all.
+// This file holds the rate kernel: max-min fair allocation by progressive
+// filling over flow classes (class.go), one filling problem per link
+// component (parallel.go). The package's tests prove it against a
+// per-flow oracle (oracle_test.go): the two must agree bit for bit on
+// every workload.
 
 // KernelStats counts deterministic units of algorithmic work performed by
 // rate recomputation. LinkVisits counts per-link steps (bottleneck scans,
-// capacity updates, CNP bookkeeping); FlowVisits counts per-flow steps
-// under the per-flow kernel and per-class steps under the aggregated one —
-// which is exactly the quantity flow-class aggregation shrinks from
-// O(members) to O(classes). The counters are pure step counts, no
-// wall-clock, so they are byte-for-byte reproducible across runs and safe
-// to track in bench baselines.
+// capacity updates, CNP bookkeeping); FlowVisits counts per-class steps —
+// the quantity flow-class aggregation shrinks from O(members) to
+// O(classes). Picking each filling round's bottleneck from the components'
+// cached smallest shares is a per-component step and counts in neither.
+// The counters are pure step counts, no wall-clock, so they are
+// byte-for-byte reproducible across runs and safe to track in bench
+// baselines.
 type KernelStats struct {
 	Recomputes uint64
 	LinkVisits uint64
 	FlowVisits uint64
 }
 
-// recomputePerFlow allocates rates flow by flow. All bookkeeping lives in
-// slice-indexed scratch buffers reused across calls: this routine runs
-// once per flow-set change and dominates the simulator's CPU profile, so
-// it must not hash or allocate per link.
-func (n *Network) recomputePerFlow() {
+// recomputeClasses is the rate kernel: classes register their links once,
+// the touched links are partitioned into connected components
+// (parallel.go), and the components run progressive filling, the CNP pass,
+// and the ETA pass — serially or on a bounded worker pool,
+// byte-identically either way.
+func (n *Network) recomputeClasses() {
 	n.scTouched = n.scTouched[:0]
-	unfrozen := 0
-	for _, f := range n.flows {
+	for _, fc := range n.classes {
 		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		f.rate = 0
-		alive := true
-		for _, l := range f.Path.Links {
+		n.stats.LinkVisits += uint64(len(fc.links))
+		fc.alive = true
+		for _, l := range fc.links {
 			if !l.Up() {
-				alive = false
+				fc.alive = false
 				break
 			}
 		}
-		if !alive {
-			f.frozen = true // stalled at rate 0
+		if !fc.alive {
+			// Stalled at rate 0 on a dead path: no capacity, no CNPs, no
+			// goodput until the path heals.
+			fc.frozen = true
+			fc.rate = 0
+			for _, f := range fc.members {
+				f.rate = 0
+				f.cnpRate = 0
+				f.goodRate = 0
+			}
 			continue
 		}
-		f.frozen = false
-		unfrozen++
-		for _, l := range f.Path.Links {
-			if !n.scSeen[l.ID] {
-				n.scSeen[l.ID] = true
-				n.scCap[l.ID] = l.Gbps * Gbps
-				n.scCount[l.ID] = 0
-				n.scFlows[l.ID] = n.scFlows[l.ID][:0]
-				n.scTouched = append(n.scTouched, l.ID)
+		fc.frozen = false
+		m := len(fc.members)
+		for _, l := range fc.links {
+			id := l.ID
+			if !n.scSeen[id] {
+				n.scSeen[id] = true
+				n.scCap[id] = l.Gbps * Gbps
+				n.scCount[id] = 0
+				n.scClasses[id] = n.scClasses[id][:0]
+				n.scTouched = append(n.scTouched, id)
 			}
-			n.scCount[l.ID]++
-			n.scFlows[l.ID] = append(n.scFlows[l.ID], f)
+			n.scCount[id] += m
+			n.scClasses[id] = append(n.scClasses[id], fc)
 		}
 	}
 
-	// Bottleneck scanning must visit links in a deterministic order; link
-	// IDs are dense indices, so walking the whole ID space ascending and
-	// skipping untouched entries is both ordered and cheaper than sorting
-	// the touched list on every recompute.
-	nl := len(n.scSeen)
-	for unfrozen > 0 {
-		// Find the tightest link.
-		best := math.Inf(1)
-		n.stats.LinkVisits += uint64(nl)
-		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
-				continue
-			}
-			share := n.scCap[id] / float64(n.scCount[id])
-			if share < best {
-				best = share
-			}
-		}
-		if math.IsInf(best, 1) {
-			break // remaining flows cross no capacity-bearing links
-		}
-		// Freeze every unfrozen flow on links at the bottleneck share.
-		progressed := false
-		n.stats.LinkVisits += uint64(nl)
-		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
-				continue
-			}
-			share := n.scCap[id] / float64(n.scCount[id])
-			if share > best*(1+rateEpsilon) {
-				continue
-			}
-			for _, f := range n.scFlows[id] {
-				if f.frozen {
-					continue
-				}
-				n.stats.FlowVisits++
-				n.stats.LinkVisits += uint64(len(f.Path.Links))
-				f.rate = best
-				f.frozen = true
-				unfrozen--
-				progressed = true
-				for _, l := range f.Path.Links {
-					n.scCap[l.ID] -= best
-					if n.scCap[l.ID] < 0 {
-						n.scCap[l.ID] = 0
-					}
-					n.scCount[l.ID]--
-				}
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
+	comps := n.partition()
+	minEta := n.settleComponents(comps)
 
-	// CNP rates: saturated links with contention emit notifications toward
-	// every sender crossing them. A single flow at line rate builds no
-	// queue in the fluid model, so saturation requires ≥2 competing flows.
-	for _, id := range n.scTouched {
-		n.scLoad[id] = 0
-		n.scLoadCnt[id] = 0
-	}
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		for _, l := range f.Path.Links {
-			n.scLoad[l.ID] += f.rate
-			n.scLoadCnt[l.ID]++
-		}
-	}
-	n.stats.LinkVisits += uint64(len(n.scTouched))
-	for _, id := range n.scTouched {
-		n.scFactor[id] = 0
-		capBits := n.linkCap(id)
-		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.scLoad[id] >= capBits*(1-1e-6) {
-			n.scFactor[id] = float64(n.scLoadCnt[id]-1) / float64(n.scLoadCnt[id])
-		}
-	}
-	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		n.stats.LinkVisits += uint64(len(f.Path.Links))
-		f.cnpRate = 0
-		loss := 1.0
-		for _, l := range f.Path.Links {
-			if factor := n.scFactor[l.ID]; factor > 0 {
-				f.cnpRate += n.Cfg.CNPPerSecond * factor
-			}
-			if fr := n.lossFrac[l.ID]; fr > 0 {
-				loss *= 1 - fr
-			}
-		}
-		f.goodRate = f.rate * loss
-	}
 	n.snapshotUtil()
 	// Restore the between-calls invariant: scSeen and scFactor all zero, so
 	// links untouched by the next flow set read as absent, not stale.
@@ -167,34 +82,171 @@ func (n *Network) recomputePerFlow() {
 		n.scSeen[id] = false
 		n.scFactor[id] = 0
 	}
+	n.rearmCompletion(minEta)
+}
 
-	// Reschedule the next completion: the earliest ETA across all moving
-	// flows. Round up by 1 ns: FromSeconds truncates, and an ETA that
-	// lands a sub-nanosecond early would re-fire at the same instant with
-	// zero progress. Overshoot is harmless — settle clamps delivery to the
-	// remaining bits, so at the scheduled instant the finishing flows sit
-	// at exactly zero remaining.
-	minEta := sim.MaxTime
-	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		if f.goodRate <= 0 {
+// scanComponent finds the smallest fair share on c's links: what is left of
+// a link's capacity split evenly over the unfrozen members crossing it.
+// Like the other per-component passes it may run on a worker goroutine: it
+// touches only the component's own links (disjoint scratch indices by
+// construction), its own classes and their members, and read-only shared
+// state (topology, config, loss fractions). Work counters accumulate in
+// the component and are folded into the network's stats during the
+// deterministic merge.
+func (n *Network) scanComponent(c *component) {
+	c.share = math.Inf(1)
+	c.linkVisits += uint64(len(c.links))
+	for _, id := range c.links {
+		if n.scCount[id] <= 0 {
 			continue
 		}
-		eta := sim.FromSeconds(f.remaining/f.goodRate) + 1
-		if eta < 1 {
-			eta = 1
-		}
-		if eta < minEta {
-			minEta = eta
+		if share := n.scCap[id] / float64(n.scCount[id]); share < c.share {
+			c.share = share
 		}
 	}
-	n.rearmCompletion(minEta)
+}
+
+// startComponent counts c's unfrozen members and scans its first share.
+func (n *Network) startComponent(c *component) {
+	c.unfrozen = 0
+	for _, fc := range c.classes {
+		c.unfrozen += len(fc.members)
+	}
+	n.scanComponent(c)
+}
+
+// freezeComponent runs one filling round on c: every unfrozen class on a
+// link whose share is within rateEpsilon of the round's bottleneck share
+// c.best freezes at exactly c.best, and c is rescanned for the next round.
+// The inner per-member subtraction loop is deliberately NOT fused into one
+// multiply: the per-flow oracle subtracts the bottleneck share once per
+// flow with a clamp at zero, and only the same sequence of operations
+// reproduces its floating-point results exactly.
+func (n *Network) freezeComponent(c *component) {
+	best := c.best
+	c.progressed = false
+	c.linkVisits += uint64(len(c.links))
+	for _, id := range c.links {
+		if n.scCount[id] <= 0 {
+			continue
+		}
+		share := n.scCap[id] / float64(n.scCount[id])
+		if share > best*(1+rateEpsilon) {
+			continue
+		}
+		for _, fc := range n.scClasses[id] {
+			if fc.frozen {
+				continue
+			}
+			c.flowVisits++
+			c.linkVisits += uint64(len(fc.links))
+			fc.rate = best
+			fc.frozen = true
+			m := len(fc.members)
+			c.unfrozen -= m
+			c.progressed = true
+			for _, l := range fc.links {
+				capLeft := n.scCap[l.ID]
+				for k := 0; k < m; k++ {
+					capLeft -= best
+					if capLeft < 0 {
+						capLeft = 0
+					}
+				}
+				n.scCap[l.ID] = capLeft
+				n.scCount[l.ID] -= m
+			}
+		}
+	}
+	if c.unfrozen > 0 {
+		n.scanComponent(c)
+	}
+}
+
+// finishComponent runs the CNP and ETA passes over a filled component.
+func (n *Network) finishComponent(c *component) {
+	// CNP pass, class-wise: saturated links with contention emit
+	// notifications toward every sender crossing them. A single flow at
+	// line rate builds no queue in the fluid model, so saturation requires
+	// >= 2 competing flows. Adding a class's rate once per member mirrors
+	// the per-flow accumulation order closely enough to stay inside the
+	// saturation threshold's 1e-6 relative slack.
+	for _, id := range c.links {
+		n.scLoad[id] = 0
+		n.scLoadCnt[id] = 0
+	}
+	for _, fc := range c.classes {
+		if fc.rate <= 0 {
+			continue
+		}
+		c.flowVisits++
+		c.linkVisits += uint64(len(fc.links))
+		m := len(fc.members)
+		for _, l := range fc.links {
+			v := n.scLoad[l.ID]
+			for k := 0; k < m; k++ {
+				v += fc.rate
+			}
+			n.scLoad[l.ID] = v
+			n.scLoadCnt[l.ID] += m
+		}
+	}
+	c.linkVisits += uint64(len(c.links))
+	for _, id := range c.links {
+		n.scFactor[id] = 0
+		capBits := n.linkCap(id)
+		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.scLoad[id] >= capBits*(1-1e-6) {
+			n.scFactor[id] = float64(n.scLoadCnt[id]-1) / float64(n.scLoadCnt[id])
+		}
+	}
+
+	// Fan the class results out to the members and find the component's
+	// earliest completion ETA. Members share rate, CNP rate, and goodput;
+	// only remaining bits differ, and min(remaining)/goodRate is the
+	// member-wise ETA's minimum. Round up by 1 ns: FromSeconds truncates,
+	// and an ETA that lands a sub-nanosecond early would re-fire at the
+	// same instant with zero progress. Overshoot is harmless — settle
+	// clamps delivery to the remaining bits.
+	c.eta = sim.MaxTime
+	for _, fc := range c.classes {
+		c.flowVisits++
+		c.linkVisits += uint64(len(fc.links))
+		cnp := 0.0
+		loss := 1.0
+		for _, l := range fc.links {
+			if factor := n.scFactor[l.ID]; factor > 0 {
+				cnp += n.Cfg.CNPPerSecond * factor
+			}
+			if fr := n.lossFrac[l.ID]; fr > 0 {
+				loss *= 1 - fr
+			}
+		}
+		good := fc.rate * loss
+		minRem := math.Inf(1)
+		for _, f := range fc.members {
+			f.rate = fc.rate
+			f.cnpRate = cnp
+			f.goodRate = good
+			if f.remaining < minRem {
+				minRem = f.remaining
+			}
+		}
+		if good > 0 {
+			eta := sim.FromSeconds(minRem/good) + 1
+			if eta < 1 {
+				eta = 1
+			}
+			if eta < c.eta {
+				c.eta = eta
+			}
+		}
+	}
 }
 
 // snapshotUtil copies the aggregate allocated rate per touched link out of
 // the CNP-pass scratch into the persistent utilization snapshot that
 // Utilization serves, clearing links touched by the previous flow set but
-// not this one. Both kernels call it with scLoad/scTouched populated.
+// not this one. The kernel calls it with scLoad/scTouched populated.
 func (n *Network) snapshotUtil() {
 	for _, id := range n.utilLinks {
 		n.utilRate[id] = 0

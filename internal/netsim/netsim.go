@@ -14,16 +14,17 @@
 // recompute first, so observers inside event callbacks never see stale
 // rates.
 //
-// Two interchangeable kernels implement the recompute. The per-flow kernel
-// is the reference: progressive filling over every flow and the dense link
-// space. The flow-class kernel (Config.Aggregate) collapses flows with
-// identical link chains into one fluid class with a member count and
-// partitions the touched links into independent components that can settle
-// on a worker pool (Config.SettleWorkers). Both knobs are pure performance:
-// every kernel configuration must reproduce the reference bit for bit —
-// same rates, same completion instants, same event counts — a rule the
-// package's equivalence tests, the accl collective tests, and the harness
-// family replays enforce, and the committed bench baseline pins.
+// The recompute is the flow-class kernel: collective traffic is a limited
+// number of long-lived flows on identical paths, so flows with identical
+// link chains collapse into one fluid class with a member count (a
+// one-member class is a flow), and the touched links partition into
+// independent components that can settle on a worker pool
+// (Config.SettleWorkers) in filling rounds driven by the global
+// bottleneck. Parallel settle is pure performance: it must reproduce the
+// serial run bit for bit — same rates, same completion instants, same
+// event counts. The package's tests hold both to the per-flow reference
+// kernel, kept as a test oracle, and the accl and harness tests pin whole
+// workloads to goldens recorded from it.
 package netsim
 
 import (
@@ -52,19 +53,10 @@ type Config struct {
 	// CNP/s per bonded port of the paper's Fig 11.
 	CNPPerSecond float64
 
-	// Aggregate selects the flow-class kernel: concurrent flows sharing an
-	// identical link chain are allocated as one fluid class with a member
-	// count, so recompute cost scales with the number of distinct paths
-	// instead of the number of flows (see class.go). Off by default; the
-	// per-flow kernel remains the reference implementation and the
-	// allocations are identical either way, so this is purely a
-	// performance knob for large worlds.
-	Aggregate bool
 	// SettleWorkers bounds the goroutines used to run progressive filling
 	// over independent link components concurrently (see parallel.go).
-	// Values <= 1 mean serial. Only the aggregated kernel consults it;
-	// results are byte-identical to a serial run because components share
-	// no links, classes, or scratch entries.
+	// Values <= 1 mean serial. Results are byte-identical to a serial run
+	// because components share no links, classes, or scratch entries.
 	SettleWorkers int
 }
 
@@ -97,8 +89,7 @@ type Flow struct {
 	started   sim.Time
 	admitted  bool
 	done      bool
-	frozen    bool       // scratch flag used during max-min filling
-	class     *flowClass // aggregation class; nil under the per-flow kernel
+	class     *flowClass // the class of the flow's link chain while admitted
 	admitEv   *sim.Event
 	span      *trace.Span // flow-lifetime span; nil when tracing is off
 }
@@ -143,9 +134,9 @@ type Network struct {
 	pending *sim.Event // scheduled recompute, nil if none
 	dirty   bool       // flow set or link state changed since last recompute
 
-	// Flow-class aggregation state (aggregated kernel only, see class.go):
-	// classes in creation order for deterministic kernel iteration, plus a
-	// key index for O(1) membership on admit/reroute.
+	// Flow-class state (see class.go): live classes in admission order for
+	// deterministic kernel iteration, plus a key index for O(1) membership
+	// on admit/reroute that also keeps dead classes for revival.
 	classes    []*flowClass
 	classIndex map[string]*flowClass
 	classKey   []byte // scratch for key building
@@ -176,8 +167,7 @@ type Network struct {
 	// per-call maps that otherwise dominate the simulator's CPU profile.
 	scCap     []float64      // remaining capacity during progressive filling
 	scCount   []int          // unfrozen flows on the link
-	scFlows   [][]*Flow      // flows crossing the link (per-flow kernel)
-	scClasses [][]*flowClass // classes crossing the link (aggregated kernel)
+	scClasses [][]*flowClass // classes crossing the link
 	scSeen    []bool         // link appears in scTouched
 	scLoad    []float64      // aggregate allocated rate (CNP pass)
 	scLoadCnt []int          // allocated flows on the link (CNP pass)
@@ -198,44 +188,45 @@ type Network struct {
 	// (see parallel.go).
 	ufParent  []int32
 	compSlot  []int32
-	sortedIDs []int
 	compPool  []*component
+	round     []*component // components taking part in a filling round
 	lastComps int
+
+	// kernel is the rate recompute, recomputeClasses. It is a field only
+	// so that the package's tests can swap in the per-flow oracle
+	// (oracle_test.go); nothing else sets it.
+	kernel func(*Network)
 
 	stats KernelStats
 }
 
 // New creates a simulator bound to an engine and fabric.
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
-	if v := forcedKernel.Load(); v != 0 {
-		cfg.Aggregate = true
-		cfg.SettleWorkers = int(v >> 8)
+	if w := forcedWorkers.Load(); w != 0 {
+		cfg.SettleWorkers = int(w)
 	}
 	nl := len(t.Links)
-	n := &Network{
+	return &Network{
 		Engine:      eng,
 		Topo:        t,
 		Cfg:         cfg,
+		classIndex:  make(map[string]*flowClass),
 		carriedBits: make([]float64, nl),
 		cnpCount:    make([]float64, nl),
 		lossFrac:    make([]float64, nl),
 		scCap:       make([]float64, nl),
 		scCount:     make([]int, nl),
-		scFlows:     make([][]*Flow, nl),
+		scClasses:   make([][]*flowClass, nl),
 		scSeen:      make([]bool, nl),
 		scLoad:      make([]float64, nl),
 		scLoadCnt:   make([]int, nl),
 		scFactor:    make([]float64, nl),
 		flowsOn:     make([]int, nl),
 		utilRate:    make([]float64, nl),
+		ufParent:    make([]int32, nl),
+		compSlot:    make([]int32, nl),
+		kernel:      (*Network).recomputeClasses,
 	}
-	if n.Cfg.Aggregate {
-		n.classIndex = make(map[string]*flowClass)
-		n.scClasses = make([][]*flowClass, nl)
-		n.ufParent = make([]int32, nl)
-		n.compSlot = make([]int32, nl)
-	}
-	return n
 }
 
 // StartFlow submits a transfer of sizeBits along path. onComplete may be
@@ -304,8 +295,8 @@ func (n *Network) Cancel(f *Flow) {
 }
 
 // Reroute moves a live flow onto a new path; remaining bits carry over.
-// Under the aggregated kernel the flow leaves its current class and joins
-// (or creates) the class of the new link chain.
+// The flow leaves its current class and joins (or creates) the class of
+// the new link chain.
 func (n *Network) Reroute(f *Flow, path *topo.Path) {
 	if f.done {
 		return
@@ -426,13 +417,13 @@ func (n *Network) Utilization(l *topo.Link) float64 {
 // byte-for-byte reproducible and safe to track in bench baselines.
 func (n *Network) Stats() KernelStats { return n.stats }
 
-// ClassCount reports the number of live flow classes (0 under the
-// per-flow kernel).
+// ClassCount reports the number of live flow classes: distinct link
+// chains carrying at least one admitted flow.
 func (n *Network) ClassCount() int { return len(n.classes) }
 
 // ComponentCount reports how many independent link components the last
-// aggregated recompute partitioned the traffic into (0 under the per-flow
-// kernel) — the available parallelism for SettleWorkers.
+// recompute partitioned the traffic into — the available parallelism for
+// SettleWorkers.
 func (n *Network) ComponentCount() int { return n.lastComps }
 
 func (n *Network) remove(f *Flow) {
@@ -513,19 +504,12 @@ func (n *Network) recompute() {
 }
 
 // recomputeNow performs max-min fair allocation (progressive filling)
-// across all admitted flows and reschedules the completion event, through
-// one of two kernels producing identical allocations: the reference
-// per-flow kernel (kernel.go) or the flow-class kernel (class.go,
-// parallel.go) selected by Config.Aggregate.
+// across all admitted flows and reschedules the completion event.
 func (n *Network) recomputeNow() {
 	n.settle()
 	n.dirty = false
 	n.stats.Recomputes++
-	if n.Cfg.Aggregate {
-		n.recomputeAggregated()
-	} else {
-		n.recomputePerFlow()
-	}
+	n.kernel(n)
 }
 
 func (n *Network) linkCap(id int) float64 {

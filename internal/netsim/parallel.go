@@ -1,16 +1,21 @@
 package netsim
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"c4/internal/sim"
 )
 
-// Per-plane parallel settle. Max-min filling decomposes exactly along the
-// connected components of the bipartite class/link graph: a bottleneck
-// round in one component never reads or writes capacity in another, so the
-// components can fill on separate goroutines and merge deterministically.
+// Per-plane parallel settle. Max-min filling decomposes along the connected
+// components of the bipartite class/link graph: a bottleneck round in one
+// component never reads or writes capacity in another, so the components
+// can fill on separate goroutines and merge deterministically. Only the
+// rounds stay global: shares within rateEpsilon of the smallest one freeze
+// at that smallest share wherever they sit, so every component takes each
+// round's bottleneck from all of them (settleComponents).
 // Components generalize "per plane": leaf-up/spine-down links are per
 // (plane, leaf, spine), so plane- and gang-partitioned traffic falls apart
 // into many components naturally — but a node's NVLink injection/delivery
@@ -25,6 +30,14 @@ type component struct {
 	links   []int // dense link IDs, ascending
 	classes []*flowClass
 
+	// Filling state: unfrozen members left, the smallest share on the
+	// component's links as of its last round, the bottleneck share of the
+	// round it takes part in, and whether that round froze anything.
+	unfrozen   int
+	share      float64
+	best       float64
+	progressed bool
+
 	// Per-component outputs, folded into Network state serially after the
 	// parallel phase so worker goroutines never share scratch.
 	eta        sim.Time
@@ -37,10 +50,13 @@ type component struct {
 // Component identity and internal ordering are deterministic: the
 // representative is the smallest link ID, components are numbered in
 // ascending-representative order, links are listed ascending, and classes
-// keep creation order.
+// keep n.classes order. Ascending order comes from walking the dense
+// link-ID space (scSeen), which costs less than sorting the touched list
+// on every recompute.
 func (n *Network) partition() []*component {
 	for _, id := range n.scTouched {
 		n.ufParent[id] = int32(id)
+		n.compSlot[id] = -1
 	}
 	for _, fc := range n.classes {
 		if !fc.alive {
@@ -59,13 +75,11 @@ func (n *Network) partition() []*component {
 		}
 	}
 
-	n.sortedIDs = append(n.sortedIDs[:0], n.scTouched...)
-	sort.Ints(n.sortedIDs)
 	comps := n.compPool[:0]
-	for _, id := range n.sortedIDs {
-		n.compSlot[id] = -1
-	}
-	for _, id := range n.sortedIDs {
+	for id, seen := range n.scSeen {
+		if !seen {
+			continue
+		}
 		root := n.ufFind(int32(id))
 		slot := n.compSlot[root]
 		if slot < 0 {
@@ -109,36 +123,57 @@ func (n *Network) ufFind(x int32) int32 {
 	return x
 }
 
+// forcedWorkers, when nonzero, overrides Config.SettleWorkers in New. It
+// exists for the deterministic-replay tests, which rerun whole scenario
+// families — code that builds its own Network internally — on a settle
+// worker pool and compare them byte for byte against their goldens.
+var forcedWorkers atomic.Int64
+
+// ForceSettleWorkers sets the parallel settle width of every Network
+// created until the returned restore function is called (<= 1 means
+// serial). It is test plumbing, not API: production callers choose the
+// width per Network via Config.SettleWorkers.
+func ForceSettleWorkers(workers int) (restore func()) {
+	prev := forcedWorkers.Swap(int64(max(workers, 1)))
+	return func() { forcedWorkers.Store(prev) }
+}
+
 // settleComponents fills every component and returns the earliest
-// completion ETA across all of them. With SettleWorkers > 1 the components
-// run on a bounded goroutine pool; each worker takes a static stride so no
-// channel or lock sits on the hot path, and because components are
-// memory-disjoint the schedule cannot affect the results. Outputs merge in
-// component order, so the parallel run is byte-identical to the serial
-// one — the property the replay tests and the -race CI lane pin down.
+// completion ETA across all of them. Filling runs in global rounds, like
+// the per-flow oracle's: each round's bottleneck is the smallest share in
+// any component (a component's smallest share changes only in rounds it
+// takes part in, so it is rescanned only then), and every component with a
+// share within rateEpsilon of it freezes at it. The per-component passes
+// run through eachComponent; outputs merge in component order, so a
+// parallel run is byte-identical to the serial one — the property the
+// replay tests and the -race CI lane pin down.
 func (n *Network) settleComponents(comps []*component) sim.Time {
 	n.lastComps = len(comps)
-	workers := n.Cfg.SettleWorkers
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(comps); i += workers {
-					n.fillComponent(comps[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
+	n.eachComponent(comps, (*Network).startComponent)
+	for {
+		best := math.Inf(1)
 		for _, c := range comps {
-			n.fillComponent(c)
+			if c.unfrozen > 0 && c.share < best {
+				best = c.share
+			}
+		}
+		if math.IsInf(best, 1) {
+			break // remaining classes cross no capacity-bearing links
+		}
+		round := n.round[:0]
+		for _, c := range comps {
+			if c.unfrozen > 0 && c.share <= best*(1+rateEpsilon) {
+				c.best = best
+				round = append(round, c)
+			}
+		}
+		n.round = round
+		n.eachComponent(round, (*Network).freezeComponent)
+		if !slices.ContainsFunc(round, func(c *component) bool { return c.progressed }) {
+			break
 		}
 	}
+	n.eachComponent(comps, (*Network).finishComponent)
 	minEta := sim.MaxTime
 	for _, c := range comps {
 		n.stats.LinkVisits += c.linkVisits
@@ -148,4 +183,29 @@ func (n *Network) settleComponents(comps []*component) sim.Time {
 		}
 	}
 	return minEta
+}
+
+// eachComponent runs pass over comps. With SettleWorkers > 1 they run on a
+// bounded goroutine pool; each worker takes a static stride so no channel
+// or lock sits on the hot path, and because components are
+// memory-disjoint the schedule cannot affect the results.
+func (n *Network) eachComponent(comps []*component, pass func(*Network, *component)) {
+	workers := min(n.Cfg.SettleWorkers, len(comps))
+	if workers <= 1 {
+		for _, c := range comps {
+			pass(n, c)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(comps); i += workers {
+				pass(n, comps[i])
+			}
+		}(w)
+	}
+	wg.Wait()
 }
