@@ -10,7 +10,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet c4vet lint fmt-check test test-race kernel-race \
+.PHONY: all build vet c4vet lint fmt-check test test-race kernel-race fuzz-smoke \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
 	campaign-smoke perf-check docker \
 	ci bench experiments bench-json bench-baseline bench-check cover clean
@@ -59,6 +59,15 @@ test-race:
 kernel-race:
 	$(GO) test -race ./internal/sim/ ./internal/netsim/ ./internal/accl/
 	$(GO) run -race ./cmd/c4bench -only 'netsim/*'
+
+# Ten seconds of coverage-guided fuzzing of the network kernel: random
+# flow/link operation sequences on the testbed fabric, where the class
+# kernel (serial and parallel) must replay the per-flow oracle bit for bit
+# and every allocation must pass the max-min certificate. Plain `go test`
+# already replays the committed seed corpus
+# (internal/netsim/testdata/fuzz/).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting
@@ -124,14 +133,16 @@ perf-check:
 docker:
 	docker build -t c4serve:$(SHA) .
 
-ci: lint build test test-race kernel-race tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
+ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
 
 # Microbenchmarks, including the incremental-vs-full-recompute pair
 # (internal/telemetry: BenchmarkIncrementalObserve vs
 # BenchmarkBatchAnalyzePass) behind the online/scale-sweep scenario and
-# the network-kernel trio (internal/netsim: the per-flow test oracle
+# the network-kernel set (internal/netsim: the per-flow test oracle
 # BenchmarkRecomputePerFlow vs the flow-class kernel
-# BenchmarkRecomputeAggregated vs BenchmarkSettleParallel).
+# BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
+# BenchmarkRecomputeAggregated128 at the netsim/scale-sweep shape of 128
+# flows per chain).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

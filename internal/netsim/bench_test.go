@@ -64,10 +64,13 @@ type gangRun struct {
 	stats  KernelStats
 }
 
-func runGang(kv kernelVariant, nodes, flowsPerPair int) gangRun {
+// runGang runs the gang world with every recompute checked against the
+// max-min certificate.
+func runGang(t *testing.T, kv kernelVariant, nodes, flowsPerPair int) gangRun {
 	eng := sim.NewEngine()
 	tp := topo.MustNew(benchSpec(nodes))
 	n := kv.build(eng, tp)
+	certify(t, n)
 	var r gangRun
 	startGangRings(n, tp, flowsPerPair, func(f *Flow) {
 		r.done = append(r.done, fmt.Sprintf("%s@%d", f.Label, eng.Now()))
@@ -81,11 +84,12 @@ func runGang(kv kernelVariant, nodes, flowsPerPair int) gangRun {
 
 // TestClassKernelWorkAgainstOracle holds the class kernel to the per-flow
 // oracle on the gang world as the aggregation factor grows: bit-identical
-// completions, probe bits and event counts, with the work the class kernel
-// saves growing with the flows per chain (QPs times in-flight chunks) —
-// at least 10x from 32 flows per chain. The ratios are the same at 16
-// nodes as on the 256-node netsim/scale-* world, because the gang world
-// scales both kernels linearly in the number of gangs.
+// completions, probe bits and event counts, every allocation max-min
+// certified, and the work the class kernel saves growing with the flows per
+// chain (QPs times in-flight chunks) — at least 10x from 32 flows per
+// chain. The ratios are the same at 16 nodes as on the 256-node
+// netsim/scale-* world, because the gang world scales both kernels
+// linearly in the number of gangs.
 func TestClassKernelWorkAgainstOracle(t *testing.T) {
 	const nodes = 16
 	want := map[int]string{8: "4.7", 32: "12.4", 128: "42.3"}
@@ -93,7 +97,7 @@ func TestClassKernelWorkAgainstOracle(t *testing.T) {
 	for _, members := range []int{8, 32, 128} {
 		runs := make([]gangRun, len(kernelVariants))
 		for i, kv := range kernelVariants {
-			runs[i] = runGang(kv, nodes, members)
+			runs[i] = runGang(t, kv, nodes, members)
 		}
 		ref, cls := runs[0], runs[1]
 		if len(ref.done) != 2*8*members {
@@ -157,4 +161,12 @@ func BenchmarkRecomputeAggregated(b *testing.B) {
 // fill on 4 workers.
 func BenchmarkSettleParallel(b *testing.B) {
 	runGangWorld(b, kernelVariants[2], 64, 16)
+}
+
+// BenchmarkRecomputeAggregated128 is the class kernel at the
+// netsim/scale-sweep shape: 128 flows per ring edge, so completion waves
+// retire members from classes of up to 128 and the per-event bookkeeping
+// around the kernel, not the filling, dominates.
+func BenchmarkRecomputeAggregated128(b *testing.B) {
+	runGangWorld(b, kernelVariants[1], 64, 128)
 }

@@ -76,3 +76,31 @@ func TestZeroSizeControlMessage(t *testing.T) {
 		t.Fatalf("control message took %v, want ≈latency", done)
 	}
 }
+
+// A link degraded to a trickle leaves its flow a drain time beyond
+// sim.MaxTime: that is no completion at all, not an ETA that wraps
+// negative and re-arms the completion event every nanosecond. The flow
+// completes once capacity is restored. A late clock must not wrap the
+// completion instant either.
+func TestTrickleCapacitySchedulesNoCompletion(t *testing.T) {
+	for _, start := range []sim.Time{0, 200 * 365 * sim.Day} {
+		eng, n := testbed()
+		eng.RunUntil(start)
+		path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
+		var done sim.Time
+		n.StartFlow(path, 1e12, "x", func(*Flow) { done = eng.Now() })
+		eng.RunUntil(start + sim.Millisecond)
+		n.SetLinkCapacity(path.SrcPort.Up, 1e-9) // 1 bit/s: ~31,700 years to drain
+		before := eng.Fired()
+		eng.RunUntil(start + 2*sim.Millisecond)
+		if fired := eng.Fired() - before; fired > 4 {
+			t.Fatalf("start %v: %d events in the 1ms after the degrade, want a handful", start, fired)
+		}
+		n.SetLinkCapacity(path.SrcPort.Up, 200)
+		eng.Run()
+		// 0.2 Gb moved in the first ms; the rest drains at 200 Gbps.
+		if want := start.Seconds() + 0.002 + (1e12-0.2e9)/200e9; !almostEqual(done.Seconds(), want, 1e-3) {
+			t.Fatalf("start %v: done at %v, want %.4fs", start, done, want)
+		}
+	}
+}

@@ -20,12 +20,14 @@ import (
 //
 // The aggregation sits strictly behind the per-flow semantics: StartFlow,
 // Cancel, Reroute, OnPathDown and per-member OnComplete callbacks are
-// untouched, settle still advances each member's remaining bits
-// individually (members may differ in size), and the arithmetic is
-// arranged so the allocations match per-flow filling bit for bit —
-// per-member capacity subtraction with per-step clamping rather than one
-// fused multiply, so repeated subtraction of the same bottleneck share
-// rounds exactly like a flow-by-flow loop.
+// untouched, and the allocations match per-flow filling bit for bit. Two
+// per-member loops stay for that: settle advances each member's remaining
+// bits individually (members may differ in size), and freezeComponent
+// subtracts the bottleneck share once per member with per-step clamping
+// rather than in one fused multiply, so it rounds exactly like a
+// flow-by-flow loop. Everything else a recompute does per class is
+// O(links): the CNP load is one multiply per class and link, and fanOut
+// copies the class's results to its members only when the class changed.
 
 // flowClass is the unit of allocation: every admitted flow whose path has
 // an identical link chain.
@@ -41,7 +43,33 @@ type flowClass struct {
 	frozen bool
 	rate   float64
 
+	// least is the member holding the least remaining bits as of the last
+	// fanOut, or nil after a membership change. While it is set, every
+	// member holds the rate, CNP rate and goodput least holds. Members
+	// share their goodput, so settle subtracts the same amount from each
+	// (rounding is monotone) and least stays least.
+	least *Flow
+
 	span *trace.Span // class-lifetime span; nil when tracing is off
+}
+
+// fanOut gives every member the class's rate, CNP rate and goodput and
+// returns the least remaining bits among the members. It walks the
+// members only when the membership or one of the values changed since the
+// last fan-out; otherwise they already hold the values and the cached
+// least member answers.
+func (fc *flowClass) fanOut(rate, cnp, good float64) float64 {
+	if l := fc.least; l == nil || l.rate != rate || l.cnpRate != cnp || l.goodRate != good {
+		least := fc.members[0]
+		for _, f := range fc.members {
+			f.rate, f.cnpRate, f.goodRate = rate, cnp, good
+			if f.remaining < least.remaining {
+				least = f
+			}
+		}
+		fc.least = least
+	}
+	return fc.least.remaining
 }
 
 // classAdmit joins f to the class of its link chain. The aggregation key
@@ -73,6 +101,7 @@ func (n *Network) classAdmit(f *Flow) {
 		}
 	}
 	fc.members = append(fc.members, f)
+	fc.least = nil
 	f.class = fc
 }
 
@@ -95,6 +124,7 @@ func (n *Network) classRemove(f *Flow) {
 	if i := slices.Index(fc.members, f); i >= 0 {
 		fc.members = slices.Delete(fc.members, i, i+1)
 	}
+	fc.least = nil
 	if len(fc.members) == 0 {
 		fc.span.FinishAt(n.Engine.Now())
 		if i := slices.Index(n.classes, fc); i >= 0 {

@@ -49,11 +49,7 @@ func (n *Network) recomputeClasses() {
 			// goodput until the path heals.
 			fc.frozen = true
 			fc.rate = 0
-			for _, f := range fc.members {
-				f.rate = 0
-				f.cnpRate = 0
-				f.goodRate = 0
-			}
+			fc.fanOut(0, 0, 0)
 			continue
 		}
 		fc.frozen = false
@@ -163,14 +159,15 @@ func (n *Network) freezeComponent(c *component) {
 	}
 }
 
-// finishComponent runs the CNP and ETA passes over a filled component.
+// finishComponent runs the CNP and ETA passes over a filled component. Both
+// cost O(classes): per class and link, not per member.
 func (n *Network) finishComponent(c *component) {
 	// CNP pass, class-wise: saturated links with contention emit
 	// notifications toward every sender crossing them. A single flow at
 	// line rate builds no queue in the fluid model, so saturation requires
-	// >= 2 competing flows. Adding a class's rate once per member mirrors
-	// the per-flow accumulation order closely enough to stay inside the
-	// saturation threshold's 1e-6 relative slack.
+	// >= 2 competing flows. A class adds m times its rate in one multiply;
+	// that differs from the per-flow oracle's flow-by-flow sum only in the
+	// last bits, far inside the saturation threshold's 1e-6 relative slack.
 	for _, id := range c.links {
 		n.scLoad[id] = 0
 		n.scLoadCnt[id] = 0
@@ -182,12 +179,9 @@ func (n *Network) finishComponent(c *component) {
 		c.flowVisits++
 		c.linkVisits += uint64(len(fc.links))
 		m := len(fc.members)
+		load := float64(m) * fc.rate
 		for _, l := range fc.links {
-			v := n.scLoad[l.ID]
-			for k := 0; k < m; k++ {
-				v += fc.rate
-			}
-			n.scLoad[l.ID] = v
+			n.scLoad[l.ID] += load
 			n.scLoadCnt[l.ID] += m
 		}
 	}
@@ -203,11 +197,10 @@ func (n *Network) finishComponent(c *component) {
 	// Fan the class results out to the members and find the component's
 	// earliest completion ETA. Members share rate, CNP rate, and goodput;
 	// only remaining bits differ, and min(remaining)/goodRate is the
-	// member-wise ETA's minimum. Round up by 1 ns: FromSeconds truncates,
-	// and an ETA that lands a sub-nanosecond early would re-fire at the
-	// same instant with zero progress. Overshoot is harmless — settle
-	// clamps delivery to the remaining bits.
+	// member-wise ETA's minimum. fanOut touches the members only when the
+	// class changed, so a class the wave left alone costs O(1).
 	c.eta = sim.MaxTime
+	horizon := sim.MaxTime - n.Engine.Now()
 	for _, fc := range c.classes {
 		c.flowVisits++
 		c.linkVisits += uint64(len(fc.links))
@@ -222,25 +215,29 @@ func (n *Network) finishComponent(c *component) {
 			}
 		}
 		good := fc.rate * loss
-		minRem := math.Inf(1)
-		for _, f := range fc.members {
-			f.rate = fc.rate
-			f.cnpRate = cnp
-			f.goodRate = good
-			if f.remaining < minRem {
-				minRem = f.remaining
-			}
-		}
+		minRem := fc.fanOut(fc.rate, cnp, good)
 		if good > 0 {
-			eta := sim.FromSeconds(minRem/good) + 1
-			if eta < 1 {
-				eta = 1
-			}
-			if eta < c.eta {
-				c.eta = eta
-			}
+			c.eta = min(c.eta, completionDelay(minRem, good, horizon))
 		}
 	}
+}
+
+// completionDelay is the completion event's delay for rem bits draining at
+// good bits per second, rounded up by 1 ns: FromSeconds truncates, and an
+// ETA that lands a sub-nanosecond early would re-fire at the same instant
+// with zero progress. Overshoot is harmless — settle clamps delivery to
+// the remaining bits. A delay at or beyond horizon, the time left before
+// sim.MaxTime, is no completion at all and comes back as sim.MaxTime:
+// converted, it would wrap negative (past ~292 years of drain time) and
+// re-arm the completion event every nanosecond.
+func completionDelay(rem, good float64, horizon sim.Time) sim.Time {
+	s := rem / good
+	if s*float64(sim.Second) < float64(horizon) {
+		if eta := sim.FromSeconds(s) + 1; eta < horizon {
+			return eta
+		}
+	}
+	return sim.MaxTime
 }
 
 // snapshotUtil copies the aggregate allocated rate per touched link out of
@@ -258,13 +255,14 @@ func (n *Network) snapshotUtil() {
 }
 
 // rearmCompletion points the network's single completion event at minEta
-// from now. The event is moved in place (Engine.Reschedule) whenever it is
-// still queued: recompute runs on every flow-set change, and under the old
-// cancel-and-recreate pattern each run leaked one dead event into the
-// engine heap — a reroute-heavy run accumulated them faster than pops
-// drained them.
+// from now, or cancels it when minEta reaches sim.MaxTime from now (no
+// completion; the sum would wrap). The event is moved in place
+// (Engine.Reschedule) whenever it is still queued: recompute runs on every
+// flow-set change, and under the old cancel-and-recreate pattern each run
+// leaked one dead event into the engine heap — a reroute-heavy run
+// accumulated them faster than pops drained them.
 func (n *Network) rearmCompletion(minEta sim.Time) {
-	if minEta == sim.MaxTime {
+	if minEta >= sim.MaxTime-n.Engine.Now() {
 		if n.completeEv != nil {
 			n.completeEv.Cancel()
 			n.completeEv = nil

@@ -28,7 +28,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"c4/internal/sim"
 	"c4/internal/topo"
@@ -89,6 +91,7 @@ type Flow struct {
 	started   sim.Time
 	admitted  bool
 	done      bool
+	slot      int32      // index in Network.flows while admitted
 	class     *flowClass // the class of the flow's link chain while admitted
 	admitEv   *sim.Event
 	span      *trace.Span // flow-lifetime span; nil when tracing is off
@@ -129,7 +132,12 @@ type Network struct {
 	// state reads it.
 	Trace *trace.Tracer
 
-	flows   []*Flow // active flows, insertion order (stable IDs)
+	// flows holds the active flows in admission order. Removal leaves a
+	// nil hole at the flow's slot instead of shifting its successors, and
+	// the holes are squeezed out in order once they pass half the slice,
+	// so every walk of flows skips nil entries.
+	flows   []*Flow
+	holes   int
 	nextID  int
 	pending *sim.Event // scheduled recompute, nil if none
 	dirty   bool       // flow set or link state changed since last recompute
@@ -144,9 +152,11 @@ type Network struct {
 	// completeEv is the single next-completion event. Flows complete when
 	// their remaining bits reach zero at the scheduled instant; keeping one
 	// event for the whole network (instead of one per flow rescheduled on
-	// every rate change) keeps the engine's queue small and cheap.
+	// every rate change) keeps the engine's queue small and cheap. settle
+	// collects the flows whose remaining bits it brings to zero in drained,
+	// so completions needs no scan.
 	completeEv *sim.Event
-	completed  []*Flow // scratch for collecting finished flows
+	drained    []*Flow
 
 	// carriedBits accumulates delivered bits per link (indexed by link ID)
 	// for bandwidth sampling (Fig 13); cnpCount accumulates CNPs per
@@ -250,6 +260,7 @@ func (n *Network) StartFlow(path *topo.Path, sizeBits float64, label string, onC
 	}
 	f.admitEv = n.Engine.After(n.Cfg.BaseLatency, func() {
 		f.admitted = true
+		f.slot = int32(len(n.flows))
 		n.flows = append(n.flows, f)
 		for _, l := range f.Path.Links {
 			n.flowsOn[l.ID]++
@@ -363,6 +374,9 @@ func (n *Network) SetLinkUp(l *topo.Link, up bool) {
 		// Copy: handlers may reroute/cancel, mutating n.flows.
 		var hit []*Flow
 		for _, f := range n.flows {
+			if f == nil {
+				continue
+			}
 			for _, pl := range f.Path.Links {
 				if pl == l {
 					hit = append(hit, f)
@@ -381,7 +395,7 @@ func (n *Network) SetLinkUp(l *topo.Link, up bool) {
 }
 
 // ActiveFlows reports the number of admitted, unfinished flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+func (n *Network) ActiveFlows() int { return len(n.flows) - n.holes }
 
 // CarriedBits reports cumulative bits delivered over a link.
 func (n *Network) CarriedBits(l *topo.Link) float64 {
@@ -426,17 +440,28 @@ func (n *Network) ClassCount() int { return len(n.classes) }
 // SettleWorkers.
 func (n *Network) ComponentCount() int { return n.lastComps }
 
+// remove takes an admitted flow out of the flow set in O(1) amortized: it
+// leaves a hole at the flow's slot and compacts n.flows once holes pass
+// half of it.
 func (n *Network) remove(f *Flow) {
-	for i, g := range n.flows {
-		if g == f {
-			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			for _, l := range f.Path.Links {
-				n.flowsOn[l.ID]--
+	n.flows[f.slot] = nil
+	n.holes++
+	if n.holes > len(n.flows)/2 {
+		live := n.flows[:0]
+		for _, g := range n.flows {
+			if g != nil {
+				g.slot = int32(len(live))
+				live = append(live, g)
 			}
-			n.classRemove(f)
-			return
 		}
+		clear(n.flows[len(live):])
+		n.flows = live
+		n.holes = 0
 	}
+	for _, l := range f.Path.Links {
+		n.flowsOn[l.ID]--
+	}
+	n.classRemove(f)
 }
 
 // invalidate schedules a single rate recomputation at the current instant.
@@ -466,6 +491,8 @@ func (n *Network) flush() {
 
 // settle advances all flows to the current instant at their current rates,
 // updating remaining bits, per-link carried-bit counters, and CNP counters.
+// A flow whose remaining bits reach zero joins n.drained for the next
+// completions.
 func (n *Network) settle() {
 	now := n.Engine.Now()
 	dt := (now - n.lastSettle).Seconds()
@@ -474,11 +501,14 @@ func (n *Network) settle() {
 		return
 	}
 	for _, f := range n.flows {
-		if f.goodRate <= 0 {
+		if f == nil || f.goodRate <= 0 {
 			continue
 		}
 		delta := f.goodRate * dt
-		if delta > f.remaining {
+		if delta >= f.remaining {
+			if f.remaining > 0 {
+				n.drained = append(n.drained, f)
+			}
 			delta = f.remaining
 		}
 		f.remaining -= delta
@@ -517,26 +547,23 @@ func (n *Network) linkCap(id int) float64 {
 }
 
 // completions fires at the earliest completion ETA: it settles flows to
-// the current instant and finishes every flow that has no bits left. Flows
-// whose rate changed since the ETA was computed simply are not at zero yet;
-// the recompute scheduled here re-arms the event for them.
+// the current instant and finishes every flow that has no bits left — the
+// flows settle drained since the last completions, in admission (slot)
+// order. Flows whose rate changed since the ETA was computed simply are not
+// at zero yet; the recompute scheduled here re-arms the event for them.
 func (n *Network) completions() {
 	n.completeEv = nil
 	n.settle()
-	n.completed = n.completed[:0]
-	for _, f := range n.flows {
-		if f.remaining <= 0 {
-			n.completed = append(n.completed, f)
-		}
-	}
+	slices.SortFunc(n.drained, func(a, b *Flow) int { return cmp.Compare(a.slot, b.slot) })
 	n.invalidate()
 	// Finish flows one at a time, callback included, exactly as the old
 	// per-flow completion events did: an OnComplete handler may Cancel a
 	// same-instant batchmate, and that flow must then neither complete nor
-	// see its callback fire.
-	for _, f := range n.completed {
+	// see its callback fire. Handlers cannot add to drained meanwhile: a
+	// settle at the instant that was just settled returns at once.
+	for _, f := range n.drained {
 		if f.done {
-			continue // cancelled by an earlier handler in this batch
+			continue // cancelled since it drained, maybe by a batchmate's handler
 		}
 		f.remaining = 0
 		f.done = true
@@ -546,6 +573,8 @@ func (n *Network) completions() {
 			f.OnComplete(f)
 		}
 	}
+	clear(n.drained)
+	n.drained = n.drained[:0]
 }
 
 // pathLabel renders a path for span attributes. topo.Path.String assumes
@@ -566,5 +595,5 @@ func pathLabel(p *topo.Path) string {
 
 // String summarizes the simulator state; useful in debugging sessions.
 func (n *Network) String() string {
-	return fmt.Sprintf("netsim{t=%v flows=%d}", n.Engine.Now(), len(n.flows))
+	return fmt.Sprintf("netsim{t=%v flows=%d}", n.Engine.Now(), n.ActiveFlows())
 }

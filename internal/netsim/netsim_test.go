@@ -265,8 +265,9 @@ func TestRouteErrors(t *testing.T) {
 	}
 }
 
-// Property: max-min allocation never oversubscribes a link and never gives
-// a flow zero when its path is healthy and shared fairly.
+// Property: max-min allocation never oversubscribes a link, never gives a
+// flow zero when its path is healthy and shared fairly, and passes the
+// max-min certificate.
 func TestMaxMinFairnessProperty(t *testing.T) {
 	f := func(seed int64, flowCount uint8) bool {
 		eng := sim.NewEngine()
@@ -288,22 +289,13 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 			flows = append(flows, n.StartFlow(p, 1e15, "f", nil))
 		}
 		eng.RunUntil(sim.Millisecond) // admit + allocate
-		// No link oversubscribed.
-		util := map[int]float64{}
 		for _, fl := range flows {
 			if fl.Rate() <= 0 {
 				return false // healthy shared paths must get bandwidth
 			}
-			for _, l := range fl.Path.Links {
-				util[l.ID] += fl.Rate()
-			}
 		}
-		for id, u := range util {
-			if u > top.Links[id].Gbps*Gbps*(1+1e-6) {
-				return false
-			}
-		}
-		return true
+		// No link oversubscribed, and every flow bottlenecked.
+		return maxMinViolation(n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

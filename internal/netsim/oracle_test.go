@@ -16,6 +16,7 @@ import (
 
 // perFlowScratch is the oracle's private scratch: the flows crossing each
 // link and a frozen flag per flow, both indexed by position in n.flows.
+// Every walk of n.flows skips the nil holes removal leaves behind.
 type perFlowScratch struct {
 	onLink [][]int
 	frozen []bool
@@ -36,6 +37,9 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	o.frozen = slices.Grow(o.frozen[:0], len(n.flows))[:len(n.flows)]
 	unfrozen := 0
 	for i, f := range n.flows {
+		if f == nil {
+			continue
+		}
 		n.stats.FlowVisits++
 		n.stats.LinkVisits += uint64(len(f.Path.Links))
 		f.rate = 0
@@ -125,7 +129,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		n.scLoadCnt[id] = 0
 	}
 	for _, f := range n.flows {
-		if f.rate <= 0 {
+		if f == nil || f.rate <= 0 {
 			continue
 		}
 		n.stats.FlowVisits++
@@ -144,6 +148,9 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		}
 	}
 	for _, f := range n.flows {
+		if f == nil {
+			continue
+		}
 		n.stats.FlowVisits++
 		n.stats.LinkVisits += uint64(len(f.Path.Links))
 		f.cnpRate = 0
@@ -167,17 +174,14 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	// The next completion is the earliest ETA across all moving flows,
 	// rounded up by 1 ns exactly like the class kernel's.
 	minEta := sim.MaxTime
+	horizon := sim.MaxTime - n.Engine.Now()
 	for _, f := range n.flows {
-		n.stats.FlowVisits++
-		if f.goodRate <= 0 {
+		if f == nil {
 			continue
 		}
-		eta := sim.FromSeconds(f.remaining/f.goodRate) + 1
-		if eta < 1 {
-			eta = 1
-		}
-		if eta < minEta {
-			minEta = eta
+		n.stats.FlowVisits++
+		if f.goodRate > 0 {
+			minEta = min(minEta, completionDelay(f.remaining, f.goodRate, horizon))
 		}
 	}
 	n.rearmCompletion(minEta)
