@@ -142,7 +142,9 @@ ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smo
 # BenchmarkRecomputePerFlow vs the flow-class kernel
 # BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
 # BenchmarkRecomputeAggregated128 at the netsim/scale-sweep shape of 128
-# flows per chain).
+# flows per chain) and the iteration executor (internal/plan:
+# BenchmarkExecIter on a stub fabric at Fig 14 Job1's TP8×DP16 and Job3's
+# TP8/PP8/DP2/GA16 shapes).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 

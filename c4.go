@@ -273,9 +273,12 @@ var (
 func NewJob(cfg JobConfig) (*Job, error) { return job.New(cfg) }
 
 // Training-iteration planner (internal/plan): the compiler from a 3D
-// parallelization strategy to a timed 1F1B micro-batch schedule.
+// parallelization strategy to a timed 1F1B micro-batch schedule, and the
+// executor every job's iterations run through.
 type (
-	// PlanOptions tunes gradient bucketing and comm/compute overlap.
+	// PlanOptions holds the planner's two knobs, gradient bucket size and
+	// comm/compute overlap; the forward share (1/3) and the activation
+	// tensor (plan.DefaultActivationBytes) are fixed.
 	PlanOptions = plan.Options
 	// Plan is a compiled training iteration.
 	Plan = plan.Plan

@@ -12,7 +12,8 @@ import (
 
 // kernelGolden pins one scenario run: the SHA-256 digest of its rendering
 // and event count, recorded from the per-flow kernel before the flow-class
-// kernel became netsim's only production path.
+// kernel became netsim's only production path (for plan/* and fig14:
+// with the per-flow kernel installed as the production kernel).
 type kernelGolden struct {
 	name   string
 	seed   int64
@@ -25,13 +26,13 @@ var kernelGoldens = []kernelGolden{
 	{"fig12", 1, "93bfaa728af5d31dedcabf595aeed22787a46d86194c031ae5bac5b05831a26c", false},
 	{"tenancy/collision-sweep", 1, "340804ec7fac4c813a24af9e526d178676bfa9e97e1280d76ae172e48bd59b3c", false},
 	{"tenancy/placement-compare", 1, "7ba344d0cf03b5f2780ffc172821ee22c85c69db6aab962ae952a953f55585f2", false},
-	{"plan/bucket-sweep", 1, "129ed4670aa7235aa96504b8b75e66e519e1222f8fd463eb776df489f93688c7", false},
-	{"plan/overlap-ablation", 1, "5565ac7db2a7d38b3a8c39710832808800f090ab93ca15e6c30060b7d4ceae9b", false},
+	{"plan/bucket-sweep", 1, "3d6b84c0b4e750b5553c13a2d51a763ea2435ccde1c8d3143eabf25540ee2688", false},
+	{"plan/overlap-ablation", 1, "8c48c35663230b4e86a0231c313eff4b9b7112c9c124ec553efa37c2dabd1c7b", false},
 	{"campaign/mixed", 1, "d3701927afb610a0bba1453ff902b07b718574e424f95141a0b3da784beba8a9", true},
 	// At this seed two link components reach bottleneck shares within
 	// netsim's rate epsilon of each other: filling must take its rounds
 	// from the global bottleneck to reproduce the per-flow event count.
-	{"fig14", 103, "bb4038c9e01e7109068a449d54e31312197512ce8b377fde8f5e60c841fe9b25", true},
+	{"fig14", 103, "f8e6237299bff5dc26702ced5bbb3451460ad6a172375d1e69fea8c216090cb5", true},
 }
 
 // TestAggregatedKernelReplaysFamilies is the whole-repo equivalence proof

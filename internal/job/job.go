@@ -1,14 +1,13 @@
 // Package job runs simulated distributed-training jobs over the ACCL
 // collective layer. Every job's iteration is compiled by internal/plan
-// into a micro-batch schedule: pure data-parallel GA=1 jobs collapse to
-// the fused compute-then-allreduce step (the historical lump-sum model,
-// preserved bit-for-bit), while pipeline-parallel or gradient-accumulated
-// strategies execute the full 1F1B DAG — per-stage forward/backward
-// slots, stage-to-stage activation/gradient SendRecv traffic, and
-// bucketed, optionally overlapped DP gradient synchronization — with
-// per-node jitter, injectable stragglers, and node replacement. This is
-// the workload generator behind Figs 3 and 14, the plan/* strategy
-// sweeps, and the live C4D→steering pipeline.
+// into a 1F1B micro-batch schedule and run by the plan executor —
+// per-stage forward/backward slots, stage-to-stage activation/gradient
+// SendRecv traffic, and bucketed, optionally overlapped DP gradient
+// synchronization — with per-node jitter, injectable stragglers, and
+// node replacement. A pure data-parallel GA=1 job is the one-stage case:
+// a lump of jittered compute, then one gradient allreduce per iteration.
+// This is the workload generator behind Figs 3 and 14, the plan/*
+// strategy sweeps, and the live C4D→steering pipeline.
 package job
 
 import (
@@ -32,13 +31,13 @@ type Config struct {
 	Rails    []int
 	Rand     *sim.Rand
 	Spec     workload.JobSpec
-	// Context cancels planned-schedule execution cooperatively: once it
-	// is cancelled, in-flight iterations stop scheduling work and the
-	// engine queue drains. nil means never cancelled.
+	// Context cancels the job cooperatively: once it is cancelled, the
+	// in-flight iteration stops scheduling work and never completes, and
+	// the engine queue drains. nil means never cancelled.
 	Context context.Context
-	// Plan tunes the compiled iteration schedule: gradient bucket size,
-	// comm/compute overlap, activation volume. The zero value compiles
-	// pure-DP GA=1 jobs to the fused single-allreduce step.
+	// Plan tunes the compiled iteration schedule: gradient bucket size
+	// and comm/compute overlap. The zero value synchronizes each stage's
+	// whole gradient once its backward drain ends.
 	Plan plan.Options
 	// Stepwise selects chunked collectives (needed when a C4D fleet wants
 	// per-step transport records).
@@ -87,17 +86,23 @@ type Job struct {
 	// pairComms[d*(PP-1)+s] carries the pipeline point-to-point traffic
 	// between stages s and s+1 of replica d (empty when PP == 1).
 	pairComms []*accl.Communicator
-	// commEpoch counts openComms calls; an abandoned plan iteration (the
-	// job was stopped and its comms rebuilt by ReplaceNode mid-schedule)
-	// still has compute-end events queued, and the epoch check stops them
-	// from launching transfers on the rebuilt communicators.
+	// commEpoch counts openComms calls; an abandoned iteration (the job
+	// was stopped and its comms rebuilt by ReplaceNode mid-schedule) still
+	// has slot-end events and collective callbacks queued, and the epoch
+	// check stops them from launching transfers on the rebuilt
+	// communicators or completing an iteration of the next run.
 	commEpoch int
-	rand      *sim.Rand
+	// fabric and iterDone bind the executor to the current epoch's
+	// communicators; openComms rebuilds them.
+	fabric   plan.Fabric
+	iterDone func(plan.IterStats)
+
+	rand   *sim.Rand
+	timing plan.IterTiming // per-node perturbations, redrawn every iteration
 
 	stragglers map[int]sim.Time
 	running    bool
 	itersLeft  int
-	iterStart  sim.Time
 	runStart   sim.Time
 	iterTimes  []sim.Time
 	busySum    sim.Time
@@ -138,6 +143,12 @@ func New(cfg Config) (*Job, error) {
 		rand:       cfg.Rand.Fork(),
 		stragglers: make(map[int]sim.Time),
 	}
+	j.timing.Scale = make([][]float64, p.DP)
+	j.timing.Extra = make([][]sim.Time, p.DP)
+	for d := 0; d < p.DP; d++ {
+		j.timing.Scale[d] = make([]float64, p.PP)
+		j.timing.Extra[d] = make([]sim.Time, p.PP)
+	}
 	if err := j.openComms(); err != nil {
 		return nil, err
 	}
@@ -163,6 +174,25 @@ func (j *Job) openComms() error {
 	j.comms = j.comms[:0]
 	j.pairComms = j.pairComms[:0]
 	j.commEpoch++
+	epoch := j.commEpoch
+	j.fabric = plan.Fabric{
+		Engine: j.cfg.Engine,
+		P2P: func(replica, from, to int, bytes float64, ready sim.Time, done func(sim.Time)) {
+			if j.commEpoch == epoch {
+				j.p2p(replica, from, to, bytes, ready, done)
+			}
+		},
+		DPSync: func(stage int, bytes float64, arrivals []sim.Time, done func(sim.Time)) {
+			if j.commEpoch == epoch {
+				j.dpSync(stage, bytes, arrivals, done)
+			}
+		},
+	}
+	j.iterDone = func(st plan.IterStats) {
+		if j.commEpoch == epoch {
+			j.completeIter(st)
+		}
+	}
 	for _, g := range j.groups {
 		if len(g) < 2 {
 			j.comms = append(j.comms, nil) // DP=1: nothing to synchronize
@@ -240,166 +270,45 @@ func (j *Job) Stop() { j.running = false }
 // Running reports whether the job loop is active.
 func (j *Job) Running() bool { return j.running }
 
-// iterate runs one optimizer step according to the compiled plan: the
-// fused compute-then-sync path for degenerate (pure-DP GA=1) schedules,
-// the 1F1B micro-batch DAG for everything else.
+// iterate runs one optimizer step: it draws every node's compute
+// perturbation, then executes the compiled schedule, whose transfers ride
+// the pair communicators (pipeline p2p) and the DP group communicators
+// (bucketed gradient sync).
 func (j *Job) iterate() {
 	if !j.running || j.itersLeft <= 0 {
 		j.finish()
 		return
 	}
-	j.iterStart = j.cfg.Engine.Now()
 	j.iterSpan = nil
 	if tr := j.tracer(); tr.Enabled() {
 		j.iterSpan = tr.Start(nil, "iter", fmt.Sprintf("iter-%d", len(j.iterTimes)))
 	}
-	if j.plan.Degenerate {
-		j.iterateFused()
-	} else {
-		j.iteratePlanned()
+	p, tm := j.plan, j.timing
+	for d := 0; d < p.DP; d++ {
+		for s := 0; s < p.PP; s++ {
+			tm.Scale[d][s] = max(1+j.cfg.Spec.ComputeJitter*j.rand.NormFloat64(), 0)
+			tm.Extra[d][s] = j.stragglers[j.nodes[d*p.PP+s]]
+		}
 	}
+	fab := j.fabric
+	fab.Trace, fab.Span = j.tracer(), j.iterSpan
+	p.ExecIter(j.cfg.Context, fab, tm, j.iterDone)
 }
 
 // completeIter records a finished iteration's duration and breakdown,
 // then starts the next one.
-func (j *Job) completeIter(dur, busy, bubble, exposed sim.Time) {
-	j.iterSpan.FinishAt(j.iterStart + dur)
+func (j *Job) completeIter(st plan.IterStats) {
+	dur := st.IterTime()
+	j.iterSpan.FinishAt(st.End)
 	j.iterTimes = append(j.iterTimes, dur)
-	j.busySum += busy
-	j.bubbleSum += bubble
-	j.exposedSum += exposed
+	j.busySum += st.MaxBusy
+	j.bubbleSum += st.Bubble
+	j.exposedSum += st.Exposed
 	j.itersLeft--
 	if j.onIter != nil {
 		j.onIter(len(j.iterTimes)-1, dur)
 	}
 	j.iterate()
-}
-
-// iterateFused is the degenerate schedule's step: one lump of compute
-// with per-node jitter, then the whole gradient synchronized at once per
-// DP group. This is the pre-plan model, preserved byte for byte — every
-// RNG draw and engine event fires in the historical order.
-func (j *Job) iterateFused() {
-	base := j.cfg.Spec.IterComputeTime()
-
-	pending := 0
-	var lastEnd sim.Time
-	var maxArrive sim.Time
-	groupDone := func(end sim.Time) {
-		if end > lastEnd {
-			lastEnd = end
-		}
-		pending--
-		if pending > 0 {
-			return
-		}
-		dur := lastEnd - j.iterStart
-		busy := maxArrive - j.iterStart
-		exposed := dur - busy
-		if exposed < 0 {
-			exposed = 0
-		}
-		j.completeIter(dur, busy, 0, exposed)
-	}
-
-	bytes := j.cfg.Spec.Model.GradBytesPerRank(j.cfg.Spec.Par)
-	anyComm := false
-	// Collective ops launched below parent under the iteration span; the
-	// ZeRO second phase launches from a completion callback, where the
-	// scope stack is long gone, so it captures the span explicitly.
-	isp := j.iterSpan
-	restoreScope := j.tracer().Scope(isp)
-	defer restoreScope()
-	for gi, g := range j.groups {
-		arr := make([]sim.Time, len(g))
-		for i, n := range g {
-			c := sim.Time(float64(base) * (1 + j.cfg.Spec.ComputeJitter*j.rand.NormFloat64()))
-			if c < 0 {
-				c = 0
-			}
-			arr[i] = j.iterStart + c + j.stragglers[n]
-			if arr[i] > maxArrive {
-				maxArrive = arr[i]
-			}
-		}
-		comm := j.comms[gi]
-		if comm == nil {
-			continue
-		}
-		anyComm = true
-		pending++
-		if j.cfg.Spec.Par.ZeRO {
-			// DeepSpeed ZeRO: reduce-scatter gradients, then allgather
-			// updated parameters — same total volume as allreduce, two
-			// dependent phases.
-			comm.ReduceScatter(bytes, arr, func(accl.Result) {
-				restore := j.tracer().Scope(isp)
-				comm.AllGather(bytes, nil, func(r accl.Result) {
-					groupDone(r.End)
-				})
-				restore()
-			})
-		} else {
-			comm.AllReduce(bytes, arr, func(r accl.Result) {
-				groupDone(r.End)
-			})
-		}
-	}
-	if !anyComm {
-		// Single-replica job: the iteration is pure compute.
-		j.cfg.Engine.Schedule(maxArrive, func() { groupDone(maxArrive) })
-		pending++
-	}
-}
-
-// iteratePlanned executes one iteration of the compiled 1F1B schedule:
-// the plan executor drives compute slots and hands transfers back here,
-// where they ride the pair communicators (pipeline p2p) and the DP group
-// communicators (bucketed gradient sync).
-func (j *Job) iteratePlanned() {
-	p := j.plan
-	tm := plan.IterTiming{
-		Scale: make([][]float64, p.DP),
-		Extra: make([][]sim.Time, p.DP),
-	}
-	slots := sim.Time(2 * p.GA)
-	for d := 0; d < p.DP; d++ {
-		tm.Scale[d] = make([]float64, p.PP)
-		tm.Extra[d] = make([]sim.Time, p.PP)
-		for s := 0; s < p.PP; s++ {
-			node := j.nodes[d*p.PP+s]
-			sc := 1 + j.cfg.Spec.ComputeJitter*j.rand.NormFloat64()
-			if sc < 0 {
-				sc = 0
-			}
-			tm.Scale[d][s] = sc
-			// The straggler's per-iteration penalty, spread across the
-			// node's 2*GA compute slots.
-			tm.Extra[d][s] = j.stragglers[node] / slots
-		}
-	}
-	epoch := j.commEpoch
-	fab := plan.Fabric{
-		Engine: j.cfg.Engine,
-		Trace:  j.tracer(),
-		Span:   j.iterSpan,
-		P2P: func(replica, from, to int, bytes float64, ready sim.Time, done func(sim.Time)) {
-			if j.commEpoch == epoch {
-				j.p2p(replica, from, to, bytes, ready, done)
-			}
-		},
-		DPSync: func(stage int, bytes float64, arrivals []sim.Time, done func(sim.Time)) {
-			if j.commEpoch == epoch {
-				j.dpSync(stage, bytes, arrivals, done)
-			}
-		},
-	}
-	p.ExecIter(j.cfg.Context, fab, tm, func(st plan.IterStats) {
-		if j.commEpoch != epoch {
-			return // abandoned iteration: comms were rebuilt underneath it
-		}
-		j.completeIter(st.IterTime(), st.MaxBusy, st.Bubble, st.Exposed)
-	})
 }
 
 // p2p ships a pipeline tensor between adjacent stages of one replica.

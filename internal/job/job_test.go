@@ -1,6 +1,7 @@
 package job
 
 import (
+	"context"
 	"testing"
 
 	"c4/internal/accl"
@@ -250,6 +251,40 @@ func TestOnIterationCallback(t *testing.T) {
 	}
 	if got := len(j.IterTimes()); got != 4 {
 		t.Fatalf("IterTimes = %d", got)
+	}
+}
+
+func TestContextCancelsPureDPJob(t *testing.T) {
+	// Job1 (TP8×DP16, GA=1) cancelled from its second iteration's
+	// callback: the third iteration schedules nothing, the job never
+	// reports, and the engine drains.
+	r := newRig()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j, err := New(Config{
+		Engine: r.eng, Net: r.net, Provider: r.provider(),
+		Rails: []int{0}, Spec: workload.Fig14Jobs(nodes16())[0], Rand: sim.NewRand(2),
+		Context: ctx,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.OnIteration(func(i int, _ sim.Time) {
+		if i == 1 {
+			cancel()
+		}
+	})
+	done := false
+	j.Run(10, func(Report) { done = true })
+	r.eng.Run()
+	if got := len(j.IterTimes()); got != 2 {
+		t.Fatalf("IterTimes = %d, want 2: cancellation must stop the job", got)
+	}
+	if done {
+		t.Fatal("cancelled job reported completion")
+	}
+	if n := r.eng.Pending(); n != 0 {
+		t.Fatalf("%d events still queued after cancellation", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"c4/internal/sim"
 	"c4/internal/trace"
@@ -36,11 +37,12 @@ type Fabric struct {
 // IterTiming carries this iteration's per-node compute perturbations,
 // drawn by the caller (the job owns the RNG stream).
 type IterTiming struct {
-	// Scale[d][s] multiplies every compute slot of (replica d, stage s);
-	// 1 is nominal. Values are clamped at 0.
+	// Scale[d][s] multiplies the compute of (replica d, stage s); 1 is
+	// nominal. Values are clamped at 0.
 	Scale [][]float64
-	// Extra[d][s] is added to every compute slot of the node — the
-	// straggler injection, pre-divided across the iteration's 2*GA slots.
+	// Extra[d][s] is the node's whole per-iteration compute penalty — the
+	// straggler injection — spread over its 2*GA slots so that they sum
+	// to it exactly. Values are clamped at 0.
 	Extra [][]sim.Time
 }
 
@@ -66,7 +68,8 @@ type IterStats struct {
 // IterTime is the iteration's wall duration.
 func (s IterStats) IterTime() sim.Time { return s.End - s.Start }
 
-// exec is the mutable state of one iteration in flight.
+// exec is the mutable state of one iteration in flight, held in a
+// constant number of flat allocations whatever the plan's shape.
 type exec struct {
 	p     *Plan
 	f     Fabric
@@ -74,24 +77,24 @@ type exec struct {
 	tm    IterTiming
 	start sim.Time
 
-	st [][]*stageState // [replica][stage]
+	st []stageState // [d*PP+s]
 
-	// bucketReady[s][i] collects per-replica ready instants for bucket i
-	// of stage s; the sync launches when the last replica reports in.
-	bucketReady [][][]sim.Time
-	bucketSeen  [][]int
+	// bucketReady[(s*nb+i)*DP+d] is replica d's ready instant for bucket
+	// i of stage s, and bucketSeen[s*nb+i] counts the replicas reported;
+	// the sync launches when the last replica reports in.
+	bucketReady []sim.Time
+	bucketSeen  []int
 
-	computeLeft int
-	syncLeft    int
-	computeEnd  sim.Time
-	onDone      func(IterStats)
-	finished    bool
+	syncLeft   int
+	computeEnd sim.Time
+	onDone     func(IterStats)
 }
 
 type stageState struct {
 	idx       int      // next task in Order[s]
 	busyUntil sim.Time // end of the last scheduled compute slot
 	busy      sim.Time // summed slot durations
+	nominal   sim.Time // summed nominal durations of the scheduled slots
 	// actAt[m] is the arrival instant of micro-batch m's activation from
 	// the upstream stage; -1 until delivered. Stage 0 needs none.
 	actAt []sim.Time
@@ -109,37 +112,31 @@ type stageState struct {
 // executor stops scheduling new compute slots and transfers, so the
 // iteration's event cascade dies out and the engine queue drains instead
 // of running the schedule to completion (onDone then never fires). A nil
-// ctx — or one that is never cancelled — leaves execution bit-identical
-// to the pre-context behavior.
+// ctx is never cancelled.
 func (p *Plan) ExecIter(ctx context.Context, f Fabric, tm IterTiming, onDone func(IterStats)) {
 	if f.Engine == nil || f.P2P == nil || f.DPSync == nil {
 		panic("plan: ExecIter needs Engine, P2P and DPSync")
 	}
+	nst, nb := p.DP*p.PP, len(p.Buckets)
 	e := &exec{
 		p: p, f: f, ctx: ctx, tm: tm,
 		start:       f.Engine.Now(),
-		computeLeft: p.DP * p.PP * 2 * p.GA,
-		syncLeft:    p.PP * len(p.Buckets),
+		st:          make([]stageState, nst),
+		bucketReady: make([]sim.Time, p.PP*nb*p.DP),
+		bucketSeen:  make([]int, p.PP*nb),
+		syncLeft:    p.PP * nb,
 		onDone:      onDone,
 	}
-	e.st = make([][]*stageState, p.DP)
-	for d := range e.st {
-		e.st[d] = make([]*stageState, p.PP)
-		for s := range e.st[d] {
-			st := &stageState{busyUntil: e.start}
-			st.actAt = unknownTimes(p.GA)
-			st.gradAt = unknownTimes(p.GA)
-			e.st[d][s] = st
-		}
+	// One backing array holds every stage's actAt and gradAt, all unknown.
+	at := make([]sim.Time, 2*p.GA*nst)
+	for i := range at {
+		at[i] = -1
 	}
-	e.bucketReady = make([][][]sim.Time, p.PP)
-	e.bucketSeen = make([][]int, p.PP)
-	for s := range e.bucketReady {
-		e.bucketReady[s] = make([][]sim.Time, len(p.Buckets))
-		for i := range e.bucketReady[s] {
-			e.bucketReady[s][i] = make([]sim.Time, p.DP)
-		}
-		e.bucketSeen[s] = make([]int, len(p.Buckets))
+	for i := range e.st {
+		st := &e.st[i]
+		st.busyUntil = e.start
+		st.actAt, at = at[:p.GA:p.GA], at[p.GA:]
+		st.gradAt, at = at[:p.GA:p.GA], at[p.GA:]
 	}
 	for d := 0; d < p.DP; d++ {
 		for s := 0; s < p.PP; s++ {
@@ -148,35 +145,24 @@ func (p *Plan) ExecIter(ctx context.Context, f Fabric, tm IterTiming, onDone fun
 	}
 }
 
-func unknownTimes(n int) []sim.Time {
-	out := make([]sim.Time, n)
-	for i := range out {
-		out[i] = -1
-	}
-	return out
-}
+// stage returns the state of stage s of replica d.
+func (e *exec) stage(d, s int) *stageState { return &e.st[d*e.p.PP+s] }
 
-// slotDur is the perturbed duration of one compute slot on (d, s).
-func (e *exec) slotDur(kind TaskKind, d, s int) sim.Time {
-	nominal := e.p.FwdTime
-	if kind == Bwd {
-		nominal = e.p.BwdTime
-	}
-	scale := 1.0
+// busyAfter is stage (d, s)'s summed compute time once it has run its
+// first st.idx slots: trunc(nominal*scale) + Extra*idx/(2*GA), where
+// nominal is those slots' summed nominal duration. Slot durations are the
+// differences, so they telescope: the whole iteration's compute is one
+// truncated product plus exactly Extra, not 2*GA truncated pieces.
+func (e *exec) busyAfter(d, s int, st *stageState) sim.Time {
+	scale, extra := 1.0, sim.Time(0)
 	if d < len(e.tm.Scale) && s < len(e.tm.Scale[d]) {
-		scale = e.tm.Scale[d][s]
+		scale = max(e.tm.Scale[d][s], 0)
 	}
-	if scale < 0 {
-		scale = 0
-	}
-	dur := sim.Time(float64(nominal) * scale)
 	if d < len(e.tm.Extra) && s < len(e.tm.Extra[d]) {
-		dur += e.tm.Extra[d][s]
+		extra = max(e.tm.Extra[d][s], 0)
 	}
-	if dur < 0 {
-		dur = 0
-	}
-	return dur
+	return sim.Time(float64(st.nominal)*scale) +
+		extra*sim.Time(st.idx)/sim.Time(len(e.p.Order[s]))
 }
 
 // cancelled reports whether the iteration's context was cancelled; the
@@ -192,7 +178,7 @@ func (e *exec) try(d, s int) {
 	if e.cancelled() {
 		return
 	}
-	st := e.st[d][s]
+	st := e.stage(d, s)
 	order := e.p.Order[s]
 	for st.idx < len(order) {
 		t := order[st.idx]
@@ -213,26 +199,36 @@ func (e *exec) try(d, s int) {
 		if dep > begin {
 			begin = dep
 		}
-		end := begin + e.slotDur(t.Kind, d, s)
-		st.busyUntil = end
-		st.busy += end - begin
 		st.idx++
+		nominal := e.p.FwdTime
+		if t.Kind == Bwd {
+			nominal = e.p.BwdTime
+		}
+		st.nominal += nominal
+		busy := e.busyAfter(d, s, st)
+		end := begin + busy - st.busy
+		st.busyUntil, st.busy = end, busy
+		e.computeEnd = max(e.computeEnd, end)
 		if e.f.Trace.Enabled() {
 			// Slot begin/end are known at schedule time; record the span
 			// whole so micro-batch attribution needs no completion hook.
 			sp := e.f.Trace.StartAt(e.f.Span, "slot",
-				fmt.Sprintf("d%d/s%d %s", d, s, kindLabel(t.Kind)), begin)
+				fmt.Sprintf("d%d/s%d %s", d, s, t.Kind), begin)
 			sp.Annotate("mb", fmt.Sprintf("%d", t.MB))
 			sp.FinishAt(end)
 		}
 		// The final backward pass's bucket-ready instants are known the
 		// moment the slot is scheduled; record them now so the DP sync
-		// can launch with future arrival times, exactly as the fused
-		// model posts its allreduce at iteration start.
+		// launches with future arrival times. It is every stage's last
+		// slot, so the syncs the iteration waits for cover all compute.
 		if t.Kind == Bwd && t.MB == e.p.GA-1 {
 			e.recordBuckets(d, s, begin, end)
 		}
-		e.f.Engine.Schedule(end, func() { e.completeSlot(d, s, t, begin, end) })
+		// Only a slot whose output crosses a pipeline cut needs an event
+		// at its end; every other slot is fully accounted for here.
+		if (t.Kind == Fwd && s < e.p.PP-1) || (t.Kind == Bwd && s > 0) {
+			e.f.Engine.Schedule(end, func() { e.ship(d, s, t, end) })
+		}
 	}
 }
 
@@ -248,65 +244,49 @@ func (e *exec) recordBuckets(d, s int, begin, end sim.Time) {
 		if e.p.Opts.Overlap {
 			at = begin + sim.Time(float64(span)*float64(i+1)/float64(nb))
 		}
-		e.bucketReady[s][i][d] = at
-		e.bucketSeen[s][i]++
-		if e.bucketSeen[s][i] == e.p.DP {
+		k := s*nb + i
+		ready := e.bucketReady[k*e.p.DP : (k+1)*e.p.DP]
+		ready[d] = at
+		e.bucketSeen[k]++
+		if e.bucketSeen[k] == e.p.DP {
 			var sp *trace.Span
 			if e.f.Trace.Enabled() {
-				first := e.bucketReady[s][i][0]
-				for _, t := range e.bucketReady[s][i][1:] {
-					if t < first {
-						first = t
-					}
-				}
 				sp = e.f.Trace.StartAt(e.f.Span, "dpsync",
-					fmt.Sprintf("stage%d/bucket%d", s, i), first)
+					fmt.Sprintf("stage%d/bucket%d", s, i), slices.Min(ready))
 			}
 			restore := e.f.Trace.Scope(sp)
-			e.f.DPSync(s, e.p.Buckets[i], e.bucketReady[s][i], func(at sim.Time) {
+			e.f.DPSync(s, e.p.Buckets[i], ready, func(at sim.Time) {
 				sp.FinishAt(at)
-				e.syncLeft--
-				e.maybeFinish(at)
+				e.syncDone(at)
 			})
 			restore()
 		}
 	}
 }
 
-// completeSlot runs at a compute slot's end instant: it ships the slot's
-// output tensor, wakes the neighbor stage, and closes the iteration's
-// compute accounting.
-func (e *exec) completeSlot(d, s int, t Task, begin, end sim.Time) {
+// ship runs at the end instant of a slot whose output crosses a pipeline
+// cut: it sends the activation (forward) or gradient (backward) tensor to
+// the neighbor stage and wakes that stage when it lands.
+func (e *exec) ship(d, s int, t Task, end sim.Time) {
 	if e.cancelled() {
 		return
 	}
-	if end > e.computeEnd {
-		e.computeEnd = end
+	to := s + 1
+	if t.Kind == Bwd {
+		to = s - 1
 	}
-	switch {
-	case t.Kind == Fwd && s < e.p.PP-1:
-		mb := t.MB
-		sp := e.p2pSpan(d, s, s+1, end)
-		restore := e.f.Trace.Scope(sp)
-		e.f.P2P(d, s, s+1, e.p.ActBytes, end, func(at sim.Time) {
-			sp.FinishAt(at)
-			e.st[d][s+1].actAt[mb] = at
-			e.try(d, s+1)
-		})
-		restore()
-	case t.Kind == Bwd && s > 0:
-		mb := t.MB
-		sp := e.p2pSpan(d, s, s-1, end)
-		restore := e.f.Trace.Scope(sp)
-		e.f.P2P(d, s, s-1, e.p.ActBytes, end, func(at sim.Time) {
-			sp.FinishAt(at)
-			e.st[d][s-1].gradAt[mb] = at
-			e.try(d, s-1)
-		})
-		restore()
-	}
-	e.computeLeft--
-	e.maybeFinish(end)
+	sp := e.p2pSpan(d, s, to, end)
+	restore := e.f.Trace.Scope(sp)
+	e.f.P2P(d, s, to, e.p.ActBytes, end, func(at sim.Time) {
+		sp.FinishAt(at)
+		if st := e.stage(d, to); t.Kind == Fwd {
+			st.actAt[t.MB] = at
+		} else {
+			st.gradAt[t.MB] = at
+		}
+		e.try(d, to)
+	})
+	restore()
 }
 
 // p2pSpan opens the span for a stage-to-stage transfer launched at
@@ -319,46 +299,31 @@ func (e *exec) p2pSpan(d, from, to int, ready sim.Time) *trace.Span {
 		fmt.Sprintf("d%d s%d->s%d", d, from, to), ready)
 }
 
-func kindLabel(k TaskKind) string {
-	if k == Bwd {
-		return "bwd"
-	}
-	return "fwd"
-}
-
-// maybeFinish closes the iteration when compute and synchronization have
-// both drained.
-func (e *exec) maybeFinish(at sim.Time) {
-	if e.finished || e.computeLeft > 0 || e.syncLeft > 0 {
+// syncDone counts one finished bucket sync. The last one closes the
+// iteration — every stage's compute ends inside its final backward slot,
+// which those syncs wait for — unless the context was cancelled.
+func (e *exec) syncDone(at sim.Time) {
+	e.syncLeft--
+	if e.syncLeft > 0 || e.cancelled() {
 		return
 	}
-	e.finished = true
 	var maxBusy sim.Time
-	for _, row := range e.st {
-		for _, st := range row {
-			if st.idx != len(e.p.Order[0]) {
-				panic(fmt.Sprintf("plan: iteration finished with stage at task %d/%d",
-					st.idx, len(e.p.Order[0])))
-			}
-			if st.busy > maxBusy {
-				maxBusy = st.busy
-			}
+	for i := range e.st {
+		st := &e.st[i]
+		if st.idx != len(e.p.Order[0]) {
+			panic(fmt.Sprintf("plan: iteration finished with stage at task %d/%d",
+				st.idx, len(e.p.Order[0])))
 		}
+		maxBusy = max(maxBusy, st.busy)
 	}
-	end := at
-	if e.computeEnd > end {
-		end = e.computeEnd
-	}
+	end := max(at, e.computeEnd)
 	stats := IterStats{
 		Start:      e.start,
 		End:        end,
 		ComputeEnd: e.computeEnd,
 		MaxBusy:    maxBusy,
-		Bubble:     e.computeEnd - e.start - maxBusy,
+		Bubble:     max(e.computeEnd-e.start-maxBusy, 0),
 		Exposed:    end - e.computeEnd,
-	}
-	if stats.Bubble < 0 {
-		stats.Bubble = 0
 	}
 	if e.onDone != nil {
 		e.onDone(stats)

@@ -15,7 +15,10 @@
 // the stage drains (overlap off). The executor (exec.go) runs the
 // schedule as a dependency-driven DAG on the discrete-event engine and
 // reports the iteration breakdown — compute, pipeline bubble, exposed
-// communication — that the plan/* scenario family sweeps.
+// communication — that the plan/* scenario family sweeps. It is the one
+// model of a training iteration: a pure data-parallel GA=1 job is the
+// one-stage, one-micro-batch schedule, whose two slots telescope to the
+// lump of compute before a single gradient allreduce.
 //
 // The package deliberately depends only on sim and workload: the job
 // layer adapts it onto ACCL communicators, so plan <- job remains
@@ -41,15 +44,6 @@ type Options struct {
 	// every bucket waits for the stage's backward drain to finish — the
 	// fully exposed baseline.
 	Overlap bool
-	// FwdFraction is the forward pass's share of ComputePerMicroBatch;
-	// the backward pass takes the rest. 0 means the conventional 1/3.
-	FwdFraction float64
-	// ActivationBytes is the per-micro-batch activation tensor crossing
-	// one pipeline cut (already tensor-parallel sharded); the backward
-	// gradient tensor is the same size. 0 derives a default from the
-	// model: GradBytesPerRank/(8*GA), keeping pipeline traffic a visible
-	// minority next to the DP volume, as in the paper's testbed jobs.
-	ActivationBytes float64
 }
 
 // TaskKind distinguishes the two compute slots of a micro-batch.
@@ -83,10 +77,11 @@ type Plan struct {
 	PP, DP, GA int
 
 	// FwdTime and BwdTime are the nominal per-micro-batch slot durations
-	// (before per-node jitter).
+	// (before per-node jitter): the forward pass takes the conventional
+	// third of ComputePerMicroBatch, the backward pass the rest.
 	FwdTime, BwdTime sim.Time
 	// ActBytes is the activation (and backward gradient) tensor shipped
-	// across each pipeline cut per micro-batch.
+	// across each pipeline cut per micro-batch (DefaultActivationBytes).
 	ActBytes float64
 	// GradBytes is the per-rank DP synchronization volume per stage.
 	GradBytes float64
@@ -97,14 +92,6 @@ type Plan struct {
 	// interleaving (warmup forwards, steady one-forward-one-backward,
 	// backward drain).
 	Order [][]Task
-
-	// Degenerate marks the schedule that collapses to the pre-plan
-	// lump-sum model: a single micro-batch on a single stage with one
-	// bucket and no overlap. The job layer executes it on its fused
-	// compute-then-allreduce path, which is byte-identical to the
-	// historical behavior — every pure-DP GA=1 workload in the repo
-	// (tenancy, campaigns, telemetry races) compiles to this.
-	Degenerate bool
 }
 
 // Compile expands the spec's parallelization strategy into a schedule.
@@ -117,38 +104,28 @@ func Compile(spec workload.JobSpec, opts Options) (*Plan, error) {
 	if spec.ComputePerMicroBatch < 0 {
 		return nil, fmt.Errorf("plan: job %q has negative compute time", spec.Name)
 	}
-	frac := opts.FwdFraction
-	if frac <= 0 {
-		frac = 1.0 / 3
-	}
-	if frac >= 1 {
-		return nil, fmt.Errorf("plan: FwdFraction %.2f leaves no backward pass", frac)
-	}
 	p := &Plan{
 		Spec: spec, Opts: opts,
 		PP: par.PP, DP: par.DP, GA: par.GA,
-		FwdTime:   sim.Time(float64(spec.ComputePerMicroBatch) * frac),
+		FwdTime:   sim.Time(float64(spec.ComputePerMicroBatch) * (1.0 / 3)),
+		ActBytes:  DefaultActivationBytes(spec.Model, par),
 		GradBytes: spec.Model.GradBytesPerRank(par),
 	}
 	p.BwdTime = spec.ComputePerMicroBatch - p.FwdTime
-	p.ActBytes = opts.ActivationBytes
-	if p.ActBytes <= 0 {
-		p.ActBytes = DefaultActivationBytes(spec.Model, par)
-	}
 	p.Buckets = splitBuckets(p.GradBytes, opts.BucketBytes)
 	for s := 0; s < p.PP; s++ {
 		p.Order = append(p.Order, stageOrder(s, p.PP, p.GA))
 	}
-	p.Degenerate = p.PP == 1 && p.GA == 1 && len(p.Buckets) == 1 && !opts.Overlap
 	return p, nil
 }
 
 // DefaultActivationBytes is the per-micro-batch, per-cut pipeline tensor
-// used when Options.ActivationBytes is zero: the stage's gradient shard
-// diluted by 8*GA, so one iteration's total pipeline traffic per cut
-// (GA activations forward + GA gradients backward) is a quarter of the
-// DP volume — pipeline traffic visible on the fabric, DP still dominant,
-// matching the proportions of the paper's Megatron jobs.
+// (already tensor-parallel sharded; the backward gradient tensor is the
+// same size): the stage's gradient shard diluted by 8*GA, so one
+// iteration's total pipeline traffic per cut (GA activations forward + GA
+// gradients backward) is a quarter of the DP volume — pipeline traffic
+// visible on the fabric, DP still dominant, matching the proportions of
+// the paper's Megatron jobs.
 func DefaultActivationBytes(m workload.Model, par workload.Parallelism) float64 {
 	par = par.Normalize()
 	return m.GradBytesPerRank(par) / float64(8*par.GA)

@@ -59,30 +59,6 @@ func TestCompileValidates(t *testing.T) {
 	if _, err := Compile(spec, Options{}); err == nil {
 		t.Fatal("node-count mismatch accepted")
 	}
-	if _, err := Compile(testSpec(1, 1, 1, 1), Options{FwdFraction: 1.5}); err == nil {
-		t.Fatal("FwdFraction >= 1 accepted")
-	}
-}
-
-func TestCompileDegenerate(t *testing.T) {
-	cases := []struct {
-		pp, dp, ga int
-		opts       Options
-		want       bool
-	}{
-		{1, 4, 1, Options{}, true},
-		{1, 4, 1, Options{Overlap: true}, false},
-		{1, 4, 1, Options{BucketBytes: 64 << 20}, false},
-		{2, 2, 1, Options{}, false},
-		{1, 4, 4, Options{}, false},
-	}
-	for _, c := range cases {
-		p := mustCompile(t, testSpec(c.pp, c.dp, c.ga, c.pp*c.dp), c.opts)
-		if p.Degenerate != c.want {
-			t.Errorf("PP%d/DP%d/GA%d %+v: Degenerate = %v, want %v",
-				c.pp, c.dp, c.ga, c.opts, p.Degenerate, c.want)
-		}
-	}
 }
 
 func TestStageOrderIs1F1B(t *testing.T) {
@@ -235,13 +211,39 @@ func TestExecStragglerExtraSlowsIteration(t *testing.T) {
 		return stats
 	}
 	base, slow := run(0), run(40*sim.Millisecond)
-	// The straggler adds extra per slot on one node: 2*GA slots' worth
-	// lands on the critical path.
+	// The straggler's whole per-iteration penalty lands on one node, and
+	// every node is on the critical path of its replica.
 	if slow.IterTime() <= base.IterTime() {
 		t.Fatalf("iter = %v, want > %v with a straggler", slow.IterTime(), base.IterTime())
 	}
 	if slow.MaxBusy <= base.MaxBusy {
 		t.Fatalf("busy = %v, want > %v with a straggler", slow.MaxBusy, base.MaxBusy)
+	}
+}
+
+func TestExecTelescopesComputeExactly(t *testing.T) {
+	// Pure DP, GA=3: each node's six slots must last exactly its scaled
+	// compute, truncated once, plus its whole straggler penalty. At 1.13
+	// six separately truncated slots would sum 5 ns short of the product,
+	// and adding Extra to every slot would overshoot by 5*Extra. No slot
+	// ships a tensor, so the stub's one bucket sync is the only event.
+	eng := sim.NewEngine()
+	spec := testSpec(1, 2, 3, 2)
+	p := mustCompile(t, spec, Options{})
+	scale := 1.13
+	tm := IterTiming{Scale: [][]float64{{scale}, {0.91}}, Extra: [][]sim.Time{{7}, {0}}}
+	var stats IterStats
+	p.ExecIter(nil, stubFabric(eng, 0, 0), tm, func(s IterStats) { stats = s })
+	eng.Run()
+	want := sim.Time(float64(3*spec.ComputePerMicroBatch)*scale) + 7
+	if stats.MaxBusy != want {
+		t.Fatalf("busy = %d ns, want trunc(3*C*1.13) + 7 ns = %d ns", stats.MaxBusy, want)
+	}
+	if stats.IterTime() != want || stats.Bubble != 0 || stats.Exposed != 0 {
+		t.Fatalf("stats = %+v, want iter = busy = %d ns, no bubble or exposed tail", stats, want)
+	}
+	if got := eng.Fired(); got != 1 {
+		t.Fatalf("fired %d events, want 1 (the bucket sync only)", got)
 	}
 }
 
