@@ -58,7 +58,7 @@ test-race:
 # netsim/scale-* scenarios, which fill many components on worker pools.
 kernel-race:
 	$(GO) test -race ./internal/sim/ ./internal/netsim/ ./internal/accl/
-	$(GO) run -race ./cmd/c4bench -only 'netsim/*'
+	$(GO) run -race ./cmd/c4 bench -only 'netsim/*'
 
 # Ten seconds of coverage-guided fuzzing of the network kernel: random
 # flow/link operation sequences on the testbed fabric, where the class
@@ -73,51 +73,51 @@ fuzz-smoke:
 # arrivals/departures on a shared fabric, with the shape check asserting
 # every tenant made progress. Fast enough to run on every CI push.
 tenancy-smoke:
-	$(GO) run ./cmd/c4bench -only tenancy/churn
+	$(GO) run ./cmd/c4 bench -only tenancy/churn
 
 # The streaming-telemetry race through the registry: online detector vs
 # batch C4D on three fault archetypes, with the shape check asserting the
 # online time-to-detect strictly beats batch for every fault.
 telemetry-smoke:
-	$(GO) run ./cmd/c4bench -only online/detection-latency
+	$(GO) run ./cmd/c4 bench -only online/detection-latency
 
 # The training-iteration planner through the registry: a compiled 1F1B
 # schedule with bucketed gradient sync, overlap on vs off, with the shape
 # check asserting overlap strictly reduces exposed communication.
 plan-smoke:
-	$(GO) run ./cmd/c4bench -only plan/overlap-ablation
+	$(GO) run ./cmd/c4 bench -only plan/overlap-ablation
 
-# The serving-plane e2e: boot the c4serve daemon on an in-process
+# The serving-plane e2e: boot the `c4 serve` daemon on an in-process
 # loopback listener, drive one session over real HTTP + SSE, and diff the
 # streamed telemetry byte-for-byte against the one-shot -telemetry-out
 # path (plus exact metric equality). Hermetic: no curl, no fixed port.
 serve-smoke:
-	$(GO) run ./cmd/c4serve -smoke
+	$(GO) run ./cmd/c4 serve -smoke
 
 # The tracing e2e: run a short planned session with -trace-out, then
-# validate the exported Chrome trace with c4trace -check (parses, has
+# validate the exported Chrome trace with `c4 trace -check` (parses, has
 # spans, yields a critical path from every iteration root). Proves the
-# c4sim flag, the session tracer wiring, the exporter and the parser
+# `c4 sim` flag, the session tracer wiring, the exporter and the parser
 # against each other on every CI push.
 trace-smoke:
-	$(GO) run ./cmd/c4sim -plan tp8/pp2/dp2/ga2 -plan-iters 2 -trace-out TRACE_smoke.json > /dev/null
-	$(GO) run ./cmd/c4trace -check TRACE_smoke.json
-	$(GO) run ./cmd/c4trace TRACE_smoke.json > /dev/null
+	$(GO) run ./cmd/c4 sim -plan tp8/pp2/dp2/ga2 -plan-iters 2 -trace-out TRACE_smoke.json > /dev/null
+	$(GO) run ./cmd/c4 trace -check TRACE_smoke.json
+	$(GO) run ./cmd/c4 trace TRACE_smoke.json > /dev/null
 	@rm -f TRACE_smoke.json
 
 # The campaign-subsystem e2e: run the committed smoke manifest twice —
 # serially and as two shards with checkpoints — merge both paths and
-# require byte-identical reports (cmp), then validate with `c4campaign
+# require byte-identical reports (cmp), then validate with `c4 campaign
 # check`. Proves the manifest/shard/merge determinism contract on every
 # CI push.
 campaign-smoke:
-	$(GO) run ./cmd/c4campaign run -manifest campaigns/smoke.json -out CAMP_serial.json
-	$(GO) run ./cmd/c4campaign run -manifest campaigns/smoke.json -shard 0/2 -checkpoint CAMP_s0.ckpt -out CAMP_p0.json
-	$(GO) run ./cmd/c4campaign run -manifest campaigns/smoke.json -shard 1/2 -checkpoint CAMP_s1.ckpt -out CAMP_p1.json
-	$(GO) run ./cmd/c4campaign merge -manifest campaigns/smoke.json -check -out CAMP_merged_serial.json CAMP_serial.json > /dev/null
-	$(GO) run ./cmd/c4campaign merge -manifest campaigns/smoke.json -check -out CAMP_merged.json CAMP_p0.json CAMP_p1.json > /dev/null
+	$(GO) run ./cmd/c4 campaign run -manifest campaigns/smoke.json -out CAMP_serial.json
+	$(GO) run ./cmd/c4 campaign run -manifest campaigns/smoke.json -shard 0/2 -checkpoint CAMP_s0.ckpt -out CAMP_p0.json
+	$(GO) run ./cmd/c4 campaign run -manifest campaigns/smoke.json -shard 1/2 -checkpoint CAMP_s1.ckpt -out CAMP_p1.json
+	$(GO) run ./cmd/c4 campaign merge -manifest campaigns/smoke.json -check -out CAMP_merged_serial.json CAMP_serial.json > /dev/null
+	$(GO) run ./cmd/c4 campaign merge -manifest campaigns/smoke.json -check -out CAMP_merged.json CAMP_p0.json CAMP_p1.json > /dev/null
 	cmp CAMP_merged_serial.json CAMP_merged.json
-	$(GO) run ./cmd/c4campaign check -manifest campaigns/smoke.json CAMP_merged.json
+	$(GO) run ./cmd/c4 campaign check -manifest campaigns/smoke.json CAMP_merged.json
 	@rm -f CAMP_serial.json CAMP_p0.json CAMP_p1.json CAMP_merged_serial.json CAMP_merged.json CAMP_s0.ckpt CAMP_s1.ckpt
 
 # The host-time benchmark's gate. bench/perf is a module of its own (its
@@ -131,7 +131,7 @@ perf-check:
 
 # Container image for the daemon (requires docker; CI runs it on push).
 docker:
-	docker build -t c4serve:$(SHA) .
+	docker build -t c4:$(SHA) .
 
 ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
 
@@ -150,21 +150,22 @@ bench:
 
 # Regenerate the paper-vs-measured table from a full registry sweep.
 experiments:
-	$(GO) run ./cmd/c4bench -md > EXPERIMENTS.md
+	$(GO) run ./cmd/c4 bench -md > EXPERIMENTS.md
 
 # Bench-regression guard. Every tracked scenario metric is deterministic,
-# so the committed baseline (bench/baseline.json) pins behavior; benchdiff
-# fails on >5% drift. Regenerate the baseline when a change is intended.
+# so the committed baseline (bench/baseline.json) pins behavior;
+# `c4 benchdiff` fails on >5% drift. Regenerate the baseline when a change
+# is intended.
 bench-json:
-	$(GO) run ./cmd/c4bench -json > BENCH_$(SHA).json
+	$(GO) run ./cmd/c4 bench -json > BENCH_$(SHA).json
 	@echo wrote BENCH_$(SHA).json
 
 bench-baseline:
-	$(GO) run ./cmd/c4bench -json > bench/baseline.json
+	$(GO) run ./cmd/c4 bench -json > bench/baseline.json
 
 bench-check:
-	$(GO) run ./cmd/c4bench -json > BENCH_current.json
-	$(GO) run ./cmd/benchdiff -tol 0.05 bench/baseline.json BENCH_current.json
+	$(GO) run ./cmd/c4 bench -json > BENCH_current.json
+	$(GO) run ./cmd/c4 benchdiff -tol 0.05 bench/baseline.json BENCH_current.json
 
 # Coverage gate: the profile plus a blocking floor on total statement
 # coverage. Raise the floor when coverage improves; never lower it to

@@ -53,7 +53,6 @@ import (
 	"c4/internal/scenario"
 	"c4/internal/sched"
 	"c4/internal/sim"
-	"c4/internal/steering"
 	"c4/internal/topo"
 	"c4/internal/trace"
 	"c4/internal/workload"
@@ -69,21 +68,14 @@ type (
 	Rand = sim.Rand
 )
 
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return sim.NewEngine() }
-
 // NewRand returns a deterministic random source.
 func NewRand(seed int64) *Rand { return sim.NewRand(seed) }
 
 // Re-exported time units.
 const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 	Minute      = sim.Minute
-	Hour        = sim.Hour
-	Day         = sim.Day
 )
 
 // Fabric and network.
@@ -92,15 +84,10 @@ type (
 	ClusterSpec = topo.Spec
 	// Topology is a built fabric.
 	Topology = topo.Topology
-	// Network is the flow-level fluid simulator.
-	Network = netsim.Network
 	// NetConfig tunes the network simulator: its calibration and the
 	// parallel component settle width (SettleWorkers), the flow-class
 	// kernel's one performance knob.
 	NetConfig = netsim.Config
-	// KernelStats counts the network kernel's deterministic work
-	// (recomputes, link visits, flow visits).
-	KernelStats = netsim.KernelStats
 )
 
 // PaperTestbed is the paper's Table II testbed (16 nodes × 8 H800 GPUs,
@@ -111,37 +98,6 @@ func PaperTestbed() ClusterSpec { return topo.PaperTestbed() }
 // oversubscription, 4 gives 2:1.
 func MultiJobTestbed(spines int) ClusterSpec { return topo.MultiJobTestbed(spines) }
 
-// NewTopology builds a fabric.
-func NewTopology(spec ClusterSpec) (*Topology, error) { return topo.New(spec) }
-
-// NetworkOptions configures OpenNetwork. The options-struct constructors
-// (OpenNetwork, OpenC4PMaster, OpenEnv, NewSession) are the package's
-// construction API: call sites stay readable as knobs accrue, and new
-// options never break existing callers.
-type NetworkOptions struct {
-	// Engine is the simulation clock (required).
-	Engine *Engine
-	// Topology is the fabric to simulate (required).
-	Topology *Topology
-	// Config tunes the simulator; nil means DefaultNetConfig().
-	Config *NetConfig
-}
-
-// OpenNetwork creates the fluid network simulator.
-func OpenNetwork(opts NetworkOptions) (*Network, error) {
-	if opts.Engine == nil || opts.Topology == nil {
-		return nil, errNeed("OpenNetwork", "Engine and Topology")
-	}
-	cfg := netsim.DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
-	return netsim.New(opts.Engine, opts.Topology, cfg), nil
-}
-
-// DefaultNetConfig is the calibration used throughout the repository.
-func DefaultNetConfig() NetConfig { return netsim.DefaultConfig() }
-
 // Collective communication (ACCL).
 type (
 	// CommConfig wires a communicator to the fabric.
@@ -150,22 +106,11 @@ type (
 	Communicator = accl.Communicator
 	// CollResult summarizes a completed collective.
 	CollResult = accl.Result
-	// PathProvider decides each QP's route.
-	PathProvider = accl.PathProvider
-	// StatsSink receives ACCL monitoring records.
-	StatsSink = accl.StatsSink
-	// StatsRecorder is an in-memory StatsSink.
-	StatsRecorder = accl.Recorder
 )
 
 // NewCommunicator opens a communicator over the given nodes.
 func NewCommunicator(cfg CommConfig, nodes []int) (*Communicator, error) {
 	return accl.NewCommunicator(cfg, nodes)
-}
-
-// NewECMPProvider is the uncoordinated hashing baseline.
-func NewECMPProvider(t *Topology, r *Rand) PathProvider {
-	return accl.NewECMPProvider(t, r)
 }
 
 // C4P traffic engineering.
@@ -180,8 +125,6 @@ type (
 const (
 	// C4PStaticMode plans at connect time only.
 	C4PStaticMode = c4p.Static
-	// C4PDynamicMode adds reallocation and load balance on failures.
-	C4PDynamicMode = c4p.Dynamic
 )
 
 // C4PMasterOptions configures OpenC4PMaster.
@@ -200,7 +143,7 @@ type C4PMasterOptions struct {
 // OpenC4PMaster creates a C4P traffic-engineering master for the fabric.
 func OpenC4PMaster(opts C4PMasterOptions) (*C4PMaster, error) {
 	if opts.Topology == nil {
-		return nil, errNeed("OpenC4PMaster", "Topology")
+		return nil, fmt.Errorf("c4: OpenC4PMaster requires Topology")
 	}
 	r := opts.Rand
 	if r == nil {
@@ -255,18 +198,12 @@ type (
 	Machines = cluster.Cluster
 	// Fault is an injected hardware/software event.
 	Fault = cluster.Fault
-	// FaultInjector draws Table-I-distributed fault arrivals.
-	FaultInjector = cluster.Injector
-	// SteeringService is the isolate-and-restart pipeline.
-	SteeringService = steering.Service
 )
 
 // Paper models.
 var (
-	GPT22B   = workload.GPT22B
-	GPT175B  = workload.GPT175B
-	Llama7B  = workload.Llama7B
-	Llama13B = workload.Llama13B
+	GPT22B  = workload.GPT22B
+	GPT175B = workload.GPT175B
 )
 
 // NewJob opens a training job.
@@ -287,14 +224,8 @@ type (
 // CompilePlan expands a job spec's strategy into an iteration schedule.
 func CompilePlan(spec JobSpec, opts PlanOptions) (*Plan, error) { return plan.Compile(spec, opts) }
 
-// ParseParallelism parses a strategy string like "tp8/pp4/dp2/ga8".
-func ParseParallelism(s string) (Parallelism, error) { return workload.ParseParallelism(s) }
-
 // NewMachines builds n machines with g GPUs each plus spares.
 func NewMachines(n, g, spares int) *Machines { return cluster.NewCluster(n, g, spares) }
-
-// NewSteeringService creates the recovery pipeline.
-func NewSteeringService(cfg steering.Config) *SteeringService { return steering.NewService(cfg) }
 
 // Operational subsystems around the core loop.
 type (
@@ -324,17 +255,13 @@ func NewScheduler(t *Topology) *Scheduler { return sched.New(t) }
 
 // Sim-time causal tracing (internal/trace): a deterministic span recorder
 // across every simulation layer, exported as Chrome trace-event JSON
-// (open in Perfetto) or reduced to critical-path profiles by cmd/c4trace.
+// (open in Perfetto) or reduced to critical-path profiles by `c4 trace`.
 type (
 	// Tracer records sim-time spans; attach one to a Session with
 	// AttachTracer, then export its Spans after Run.
 	Tracer = trace.Tracer
 	// TraceSpan is one recorded interval (or instant event).
 	TraceSpan = trace.Span
-	// TraceProfileRow is one kind's aggregate in a trace profile.
-	TraceProfileRow = trace.ProfileRow
-	// TracePathSeg is one segment of an extracted critical path.
-	TracePathSeg = trace.PathSeg
 )
 
 // NewTracer creates an unbound tracer; Session.Run binds it to the run's
@@ -343,18 +270,6 @@ func NewTracer() *Tracer { return trace.New() }
 
 // WriteTrace exports spans as Chrome trace-event JSON.
 func WriteTrace(w io.Writer, spans []*TraceSpan) error { return trace.WriteChrome(w, spans) }
-
-// ReadTrace parses a trace previously written by WriteTrace.
-func ReadTrace(r io.Reader) ([]*TraceSpan, error) { return trace.ParseChrome(r) }
-
-// TraceProfile aggregates spans into per-kind self/total times.
-func TraceProfile(spans []*TraceSpan) []TraceProfileRow { return trace.Profile(spans) }
-
-// TraceCriticalPath extracts the chain of spans that determines root's
-// duration.
-func TraceCriticalPath(spans []*TraceSpan, root *TraceSpan) []TracePathSeg {
-	return trace.CriticalPath(spans, root)
-}
 
 // Experiment harness: one runner per paper table/figure. Each result has
 // String() and CheckShape().
@@ -376,7 +291,8 @@ const (
 type EnvOptions struct {
 	// Spec describes the fabric; the zero value means PaperTestbed().
 	Spec ClusterSpec
-	// Net tunes the network simulator; nil means DefaultNetConfig().
+	// Net tunes the network simulator; nil means the calibration used
+	// throughout the repository.
 	Net *NetConfig
 }
 
@@ -391,40 +307,19 @@ func OpenEnv(opts EnvOptions) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	net, err := OpenNetwork(NetworkOptions{Engine: eng, Topology: t, Config: opts.Net})
-	if err != nil {
-		return nil, err
+	cfg := netsim.DefaultConfig()
+	if opts.Net != nil {
+		cfg = *opts.Net
 	}
-	return &Env{Eng: eng, Topo: t, Net: net}, nil
+	eng := sim.NewEngine()
+	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t, cfg)}, nil
 }
 
-// errNeed reports a missing required option.
-func errNeed(ctor, what string) error {
-	return fmt.Errorf("c4: %s requires %s", ctor, what)
-}
-
-// Experiment runners (see EXPERIMENTS.md for the index).
+// Experiment runners; every paper table and figure is also a registered
+// scenario (see EXPERIMENTS.md for the index).
 var (
-	RunTableI   = harness.RunTableI
-	RunTableIII = harness.RunTableIII
-	RunFig3     = harness.RunFig3
-	RunFig9     = harness.RunFig9
-	RunFig10    = harness.RunFig10
-	RunFig11    = harness.RunFig11
-	RunFig12    = harness.RunFig12
-	RunFig13    = harness.RunFig13
-	RunFig14    = harness.RunFig14
-	RunPipeline = harness.RunPipeline
-)
-
-// Ablation studies (design-choice isolation; see DESIGN.md §6).
-var (
-	RunPlaneRuleAblation = harness.RunPlaneRuleAblation
-	RunAlgoCrossover     = harness.RunAlgoCrossover
-	RunCkptSweep         = harness.RunCkptSweep
-	RunKappaSweep        = harness.RunKappaSweep
-	RunQPSweep           = harness.RunQPSweep
+	RunTableI     = harness.RunTableI
+	RunKappaSweep = harness.RunKappaSweep
 )
 
 // Scenario registry and parallel experiment runner. Every experiment above

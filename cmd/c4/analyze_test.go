@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,13 +10,13 @@ import (
 	"c4/internal/sim"
 )
 
-// TestGenerateDemoAndAnalyze drives the CLI's demo path end to end: the
+// TestAnalyzeDemo drives the demo path end to end: the
 // registered analyzer-demo scenario runs, archives its four stats files,
 // and the offline analyzer localizes the injected Rx degradation from the
 // archived transport records — the Fig 5 workflow without a terminal.
-func TestGenerateDemoAndAnalyze(t *testing.T) {
+func TestAnalyzeDemo(t *testing.T) {
 	dir := t.TempDir()
-	path, err := generateDemo(dir, 1)
+	path, err := generateDemo(dir, 1, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +58,14 @@ func TestGenerateDemoAndAnalyze(t *testing.T) {
 	}
 }
 
-func TestGenerateDemoBadDir(t *testing.T) {
+func TestAnalyzeDemoBadDir(t *testing.T) {
 	// A file where the directory should be: MkdirAll must fail cleanly.
 	dir := t.TempDir()
 	file := filepath.Join(dir, "occupied")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := generateDemo(file, 1); err == nil {
+	if _, err := generateDemo(file, 1, io.Discard); err == nil {
 		t.Fatal("generateDemo into a file path succeeded")
 	}
 }

@@ -1,24 +1,11 @@
-// Command c4bench runs the C4 evaluation harness through the scenario
-// registry: any selection of the paper's tables, figures, ablations and
-// pipelines, executed concurrently on a worker pool, printed with shape-
-// check verdicts and per-scenario wall-time/event statistics.
-//
-// Examples:
-//
-//	c4bench                      # every registered scenario
-//	c4bench -list                # enumerate scenarios
-//	c4bench -only fig12,fig13    # a selection
-//	c4bench -only 'ablation-*'   # glob selection
-//	c4bench -campaign flap-sweep # fault-injection campaign sweeps
-//	c4bench -md > EXPERIMENTS.md # paper-vs-measured markdown table
-//	c4bench -json > baseline.json# bench-regression baseline (see benchdiff)
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -28,36 +15,42 @@ import (
 	"c4/internal/scenario"
 )
 
-func main() {
+// runBench is `c4 bench`: any selection of the registry's paper tables,
+// figures, ablations, pipelines and fault campaigns, executed
+// concurrently on a worker pool and printed with shape-check verdicts and
+// per-scenario wall-time/event statistics.
+//
+//	c4 bench                              # every registered scenario
+//	c4 bench -list                        # enumerate scenarios
+//	c4 bench -only fig12,fig13            # a selection
+//	c4 bench -only 'ablation-*'           # glob selection
+//	c4 bench -only 'campaign/*' -campaign-json out  # campaigns + JSON reports
+//	c4 bench -md > EXPERIMENTS.md         # paper-vs-measured markdown table
+//	c4 bench -json > baseline.json        # bench-regression baseline (see c4 benchdiff)
+func runBench(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("bench", stderr)
 	var (
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		only     = flag.String("only", "all", "comma-separated scenario names (globs allowed)")
-		campaign = flag.String("campaign", "", "run fault-injection campaigns by short name (comma-separated, 'all' for every campaign)")
-		workers  = flag.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS)")
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
-		md       = flag.Bool("md", false, "emit the EXPERIMENTS.md paper-vs-measured table")
-		jsonOut  = flag.Bool("json", false, "emit the bench-regression JSON report of every tracked scenario")
-		shard    = flag.String("shard", "", "run one stride of the selection: \"i/n\" keeps scenarios with index ≡ i (mod n)")
+		seed    = fs.Int64("seed", 1, "simulation seed")
+		only    = fs.String("only", "all", "comma-separated scenario names (globs allowed)")
+		workers = fs.Int("workers", 0, "concurrent scenarios (0 = GOMAXPROCS)")
+		list    = fs.Bool("list", false, "list registered scenarios and exit")
+		md      = fs.Bool("md", false, "emit the EXPERIMENTS.md paper-vs-measured table")
+		jsonOut = fs.Bool("json", false, "emit the bench-regression JSON report of every tracked scenario")
+		shard   = fs.String("shard", "", "run one stride of the selection: \"i/n\" keeps scenarios with index ≡ i (mod n)")
+		cmpJSON = fs.String("campaign-json", "", "also write one <name>.json report per selected fault campaign into this directory")
 	)
-	flag.Parse()
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	if *list {
-		scenario.FprintList(os.Stdout, scenario.All())
-		return
+		scenario.FprintList(stdout, scenario.All())
+		return 0
 	}
-
-	selection := *only
-	if *campaign != "" {
-		if *only != "all" {
-			fmt.Fprintln(os.Stderr, "c4bench: -only and -campaign are mutually exclusive")
-			os.Exit(2)
-		}
-		selection = faults.CampaignSelection(*campaign)
-	}
-	scns, err := scenario.Select(selection)
+	scns, err := scenario.Select(*only)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "c4bench: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "c4 bench: %v\n", err)
+		return 2
 	}
 	if *jsonOut {
 		// The bench guard tracks only scenarios with a metrics extractor.
@@ -68,16 +61,16 @@ func main() {
 			}
 		}
 		if len(tracked) == 0 {
-			fmt.Fprintf(os.Stderr, "c4bench: no tracked scenario in selection %q\n", selection)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "c4 bench: no tracked scenario in selection %q\n", *only)
+			return 2
 		}
 		scns = tracked
 	}
 	if *shard != "" {
 		sharded, err := shardScenarios(scns, *shard)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "c4bench: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "c4 bench: %v\n", err)
+			return 2
 		}
 		scns = sharded
 	}
@@ -87,35 +80,36 @@ func main() {
 	failures := 0
 	switch {
 	case *jsonOut:
-		failures = writeBenchJSON(os.Stdout, scns, reports, *seed)
+		failures = writeBenchJSON(stdout, stderr, scns, reports, *seed)
 	case *md:
-		failures = writeMarkdown(os.Stdout, scns, reports, *seed)
+		failures = writeMarkdown(stdout, scns, reports, *seed)
 	default:
 		for _, rep := range reports {
-			fmt.Println("==============================================")
-			if scenario.FprintReport(os.Stdout, rep) {
+			fmt.Fprintln(stdout, "==============================================")
+			if scenario.FprintReport(stdout, rep) {
 				failures++
 			}
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "c4bench: %d scenario(s) failed\n", failures)
-		os.Exit(1)
+	if *cmpJSON != "" {
+		failures += writeCampaignJSON(*cmpJSON, reports, stderr)
 	}
+	if failures > 0 {
+		fmt.Fprintf(stderr, "c4 bench: %d scenario(s) failed\n", failures)
+		return 1
+	}
+	return 0
 }
 
 // shardScenarios keeps the stride i (mod n) of the selection — the same
-// protocol c4campaign shards use, so a CI matrix can split the registry
+// protocol campaign shards use, so a CI matrix can split the registry
 // across jobs. The selection is sorted before striding (scenario.Select
 // returns registry order), making shard membership independent of how
 // the caller spelled the selection.
 func shardScenarios(scns []scenario.Scenario, spec string) ([]scenario.Scenario, error) {
-	var shard, of int
-	if _, err := fmt.Sscanf(spec, "%d/%d", &shard, &of); err != nil {
-		return nil, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/4)", spec)
-	}
-	if of < 1 || shard < 0 || shard >= of {
-		return nil, fmt.Errorf("bad -shard %q: want 0 <= i < n", spec)
+	shard, of, err := parseShard(spec)
+	if err != nil {
+		return nil, err
 	}
 	sorted := make([]scenario.Scenario, len(scns))
 	copy(sorted, scns)
@@ -132,19 +126,40 @@ func shardScenarios(scns []scenario.Scenario, spec string) ([]scenario.Scenario,
 	return mine, nil
 }
 
+// writeCampaignJSON archives the machine-readable report of every fault
+// campaign that ran, as dir/<name>.json, returning how many writes failed.
+func writeCampaignJSON(dir string, reports []scenario.Report, stderr io.Writer) int {
+	failures := 0
+	for _, rep := range reports {
+		res, ok := rep.Result.(*faults.Result)
+		if rep.Err != nil || !ok {
+			continue
+		}
+		err := os.MkdirAll(dir, 0o755)
+		if err == nil {
+			err = writeFile(filepath.Join(dir, res.Name+".json"), nil, res.WriteJSON)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "c4 bench: %v\n", err)
+			failures++
+		}
+	}
+	return failures
+}
+
 // writeBenchJSON emits the deterministic baseline the regression guard
 // compares against, returning how many scenarios failed outright.
-func writeBenchJSON(w *os.File, scns []scenario.Scenario, reports []scenario.Report, seed int64) int {
+func writeBenchJSON(w, stderr io.Writer, scns []scenario.Scenario, reports []scenario.Report, seed int64) int {
 	rep := metrics.BenchReport{Seed: seed}
 	failures := 0
 	for i, r := range reports {
 		if r.Err != nil {
-			fmt.Fprintf(os.Stderr, "c4bench: %s: %v\n", r.Name, r.Err)
+			fmt.Fprintf(stderr, "c4 bench: %s: %v\n", r.Name, r.Err)
 			failures++
 			continue
 		}
 		if r.ShapeErr != nil {
-			fmt.Fprintf(os.Stderr, "c4bench: %s shape check: %v\n", r.Name, r.ShapeErr)
+			fmt.Fprintf(stderr, "c4 bench: %s shape check: %v\n", r.Name, r.ShapeErr)
 			failures++
 		}
 		rep.Scenarios = append(rep.Scenarios, metrics.BenchScenario{
@@ -152,7 +167,7 @@ func writeBenchJSON(w *os.File, scns []scenario.Scenario, reports []scenario.Rep
 		})
 	}
 	if err := rep.WriteJSON(w); err != nil {
-		fmt.Fprintf(os.Stderr, "c4bench: %v\n", err)
+		fmt.Fprintf(stderr, "c4 bench: %v\n", err)
 		failures++
 	}
 	return failures
@@ -160,14 +175,14 @@ func writeBenchJSON(w *os.File, scns []scenario.Scenario, reports []scenario.Rep
 
 // writeMarkdown renders the paper-vs-measured table EXPERIMENTS.md holds,
 // returning how many scenarios failed their run or shape check.
-func writeMarkdown(w *os.File, scns []scenario.Scenario, reports []scenario.Report, seed int64) int {
+func writeMarkdown(w io.Writer, scns []scenario.Scenario, reports []scenario.Report, seed int64) int {
 	fmt.Fprintln(w, "# EXPERIMENTS — paper vs measured")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every table and figure of the C4 paper (Dong et al., HPCA 2025,")
 	fmt.Fprintln(w, "arXiv:2406.04594), reproduced on the simulated substrate through the")
 	fmt.Fprintln(w, "scenario registry. Regenerate with `make experiments` (or")
-	fmt.Fprintf(w, "`go run ./cmd/c4bench -md -seed %d > EXPERIMENTS.md`). Each scenario\n", seed)
-	fmt.Fprintln(w, "is runnable by name: `go run ./cmd/c4bench -only <scenario>`.")
+	fmt.Fprintf(w, "`go run ./cmd/c4 bench -md -seed %d > EXPERIMENTS.md`). Each scenario\n", seed)
+	fmt.Fprintln(w, "is runnable by name: `go run ./cmd/c4 bench -only <scenario>`.")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "| scenario | group | paper says | measured (seed %d) | shape check |\n", seed)
 	fmt.Fprintln(w, "|---|---|---|---|---|")
@@ -223,7 +238,7 @@ func writeMarkdown(w *os.File, scns []scenario.Scenario, reports []scenario.Repo
 
 // writeFaultModelDocs documents the campaign engine's fault model and
 // knobs (internal/faults) in the generated experiments file.
-func writeFaultModelDocs(w *os.File) {
+func writeFaultModelDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Fault model and campaign knobs
 
@@ -252,11 +267,11 @@ fabric, 4 = 2:1 oversubscription), placement (spread = every ring edge
 crosses the spines; packed = one leaf group, fabric-fault immune), fault
 start/duration, and per-kind severity. Campaign results aggregate into
 this table via the campaign/* rows above; machine-readable reports come
-from `+"`c4sim -campaign <name> -campaign-json DIR`"+` and the bench
-baseline from `+"`c4bench -json`"+`.
+from `+"`c4 bench -only campaign/<name> -campaign-json DIR`"+` and the bench
+baseline from `+"`c4 bench -json`"+`.
 
 Beyond the fixed registry rows, manifest-driven campaigns
-(`+"`cmd/c4campaign`"+`, manifests in campaigns/) scale the sampled
+(`+"`c4 campaign`"+`, manifests in campaigns/) scale the sampled
 families to thousands of trials across seed ranges and knob grids,
 sharded over processes with a deterministic merge: the merged report adds
 across-trial mean/stddev and seeded bootstrap 95% confidence intervals on
@@ -267,7 +282,7 @@ C4D precision/recall, RCA accuracy and the steering goodput delta, and a
 
 // writeTenancyDocs documents the multi-tenant scenario family's engine and
 // knobs (internal/tenancy) in the generated experiments file.
-func writeTenancyDocs(w *os.File) {
+func writeTenancyDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Multi-tenant scenarios
 
@@ -288,13 +303,13 @@ per-node goodputs.
 - tenancy/placement-compare: the same 3-job workload under each placement
   policy with pinned ECMP at 2:1; packing must beat spreading.
 
-Traces are JSON (`+"`c4sim -tenancy-trace FILE`"+`; format in README.md)
+Traces are JSON (`+"`c4 sim -tenancy-trace FILE`"+`; format in README.md)
 and equal seeds replay byte-identically, serial or parallel.`)
 }
 
 // writeOnlineDocs documents the streaming-telemetry scenario family's
 // engine and knobs (internal/telemetry) in the generated experiments file.
-func writeOnlineDocs(w *os.File) {
+func writeOnlineDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Streaming telemetry scenarios
 
@@ -321,14 +336,14 @@ reporting tick.
   fleet size while the streaming cost per record (state updates + loop
   iterations on the ingest path) stays a small flat constant.
 
-Telemetry streams serialize as JSONL (`+"`c4sim -telemetry-out FILE`"+`,
-format in README.md) and replay offline through `+"`c4watch`"+`, which
+Telemetry streams serialize as JSONL (`+"`c4 sim -telemetry-out FILE`"+`,
+format in README.md) and replay offline through `+"`c4 replay`"+`, which
 reproduces the live detections at identical virtual instants.`)
 }
 
 // writePlanDocs documents the training-iteration planner family's engine
 // and knobs (internal/plan) in the generated experiments file.
-func writePlanDocs(w *os.File) {
+func writePlanDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Training-iteration planner scenarios
 
@@ -357,7 +372,7 @@ the iteration breakdown the sweeps assert on:
   throughput.
 
 Single strategies compile and run from the CLI
-(`+"`c4sim -plan tp8/pp4/dp2/ga8 -plan-bucket-mib 256 -plan-overlap`"+`),
+(`+"`c4 sim -plan tp8/pp4/dp2/ga8 -plan-bucket-mib 256 -plan-overlap`"+`),
 and arrival-trace tenants take `+"`pp`"+`/`+"`ga`"+` fields, so
 multi-tenant runs can mix pipeline and pure-DP traffic on one fabric.`)
 }
@@ -365,7 +380,7 @@ multi-tenant runs can mix pipeline and pure-DP traffic on one fabric.`)
 // writeScaleDocs documents the netsim kernel family (internal/netsim's
 // flow-class kernel and parallel component settle) in the generated
 // experiments file.
-func writeScaleDocs(w *os.File) {
+func writeScaleDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Netsim kernel scenarios
 

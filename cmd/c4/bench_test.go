@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,23 +25,48 @@ func runTracked(t *testing.T, name string) ([]scenario.Scenario, []scenario.Repo
 	return scns, (&scenario.Runner{Workers: 1}).Run(context.Background(), 1, scns)
 }
 
+func TestBenchOnly(t *testing.T) {
+	if code, out, stderr := runC4(t, "bench", "-only", "tableI", "-workers", "1"); code != 0 || !strings.Contains(out, "tableI") {
+		t.Fatalf("c4 bench -only tableI: exit %d\nstdout %s\nstderr %s", code, out, stderr)
+	}
+}
+
+func TestBenchUnknownScenario(t *testing.T) {
+	if code, _, _ := runC4(t, "bench", "-only", "no-such-scenario"); code != 2 {
+		t.Errorf("c4 bench -only no-such-scenario: exit %d, want 2", code)
+	}
+}
+
+func TestBenchUnknownCampaign(t *testing.T) {
+	if code, _, _ := runC4(t, "bench", "-only", "campaign/no-such-campaign"); code != 2 {
+		t.Errorf("c4 bench -only campaign/no-such-campaign: exit %d, want 2", code)
+	}
+}
+
+func TestBenchCampaignJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign sweep in -short mode")
+	}
+	dir := t.TempDir()
+	if code, _, stderr := runC4(t, "bench", "-only", "campaign/straggler-sweep", "-campaign-json", dir); code != 0 {
+		t.Fatalf("c4 bench -only campaign/straggler-sweep: exit %d\n%s", code, stderr)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "straggler-sweep.json"))
+	if err != nil {
+		t.Fatalf("campaign JSON report not written: %v", err)
+	}
+	if len(data) == 0 {
+		t.Fatal("campaign JSON report empty")
+	}
+}
+
 func TestWriteBenchJSON(t *testing.T) {
 	scns, reports := runTracked(t, "tableI,nccltest")
-	path := filepath.Join(t.TempDir(), "bench.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures := writeBenchJSON(f, scns, reports, 1); failures != 0 {
+	var buf bytes.Buffer
+	if failures := writeBenchJSON(&buf, io.Discard, scns, reports, 1); failures != 0 {
 		t.Fatalf("writeBenchJSON reported %d failures", failures)
 	}
-	f.Close()
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	rep, err := metrics.ReadBenchReport(rf)
+	rep, err := metrics.ReadBenchReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +82,11 @@ func TestWriteBenchJSON(t *testing.T) {
 
 func TestWriteMarkdown(t *testing.T) {
 	scns, reports := runTracked(t, "tableI")
-	path := filepath.Join(t.TempDir(), "exp.md")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures := writeMarkdown(f, scns, reports, 1); failures != 0 {
+	var buf bytes.Buffer
+	if failures := writeMarkdown(&buf, scns, reports, 1); failures != 0 {
 		t.Fatalf("writeMarkdown reported %d failures", failures)
 	}
-	f.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
+	out := buf.String()
 	for _, want := range []string{"| tableI |", "Fault model and campaign knobs", "link-flap"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("markdown missing %q:\n%s", want, out)
@@ -76,7 +94,7 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-// TestShardScenarios pins the c4bench shard stride: sorted selection,
+// TestShardScenarios pins the bench shard stride: sorted selection,
 // i-mod-n membership, exact partition across shards, and rejection of
 // malformed or empty shards.
 func TestShardScenarios(t *testing.T) {

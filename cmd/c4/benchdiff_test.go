@@ -8,7 +8,7 @@ import (
 	"c4/internal/metrics"
 )
 
-func writeReport(t *testing.T, dir, name string, rep metrics.BenchReport) string {
+func writeBenchReport(t *testing.T, dir, name string, rep metrics.BenchReport) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
@@ -27,10 +27,10 @@ func TestBenchdiffRun(t *testing.T) {
 	base := metrics.BenchReport{Seed: 1, Scenarios: []metrics.BenchScenario{
 		{Name: "fig9", Events: 100, Metrics: map[string]float64{"busbw": 360}},
 	}}
-	basePath := writeReport(t, dir, "base.json", base)
+	basePath := writeBenchReport(t, dir, "base.json", base)
 
-	same := writeReport(t, dir, "same.json", base)
-	if code := run(basePath, same, 0.05); code != 0 {
+	same := writeBenchReport(t, dir, "same.json", base)
+	if code, _, _ := runC4(t, "benchdiff", "-tol", "0.05", basePath, same); code != 0 {
 		t.Fatalf("identical reports: exit %d, want 0", code)
 	}
 
@@ -38,18 +38,18 @@ func TestBenchdiffRun(t *testing.T) {
 	drifted.Scenarios = []metrics.BenchScenario{
 		{Name: "fig9", Events: 100, Metrics: map[string]float64{"busbw": 300}},
 	}
-	driftPath := writeReport(t, dir, "drift.json", drifted)
-	if code := run(basePath, driftPath, 0.05); code != 1 {
+	driftPath := writeBenchReport(t, dir, "drift.json", drifted)
+	if code, _, _ := runC4(t, "benchdiff", "-tol", "0.05", basePath, driftPath); code != 1 {
 		t.Fatalf("drifted report: exit %d, want 1", code)
 	}
 	// The same drift passes under a huge tolerance.
-	if code := run(basePath, driftPath, 0.5); code != 0 {
+	if code, _, _ := runC4(t, "benchdiff", "-tol", "0.5", basePath, driftPath); code != 0 {
 		t.Fatalf("drift within tolerance: exit %d, want 0", code)
 	}
 }
 
 func TestBenchdiffMissingFile(t *testing.T) {
-	if code := run("/nonexistent/base.json", "/nonexistent/cur.json", 0.05); code != 2 {
+	if code, _, _ := runC4(t, "benchdiff", "/nonexistent/base.json", "/nonexistent/cur.json"); code != 2 {
 		t.Fatalf("missing files: exit %d, want 2", code)
 	}
 }

@@ -22,15 +22,7 @@ func writeTinyManifest(t *testing.T, dir string) string {
 	return path
 }
 
-// exec drives the CLI entry point, returning exit code and both streams.
-func exec(t *testing.T, args ...string) (int, string, string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(&stdout, &stderr, args)
-	return code, stdout.String(), stderr.String()
-}
-
-func TestUsageAndBadArgs(t *testing.T) {
+func TestCampaignUsageAndBadArgs(t *testing.T) {
 	cases := [][]string{
 		nil,
 		{"frobnicate"},
@@ -43,33 +35,22 @@ func TestUsageAndBadArgs(t *testing.T) {
 		{"check", "a.json", "b.json"},
 	}
 	for _, args := range cases {
-		if code, _, _ := exec(t, args...); code != 2 {
-			t.Errorf("c4campaign %v: exit %d, want usage error 2", args, code)
+		if code, _, _ := runC4(t, append([]string{"campaign"}, args...)...); code != 2 {
+			t.Errorf("c4 campaign %v: exit %d, want usage error 2", args, code)
 		}
 	}
-	if code, _, _ := exec(t, "-h"); code != 0 {
+	if code, _, _ := runC4(t, "campaign", "-h"); code != 0 {
 		t.Error("-h should exit 0")
 	}
-	if code, _, stderr := exec(t, "expand", "-manifest", "/nonexistent.json"); code != 1 || stderr == "" {
+	if code, _, stderr := runC4(t, "campaign", "expand", "-manifest", "/nonexistent.json"); code != 1 || stderr == "" {
 		t.Errorf("missing manifest: exit %d, stderr %q", code, stderr)
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	if s, n, err := parseShard("3/8"); err != nil || s != 3 || n != 8 {
-		t.Fatalf("parseShard(3/8) = %d, %d, %v", s, n, err)
-	}
-	for _, bad := range []string{"", "x", "1", "2/2", "-1/4", "0/0", "1/-2"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("parseShard(%q) accepted", bad)
-		}
-	}
-}
-
-func TestExpandSubcommand(t *testing.T) {
+func TestCampaignExpand(t *testing.T) {
 	dir := t.TempDir()
 	manifest := writeTinyManifest(t, dir)
-	code, out, stderr := exec(t, "expand", "-manifest", manifest)
+	code, out, stderr := runC4(t, "campaign", "expand", "-manifest", manifest)
 	if code != 0 {
 		t.Fatalf("expand: exit %d, stderr %s", code, stderr)
 	}
@@ -80,34 +61,34 @@ func TestExpandSubcommand(t *testing.T) {
 	}
 }
 
-// TestEndToEnd is the CLI-level mirror of the package determinism test:
+// TestCampaignEndToEnd is the CLI-level mirror of the package determinism test:
 // run serially and sharded through the real subcommands, merge both, and
 // require byte-identical artifacts; then exercise the failure paths a
 // smoke loop depends on (gap refusal, resume, check).
-func TestEndToEnd(t *testing.T) {
+func TestCampaignEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	manifest := writeTinyManifest(t, dir)
 	serial := filepath.Join(dir, "serial.json")
 	p0 := filepath.Join(dir, "p0.json")
 	p1 := filepath.Join(dir, "p1.json")
 
-	if code, _, stderr := exec(t, "run", "-manifest", manifest, "-out", serial); code != 0 {
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-out", serial); code != 0 {
 		t.Fatalf("serial run: exit %d\n%s", code, stderr)
 	}
 	ckpt := filepath.Join(dir, "p0.ckpt")
-	if code, _, stderr := exec(t, "run", "-manifest", manifest, "-shard", "0/2", "-out", p0, "-checkpoint", ckpt); code != 0 {
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-shard", "0/2", "-out", p0, "-checkpoint", ckpt); code != 0 {
 		t.Fatalf("shard 0/2: exit %d\n%s", code, stderr)
 	}
-	if code, _, stderr := exec(t, "run", "-manifest", manifest, "-shard", "1/2", "-out", p1); code != 0 {
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-shard", "1/2", "-out", p1); code != 0 {
 		t.Fatalf("shard 1/2: exit %d\n%s", code, stderr)
 	}
 
 	mergedSerial := filepath.Join(dir, "merged-serial.json")
 	mergedSharded := filepath.Join(dir, "merged-sharded.json")
-	if code, _, stderr := exec(t, "merge", "-manifest", manifest, "-check", "-out", mergedSerial, serial); code != 0 {
+	if code, _, stderr := runC4(t, "campaign", "merge", "-manifest", manifest, "-check", "-out", mergedSerial, serial); code != 0 {
 		t.Fatalf("serial merge: exit %d\n%s", code, stderr)
 	}
-	if code, out, stderr := exec(t, "merge", "-manifest", manifest, "-check", "-out", mergedSharded, p1, p0); code != 0 {
+	if code, out, stderr := runC4(t, "campaign", "merge", "-manifest", manifest, "-check", "-out", mergedSharded, p1, p0); code != 0 {
 		t.Fatalf("sharded merge: exit %d\n%s", code, stderr)
 	} else if !strings.Contains(out, "aggregate:") {
 		t.Fatalf("merge summary missing aggregate line:\n%s", out)
@@ -125,14 +106,14 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// A missing shard must fail the merge, not shrink the report.
-	if code, _, stderr := exec(t, "merge", "-out", filepath.Join(dir, "gap.json"), p0); code != 1 || !strings.Contains(stderr, "missing") {
+	if code, _, stderr := runC4(t, "campaign", "merge", "-out", filepath.Join(dir, "gap.json"), p0); code != 1 || !strings.Contains(stderr, "missing") {
 		t.Fatalf("gap merge: exit %d, stderr %s", code, stderr)
 	}
 
 	// Resume: re-running shard 0 against its complete checkpoint executes
 	// nothing and reproduces the artifact bytes.
 	p0resumed := filepath.Join(dir, "p0-resumed.json")
-	if code, _, stderr := exec(t, "run", "-manifest", manifest, "-shard", "0/2", "-out", p0resumed, "-checkpoint", ckpt); code != 0 {
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-shard", "0/2", "-out", p0resumed, "-checkpoint", ckpt); code != 0 {
 		t.Fatalf("resume run: exit %d\n%s", code, stderr)
 	} else if !strings.Contains(stderr, "0 to run") {
 		t.Fatalf("resume did not use the checkpoint:\n%s", stderr)
@@ -143,7 +124,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("resumed shard artifact differs from the original")
 	}
 
-	if code, out, stderr := exec(t, "check", "-manifest", manifest, mergedSharded); code != 0 || !strings.Contains(out, "OK (2 trials)") {
+	if code, out, stderr := runC4(t, "campaign", "check", "-manifest", manifest, mergedSharded); code != 0 || !strings.Contains(out, "OK (2 trials)") {
 		t.Fatalf("check: exit %d\nstdout %s\nstderr %s", code, out, stderr)
 	}
 
@@ -153,7 +134,7 @@ func TestEndToEnd(t *testing.T) {
 	if err := os.WriteFile(other, bytes.Replace(otherSrc, []byte(`"seed": 1`), []byte(`"seed": 2`), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, _ := exec(t, "check", "-manifest", other, mergedSharded); code != 1 {
+	if code, _, _ := runC4(t, "campaign", "check", "-manifest", other, mergedSharded); code != 1 {
 		t.Fatalf("cross-manifest check: exit %d, want 1", code)
 	}
 }

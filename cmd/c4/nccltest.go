@@ -1,35 +1,24 @@
-// Command nccltest is the simulated equivalent of NVIDIA's nccl-tests
-// collective benchmark used throughout the paper's evaluation: it runs
-// repeated ring allreduce operations on the simulated testbed and reports
-// per-iteration and mean bus bandwidth. The same benchmark is registered
-// in the scenario registry as "nccltest" at its default configuration.
-//
-// Example:
-//
-//	nccltest -nodes 8 -mib 512 -iters 10 -provider c4p
-//	nccltest -nodes 8 -provider baseline -seed 3
 package main
 
 import (
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"c4/internal/harness"
 	"c4/internal/topo"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable CLI body: parses flags, executes the benchmark and
-// reports the exit code (2 = usage error, 1 = benchmark failure).
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("nccltest", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// runNCCLTest is `c4 nccltest`, the simulated equivalent of NVIDIA's
+// nccl-tests collective benchmark used throughout the paper's evaluation:
+// it runs repeated ring allreduce operations on the simulated testbed and
+// reports per-iteration and mean bus bandwidth. The same benchmark is
+// registered in the scenario registry as "nccltest" at its default
+// configuration.
+//
+//	c4 nccltest -nodes 8 -mib 512 -iters 10 -provider c4p
+//	c4 nccltest -nodes 8 -provider baseline -seed 3
+func runNCCLTest(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("nccltest", stderr)
 	var (
 		nodes    = fs.Int("nodes", 8, "number of nodes in the ring (8 GPUs each)")
 		mib      = fs.Float64("mib", 512, "payload per iteration in MiB")
@@ -39,11 +28,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		qps      = fs.Int("qps", 2, "QPs per connection")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
 	}
 
 	var kind harness.ProviderKind
@@ -55,11 +41,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "c4p-dynamic":
 		kind = harness.C4PDynamic
 	default:
-		fmt.Fprintf(stderr, "nccltest: unknown provider %q\n", *provider)
+		fmt.Fprintf(stderr, "c4 nccltest: unknown provider %q\n", *provider)
 		return 2
 	}
 	if max := topo.MultiJobTestbed(*spines).Nodes; *nodes > max {
-		fmt.Fprintf(stderr, "nccltest: at most %d nodes on this testbed\n", max)
+		fmt.Fprintf(stderr, "c4 nccltest: at most %d nodes on this testbed\n", max)
 		return 2
 	}
 
@@ -67,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
-				fmt.Fprintf(stderr, "nccltest: %v\n", p)
+				fmt.Fprintf(stderr, "c4 nccltest: %v\n", p)
 				code = 1
 			}
 		}()

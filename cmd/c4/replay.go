@@ -1,33 +1,25 @@
-// Command c4watch replays a telemetry JSONL stream (written by
-// `c4sim -telemetry-out` or any telemetry.StreamWriter) through the
-// streaming online detector for offline triage: the same detections the
-// live pipeline would have fired, at the same virtual instants, plus
-// stream statistics.
-//
-// Examples:
-//
-//	c4watch -stream run.jsonl             # replay, print detections
-//	c4watch -stream run.jsonl -summary    # add per-kind/bandwidth stats
-//	c4watch -stream run.jsonl -tail 60s   # let trailing hang timeouts ripen
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"c4/internal/sim"
 	"c4/internal/telemetry"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
-
-// run is the testable entry point.
-func run(args []string, out io.Writer) int {
-	fs := flag.NewFlagSet("c4watch", flag.ContinueOnError)
-	fs.SetOutput(out)
+// runReplay is `c4 replay`: it replays a telemetry JSONL stream (written
+// by `c4 sim -telemetry-out` or any telemetry.StreamWriter) through the
+// streaming online detector for offline triage: the same detections the
+// live pipeline would have fired, at the same virtual instants, plus
+// stream statistics.
+//
+//	c4 replay -stream run.jsonl             # replay, print detections
+//	c4 replay -stream run.jsonl -summary    # add per-kind/bandwidth stats
+//	c4 replay -stream run.jsonl -tail 60s   # let trailing hang timeouts ripen
+func runReplay(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("replay", stderr)
 	var (
 		stream  = fs.String("stream", "", "telemetry JSONL stream file (required)")
 		tail    = fs.Duration("tail", 0, "virtual time to run past the last record so trailing hang timeouts can ripen (0 = an ended capture is not a hang)")
@@ -35,26 +27,20 @@ func run(args []string, out io.Writer) int {
 		kappa   = fs.Float64("kappa", 2, "slowdown multiple considered anomalous")
 		summary = fs.Bool("summary", false, "print stream statistics after the detections")
 	)
-	if err := fs.Parse(args); err != nil {
-		return 2
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
 	}
 	if *stream == "" {
-		fmt.Fprintln(out, "c4watch: -stream FILE is required")
+		fmt.Fprintln(stderr, "c4 replay: -stream FILE is required")
 		return 2
 	}
-	f, err := os.Open(*stream)
+	records, err := readFile(*stream, telemetry.ReadStream)
 	if err != nil {
-		fmt.Fprintf(out, "c4watch: %v\n", err)
-		return 2
-	}
-	defer f.Close()
-	records, err := telemetry.ReadStream(f)
-	if err != nil {
-		fmt.Fprintf(out, "c4watch: %v\n", err)
+		fmt.Fprintf(stderr, "c4 replay: %v\n", err)
 		return 2
 	}
 	if len(records) == 0 {
-		fmt.Fprintln(out, "c4watch: stream is empty")
+		fmt.Fprintln(stderr, "c4 replay: stream is empty")
 		return 1
 	}
 
@@ -64,16 +50,16 @@ func run(args []string, out io.Writer) int {
 	}, sim.FromDuration(*tail))
 
 	span := records[len(records)-1].Time - records[0].Time
-	fmt.Fprintf(out, "replayed %d records spanning %v\n", len(records), span)
+	fmt.Fprintf(stdout, "replayed %d records spanning %v\n", len(records), span)
 	dets := det.Detections()
 	if len(dets) == 0 {
-		fmt.Fprintln(out, "no detections")
+		fmt.Fprintln(stdout, "no detections")
 	}
 	for _, d := range dets {
-		fmt.Fprintf(out, "DETECT %v\n", d)
+		fmt.Fprintf(stdout, "DETECT %v\n", d)
 	}
 	if *summary {
-		printSummary(out, records)
+		printSummary(stdout, records)
 	}
 	return 0
 }

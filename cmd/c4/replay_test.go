@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,14 +51,13 @@ func writeStream(t *testing.T, path string) {
 	}
 }
 
-func TestRunReplaysAndDetects(t *testing.T) {
+func TestReplayDetects(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	writeStream(t, path)
-	var out bytes.Buffer
-	if code := run([]string{"-stream", path, "-summary"}, &out); code != 0 {
-		t.Fatalf("run = %d\n%s", code, out.String())
+	code, got, stderr := runC4(t, "replay", "-stream", path, "-summary")
+	if code != 0 {
+		t.Fatalf("c4 replay: exit %d\n%s", code, stderr)
 	}
-	got := out.String()
 	if !strings.Contains(got, "DETECT") || !strings.Contains(got, "comm-slow") {
 		t.Fatalf("no comm-slow detection in output:\n%s", got)
 	}
@@ -68,31 +66,30 @@ func TestRunReplaysAndDetects(t *testing.T) {
 	}
 }
 
-func TestRunBadInputs(t *testing.T) {
-	var out bytes.Buffer
-	if code := run(nil, &out); code != 2 {
+func TestReplayBadInputs(t *testing.T) {
+	if code, _, _ := runC4(t, "replay"); code != 2 {
 		t.Fatalf("missing -stream: code %d, want 2", code)
 	}
-	if code := run([]string{"-stream", "/no/such/file.jsonl"}, &out); code != 2 {
+	if code, _, _ := runC4(t, "replay", "-stream", "/no/such/file.jsonl"); code != 2 {
 		t.Fatalf("missing file: code %d, want 2", code)
 	}
 	empty := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-stream", empty}, &out); code != 1 {
+	if code, _, _ := runC4(t, "replay", "-stream", empty); code != 1 {
 		t.Fatalf("empty stream: code %d, want 1", code)
 	}
 	garbage := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := os.WriteFile(garbage, []byte("not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-stream", garbage}, &out); code != 2 {
+	if code, _, _ := runC4(t, "replay", "-stream", garbage); code != 2 {
 		t.Fatalf("garbage stream: code %d, want 2", code)
 	}
 }
 
-func TestRunQuietStream(t *testing.T) {
+func TestReplayQuietStream(t *testing.T) {
 	// A healthy stream replays without detections.
 	path := filepath.Join(t.TempDir(), "quiet.jsonl")
 	f, err := os.Create(path)
@@ -112,11 +109,11 @@ func TestRunQuietStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	var out bytes.Buffer
-	if code := run([]string{"-stream", path}, &out); code != 0 {
-		t.Fatalf("run = %d\n%s", code, out.String())
+	code, out, stderr := runC4(t, "replay", "-stream", path)
+	if code != 0 {
+		t.Fatalf("c4 replay: exit %d\n%s", code, stderr)
 	}
-	if !strings.Contains(out.String(), "no detections") {
-		t.Fatalf("quiet stream output:\n%s", out.String())
+	if !strings.Contains(out, "no detections") {
+		t.Fatalf("quiet stream output:\n%s", out)
 	}
 }

@@ -1,20 +1,3 @@
-// Command c4serve is the simulation-as-a-service daemon: it exposes the
-// c4.Session lifecycle over a REST/JSON API so clients create, run,
-// stream and tear down simulated training runs over HTTP instead of
-// shelling out to c4sim. Sessions are isolated and deterministic — a
-// served session's metrics and telemetry are byte-identical to a
-// one-shot c4sim run of the same spec and seed — and the table is
-// bounded (LRU eviction of finished sessions, admission control on
-// concurrent runs).
-//
-//	c4serve -addr :8080
-//	curl -s localhost:8080/v1/sessions -d '{"seed": 1, "job": {"model": "gpt22b", "fault": "straggler"}}'
-//	curl -s -X POST localhost:8080/v1/sessions/s000001/run
-//	curl -N  localhost:8080/v1/sessions/s000001/stream   # live SSE
-//	curl -s  localhost:8080/v1/sessions/s000001          # status + metrics
-//	curl -s -X DELETE localhost:8080/v1/sessions/s000001
-//
-// See the README's Serving section for the session-spec schema.
 package main
 
 import (
@@ -23,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"log"
@@ -39,19 +21,39 @@ import (
 	"c4/internal/serve"
 )
 
-func main() {
+// runServe is `c4 serve`, the simulation-as-a-service daemon: it exposes
+// the c4.Session lifecycle over a REST/JSON API so clients create, run,
+// stream and tear down simulated training runs over HTTP instead of
+// shelling out to `c4 sim`. Sessions are isolated and deterministic — a
+// served session's metrics and telemetry are byte-identical to a
+// one-shot `c4 sim` run of the same spec and seed — and the table is
+// bounded (LRU eviction of finished sessions, admission control on
+// concurrent runs).
+//
+//	c4 serve -addr :8080
+//	curl -s localhost:8080/v1/sessions -d '{"seed": 1, "job": {"model": "gpt22b", "fault": "straggler"}}'
+//	curl -s -X POST localhost:8080/v1/sessions/s000001/run
+//	curl -N  localhost:8080/v1/sessions/s000001/stream   # live SSE
+//	curl -s  localhost:8080/v1/sessions/s000001          # status + metrics
+//	curl -s -X DELETE localhost:8080/v1/sessions/s000001
+//
+// See the README's Serving section for the session-spec schema.
+func runServe(args []string, stdout, stderr io.Writer) int {
+	fs := newFlags("serve", stderr)
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		maxSess    = flag.Int("max-sessions", 32, "session table capacity (finished sessions are evicted LRU)")
-		maxRun     = flag.Int("max-running", 8, "concurrently running sessions before 429")
-		runTimeout = flag.Duration("run-timeout", 0, "per-session run timeout (0 = none)")
-		streamMiB  = flag.Int("stream-limit-mib", 64, "per-session telemetry retention in MiB")
-		drain      = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight runs on shutdown")
-		opsAddr    = flag.String("ops", "", "also serve the operational plane (pprof + /metrics) on this address, e.g. 127.0.0.1:6060")
-		quiet      = flag.Bool("quiet", false, "suppress per-request access logs")
-		smoke      = flag.Bool("smoke", false, "self-test: serve on loopback, drive one session over HTTP+SSE, diff against a one-shot run, exit")
+		addr       = fs.String("addr", ":8080", "listen address")
+		maxSess    = fs.Int("max-sessions", 32, "session table capacity (finished sessions are evicted LRU)")
+		maxRun     = fs.Int("max-running", 8, "concurrently running sessions before 429")
+		runTimeout = fs.Duration("run-timeout", 0, "per-session run timeout (0 = none)")
+		streamMiB  = fs.Int("stream-limit-mib", 64, "per-session telemetry retention in MiB")
+		drain      = fs.Duration("drain-timeout", 30*time.Second, "grace for in-flight runs on shutdown")
+		opsAddr    = fs.String("ops", "", "also serve the operational plane (pprof + /metrics) on this address, e.g. 127.0.0.1:6060")
+		quiet      = fs.Bool("quiet", false, "suppress per-request access logs")
+		smoke      = fs.Bool("smoke", false, "self-test: serve on loopback, drive one session over HTTP+SSE, diff against a one-shot run, exit")
 	)
-	flag.Parse()
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg := serve.Config{
 		MaxSessions: *maxSess,
@@ -60,13 +62,14 @@ func main() {
 		StreamLimit: *streamMiB << 20,
 	}
 	if *smoke {
-		os.Exit(runSmoke(cfg))
+		return runSmoke(cfg, stdout, stderr)
 	}
 
+	logger := log.New(stderr, "", log.LstdFlags)
 	srv := serve.New(cfg)
 	handler := http.Handler(srv.Handler())
 	if !*quiet {
-		handler = serve.AccessLog(os.Stderr, handler)
+		handler = serve.AccessLog(stderr, handler)
 	}
 	hs := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
@@ -75,28 +78,31 @@ func main() {
 		ops := &http.Server{Addr: *opsAddr, Handler: srv.OpsHandler()}
 		go func() {
 			if err := ops.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("c4serve: ops plane: %v", err)
+				logger.Printf("c4 serve: ops plane: %v", err)
 			}
 		}()
 		defer ops.Shutdown(context.Background())
-		log.Printf("c4serve ops plane (pprof, /metrics) on %s", *opsAddr)
+		logger.Printf("c4 serve ops plane (pprof, /metrics) on %s", *opsAddr)
 	}
-	log.Printf("c4serve listening on %s (sessions %d, running %d)", *addr, *maxSess, *maxRun)
+	logger.Printf("c4 serve listening on %s (sessions %d, running %d)", *addr, *maxSess, *maxRun)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
-		log.Fatalf("c4serve: %v", err)
+		logger.Printf("c4 serve: %v", err)
+		return 1
 	case sig := <-sigc:
-		log.Printf("c4serve: %v, draining (grace %v)", sig, *drain)
+		logger.Printf("c4 serve: %v, draining (grace %v)", sig, *drain)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("c4serve: drain incomplete: %v", err)
+		logger.Printf("c4 serve: drain incomplete: %v", err)
 	}
 	hs.Shutdown(context.Background())
+	return 0
 }
 
 // smokeSpec is the session the smoke test drives: short enough for CI,
@@ -111,12 +117,12 @@ func smokeSpec() c4.SessionSpec {
 // runSmoke boots the daemon on a loopback listener inside this process,
 // drives one full session over real HTTP — create, run, SSE stream,
 // status, delete — and diffs the streamed telemetry byte-for-byte
-// against a direct c4.Session run writing through the c4sim
+// against a direct c4.Session run writing through the c4 sim
 // -telemetry-out path. It is the hermetic serving e2e `make serve-smoke`
 // runs in CI: no curl, no fixed port, no leftover process.
-func runSmoke(cfg serve.Config) (code int) {
+func runSmoke(cfg serve.Config, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "c4serve -smoke: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "c4 serve -smoke: "+format+"\n", args...)
 		return 1
 	}
 
@@ -236,7 +242,7 @@ streamLoop:
 	if err := srv.Shutdown(context.Background()); err != nil && !errors.Is(err, context.Canceled) {
 		return fail("shutdown: %v", err)
 	}
-	fmt.Printf("serve-smoke ok: %d records streamed over SSE, byte-identical to one-shot; metrics match (%d keys)\n",
+	fmt.Fprintf(stdout, "serve-smoke ok: %d records streamed over SSE, byte-identical to one-shot; metrics match (%d keys)\n",
 		final.Records, len(wantMetrics))
 	return 0
 }

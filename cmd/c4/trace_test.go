@@ -35,19 +35,29 @@ func writeTestTrace(t *testing.T, scale sim.Time) string {
 	return path
 }
 
-func TestRoots(t *testing.T) {
-	spans := load(writeTestTrace(t, 10))
+// loadTrace parses a trace file written by writeTestTrace.
+func loadTrace(t *testing.T, path string) []*trace.Span {
+	t.Helper()
+	spans, err := readFile(path, trace.ParseChrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
+
+func TestTraceRoots(t *testing.T) {
+	spans := loadTrace(t, writeTestTrace(t, 10))
 	rs := roots(spans)
 	if len(rs) != 2 || rs[0].Kind != "iter" {
 		t.Fatalf("roots = %v, want 2 iter spans", rs)
 	}
 }
 
-func TestPathTotalsAttributesDelta(t *testing.T) {
+func TestTracePathTotalsAttributesDelta(t *testing.T) {
 	// Two arms differing only in flow time: the diff must land entirely
 	// on the flow identity, not on the slot.
-	a, _ := pathTotals(load(writeTestTrace(t, 10)))
-	b, _ := pathTotals(load(writeTestTrace(t, 30)))
+	a, _ := pathTotals(loadTrace(t, writeTestTrace(t, 10)))
+	b, _ := pathTotals(loadTrace(t, writeTestTrace(t, 30)))
 	if d := b["flow allreduce"] - a["flow allreduce"]; d != 2*20 {
 		t.Fatalf("flow delta = %v, want 40", d)
 	}
@@ -56,15 +66,11 @@ func TestPathTotalsAttributesDelta(t *testing.T) {
 	}
 }
 
-func TestRunCheckAndSummary(t *testing.T) {
+func TestTraceCheckAndSummary(t *testing.T) {
 	path := writeTestTrace(t, 10)
-	if code := runCheck(path); code != 0 {
-		t.Fatalf("runCheck = %d, want 0", code)
-	}
-	if code := runSummary(path, -1, 8); code != 0 {
-		t.Fatalf("runSummary = %d, want 0", code)
-	}
-	if code := runDiff(path, path, 8); code != 0 {
-		t.Fatalf("runDiff = %d, want 0", code)
+	for _, args := range [][]string{{"-check", path}, {path}, {"-diff", path, path}} {
+		if code, _, stderr := runC4(t, append([]string{"trace"}, args...)...); code != 0 {
+			t.Fatalf("c4 trace %v: exit %d, want 0\n%s", args, code, stderr)
+		}
 	}
 }

@@ -218,7 +218,7 @@ func summarize(records []Record, seed int64) Summary {
 
 // Check validates a merged artifact's internal consistency: complete
 // trial coverage in order, finite summary statistics, well-formed
-// intervals. It is the CI gate run by `c4campaign check`.
+// intervals. It is the CI gate run by `c4 campaign check`.
 func (m *Merged) Check() error {
 	if m.Trials != len(m.Records) {
 		return fmt.Errorf("campaign: merged report has %d records for %d trials", len(m.Records), m.Trials)
@@ -260,7 +260,7 @@ func (m *Merged) Check() error {
 }
 
 // String renders the merged report headline: one line per summary metric
-// plus the aggregate, the human-facing view `c4campaign merge` prints.
+// plus the aggregate, the human-facing view `c4 campaign merge` prints.
 func (m *Merged) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Campaign %s — %d trials, manifest %s, seed %d\n",

@@ -177,20 +177,6 @@ func TestCampaignRegistryDefinitions(t *testing.T) {
 	}
 }
 
-func TestCampaignSelection(t *testing.T) {
-	cases := map[string]string{
-		"flap-sweep":       "campaign/flap-sweep",
-		"all":              "campaign/*",
-		"flap-sweep,mixed": "campaign/flap-sweep,campaign/mixed",
-		" mixed , all ":    "campaign/mixed,campaign/*",
-	}
-	for in, want := range cases {
-		if got := CampaignSelection(in); got != want {
-			t.Errorf("CampaignSelection(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // TestMixedTrialSpecsValid arms every generated mixed-campaign spec on a
 // real fabric: random draws must always produce valid targets.
 func TestMixedTrialSpecsValid(t *testing.T) {

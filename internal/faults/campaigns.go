@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"strings"
 
 	"c4/internal/sim"
 )
@@ -35,25 +34,6 @@ func ByName(name string) (Campaign, bool) {
 		}
 	}
 	return Campaign{}, false
-}
-
-// CampaignSelection maps a comma-separated list of short campaign names
-// onto scenario-registry names: "flap-sweep,mixed" ->
-// "campaign/flap-sweep,campaign/mixed", with "all" matching every
-// campaign. Shared by the c4sim and c4bench -campaign flags.
-func CampaignSelection(sel string) string {
-	var out []string
-	for _, term := range strings.Split(sel, ",") {
-		term = strings.TrimSpace(term)
-		if term == "" {
-			continue
-		}
-		if term == "all" {
-			term = "*"
-		}
-		out = append(out, "campaign/"+term)
-	}
-	return strings.Join(out, ",")
 }
 
 // flapSweep sweeps link-flap duty cycle × fabric oversubscription ×

@@ -124,7 +124,7 @@ func (r TTDReport) DetectedCount() int {
 }
 
 // MeanTTDSeconds averages TimeToDetect over detected faults; 0 when
-// nothing was detected (never NaN — these numbers feed c4bench -json).
+// nothing was detected (never NaN — these numbers feed c4 bench -json).
 func (r TTDReport) MeanTTDSeconds() float64 {
 	var xs []float64
 	for _, f := range r.Faults {

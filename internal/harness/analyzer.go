@@ -14,8 +14,8 @@ import (
 // AnalyzerDemoResult exercises the offline C4 Analyzer workflow of Fig 5:
 // a monitored allreduce loop suffers a mid-run Rx degradation, the ACCL
 // recorder archives the transport time series, and the same delay-matrix
-// localizer the online master uses replays it per window. cmd/c4analyze
-// runs this scenario to generate its demo stats files.
+// localizer the online master uses replays it per window. `c4 analyze
+// -demo` runs this scenario to generate its demo stats files.
 type AnalyzerDemoResult struct {
 	Victim   int
 	SlowedAt sim.Time

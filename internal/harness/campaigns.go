@@ -13,7 +13,7 @@ import (
 // precision/recall against the injected ground truth and the goodput
 // delta from C4P steering versus pinned routes. They run through the same
 // registry and worker-pool runner as the paper experiments
-// (`c4sim -scenario 'campaign/*'`), and their aggregate numbers feed the
+// (`c4 bench -only 'campaign/*'`), and their aggregate numbers feed the
 // bench-regression guard.
 
 // registerCampaigns is invoked at the end of the main registration init

@@ -7,10 +7,10 @@
 // and are compared against the paper's in EXPERIMENTS.md.
 //
 // Every experiment is also registered by name in the scenario registry
-// (register.go): cmd/c4sim, cmd/c4bench and cmd/c4analyze enumerate and
-// run them through the worker-pool runner in internal/scenario, and the
-// tests here prove a parallel sweep reproduces a serial one byte for
-// byte. The RunXxx functions remain as thin wrappers over the registered
+// (register.go): `c4 bench`, `c4 analyze -demo` and c4.Session run them
+// through the worker-pool runner in internal/scenario, and the tests here
+// prove a parallel sweep reproduces a serial one byte for byte. The
+// RunXxx functions remain as thin wrappers over the registered
 // implementations.
 package harness
 

@@ -8,7 +8,7 @@ import (
 
 // This file registers every experiment of the reproduction as a named
 // scenario. Importing the harness package is enough to populate the
-// registry; cmd/c4sim, cmd/c4bench and cmd/c4analyze enumerate and run
+// registry; `c4 bench`, `c4 analyze -demo` and c4.Session run
 // experiments exclusively through it, and the harness tests prove that the
 // parallel runner reproduces a serial sweep byte for byte.
 

@@ -1,5 +1,5 @@
-// Bench-regression baselines: the JSON report `c4bench -json` emits and
-// `benchdiff` compares. Every number in a report is deterministic (the
+// Bench-regression baselines: the JSON report `c4 bench -json` emits and
+// `c4 benchdiff` compares. Every number in a report is deterministic (the
 // simulator is seed-stable), so any drift beyond tolerance is a behavioral
 // change — intended ones regenerate the committed baseline, unintended
 // ones fail CI.

@@ -144,7 +144,7 @@ func Sum(xs []float64) float64 {
 // when one tenant starves the rest. 0 when the input is empty or all-zero.
 // Non-finite inputs (NaN, ±Inf — e.g. a goodput computed over a zero
 // span upstream) are skipped rather than poisoning the index: its output
-// lands in `c4bench -json` baselines, where NaN is both meaningless and
+// lands in `c4 bench -json` baselines, where NaN is both meaningless and
 // unserializable.
 func Jain(xs []float64) float64 {
 	var sum, sq float64
@@ -179,7 +179,7 @@ func Ratio(num, den float64) float64 {
 // finite elements of xs, with the same NaN/Inf firewall as Jain and
 // Ratio: non-finite inputs (a ratio computed over a zero span upstream)
 // are skipped rather than poisoning both moments, because the output
-// lands in campaign summaries and `c4bench -json` baselines where NaN is
+// lands in campaign summaries and `c4 bench -json` baselines where NaN is
 // meaningless and unserializable. Empty (or all-non-finite) input yields
 // (0, 0); a single sample yields (x, 0).
 func MeanStd(xs []float64) (mean, std float64) {

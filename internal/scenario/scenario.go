@@ -96,7 +96,7 @@ type Scenario struct {
 	Summarize func(Result) string
 	// Metrics extracts the deterministic key numbers tracked by the
 	// bench-regression guard (optional). Scenarios with a Metrics
-	// extractor are included in `c4bench -json` baselines; CI fails when
+	// extractor are included in `c4 bench -json` baselines; CI fails when
 	// a tracked number drifts from the committed baseline.
 	Metrics func(Result) map[string]float64
 }

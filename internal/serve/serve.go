@@ -1,9 +1,9 @@
 // Package serve is the simulation-as-a-service plane: an HTTP/JSON
 // session API over the shared c4.Session lifecycle. The daemon
-// (cmd/c4serve) mounts Server on a listener; every endpoint manipulates
+// (`c4 serve`) mounts Server on a listener; every endpoint manipulates
 // one bounded table of isolated sessions, so N clients can create, run,
 // stream and tear down simulations concurrently while each session's
-// metrics and telemetry stay byte-identical to a one-shot c4sim run of
+// metrics and telemetry stay byte-identical to a one-shot `c4 sim` run of
 // the same spec and seed.
 //
 // Endpoints:
@@ -154,7 +154,7 @@ func (s *Server) Handler() http.Handler {
 
 // OpsHandler mounts the operational endpoints kept off the public API
 // mux — runtime profiling and a second /metrics — so exposing pprof is
-// an explicit opt-in (`c4serve -ops`) rather than a side effect of
+// an explicit opt-in (`c4 serve -ops`) rather than a side effect of
 // serving sessions.
 func (s *Server) OpsHandler() http.Handler {
 	mux := http.NewServeMux()
@@ -457,8 +457,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream serves the session's telemetry as Server-Sent Events: one
-// `data:` event per JSONL record (payload byte-identical to the c4sim
-// -telemetry-out line), replayed from the first record and followed live,
+// `data:` event per JSONL record (payload byte-identical to the `c4 sim
+// -telemetry-out` line), replayed from the first record and followed live,
 // closing with an `event: end` carrying the record count. Subscribing to
 // a session that never runs blocks until it runs or is deleted.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {

@@ -158,7 +158,7 @@ func jobSpec(seed int64) c4.SessionSpec {
 }
 
 // oneShot runs the same spec directly through c4.Session with a
-// StreamWriter — the c4sim -telemetry-out path — for comparison.
+// StreamWriter — the `c4 sim -telemetry-out` path — for comparison.
 func oneShot(t *testing.T, spec c4.SessionSpec) (map[string]float64, []byte) {
 	t.Helper()
 	var buf bytes.Buffer

@@ -10,7 +10,7 @@
 // time-to-detect instead of waiting for the next Analyze pass.
 //
 // The same record stream serializes to a JSONL format (stream.go) that
-// cmd/c4watch replays offline for post-hoc triage, and the online/*
+// `c4 replay` replays offline for post-hoc triage, and the online/*
 // scenario family (scenarios.go) races the streaming detector against
 // batch C4D on identical fault schedules, scoring TimeToDetect against
 // the fault-injection ground truth.

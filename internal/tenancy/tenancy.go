@@ -323,7 +323,7 @@ func (st *runState) finalize(i int, end sim.Time) {
 	spec := st.events[i].Spec(s.Nodes)
 	// Ratio guards the zero-occupancy and zero-compute corners (a job
 	// finalized the instant it was admitted): the metrics must stay 0,
-	// never NaN/Inf, because they aggregate into c4bench -json baselines.
+	// never NaN/Inf, because they aggregate into c4 bench -json baselines.
 	s.Goodput = metrics.Ratio(float64(s.Iters)*spec.SamplesPerIter, (s.End - s.Start).Seconds())
 	s.Stretch = metrics.Ratio(float64(s.AvgIter), float64(spec.IterComputeTime()))
 }

@@ -233,7 +233,7 @@ func TestChurnExercisesLifecycle(t *testing.T) {
 	}
 }
 
-// TestDegenerateRunsProduceFiniteMetrics guards the c4bench -json path:
+// TestDegenerateRunsProduceFiniteMetrics guards the c4 bench -json path:
 // empty traces and zero-duration tenants must yield finite, serializable
 // aggregates (Jain/goodput/stretch are 0, never NaN).
 func TestDegenerateRunsProduceFiniteMetrics(t *testing.T) {

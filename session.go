@@ -2,7 +2,7 @@ package c4
 
 // Session is the one construction path for end-to-end simulations: the
 // same options-struct API builds, wires and drives a run whether the
-// caller is cmd/c4sim (one-shot CLI), cmd/c4serve (long-running HTTP
+// caller is `c4 sim` (one-shot CLI), `c4 serve` (long-running HTTP
 // daemon) or a downstream Go program. A Session owns the whole lifecycle
 // — engine, fabric, network, job, C4D/steering, streaming telemetry —
 // inside Run, shares no process-global state with sibling sessions, and
@@ -42,7 +42,7 @@ type (
 	// TelemetryRecord is one stream element.
 	TelemetryRecord = telemetry.Record
 	// TelemetryStreamWriter serializes the stream as JSONL (the
-	// `c4sim -telemetry-out` / `c4watch` format).
+	// `c4 sim -telemetry-out` / `c4 replay` format).
 	TelemetryStreamWriter = telemetry.StreamWriter
 )
 
@@ -59,7 +59,7 @@ type SessionSpec struct {
 	// Seed roots every RNG stream of the run; equal specs with equal
 	// seeds produce byte-identical results.
 	Seed int64 `json:"seed"`
-	// Scenario runs one registered experiment by name (see `c4sim -list`).
+	// Scenario runs one registered experiment by name (see `c4 bench -list`).
 	Scenario string `json:"scenario,omitempty"`
 	// Job runs the interactive training-job simulation: a distributed job
 	// under C4D monitoring and C4P traffic engineering with an injectable
@@ -69,8 +69,8 @@ type SessionSpec struct {
 	Tenancy *SessionTenancy `json:"tenancy,omitempty"`
 }
 
-// SessionJob configures the training-job mode (the historical
-// `c4sim -job ...` flag set).
+// SessionJob configures the training-job and plan modes (the
+// `c4 sim -job ...` and `c4 sim -plan ...` flag set).
 type SessionJob struct {
 	// Model is the workload (gpt22b, gpt175b, llama7b, llama13b).
 	// Default gpt22b.
@@ -126,7 +126,7 @@ type SessionTenancy struct {
 type SessionOptions struct {
 	// Spec selects and parameterizes the simulation.
 	Spec SessionSpec
-	// Log receives the human-readable timeline (the c4sim stdout
+	// Log receives the human-readable timeline (the `c4 sim` stdout
 	// rendering). nil discards it.
 	Log io.Writer
 	// Workers bounds nested worker pools in scenario mode (campaign
@@ -264,6 +264,7 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 	if js.HorizonS <= 0 {
 		jr.horizon = 15 * sim.Minute
 	}
+	jr.online = js.Online
 
 	if js.Plan != "" {
 		par, err := workload.ParseParallelism(js.Plan)
@@ -307,7 +308,6 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 		jr.victim = *js.Victim
 	}
 	jr.noC4D = js.NoC4D
-	jr.online = js.Online
 	return jr, nil
 }
 
@@ -476,7 +476,7 @@ func (s *Session) Run(ctx context.Context) error {
 
 // runScenario executes one registered experiment through the shared
 // worker-pool runner, so the nested-pool throttling and panic capture
-// match a `c4sim -scenario` run exactly.
+// match a `c4 bench -only` run exactly.
 func (s *Session) runScenario(ctx context.Context) (map[string]float64, string, error) {
 	reports := (&scenario.Runner{Workers: s.workers}).Run(ctx, s.spec.Seed, []scenario.Scenario{s.scn})
 	rep := reports[0]
@@ -544,8 +544,7 @@ func (s *Session) newPipeline(env *harness.Env, sinks []TelemetrySink, online bo
 }
 
 // runJob is the interactive training-job simulation: the full detect →
-// isolate → restart loop under an injectable fault, ported verbatim from
-// the historical cmd/c4sim wiring (which now calls through here).
+// isolate → restart loop under an injectable fault (`c4 sim -job`).
 func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string]float64, string, error) {
 	jr := s.jr
 	spec := topo.MultiJobTestbed(8)
@@ -755,7 +754,7 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 // runPlanned compiles one 3D-parallelism strategy into a training-
 // iteration plan, executes it on the 16-node testbed under the chosen
 // provider, and reports the compiled schedule plus the measured
-// iteration breakdown (the historical `c4sim -plan` path).
+// iteration breakdown (`c4 sim -plan`).
 func (s *Session) runPlanned(ctx context.Context, sinks []TelemetrySink) (map[string]float64, string, error) {
 	jr := s.jr
 	world := jr.plan.PP * jr.plan.DP

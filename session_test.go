@@ -62,11 +62,13 @@ func TestSessionJobDeterministic(t *testing.T) {
 	}
 }
 
+// TestSessionPlanMode runs a short plan with the online detector
+// attached, which plan mode must honor like job mode does.
 func TestSessionPlanMode(t *testing.T) {
 	var log bytes.Buffer
 	sess, err := NewSession(SessionOptions{
 		Spec: SessionSpec{Seed: 1, Job: &SessionJob{
-			Model: "gpt22b", Plan: "tp8/pp2/dp2/ga2", PlanIters: 2,
+			Model: "gpt22b", Plan: "tp8/pp2/dp2/ga2", PlanIters: 2, Online: true,
 		}},
 		Log: &log,
 	})
@@ -78,7 +80,7 @@ func TestSessionPlanMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sess.Metrics()
-	if m["iterations"] != 2 || m["avg_iter_s"] <= 0 || m["exposed_share"] < 0 {
+	if m["iterations"] != 2 || m["avg_iter_s"] <= 0 || m["exposed_share"] < 0 || m["telemetry_records"] <= 0 {
 		t.Fatalf("plan metrics = %v", m)
 	}
 	if !strings.Contains(log.String(), "avg iteration") {
