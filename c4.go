@@ -85,7 +85,8 @@ type (
 	// Topology is a built fabric.
 	Topology = topo.Topology
 	// NetConfig tunes the network simulator: its calibration and the
-	// parallel component settle width (SettleWorkers), the flow-class
+	// parallel settle width (SettleWorkers), the number of goroutines that
+	// fill the link components a recompute re-fills — the flow-class
 	// kernel's one performance knob.
 	NetConfig = netsim.Config
 )

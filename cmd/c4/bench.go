@@ -394,12 +394,17 @@ in-flight chunks). The kernel is built on that shape:
   max-min filling, the CNP pass, and the ETA pass cost O(classes), not
   O(flows). Per-flow semantics (StartFlow / Cancel / Reroute /
   OnPathDown, per-member completion callbacks) are untouched.
+- event-local link components: touched links partition into connected
+  components via union-find, and each component fills in its own rounds,
+  with its own smallest share as each round's bottleneck. Components
+  persist between recomputes, and a recompute re-fills only the
+  components its changes reach (a class whose membership changed, or all
+  of them after a link change); the others keep their rates.
 - parallel component settle (`+"`netsim.Config.SettleWorkers`"+`, the one
-  performance knob): touched links partition into connected components
-  via union-find and fill on a bounded worker pool, in rounds whose
-  bottleneck is the smallest share in any component; components are
-  memory-disjoint and outputs merge in deterministic order, so the
-  parallel run is byte-identical to serial (proved under -race in CI).
+  performance knob): the re-filled components fill on a bounded worker
+  pool, one fork-join per recompute; components are memory-disjoint and
+  outputs merge in deterministic order, so the parallel run is
+  byte-identical to serial (proved under -race in CI).
 
 Work is scored in deterministic KernelStats link visits, so the numbers
 are bench-baseline stable. netsim/scale-aggregate pins the class and
@@ -408,8 +413,9 @@ netsim/scale-parallel pins serial == 8-worker settle; netsim/scale-sweep
 shows the work per recompute staying within 1.25x while flows per chain
 grow 16x. The per-flow kernel the class kernel replaced is kept as a test
 oracle in internal/netsim, where the class kernel must match it bit for
-bit while it does 4.7x, 12.4x and 42.3x the work at 8, 32 and 128 flows
-per chain; the accl collective test and whole-family replays of the
+bit while the oracle, which re-fills the whole fabric flow by flow, does
+13.7x, 43.2x and 161.4x the work at 8, 32 and 128 flows per chain; the
+accl collective test and whole-family replays of the
 figure/tenancy/plan/campaign scenarios are pinned to goldens recorded
 from it, under serial and 4-worker settle.`)
 }

@@ -20,14 +20,17 @@ const collectiveGolden = "37f658c677271dbffbfdb8a861365ab01fc14f6137a98385261c61
 // tree racing on one fabric — with serial and with 4-worker parallel
 // settle. The collective layer sees the network only through flow
 // completion instants, so every result (start, end, busbw) and the
-// engine's fired-event count must match the per-flow golden exactly.
+// engine's fired-event count must match the per-flow golden exactly, and
+// every recompute's allocation must pass the max-min certificate.
 func TestCollectivesEquivalentAcrossKernels(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		cfg := netsim.DefaultConfig()
 		cfg.SettleWorkers = workers
 		eng := sim.NewEngine()
 		tp := topo.MustNew(topo.PaperTestbed())
+		restore := netsim.ForceMaxMinCheck(func(err error) { t.Fatalf("settle workers %d: %v", workers, err) })
 		net := netsim.New(eng, tp, cfg)
+		restore()
 		rec := &Recorder{}
 		mk := func(nodes []int) *Communicator {
 			c, err := NewCommunicator(Config{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"c4/internal/netsim"
@@ -30,16 +31,20 @@ var kernelGoldens = []kernelGolden{
 	{"plan/overlap-ablation", 1, "8c48c35663230b4e86a0231c313eff4b9b7112c9c124ec553efa37c2dabd1c7b", false},
 	{"campaign/mixed", 1, "d3701927afb610a0bba1453ff902b07b718574e424f95141a0b3da784beba8a9", true},
 	// At this seed two link components reach bottleneck shares within
-	// netsim's rate epsilon of each other: filling must take its rounds
-	// from the global bottleneck to reproduce the per-flow event count.
-	{"fig14", 103, "f8e6237299bff5dc26702ced5bbb3451460ad6a172375d1e69fea8c216090cb5", true},
+	// netsim's rate epsilon of each other. Each fills at its own share, so
+	// this golden was recorded from the per-flow kernel with per-component
+	// filling rounds.
+	{"fig14", 103, "0fe2e686898f7879ed04e452901cd55a99bd6dad94e246c731da12680f98c282", true},
 }
 
 // TestAggregatedKernelReplaysFamilies is the whole-repo equivalence proof
 // for the flow-class kernel: scenarios that build their own engines and
 // networks internally are replayed with serial and with 4-worker parallel
 // settle (via the ForceSettleWorkers override), and their renderings and
-// event counts must hash to the per-flow goldens.
+// event counts must hash to the per-flow goldens. The serial pass also
+// checks every recompute's allocation against the max-min certificate
+// (via the ForceMaxMinCheck override), which needs no oracle and re-reads
+// the components a recompute left untouched.
 func TestAggregatedKernelReplaysFamilies(t *testing.T) {
 	for _, g := range kernelGoldens {
 		if g.slow && testing.Short() {
@@ -51,8 +56,21 @@ func TestAggregatedKernelReplaysFamilies(t *testing.T) {
 		}
 		for _, workers := range []int{0, 4} {
 			restore := netsim.ForceSettleWorkers(workers)
+			var violations atomic.Int64
+			restoreCheck := func() {}
+			if workers == 0 {
+				restoreCheck = netsim.ForceMaxMinCheck(func(err error) {
+					if violations.Add(1) == 1 {
+						t.Errorf("scenario %s seed %d: %v", g.name, g.seed, err)
+					}
+				})
+			}
 			rep := scenario.RunOne(context.Background(), s, g.seed)
+			restoreCheck()
 			restore()
+			if n := violations.Load(); n > 0 {
+				t.Errorf("scenario %s seed %d: %d max-min certificate violations", g.name, g.seed, n)
+			}
 			got := rep.Result.String()
 			if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d", got, rep.Events)))); sum != g.sha256 {
 				t.Errorf("scenario %s seed %d (settle workers %d, %d events) diverged from the per-flow golden: sha256 %s, want %s\n%s",

@@ -87,12 +87,12 @@ func runGang(t *testing.T, kv kernelVariant, nodes, flowsPerPair int) gangRun {
 // completions, probe bits and event counts, every allocation max-min
 // certified, and the work the class kernel saves growing with the flows per
 // chain (QPs times in-flight chunks) — at least 10x from 32 flows per
-// chain. The ratios are the same at 16 nodes as on the 256-node
-// netsim/scale-* world, because the gang world scales both kernels
-// linearly in the number of gangs.
+// chain. The savings compound aggregation with event-local re-filling: a
+// completion wave re-fills only the components whose classes lost members,
+// while the oracle re-fills the whole fabric.
 func TestClassKernelWorkAgainstOracle(t *testing.T) {
 	const nodes = 16
-	want := map[int]string{8: "4.7", 32: "12.4", 128: "42.3"}
+	want := map[int]string{8: "13.7", 32: "43.2", 128: "161.4"}
 	prev := 0.0
 	for _, members := range []int{8, 32, 128} {
 		runs := make([]gangRun, len(kernelVariants))
@@ -125,6 +125,70 @@ func TestClassKernelWorkAgainstOracle(t *testing.T) {
 			t.Errorf("%d flows/chain: work ratio %.1fx, want >= 10x", members, ratio)
 		}
 		prev = ratio
+	}
+}
+
+// TestRecomputeIsEventLocal pins the mechanism the event-local kernel's
+// speed rests on. On the 16-node gang world, whose 16 classes form 8 link
+// components, cancelling one flow after every flow is admitted must
+// re-fill only that flow's component: the next recompute does exactly the
+// link work of the same cancel on a network carrying that component alone,
+// and every member of every other class keeps its rate, CNP rate and
+// goodput.
+func TestRecomputeIsEventLocal(t *testing.T) {
+	type alloc struct{ rate, cnp, good float64 }
+	// cancelFirst admits flows, cancels the first one, runs the recompute
+	// that follows, and returns its link visits.
+	cancelFirst := func(n *Network, eng *sim.Engine) uint64 {
+		eng.RunUntil(sim.Millisecond)
+		victim := n.flows[0]
+		before := n.Stats()
+		n.Cancel(victim)
+		n.Utilization(victim.Path.Links[0]) // runs the pending recompute
+		after := n.Stats()
+		if after.Recomputes != before.Recomputes+1 {
+			t.Fatalf("%d recomputes after the cancel, want 1", after.Recomputes-before.Recomputes)
+		}
+		return after.LinkVisits - before.LinkVisits
+	}
+	for _, kv := range kernelVariants[1:] {
+		eng := sim.NewEngine()
+		tp := topo.MustNew(benchSpec(16))
+		world := kv.build(eng, tp)
+		startGangRings(world, tp, 8, nil)
+		eng.RunUntil(sim.Millisecond)
+		if got := world.ComponentCount(); got != 8 {
+			t.Fatalf("[%s] %d components, want 8", kv.name, got)
+		}
+		own := world.flows[0].class.comp
+		var chains [][]*Flow // the component's classes' members, victim first
+		for _, fc := range own.classes {
+			chains = append(chains, slices.Clone(fc.members))
+		}
+		kept := map[*Flow]alloc{}
+		for _, f := range world.flows {
+			if f.class.comp != own {
+				kept[f] = alloc{f.rate, f.cnpRate, f.goodRate}
+			}
+		}
+		visits := cancelFirst(world, eng)
+		for f, a := range kept {
+			if got := (alloc{f.rate, f.cnpRate, f.goodRate}); got != a {
+				t.Fatalf("[%s] %s outside the cancelled flow's component moved from %+v to %+v", kv.name, f.Label, a, got)
+			}
+		}
+
+		// The same component alone.
+		eng2 := sim.NewEngine()
+		alone := kv.build(eng2, tp)
+		for _, members := range chains {
+			for _, f := range members {
+				alone.StartFlow(f.Path, f.SizeBits(), f.Label, nil)
+			}
+		}
+		if want := cancelFirst(alone, eng2); visits != want {
+			t.Fatalf("[%s] cancel re-filled %d link visits, want %d: the cancelled flow's component alone", kv.name, visits, want)
+		}
 	}
 }
 

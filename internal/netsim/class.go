@@ -39,9 +39,15 @@ type flowClass struct {
 	// Kernel scratch, valid during one recompute. When components fill in
 	// parallel each class belongs to exactly one component, so there is no
 	// cross-goroutine sharing.
-	alive  bool
 	frozen bool
 	rate   float64
+
+	// comp is the link component the class filled in at its last
+	// recompute, nil while it is dead or retired. refill marks a class the
+	// next recompute re-fills: its membership changed (it is then in
+	// Network.marked), or its component dissolved.
+	comp   *component
+	refill bool
 
 	// least is the member holding the least remaining bits as of the last
 	// fanOut, or nil after a membership change. While it is set, every
@@ -103,6 +109,16 @@ func (n *Network) classAdmit(f *Flow) {
 	fc.members = append(fc.members, f)
 	fc.least = nil
 	f.class = fc
+	n.mark(fc)
+}
+
+// mark records that fc's membership changed, so the next recompute
+// re-fills fc and every component it holds or touches.
+func (n *Network) mark(fc *flowClass) {
+	if !fc.refill {
+		fc.refill = true
+		n.marked = append(n.marked, fc)
+	}
 }
 
 // classLabel names a class span by its shared link chain's endpoints.
@@ -125,6 +141,7 @@ func (n *Network) classRemove(f *Flow) {
 		fc.members = slices.Delete(fc.members, i, i+1)
 	}
 	fc.least = nil
+	n.mark(fc)
 	if len(fc.members) == 0 {
 		fc.span.FinishAt(n.Engine.Now())
 		if i := slices.Index(n.classes, fc); i >= 0 {

@@ -8,43 +8,79 @@ import (
 
 // This file holds the rate kernel: max-min fair allocation by progressive
 // filling over flow classes (class.go), one filling problem per link
-// component (parallel.go). The package's tests prove it against a
-// per-flow oracle (oracle_test.go): the two must agree bit for bit on
-// every workload.
+// component (parallel.go), re-filled only where the flow set changed. The
+// package's tests prove it against a per-flow oracle (oracle_test.go): the
+// two must agree bit for bit on every workload.
 
 // KernelStats counts deterministic units of algorithmic work performed by
 // rate recomputation. LinkVisits counts per-link steps (bottleneck scans,
 // capacity updates, CNP bookkeeping); FlowVisits counts per-class steps —
 // the quantity flow-class aggregation shrinks from O(members) to
-// O(classes). Picking each filling round's bottleneck from the components'
-// cached smallest shares is a per-component step and counts in neither.
-// The counters are pure step counts, no wall-clock, so they are
-// byte-for-byte reproducible across runs and safe to track in bench
-// baselines.
+// O(classes). Marking, dissolving and partitioning the re-filled region
+// is bookkeeping and counts in neither. The counters are pure step counts,
+// no wall-clock, so they are byte-for-byte reproducible across runs and
+// safe to track in bench baselines.
 type KernelStats struct {
 	Recomputes uint64
 	LinkVisits uint64
 	FlowVisits uint64
 }
 
-// recomputeClasses is the rate kernel: classes register their links once,
-// the touched links are partitioned into connected components
-// (parallel.go), and the components run progressive filling, the CNP pass,
-// and the ETA pass — serially or on a bounded worker pool,
-// byte-identically either way.
+// recomputeClasses is the rate kernel. It re-fills only the region the
+// changes since the last recompute reach: every component that holds a
+// marked class (one whose membership changed, see class.go) or owns one of
+// a marked class's links — or every component, after a link's capacity,
+// loss or health changed. It dissolves that region, walks n.classes once
+// — a region class registers its links, any other class re-derives its
+// completion ETA from its cached least-remaining member — partitions the
+// region into new components (parallel.go) and fills them. The result
+// depends only on the current flow set, exactly as if every component
+// were re-filled from scratch: a component whose classes, member counts
+// and links did not change would fill to the same bits.
 func (n *Network) recomputeClasses() {
+	if n.linksChanged {
+		for _, c := range n.comps {
+			c.stale = true
+		}
+	} else {
+		for _, fc := range n.marked {
+			if fc.comp != nil {
+				fc.comp.stale = true
+			}
+			for _, l := range fc.links {
+				if c := n.linkComp[l.ID]; c != nil {
+					c.stale = true
+				}
+			}
+		}
+	}
+	n.dissolve()
+
 	n.scTouched = n.scTouched[:0]
+	n.region = n.region[:0]
+	minEta := sim.MaxTime
+	horizon := sim.MaxTime - n.Engine.Now()
 	for _, fc := range n.classes {
 		n.stats.FlowVisits++
+		if !fc.refill && !n.linksChanged {
+			// Unchanged since its last fill: the members still hold their
+			// rate, CNP rate and goodput, and the cached least member
+			// answers for the class's first completion.
+			if l := fc.least; l.goodRate > 0 {
+				minEta = min(minEta, completionDelay(l.remaining, l.goodRate, horizon))
+			}
+			continue
+		}
+		fc.refill = false
 		n.stats.LinkVisits += uint64(len(fc.links))
-		fc.alive = true
+		alive := true
 		for _, l := range fc.links {
 			if !l.Up() {
-				fc.alive = false
+				alive = false
 				break
 			}
 		}
-		if !fc.alive {
+		if !alive {
 			// Stalled at rate 0 on a dead path: no capacity, no CNPs, no
 			// goodput until the path heals.
 			fc.frozen = true
@@ -53,6 +89,7 @@ func (n *Network) recomputeClasses() {
 			continue
 		}
 		fc.frozen = false
+		n.region = append(n.region, fc)
 		m := len(fc.members)
 		for _, l := range fc.links {
 			id := l.ID
@@ -67,16 +104,16 @@ func (n *Network) recomputeClasses() {
 			n.scClasses[id] = append(n.scClasses[id], fc)
 		}
 	}
+	for _, fc := range n.marked {
+		fc.refill = false // a retired class is not in n.classes
+	}
+	clear(n.marked)
+	n.marked = n.marked[:0]
+	n.linksChanged = false
 
-	comps := n.partition()
-	minEta := n.settleComponents(comps)
-
-	n.snapshotUtil()
-	// Restore the between-calls invariant: scSeen and scFactor all zero, so
-	// links untouched by the next flow set read as absent, not stale.
+	minEta = min(minEta, n.fillComponents(n.partition()))
 	for _, id := range n.scTouched {
 		n.scSeen[id] = false
-		n.scFactor[id] = 0
 	}
 	n.rearmCompletion(minEta)
 }
@@ -102,25 +139,17 @@ func (n *Network) scanComponent(c *component) {
 	}
 }
 
-// startComponent counts c's unfrozen members and scans its first share.
-func (n *Network) startComponent(c *component) {
-	c.unfrozen = 0
-	for _, fc := range c.classes {
-		c.unfrozen += len(fc.members)
-	}
-	n.scanComponent(c)
-}
-
 // freezeComponent runs one filling round on c: every unfrozen class on a
 // link whose share is within rateEpsilon of the round's bottleneck share
-// c.best freezes at exactly c.best, and c is rescanned for the next round.
-// The inner per-member subtraction loop is deliberately NOT fused into one
-// multiply: the per-flow oracle subtracts the bottleneck share once per
-// flow with a clamp at zero, and only the same sequence of operations
-// reproduces its floating-point results exactly.
-func (n *Network) freezeComponent(c *component) {
-	best := c.best
-	c.progressed = false
+// c.share freezes at exactly that share, and c is rescanned for the next
+// round. It reports whether anything froze. The inner per-member
+// subtraction loop is deliberately NOT fused into one multiply: the
+// per-flow oracle subtracts the bottleneck share once per flow with a
+// clamp at zero, and only the same sequence of operations reproduces its
+// floating-point results exactly.
+func (n *Network) freezeComponent(c *component) bool {
+	best := c.share
+	progressed := false
 	c.linkVisits += uint64(len(c.links))
 	for _, id := range c.links {
 		if n.scCount[id] <= 0 {
@@ -140,7 +169,7 @@ func (n *Network) freezeComponent(c *component) {
 			fc.frozen = true
 			m := len(fc.members)
 			c.unfrozen -= m
-			c.progressed = true
+			progressed = true
 			for _, l := range fc.links {
 				capLeft := n.scCap[l.ID]
 				for k := 0; k < m; k++ {
@@ -157,10 +186,13 @@ func (n *Network) freezeComponent(c *component) {
 	if c.unfrozen > 0 {
 		n.scanComponent(c)
 	}
+	return progressed
 }
 
-// finishComponent runs the CNP and ETA passes over a filled component. Both
-// cost O(classes): per class and link, not per member.
+// finishComponent runs the CNP and ETA passes over a filled component and
+// leaves each of its links' aggregate allocated rate in n.utilRate, the
+// snapshot Utilization serves. Both passes cost O(classes): per class and
+// link, not per member.
 func (n *Network) finishComponent(c *component) {
 	// CNP pass, class-wise: saturated links with contention emit
 	// notifications toward every sender crossing them. A single flow at
@@ -169,7 +201,7 @@ func (n *Network) finishComponent(c *component) {
 	// that differs from the per-flow oracle's flow-by-flow sum only in the
 	// last bits, far inside the saturation threshold's 1e-6 relative slack.
 	for _, id := range c.links {
-		n.scLoad[id] = 0
+		n.utilRate[id] = 0
 		n.scLoadCnt[id] = 0
 	}
 	for _, fc := range c.classes {
@@ -181,7 +213,7 @@ func (n *Network) finishComponent(c *component) {
 		m := len(fc.members)
 		load := float64(m) * fc.rate
 		for _, l := range fc.links {
-			n.scLoad[l.ID] += load
+			n.utilRate[l.ID] += load
 			n.scLoadCnt[l.ID] += m
 		}
 	}
@@ -189,7 +221,7 @@ func (n *Network) finishComponent(c *component) {
 	for _, id := range c.links {
 		n.scFactor[id] = 0
 		capBits := n.linkCap(id)
-		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.scLoad[id] >= capBits*(1-1e-6) {
+		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.utilRate[id] >= capBits*(1-1e-6) {
 			n.scFactor[id] = float64(n.scLoadCnt[id]-1) / float64(n.scLoadCnt[id])
 		}
 	}
@@ -238,20 +270,6 @@ func completionDelay(rem, good float64, horizon sim.Time) sim.Time {
 		}
 	}
 	return sim.MaxTime
-}
-
-// snapshotUtil copies the aggregate allocated rate per touched link out of
-// the CNP-pass scratch into the persistent utilization snapshot that
-// Utilization serves, clearing links touched by the previous flow set but
-// not this one. The kernel calls it with scLoad/scTouched populated.
-func (n *Network) snapshotUtil() {
-	for _, id := range n.utilLinks {
-		n.utilRate[id] = 0
-	}
-	n.utilLinks = append(n.utilLinks[:0], n.scTouched...)
-	for _, id := range n.utilLinks {
-		n.utilRate[id] = n.scLoad[id]
-	}
 }
 
 // rearmCompletion points the network's single completion event at minEta

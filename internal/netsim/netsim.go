@@ -18,13 +18,18 @@
 // number of long-lived flows on identical paths, so flows with identical
 // link chains collapse into one fluid class with a member count (a
 // one-member class is a flow), and the touched links partition into
-// independent components that can settle on a worker pool
-// (Config.SettleWorkers) in filling rounds driven by the global
-// bottleneck. Parallel settle is pure performance: it must reproduce the
-// serial run bit for bit — same rates, same completion instants, same
-// event counts. The package's tests hold both to the per-flow reference
-// kernel, kept as a test oracle, and the accl and harness tests pin whole
-// workloads to goldens recorded from it.
+// independent link components, each filling in its own rounds. The kernel
+// is event-local: components persist between recomputes, and a recompute
+// re-fills only the components its changes reach — a class whose
+// membership changed, or every component after a link's capacity, loss or
+// health changed — on a worker pool when Config.SettleWorkers asks for
+// one. Every other component keeps its rates, CNP rates, goodput and link
+// utilization. Neither the locality nor the parallel settle changes a
+// bit: the result is what re-filling every component from scratch gives —
+// same rates, same completion instants, same event counts. The package's
+// tests hold the kernel to the per-flow reference kernel, kept as a test
+// oracle, and to the max-min certificate (CheckMaxMin); the accl and
+// harness tests pin whole workloads to goldens recorded from the oracle.
 package netsim
 
 import (
@@ -55,10 +60,10 @@ type Config struct {
 	// CNP/s per bonded port of the paper's Fig 11.
 	CNPPerSecond float64
 
-	// SettleWorkers bounds the goroutines used to run progressive filling
-	// over independent link components concurrently (see parallel.go).
-	// Values <= 1 mean serial. Results are byte-identical to a serial run
-	// because components share no links, classes, or scratch entries.
+	// SettleWorkers bounds the goroutines used to fill the link components
+	// a recompute re-fills concurrently (see parallel.go). Values <= 1 mean
+	// serial. Results are byte-identical to a serial run because
+	// components share no links, classes, or scratch entries.
 	SettleWorkers int
 }
 
@@ -144,10 +149,15 @@ type Network struct {
 
 	// Flow-class state (see class.go): live classes in admission order for
 	// deterministic kernel iteration, plus a key index for O(1) membership
-	// on admit/reroute that also keeps dead classes for revival.
-	classes    []*flowClass
-	classIndex map[string]*flowClass
-	classKey   []byte // scratch for key building
+	// on admit/reroute that also keeps dead classes for revival. marked
+	// lists the classes whose membership changed since the last recompute,
+	// and linksChanged records a link capacity, loss or health change
+	// since then; together they decide what the next recompute re-fills.
+	classes      []*flowClass
+	classIndex   map[string]*flowClass
+	classKey     []byte // scratch for key building
+	marked       []*flowClass
+	linksChanged bool
 
 	// completeEv is the single next-completion event. Flows complete when
 	// their remaining bits reach zero at the scheduled instant; keeping one
@@ -179,33 +189,38 @@ type Network struct {
 	scCount   []int          // unfrozen flows on the link
 	scClasses [][]*flowClass // classes crossing the link
 	scSeen    []bool         // link appears in scTouched
-	scLoad    []float64      // aggregate allocated rate (CNP pass)
 	scLoadCnt []int          // allocated flows on the link (CNP pass)
 	scFactor  []float64      // CNP contention factor; 0 = not saturated
-	scTouched []int          // link IDs referenced by the current flow set
+	scTouched []int          // link IDs of the region being re-filled
+	region    []*flowClass   // alive classes being re-filled, n.classes order
 
 	// Incremental read-path counters: flowsOn tracks active-flow membership
-	// per link (maintained at admit/remove/reroute), and utilRate snapshots
-	// the aggregate allocated rate per link at the end of each recompute
-	// (utilLinks lists the links holding a nonzero snapshot so the next
-	// recompute can clear them). Together they make FlowsOn and Utilization
-	// O(1) instead of scans over every active flow.
-	flowsOn   []int
-	utilRate  []float64
-	utilLinks []int
+	// per link (maintained at admit/remove/reroute), and utilRate holds the
+	// aggregate allocated rate per link, written by the fill of the link's
+	// component and zeroed when the component dissolves. Together they
+	// make FlowsOn and Utilization O(1) instead of scans over every active
+	// flow.
+	flowsOn  []int
+	utilRate []float64
 
-	// Union-find and component scratch for the parallel settle partition
-	// (see parallel.go).
-	ufParent  []int32
-	compSlot  []int32
-	compPool  []*component
-	round     []*component // components taking part in a filling round
-	lastComps int
+	// Link components (see parallel.go): the live ones, each link's owner
+	// (nil when no alive class crosses it), a free list, and union-find
+	// scratch.
+	comps    []*component
+	linkComp []*component
+	compFree []*component
+	ufParent []int32
 
 	// kernel is the rate recompute, recomputeClasses. It is a field only
 	// so that the package's tests can swap in the per-flow oracle
 	// (oracle_test.go); nothing else sets it.
 	kernel func(*Network)
+
+	// check, when non-nil, receives every max-min certificate violation,
+	// checked after each recompute (certificate.go); chk is the check's
+	// scratch.
+	check func(error)
+	chk   []float64
 
 	stats KernelStats
 }
@@ -216,7 +231,7 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		cfg.SettleWorkers = int(w)
 	}
 	nl := len(t.Links)
-	return &Network{
+	n := &Network{
 		Engine:      eng,
 		Topo:        t,
 		Cfg:         cfg,
@@ -228,15 +243,18 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		scCount:     make([]int, nl),
 		scClasses:   make([][]*flowClass, nl),
 		scSeen:      make([]bool, nl),
-		scLoad:      make([]float64, nl),
 		scLoadCnt:   make([]int, nl),
 		scFactor:    make([]float64, nl),
 		flowsOn:     make([]int, nl),
 		utilRate:    make([]float64, nl),
+		linkComp:    make([]*component, nl),
 		ufParent:    make([]int32, nl),
-		compSlot:    make([]int32, nl),
 		kernel:      (*Network).recomputeClasses,
 	}
+	if report := forcedCheck.Load(); report != nil {
+		n.check = *report
+	}
+	return n
 }
 
 // StartFlow submits a transfer of sizeBits along path. onComplete may be
@@ -341,6 +359,7 @@ func (n *Network) SetLinkCapacity(l *topo.Link, gbps float64) {
 	}
 	n.settle()
 	l.Gbps = gbps
+	n.linksChanged = true
 	n.invalidate()
 }
 
@@ -357,6 +376,7 @@ func (n *Network) SetLinkLoss(l *topo.Link, frac float64) {
 	}
 	n.settle()
 	n.lossFrac[l.ID] = frac
+	n.linksChanged = true
 	n.invalidate()
 }
 
@@ -370,6 +390,7 @@ func (n *Network) SetLinkUp(l *topo.Link, up bool) {
 	}
 	n.settle()
 	l.SetUp(up)
+	n.linksChanged = true
 	if !up {
 		// Copy: handlers may reroute/cancel, mutating n.flows.
 		var hit []*Flow
@@ -435,10 +456,11 @@ func (n *Network) Stats() KernelStats { return n.stats }
 // chains carrying at least one admitted flow.
 func (n *Network) ClassCount() int { return len(n.classes) }
 
-// ComponentCount reports how many independent link components the last
-// recompute partitioned the traffic into — the available parallelism for
-// SettleWorkers.
-func (n *Network) ComponentCount() int { return n.lastComps }
+// ComponentCount reports how many independent link components the alive
+// classes form as of the last recompute: the components that persist
+// between recomputes, and the available parallelism for SettleWorkers
+// when a change reaches all of them.
+func (n *Network) ComponentCount() int { return len(n.comps) }
 
 // remove takes an admitted flow out of the flow set in O(1) amortized: it
 // leaves a hole at the flow's slot and compacts n.flows once holes pass
@@ -540,6 +562,11 @@ func (n *Network) recomputeNow() {
 	n.dirty = false
 	n.stats.Recomputes++
 	n.kernel(n)
+	if n.check != nil {
+		if err := n.CheckMaxMin(); err != nil {
+			n.check(fmt.Errorf("recompute %d at %v: %w", n.stats.Recomputes, n.Engine.Now(), err))
+		}
+	}
 }
 
 func (n *Network) linkCap(id int) float64 {

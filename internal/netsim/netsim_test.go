@@ -295,7 +295,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 			}
 		}
 		// No link oversubscribed, and every flow bottlenecked.
-		return maxMinViolation(n) == nil
+		return n.CheckMaxMin() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -8,30 +8,43 @@ import (
 )
 
 // The per-flow reference kernel: progressive filling flow by flow over the
-// dense link-ID space. It is the oracle the class kernel is proven
-// against — a one-member class is a flow, so the two must agree bit for
-// bit (rates, completion instants, CNP counts, fired events) on every
-// workload the tests drive — and its work counters price what aggregation
-// saves. Tests install it with usePerFlow.
+// dense link-ID space, from scratch on every recompute. It is the oracle
+// the class kernel is proven against — a one-member class is a flow, so
+// the two must agree bit for bit (rates, completion instants, CNP counts,
+// fired events) on every workload the tests drive — and its work counters
+// price what aggregation and event-local re-filling save. Tests install it
+// with usePerFlow.
+//
+// Like the class kernel, it fills each link component in its own rounds:
+// every round takes each component's bottleneck from that component's own
+// links. Max-min fairness splits exactly over components, so this is the
+// same allocation flat filling defines, except that flat filling freezes
+// shares within rateEpsilon of the global bottleneck at it across
+// components too.
 
 // perFlowScratch is the oracle's private scratch: the flows crossing each
-// link and a frozen flag per flow, both indexed by position in n.flows.
-// Every walk of n.flows skips the nil holes removal leaves behind.
+// link and a frozen flag per flow, both indexed by position in n.flows,
+// plus each touched link's component representative and each
+// representative's bottleneck share in the current round. Every walk of
+// n.flows skips the nil holes removal leaves behind.
 type perFlowScratch struct {
 	onLink [][]int
 	frozen []bool
+	root   []int32
+	best   []float64
 }
 
 // usePerFlow swaps the per-flow oracle into n's recompute seam. Call it
 // before the first flow is admitted.
 func usePerFlow(n *Network) {
-	o := &perFlowScratch{onLink: make([][]int, len(n.Topo.Links))}
+	nl := len(n.Topo.Links)
+	o := &perFlowScratch{onLink: make([][]int, nl), root: make([]int32, nl), best: make([]float64, nl)}
 	n.kernel = o.recomputePerFlow
 }
 
 // recomputePerFlow allocates rates flow by flow, reusing the network's
-// slice-indexed scratch (scCap, scCount, scSeen, the CNP pass) and its
-// own per-link flow lists.
+// slice-indexed scratch (scCap, scCount, scSeen, union-find, the CNP pass)
+// and its own per-link flow lists.
 func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	n.scTouched = n.scTouched[:0]
 	o.frozen = slices.Grow(o.frozen[:0], len(n.flows))[:len(n.flows)]
@@ -68,25 +81,43 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		}
 	}
 
+	// Link components: union the links of every alive flow.
+	for _, id := range n.scTouched {
+		n.ufParent[id] = int32(id)
+	}
+	for i, f := range n.flows {
+		if f == nil || o.frozen[i] {
+			continue
+		}
+		r := n.ufFind(int32(f.Path.Links[0].ID))
+		for _, l := range f.Path.Links[1:] {
+			if s := n.ufFind(int32(l.ID)); s != r {
+				n.ufParent[s] = r
+			}
+		}
+	}
+	for _, id := range n.scTouched {
+		o.root[id] = n.ufFind(int32(id))
+	}
+
 	// Bottleneck scanning visits links in ascending ID order by walking
-	// the whole dense ID space and skipping untouched entries.
+	// the whole dense ID space and skipping untouched entries. Every
+	// component takes its round's bottleneck from its own links.
 	nl := len(n.scSeen)
 	for unfrozen > 0 {
-		best := math.Inf(1)
+		for _, id := range n.scTouched {
+			o.best[o.root[id]] = math.Inf(1)
+		}
 		n.stats.LinkVisits += uint64(nl)
 		for id := 0; id < nl; id++ {
 			if !n.scSeen[id] || n.scCount[id] <= 0 {
 				continue
 			}
-			share := n.scCap[id] / float64(n.scCount[id])
-			if share < best {
-				best = share
-			}
+			r := o.root[id]
+			o.best[r] = min(o.best[r], n.scCap[id]/float64(n.scCount[id]))
 		}
-		if math.IsInf(best, 1) {
-			break // remaining flows cross no capacity-bearing links
-		}
-		// Freeze every unfrozen flow on links at the bottleneck share.
+		// Freeze every unfrozen flow on links at their component's
+		// bottleneck share.
 		progressed := false
 		n.stats.LinkVisits += uint64(nl)
 		for id := 0; id < nl; id++ {
@@ -94,6 +125,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 				continue
 			}
 			share := n.scCap[id] / float64(n.scCount[id])
+			best := o.best[o.root[id]]
 			if share > best*(1+rateEpsilon) {
 				continue
 			}
@@ -123,9 +155,10 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	}
 
 	// CNP rates: saturated links with contention emit notifications toward
-	// every sender crossing them.
+	// every sender crossing them. The aggregate load per link is also the
+	// utilization snapshot.
+	clear(n.utilRate)
 	for _, id := range n.scTouched {
-		n.scLoad[id] = 0
 		n.scLoadCnt[id] = 0
 	}
 	for _, f := range n.flows {
@@ -135,7 +168,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		n.stats.FlowVisits++
 		n.stats.LinkVisits += uint64(len(f.Path.Links))
 		for _, l := range f.Path.Links {
-			n.scLoad[l.ID] += f.rate
+			n.utilRate[l.ID] += f.rate
 			n.scLoadCnt[l.ID]++
 		}
 	}
@@ -143,7 +176,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	for _, id := range n.scTouched {
 		n.scFactor[id] = 0
 		capBits := n.linkCap(id)
-		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.scLoad[id] >= capBits*(1-1e-6) {
+		if n.scLoadCnt[id] >= 2 && capBits > 0 && n.utilRate[id] >= capBits*(1-1e-6) {
 			n.scFactor[id] = float64(n.scLoadCnt[id]-1) / float64(n.scLoadCnt[id])
 		}
 	}
@@ -165,7 +198,6 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		}
 		f.goodRate = f.rate * loss
 	}
-	n.snapshotUtil()
 	for _, id := range n.scTouched {
 		n.scSeen[id] = false
 		n.scFactor[id] = 0

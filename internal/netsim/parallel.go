@@ -9,20 +9,28 @@ import (
 	"c4/internal/sim"
 )
 
-// Per-plane parallel settle. Max-min filling decomposes along the connected
+// Link components. Max-min filling decomposes exactly along the connected
 // components of the bipartite class/link graph: a bottleneck round in one
-// component never reads or writes capacity in another, so the components
-// can fill on separate goroutines and merge deterministically. Only the
-// rounds stay global: shares within rateEpsilon of the smallest one freeze
-// at that smallest share wherever they sit, so every component takes each
-// round's bottleneck from all of them (settleComponents).
+// component never reads or writes capacity in another, so each component
+// fills in its own rounds, with its own smallest share as each round's
+// bottleneck, and its result depends on nothing outside it. That makes
+// components the kernel's unit of both parallelism and reuse.
+//
+// Components persist between recomputes. A recompute dissolves only the
+// region its changes reach (recomputeClasses), re-partitions that region's
+// links with union-find over the region alone — which handles merges, a
+// new class bridging two components, and splits, a retired class leaving
+// one — and fills the new components, serially or on a bounded worker pool
+// with one fork-join per recompute. Every other component keeps its rates,
+// CNP rates, goodput and link utilization.
+//
 // Components generalize "per plane": leaf-up/spine-down links are per
 // (plane, leaf, spine), so plane- and gang-partitioned traffic falls apart
 // into many components naturally — but a node's NVLink injection/delivery
 // links sit on every path the node originates or terminates, coupling its
 // planes, and only component analysis handles that soundly. When the
 // whole fabric is one traffic web there is one component and the kernel
-// degrades to the serial order, never to a wrong answer.
+// degrades to a full serial re-fill, never to a wrong answer.
 
 // component is one independent filling problem: a set of links no class
 // crosses out of, and the classes confined to it.
@@ -30,38 +38,35 @@ type component struct {
 	links   []int // dense link IDs, ascending
 	classes []*flowClass
 
-	// Filling state: unfrozen members left, the smallest share on the
-	// component's links as of its last round, the bottleneck share of the
-	// round it takes part in, and whether that round froze anything.
-	unfrozen   int
-	share      float64
-	best       float64
-	progressed bool
+	// stale marks a component the current recompute dissolves and
+	// re-partitions.
+	stale bool
+
+	// Filling state: unfrozen members left and the smallest share on the
+	// component's links as of its last round, the next round's bottleneck.
+	unfrozen int
+	share    float64
 
 	// Per-component outputs, folded into Network state serially after the
-	// parallel phase so worker goroutines never share scratch.
+	// fill so worker goroutines never share scratch.
 	eta        sim.Time
 	linkVisits uint64
 	flowVisits uint64
 }
 
-// partition groups the touched links into connected components via
-// union-find, attaching each alive class to the component of its links.
-// Component identity and internal ordering are deterministic: the
-// representative is the smallest link ID, components are numbered in
-// ascending-representative order, links are listed ascending, and classes
-// keep n.classes order. Ascending order comes from walking the dense
-// link-ID space (scSeen), which costs less than sorting the touched list
-// on every recompute.
+// partition groups the region's links (scTouched) into connected
+// components via union-find over the region's classes, records each link's
+// and class's new component, appends the new components to n.comps and
+// returns them. Component
+// identity and internal ordering are deterministic: the representative is
+// the smallest link ID, so walking the region's links in ascending order
+// meets each representative first; links are listed ascending, and classes
+// keep n.classes order (the order of n.region).
 func (n *Network) partition() []*component {
 	for _, id := range n.scTouched {
 		n.ufParent[id] = int32(id)
-		n.compSlot[id] = -1
 	}
-	for _, fc := range n.classes {
-		if !fc.alive {
-			continue
-		}
+	for _, fc := range n.region {
 		r := n.ufFind(int32(fc.links[0].ID))
 		for _, l := range fc.links[1:] {
 			s := n.ufFind(int32(l.ID))
@@ -75,43 +80,63 @@ func (n *Network) partition() []*component {
 		}
 	}
 
-	comps := n.compPool[:0]
-	for id, seen := range n.scSeen {
-		if !seen {
-			continue
+	slices.Sort(n.scTouched)
+	kept := len(n.comps)
+	for _, id := range n.scTouched {
+		root := int(n.ufFind(int32(id)))
+		if root == id {
+			n.comps = append(n.comps, n.newComponent())
+			n.linkComp[id] = n.comps[len(n.comps)-1]
 		}
-		root := n.ufFind(int32(id))
-		slot := n.compSlot[root]
-		if slot < 0 {
-			slot = int32(len(comps))
-			n.compSlot[root] = slot
-			if len(comps) < cap(comps) {
-				// Recycle the pooled component and its slice capacity.
-				comps = comps[:len(comps)+1]
-				if c := comps[slot]; c != nil {
-					c.links = c.links[:0]
-					c.classes = c.classes[:0]
-					c.eta = 0
-					c.linkVisits, c.flowVisits = 0, 0
-				} else {
-					comps[slot] = &component{}
-				}
-			} else {
-				comps = append(comps, &component{})
-			}
-		}
-		c := comps[slot]
+		c := n.linkComp[root]
+		n.linkComp[id] = c
 		c.links = append(c.links, id)
 	}
-	for _, fc := range n.classes {
-		if !fc.alive {
+	for _, fc := range n.region {
+		c := n.linkComp[fc.links[0].ID]
+		c.classes = append(c.classes, fc)
+		fc.comp = c
+	}
+	return n.comps[kept:]
+}
+
+// newComponent takes an empty component from the free list, keeping its
+// slices' capacity, or allocates one.
+func (n *Network) newComponent() *component {
+	k := len(n.compFree)
+	if k == 0 {
+		return &component{}
+	}
+	c := n.compFree[k-1]
+	n.compFree = n.compFree[:k-1]
+	return c
+}
+
+// dissolve releases the stale components: their links lose their owner
+// and utilization, their classes lose their component and are marked to
+// re-fill, and the components return to the free list.
+func (n *Network) dissolve() {
+	live := n.comps[:0]
+	for _, c := range n.comps {
+		if !c.stale {
+			live = append(live, c)
 			continue
 		}
-		slot := n.compSlot[n.ufFind(int32(fc.links[0].ID))]
-		comps[slot].classes = append(comps[slot].classes, fc)
+		for _, id := range c.links {
+			n.linkComp[id] = nil
+			n.utilRate[id] = 0
+		}
+		for _, fc := range c.classes {
+			fc.comp = nil
+			fc.refill = true
+		}
+		clear(c.classes)
+		c.links, c.classes = c.links[:0], c.classes[:0]
+		c.stale = false
+		n.compFree = append(n.compFree, c)
 	}
-	n.compPool = comps
-	return comps
+	clear(n.comps[len(live):])
+	n.comps = live
 }
 
 // ufFind resolves a link's component representative with path halving.
@@ -138,74 +163,56 @@ func ForceSettleWorkers(workers int) (restore func()) {
 	return func() { forcedWorkers.Store(prev) }
 }
 
-// settleComponents fills every component and returns the earliest
-// completion ETA across all of them. Filling runs in global rounds, like
-// the per-flow oracle's: each round's bottleneck is the smallest share in
-// any component (a component's smallest share changes only in rounds it
-// takes part in, so it is rescanned only then), and every component with a
-// share within rateEpsilon of it freezes at it. The per-component passes
-// run through eachComponent; outputs merge in component order, so a
-// parallel run is byte-identical to the serial one — the property the
-// replay tests and the -race CI lane pin down.
-func (n *Network) settleComponents(comps []*component) sim.Time {
-	n.lastComps = len(comps)
-	n.eachComponent(comps, (*Network).startComponent)
-	for {
-		best := math.Inf(1)
-		for _, c := range comps {
-			if c.unfrozen > 0 && c.share < best {
-				best = c.share
-			}
+// fillComponents fills every new component and returns the earliest
+// completion ETA among their classes. Each component runs start, rounds
+// and finish in one pass, so with SettleWorkers > 1 a recompute is one
+// fork-join over a bounded goroutine pool; each worker takes a static
+// stride so no channel or lock sits on the hot path, and because
+// components are memory-disjoint the schedule cannot affect the results.
+// Outputs merge in component order, so a parallel run is byte-identical to
+// the serial one — the property the replay tests and the -race CI lane pin
+// down.
+func (n *Network) fillComponents(fresh []*component) sim.Time {
+	if workers := min(n.Cfg.SettleWorkers, len(fresh)); workers <= 1 {
+		for _, c := range fresh {
+			n.fillComponent(c)
 		}
-		if math.IsInf(best, 1) {
-			break // remaining classes cross no capacity-bearing links
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(fresh); i += workers {
+					n.fillComponent(fresh[i])
+				}
+			}(w)
 		}
-		round := n.round[:0]
-		for _, c := range comps {
-			if c.unfrozen > 0 && c.share <= best*(1+rateEpsilon) {
-				c.best = best
-				round = append(round, c)
-			}
-		}
-		n.round = round
-		n.eachComponent(round, (*Network).freezeComponent)
-		if !slices.ContainsFunc(round, func(c *component) bool { return c.progressed }) {
-			break
-		}
+		wg.Wait()
 	}
-	n.eachComponent(comps, (*Network).finishComponent)
 	minEta := sim.MaxTime
-	for _, c := range comps {
+	for _, c := range fresh {
 		n.stats.LinkVisits += c.linkVisits
 		n.stats.FlowVisits += c.flowVisits
-		if c.eta < minEta {
-			minEta = c.eta
-		}
+		c.linkVisits, c.flowVisits = 0, 0
+		minEta = min(minEta, c.eta)
 	}
 	return minEta
 }
 
-// eachComponent runs pass over comps. With SettleWorkers > 1 they run on a
-// bounded goroutine pool; each worker takes a static stride so no channel
-// or lock sits on the hot path, and because components are
-// memory-disjoint the schedule cannot affect the results.
-func (n *Network) eachComponent(comps []*component, pass func(*Network, *component)) {
-	workers := min(n.Cfg.SettleWorkers, len(comps))
-	if workers <= 1 {
-		for _, c := range comps {
-			pass(n, c)
+// fillComponent runs progressive filling on c in its own rounds, then its
+// CNP and ETA passes. Like every per-component pass it may run on a worker
+// goroutine.
+func (n *Network) fillComponent(c *component) {
+	c.unfrozen = 0
+	for _, fc := range c.classes {
+		c.unfrozen += len(fc.members)
+	}
+	n.scanComponent(c)
+	for c.unfrozen > 0 && !math.IsInf(c.share, 1) {
+		if !n.freezeComponent(c) {
+			break
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(comps); i += workers {
-				pass(n, comps[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	n.finishComponent(c)
 }

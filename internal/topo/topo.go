@@ -151,7 +151,10 @@ type Link struct {
 // Up reports whether the link is healthy.
 func (l *Link) Up() bool { return l.up }
 
-// SetUp marks the link healthy or failed.
+// SetUp marks the link healthy or failed. A link carrying netsim traffic
+// must change through netsim's Network.SetLinkUp instead (and its capacity
+// through Network.SetLinkCapacity): the network re-fills its link
+// components only for changes it sees.
 func (l *Link) SetUp(up bool) { l.up = up }
 
 func (l *Link) String() string { return l.Name }
