@@ -135,18 +135,21 @@ docker:
 
 ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
 
-# Microbenchmarks, including the incremental-vs-full-recompute pair
-# (internal/telemetry: BenchmarkIncrementalObserve vs
-# BenchmarkBatchAnalyzePass) behind the online/scale-sweep scenario and
-# the network-kernel set (internal/netsim: the per-flow test oracle
-# BenchmarkRecomputePerFlow vs the flow-class kernel
-# BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
+# Microbenchmarks, with allocations reported, including the
+# incremental-vs-full-recompute pair (internal/telemetry:
+# BenchmarkIncrementalObserve vs BenchmarkBatchAnalyzePass) behind the
+# online/scale-sweep scenario, the network-kernel set (internal/netsim:
+# the per-flow test oracle BenchmarkRecomputePerFlow vs the flow-class
+# kernel BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
 # BenchmarkRecomputeAggregated128 at the netsim/scale-sweep shape of 128
-# flows per chain) and the iteration executor (internal/plan:
+# flows per chain), the iteration executor (internal/plan:
 # BenchmarkExecIter on a stub fabric at Fig 14 Job1's TP8×DP16 and Job3's
-# TP8/PP8/DP2/GA16 shapes).
+# TP8/PP8/DP2/GA16 shapes), the engine (internal/sim: BenchmarkSchedulePop,
+# BenchmarkReschedule, BenchmarkPost) and one warm collective
+# (internal/accl: BenchmarkRingAllReduce). At -benchtime 1x this is a smoke
+# test; measure with, for example, `go test -bench . -count 5 -cpu 2`.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
 # Regenerate the paper-vs-measured table from a full registry sweep.
 experiments:

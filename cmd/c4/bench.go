@@ -393,7 +393,7 @@ in-flight chunks). The kernel is built on that shape:
   fluid class with a member count (a one-member class is a flow), so
   max-min filling, the CNP pass, and the ETA pass cost O(classes), not
   O(flows). Per-flow semantics (StartFlow / Cancel / Reroute /
-  OnPathDown, per-member completion callbacks) are untouched.
+  PathDown, per-member completion callbacks) are untouched.
 - event-local link components: touched links partition into connected
   components via union-find, and each component fills in its own rounds,
   with its own smallest share as each round's bottleneck. Components

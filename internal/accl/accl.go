@@ -62,6 +62,11 @@ type Communicator struct {
 
 	// crashed nodes never arrive at collectives.
 	crashed map[int]bool
+
+	// Scratch for planning a rail send (healthyQPs, planShares), reused
+	// across sends; nothing holds either past the call that fills it.
+	healthy []*QP
+	byPlane [topo.Planes][]*QP
 }
 
 type connKey struct {
@@ -251,9 +256,11 @@ func (c *Communicator) RefreshPaths(pred func(*topo.Path) bool) {
 	}
 }
 
-// healthyQPs returns QPs with a live path, attempting repair of broken ones.
+// healthyQPs returns QPs with a live path, attempting repair of broken
+// ones. The result is the communicator's scratch, valid until the next
+// call.
 func (c *Communicator) healthyQPs(conn *Conn) []*QP {
-	var out []*QP
+	out := c.healthy[:0]
 	for i, qp := range conn.QPs {
 		if qp.assign == nil || !qp.assign.Path.Up() {
 			req := ConnRequest{
@@ -270,6 +277,7 @@ func (c *Communicator) healthyQPs(conn *Conn) []*QP {
 		}
 		out = append(out, qp)
 	}
+	c.healthy = out
 	return out
 }
 
@@ -295,21 +303,23 @@ func (c *Communicator) recordThroughput(conn *Conn, qp *QP, bits float64, dur si
 	}
 	plane := qp.assign.Path.SrcPort.Plane
 	var total float64
-	var peers []*QP
 	for _, q := range conn.QPs {
-		if q.broken || q.assign == nil || q.ewma <= 0 {
-			continue
+		if q.reweighs(plane) {
+			total += q.ewma
 		}
-		if q.assign.Path.SrcPort.Plane != plane {
-			continue
-		}
-		peers = append(peers, q)
-		total += q.ewma
 	}
 	if total <= 0 {
 		return
 	}
-	for _, q := range peers {
-		q.weight = q.ewma / total
+	for _, q := range conn.QPs {
+		if q.reweighs(plane) {
+			q.weight = q.ewma / total
+		}
 	}
+}
+
+// reweighs reports whether q is a peer that recordThroughput re-weights on
+// the given plane: routed, not broken, with a measured throughput.
+func (q *QP) reweighs(plane int) bool {
+	return !q.broken && q.assign != nil && q.ewma > 0 && q.assign.Path.SrcPort.Plane == plane
 }

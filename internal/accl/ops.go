@@ -131,6 +131,7 @@ func (c *Communicator) resolveArrivals(arrivals []sim.Time) []sim.Time {
 // announceArrivals emits the operation-layer kernel-start records.
 func (c *Communicator) announceArrivals(o *Op, arr []sim.Time) {
 	o.started = sim.MaxTime
+	arrivals := make([]arrival, len(arr))
 	for i, at := range arr {
 		if at == sim.MaxTime {
 			continue // crashed: no kernel launch ever observed
@@ -138,15 +139,26 @@ func (c *Communicator) announceArrivals(o *Op, arr []sim.Time) {
 		if at < o.started {
 			o.started = at
 		}
-		i := i
-		at := at
-		c.cfg.Engine.Schedule(at, func() {
-			c.emitColl(CollEvent{
-				Time: at, Comm: c.ID, Seq: o.Seq, Node: c.nodes[i],
-				Op: o.Type, Algo: o.Algo, Bytes: o.Bytes, Phase: PhaseArrive,
-			})
-		})
+		arrivals[i] = arrival{o: o, node: c.nodes[i]}
+		c.cfg.Engine.Post(at, &arrivals[i])
 	}
+}
+
+// arrival is one member's kernel-launch record, posted for the instant it
+// enters the operation; one array per op holds every member's.
+type arrival struct {
+	o    *Op
+	node int
+}
+
+// Fire emits the record.
+func (a *arrival) Fire() {
+	o := a.o
+	c := o.comm
+	c.emitColl(CollEvent{
+		Time: c.cfg.Engine.Now(), Comm: c.ID, Seq: o.Seq, Node: a.node,
+		Op: o.Type, Algo: o.Algo, Bytes: o.Bytes, Phase: PhaseArrive,
+	})
 }
 
 // startSpan opens the op's trace span at its earliest arrival, parented
@@ -232,6 +244,8 @@ func (c *Communicator) runRingFluid(o *Op, arr []sim.Time) {
 	n := c.TotalGPUs()
 	edgeBytes := o.Bytes * edgeFactor(o.Type, n)
 	o.pendingEdges = m
+	done := o.finishEdge
+	edges := make([]ringEdge, m)
 	for i := 0; i < m; i++ {
 		src, dst := i, (i+1)%m
 		start := arr[src]
@@ -242,13 +256,22 @@ func (c *Communicator) runRingFluid(o *Op, arr []sim.Time) {
 			continue // a crashed endpoint: this edge never starts
 		}
 		c.scheduleWait(o, arr, src, dst, start)
-		c.cfg.Engine.Schedule(start, func() {
-			c.transfer(o, c.nodes[src], c.nodes[dst], edgeBytes, func(end sim.Time) {
-				o.finishEdge(end)
-			})
-		})
+		edges[i] = ringEdge{o: o, src: c.nodes[src], dst: c.nodes[dst], bytes: edgeBytes, done: done}
+		c.cfg.Engine.Post(start, &edges[i])
 	}
 }
+
+// ringEdge is one fluid ring edge, posted for the instant both of its
+// endpoints are ready; one array per op holds every edge.
+type ringEdge struct {
+	o        *Op
+	src, dst int
+	bytes    float64
+	done     func(end sim.Time)
+}
+
+// Fire starts the edge's transfer.
+func (e *ringEdge) Fire() { e.o.comm.transfer(e.o, e.src, e.dst, e.bytes, e.done) }
 
 // scheduleWait emits a receiver-driven wait record when a sender was ready
 // before its receiver.
@@ -277,9 +300,9 @@ func (c *Communicator) runSingleNode(o *Op, arrive sim.Time) {
 	c.cfg.Engine.Schedule(arrive, func() {
 		path := c.cfg.Net.Topo.IntraNodePath(node)
 		restore := c.tracer().Scope(o.span)
-		c.cfg.Net.StartFlow(path, bits, string(o.Type), func(f *netsim.Flow) {
+		c.cfg.Net.StartFlow(path, bits, string(o.Type), netsim.FlowFunc(func(*netsim.Flow) {
 			o.finishEdge(c.cfg.Engine.Now())
-		})
+		}))
 		restore()
 	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"c4/internal/netsim"
 	"c4/internal/sim"
-	"c4/internal/topo"
 	"c4/internal/trace"
 )
 
@@ -20,99 +19,121 @@ import (
 // If no QP on a rail can obtain a healthy path the rail's share stalls and
 // retries; in the meantime the operation hangs, which is exactly the
 // communication-hang syndrome C4D observes.
+//
+// A transfer allocates one xfer and, per rail send, one array of shares;
+// each share is the handler of the flow that carries it.
 func (c *Communicator) transfer(o *Op, src, dst int, bytes float64, onDone func(end sim.Time)) {
 	// The edge span covers the whole member send/recv (all rails, all QP
 	// shares) as a child of the collective op span. A transfer that never
 	// finds transport leaves it open — the hang is visible in the trace.
-	var sp *trace.Span
+	x := &xfer{o: o, onDone: onDone}
 	if tr := c.tracer(); tr.Enabled() {
-		sp = tr.Start(o.span, "xfer", fmt.Sprintf("n%d->n%d", src, dst))
+		x.span = tr.Start(o.span, "xfer", fmt.Sprintf("n%d->n%d", src, dst))
 	}
 	rails := c.cfg.Rails
 	perRail := bytes / float64(len(rails))
-	pending := 0
-	var lastEnd sim.Time
-	finish := func(end sim.Time) {
-		if end > lastEnd {
-			lastEnd = end
-		}
-		pending--
-		if pending == 0 {
-			sp.FinishAt(lastEnd)
-			onDone(lastEnd)
-		}
-	}
 	for _, rail := range rails {
 		conn, err := c.getConn(src, dst, rail)
 		if err != nil {
 			continue
 		}
-		pending++
-		c.sendOnConn(o, conn, perRail, sp, finish)
+		x.pending++
+		x.send(conn, perRail)
 	}
-	if pending == 0 {
-		// No transport anywhere: the operation hangs, as it would in RoCE.
-		return
-	}
+	// With no transport anywhere (pending still 0) the operation hangs, as
+	// it would in RoCE.
 }
 
-// sendOnConn ships railBytes over one connection, retrying while the
-// connection has no healthy path at all.
-func (c *Communicator) sendOnConn(o *Op, conn *Conn, railBytes float64, sp *trace.Span, finish func(sim.Time)) {
+// xfer is one transfer in flight. pending counts its outstanding parts: a
+// rail send counts one until it plans its shares, and each share counts one
+// until its flow completes.
+type xfer struct {
+	o       *Op
+	span    *trace.Span
+	onDone  func(end sim.Time)
+	pending int
+	lastEnd sim.Time
+}
+
+// send ships railBytes over one connection, retrying while the connection
+// has no healthy path at all.
+func (x *xfer) send(conn *Conn, railBytes float64) {
+	c := x.o.comm
 	// Flows started here (including after a retry) nest under the edge
-	// span, which the retry closure carries across the delay.
-	defer c.tracer().Scope(sp)()
+	// span.
+	defer c.tracer().Scope(x.span)()
 	shares := c.planShares(conn, railBytes)
 	if len(shares) == 0 {
-		c.cfg.Engine.After(sim.Second, func() {
-			c.sendOnConn(o, conn, railBytes, sp, finish)
-		})
+		c.cfg.Engine.After(sim.Second, func() { x.send(conn, railBytes) })
 		return
 	}
-	pending := len(shares)
-	var lastEnd sim.Time
+	x.pending += len(shares) - 1
 	start := c.cfg.Engine.Now()
-	for _, sh := range shares {
-		sh := sh
-		flow := c.cfg.Net.StartFlow(sh.qp.assign.Path, sh.bits, string(o.Type), func(f *netsim.Flow) {
-			end := c.cfg.Engine.Now()
-			c.emitMsg(MsgEvent{
-				Comm: c.ID, Seq: o.Seq,
-				SrcNode: conn.Src, DstNode: conn.Dst,
-				Rail: conn.Rail, Plane: sh.plane,
-				Sport: sh.qp.assign.Sport, QPN: sh.qp.QPN,
-				Bytes: sh.bits / 8, Start: start, End: end,
-			})
-			c.recordThroughput(conn, sh.qp, sh.bits, end-start)
-			if end > lastEnd {
-				lastEnd = end
-			}
-			pending--
-			if pending == 0 {
-				finish(lastEnd)
-			}
-		})
-		flow.OnPathDown = func(fl *netsim.Flow) {
-			c.repairFlow(conn, sh.qp, fl)
-		}
+	for i := range shares {
+		sh := &shares[i]
+		sh.x, sh.conn, sh.start = x, conn, start
+		c.cfg.Net.StartFlow(sh.qp.assign.Path, sh.bits, string(x.o.Type), sh)
 	}
 }
 
+// finish accounts one completed share.
+func (x *xfer) finish(end sim.Time) {
+	if end > x.lastEnd {
+		x.lastEnd = end
+	}
+	x.pending--
+	if x.pending == 0 {
+		x.span.FinishAt(x.lastEnd)
+		x.onDone(x.lastEnd)
+	}
+}
+
+// share is one QP's part of a rail send, and the handler of the flow that
+// carries it.
 type share struct {
+	x     *xfer
+	conn  *Conn
 	qp    *QP
 	bits  float64
 	plane int
+	start sim.Time
+}
+
+// FlowDone emits the message's transport record, feeds the QP's measured
+// throughput back into its weight, and accounts the share.
+func (sh *share) FlowDone(*netsim.Flow) {
+	c := sh.x.o.comm
+	end := c.cfg.Engine.Now()
+	c.emitMsg(MsgEvent{
+		Comm: c.ID, Seq: sh.x.o.Seq,
+		SrcNode: sh.conn.Src, DstNode: sh.conn.Dst,
+		Rail: sh.conn.Rail, Plane: sh.plane,
+		Sport: sh.qp.assign.Sport, QPN: sh.qp.QPN,
+		Bytes: sh.bits / 8, Start: sh.start, End: end,
+	})
+	c.recordThroughput(sh.conn, sh.qp, sh.bits, end-sh.start)
+	sh.x.finish(end)
+}
+
+// PathDown asks the provider to repair the share's QP.
+func (sh *share) PathDown(f *netsim.Flow) {
+	sh.x.o.comm.repairFlow(sh.conn, sh.qp, f)
 }
 
 // planShares splits a rail's bytes: half per plane that has at least one
 // healthy QP (all to one plane only if the other is completely dark), then
-// within each plane proportionally to QP weights.
+// within each plane proportionally to QP weights. Every healthy QP gets one
+// share, so the result is one allocation of exactly that length; the
+// per-plane grouping reuses the communicator's scratch.
 func (c *Communicator) planShares(conn *Conn, railBytes float64) []share {
 	qps := c.healthyQPs(conn)
 	if len(qps) == 0 {
 		return nil
 	}
-	byPlane := make([][]*QP, topo.Planes)
+	byPlane := &c.byPlane
+	for p := range byPlane {
+		byPlane[p] = byPlane[p][:0]
+	}
 	for _, qp := range qps {
 		p := qp.assign.Path.SrcPort.Plane
 		byPlane[p] = append(byPlane[p], qp)
@@ -123,7 +144,7 @@ func (c *Communicator) planShares(conn *Conn, railBytes float64) []share {
 			livePlanes++
 		}
 	}
-	var out []share
+	out := make([]share, 0, len(qps))
 	for p, qs := range byPlane {
 		if len(qs) == 0 {
 			continue

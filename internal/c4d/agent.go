@@ -1,7 +1,8 @@
 package c4d
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"c4/internal/accl"
 	"c4/internal/sim"
@@ -27,19 +28,30 @@ type Report struct {
 	Waits    []accl.WaitEvent
 }
 
-func (a *Agent) flush() Report {
-	r := Report{Node: a.Node, Messages: a.msgs, Colls: a.colls, Waits: a.waits}
-	a.msgs, a.colls, a.waits = nil, nil, nil
-	return r
+// report is the agent's batch since the last tick. It aliases the agent's
+// buffers, which reset keeps for the next batch, so a detector must not
+// retain its slices (Detector.Ingest).
+func (a *Agent) report() Report {
+	return Report{Node: a.Node, Messages: a.msgs, Colls: a.colls, Waits: a.waits}
 }
+
+// reset empties the buffers and keeps their capacity.
+func (a *Agent) reset() {
+	a.msgs, a.colls, a.waits = a.msgs[:0], a.colls[:0], a.waits[:0]
+}
+
+// records reports how many records the agent holds.
+func (a *Agent) records() int { return len(a.msgs) + len(a.colls) + len(a.waits) }
 
 // Fleet fans ACCL monitoring records out to per-node agents and drives the
 // periodic reporting loop. It implements accl.StatsSink, so it plugs
-// directly into a Communicator's Config.Sink.
+// directly into a Communicator's Config.Sink. Agents keep their record
+// buffers across ticks, so a warm fleet's reporting allocates nothing.
 type Fleet struct {
 	det      Detector
 	interval sim.Time
 	agents   map[int]*Agent
+	order    []*Agent // agents by node, the reporting order
 	eng      *sim.Engine
 	ticker   *sim.Event
 	skipped  int
@@ -58,15 +70,16 @@ func NewFleetDetector(eng *sim.Engine, det Detector, interval sim.Time) *Fleet {
 		interval = DefaultConfig().ReportInterval
 	}
 	f := &Fleet{det: det, interval: interval, agents: make(map[int]*Agent), eng: eng}
-	f.scheduleTick()
+	f.ticker = sim.NewEvent(sim.Func(f.tick))
+	eng.Arm(f.ticker, eng.Now()+interval)
 	return f
 }
 
-func (f *Fleet) scheduleTick() {
-	f.ticker = f.eng.After(f.interval, func() {
-		f.reportAll()
-		f.scheduleTick()
-	})
+// tick is the reporting loop: report, then re-arm the fleet's one ticker
+// event.
+func (f *Fleet) tick() {
+	f.reportAll()
+	f.eng.Arm(f.ticker, f.eng.Now()+f.interval)
 }
 
 // SkippedPasses reports how many reporting ticks were elided because every
@@ -75,9 +88,7 @@ func (f *Fleet) SkippedPasses() int { return f.skipped }
 
 // Stop halts the reporting loop.
 func (f *Fleet) Stop() {
-	if f.ticker != nil {
-		f.ticker.Cancel()
-	}
+	f.ticker.Cancel()
 }
 
 func (f *Fleet) agent(node int) *Agent {
@@ -85,6 +96,8 @@ func (f *Fleet) agent(node int) *Agent {
 	if a == nil {
 		a = &Agent{Node: node}
 		f.agents[node] = a
+		i, _ := slices.BinarySearchFunc(f.order, node, func(a *Agent, node int) int { return cmp.Compare(a.Node, node) })
+		f.order = slices.Insert(f.order, i, a)
 	}
 	return a
 }
@@ -98,19 +111,17 @@ func (f *Fleet) agent(node int) *Agent {
 // falling silent, so Active stays true and the timeout detectors keep
 // running.
 func (f *Fleet) reportAll() {
-	nodes := make([]int, 0, len(f.agents))
 	records := 0
-	for n, a := range f.agents {
-		nodes = append(nodes, n)
-		records += len(a.msgs) + len(a.colls) + len(a.waits)
+	for _, a := range f.order {
+		records += a.records()
 	}
 	if records == 0 && !f.det.Active() {
 		f.skipped++
 		return
 	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		f.det.Ingest(f.agents[n].flush())
+	for _, a := range f.order {
+		f.det.Ingest(a.report())
+		a.reset()
 	}
 	f.det.Analyze(f.eng.Now())
 }

@@ -59,7 +59,10 @@ type Detector interface {
 	// RegisterComm and UnregisterComm track communicator membership.
 	RegisterComm(accl.CommInfo)
 	UnregisterComm(comm int)
-	// Ingest absorbs one agent report into detector state.
+	// Ingest absorbs one agent report into detector state. An
+	// implementation must not retain the report's slices, as an
+	// accl.StatsSink must not retain an event's: the fleet reuses their
+	// backing arrays for the agent's next batch.
 	Ingest(Report)
 	// Analyze runs the detectors over everything ingested since the last
 	// pass.

@@ -106,8 +106,11 @@ type commState struct {
 
 	// Per-operation transport evidence (persists across windows: a hang is
 	// detected long after the healthy edges of the stalled op completed).
-	opTx map[int]map[int]bool // seq -> nodes with tx progress in that op
-	opRx map[int]map[int]bool // seq -> nodes with rx progress in that op
+	// opMin is the lowest op sequence the maps hold, so Ingest prunes them
+	// only when it leaves the window instead of on every message.
+	opTx  map[int]map[int]bool // seq -> nodes with tx progress in that op
+	opRx  map[int]map[int]bool // seq -> nodes with rx progress in that op
+	opMin int
 
 	// Window accumulators (reset each analysis pass).
 	pairs  map[[2]int]*pairAgg
@@ -239,14 +242,23 @@ func (m *Master) Ingest(r Report) {
 		if cs.opTx[ev.Seq] == nil {
 			cs.opTx[ev.Seq] = make(map[int]bool)
 			cs.opRx[ev.Seq] = make(map[int]bool)
+			if len(cs.opTx) == 1 || ev.Seq < cs.opMin {
+				cs.opMin = ev.Seq
+			}
 		}
 		cs.opTx[ev.Seq][ev.SrcNode] = true
 		cs.opRx[ev.Seq][ev.DstNode] = true
 		// Bound memory: evidence for long-finished operations is useless.
-		for seq := range cs.opTx {
-			if seq < ev.Seq-8 {
-				delete(cs.opTx, seq)
-				delete(cs.opRx, seq)
+		// Nothing is older than the window while the lowest op is in it.
+		if cs.opMin < ev.Seq-8 {
+			cs.opMin = ev.Seq
+			for seq := range cs.opTx {
+				if seq < ev.Seq-8 {
+					delete(cs.opTx, seq)
+					delete(cs.opRx, seq)
+				} else {
+					cs.opMin = min(cs.opMin, seq)
+				}
 			}
 		}
 		if ev.End > cs.lastMsgAt {

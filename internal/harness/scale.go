@@ -94,7 +94,7 @@ func runScaleArm(ctx *scenario.Ctx, nodes, flowsPerPair int, cfg netsim.Config, 
 			}
 			for k := 0; k < flowsPerPair; k++ {
 				size := 20e9 * (1 + 0.11*float64(k) + 0.013*float64(i))
-				n.StartFlow(p, size, fmt.Sprintf("g%d-e%d-m%d", g, i, k), finish)
+				n.StartFlow(p, size, fmt.Sprintf("g%d-e%d-m%d", g, i, k), netsim.FlowFunc(finish))
 				arm.Flows++
 			}
 		}

@@ -87,30 +87,31 @@ func runWorkload(kv kernelVariant) *wtrace {
 		p0, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 		p1, _ := tp.PathFor(0, 4, 0, 0, 1, 0)
 		p2, _ := tp.PathFor(2, 4, 0, 1, 0, 1)
-		n.StartFlow(p0, 40e9*float64(k+1), fmt.Sprintf("a%d", k), finish)
-		n.StartFlow(p1, 30e9*float64(k+1), fmt.Sprintf("b%d", k), finish)
-		n.StartFlow(p2, 50e9*float64(k+1), fmt.Sprintf("c%d", k), finish)
+		n.StartFlow(p0, 40e9*float64(k+1), fmt.Sprintf("a%d", k), FlowFunc(finish))
+		n.StartFlow(p1, 30e9*float64(k+1), fmt.Sprintf("b%d", k), FlowFunc(finish))
+		n.StartFlow(p2, 50e9*float64(k+1), fmt.Sprintf("c%d", k), FlowFunc(finish))
 	}
 	// A disjoint gang on rail 1 between nodes 8..11 (second leaf group
 	// pairs), forming separate components.
 	for k := 0; k < 3; k++ {
 		p, _ := tp.PathFor(8, 10, 1, 0, 2, 0)
 		q, _ := tp.PathFor(9, 11, 1, 1, 3, 1)
-		n.StartFlow(p, 60e9+7e9*float64(k), fmt.Sprintf("d%d", k), finish)
-		n.StartFlow(q, 55e9+9e9*float64(k), fmt.Sprintf("e%d", k), finish)
+		n.StartFlow(p, 60e9+7e9*float64(k), fmt.Sprintf("d%d", k), FlowFunc(finish))
+		n.StartFlow(q, 55e9+9e9*float64(k), fmt.Sprintf("e%d", k), FlowFunc(finish))
 	}
 
 	// Mid-run churn: degrade a shared link, make another lossy, fail a
 	// spine path (rerouting one member of the class, stalling none), and
 	// cancel a flow outright.
-	var rerouted *Flow
 	pr, _ := tp.PathFor(6, 12, 2, 0, 1, 0)
-	rerouted = n.StartFlow(pr, 500e9, "reroute-me", finish)
-	rerouted.OnPathDown = func(f *Flow) {
-		alt, _ := tp.PathFor(6, 12, 2, 0, 4, 0)
-		n.Reroute(f, alt)
-	}
-	victim := n.StartFlow(func() *topo.Path { p, _ := tp.PathFor(5, 13, 3, 1, 2, 1); return p }(), 900e9, "victim", finish)
+	n.StartFlow(pr, 500e9, "reroute-me", &handler{
+		done: finish,
+		down: func(f *Flow) {
+			alt, _ := tp.PathFor(6, 12, 2, 0, 4, 0)
+			n.Reroute(f, alt)
+		},
+	})
+	victim := n.StartFlow(func() *topo.Path { p, _ := tp.PathFor(5, 13, 3, 1, 2, 1); return p }(), 900e9, "victim", FlowFunc(finish))
 
 	down := pr.Links[2] // the leaf-up link of spine 1 on rail 2
 	eng.Schedule(200*sim.Millisecond, func() { n.SetLinkCapacity(tp.PortAt(4, 0, 0).Down, 120) })
@@ -160,8 +161,8 @@ func TestNearEqualBottlenecksAcrossComponents(t *testing.T) {
 		n.SetLinkCapacity(q.SrcPort.Up, 100*(1+1e-9))
 		var done []sim.Time
 		record := func(f *Flow) { done = append(done, eng.Now()) }
-		a := n.StartFlow(p, 100e9, "p", record)
-		b := n.StartFlow(q, 100e9, "q", record)
+		a := n.StartFlow(p, 100e9, "p", FlowFunc(record))
+		b := n.StartFlow(q, 100e9, "q", FlowFunc(record))
 		eng.RunUntil(sim.Millisecond)
 		if a.Rate() != 100e9 || b.Rate() != 100e9*(1+1e-9) {
 			t.Fatalf("[%s] near-equal bottlenecks filled at %v and %v, want each component at its own share", kv.name, a.Rate(), b.Rate())
@@ -185,8 +186,8 @@ func TestClassMemberCancelMidClass(t *testing.T) {
 		n := kv.build(eng, tp)
 		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 		var survivorDone sim.Time
-		doomed := n.StartFlow(p, 400e9, "doomed", func(f *Flow) { t.Error("cancelled flow completed") })
-		n.StartFlow(p, 400e9, "survivor", func(f *Flow) { survivorDone = eng.Now() })
+		doomed := n.StartFlow(p, 400e9, "doomed", FlowFunc(func(f *Flow) { t.Error("cancelled flow completed") }))
+		n.StartFlow(p, 400e9, "survivor", FlowFunc(func(f *Flow) { survivorDone = eng.Now() }))
 		eng.Schedule(sim.Second, func() { n.Cancel(doomed) })
 		eng.Run()
 		// 100 Gbps for 1s (200 shared by 2), then 200 Gbps for the last
@@ -229,7 +230,7 @@ func TestRerouteSplitsClass(t *testing.T) {
 	}
 }
 
-// A link failure must fan OnPathDown out to every member of every class
+// A link failure must fan PathDown out to every member of every class
 // crossing it, in flow admission order, exactly like the per-flow oracle.
 func TestOnPathDownFansOutToMembers(t *testing.T) {
 	for _, kv := range kernelVariants {
@@ -239,8 +240,9 @@ func TestOnPathDownFansOutToMembers(t *testing.T) {
 		p, _ := tp.PathFor(0, 4, 0, 0, 0, 0)
 		var notified []string
 		for i := 0; i < 5; i++ {
-			f := n.StartFlow(p, 1e12, fmt.Sprintf("m%d", i), nil)
-			f.OnPathDown = func(f *Flow) { notified = append(notified, f.Label) }
+			n.StartFlow(p, 1e12, fmt.Sprintf("m%d", i), &handler{
+				down: func(f *Flow) { notified = append(notified, f.Label) },
+			})
 		}
 		eng.Schedule(sim.Second, func() { n.SetLinkUp(p.SrcPort.Up, false) })
 		eng.RunUntil(2 * sim.Second)

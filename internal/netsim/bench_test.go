@@ -46,7 +46,7 @@ func startGangRings(n *Network, tp *topo.Topology, flowsPerPair int, onComplete 
 			}
 			for k := 0; k < flowsPerPair; k++ {
 				size := 20e9 * (1 + 0.11*float64(k) + 0.013*float64(i))
-				n.StartFlow(p, size, fmt.Sprintf("g%d-e%d-m%d", g, i, k), onComplete)
+				n.StartFlow(p, size, fmt.Sprintf("g%d-e%d-m%d", g, i, k), FlowFunc(onComplete))
 				flows++
 			}
 		}

@@ -10,7 +10,7 @@ func TestSetLinkCapacityReallocates(t *testing.T) {
 	eng, n := testbed()
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	var done sim.Time
-	n.StartFlow(path, 200e9, "x", func(f *Flow) { done = eng.Now() })
+	n.StartFlow(path, 200e9, "x", FlowFunc(func(f *Flow) { done = eng.Now() }))
 	// Halve the source port's capacity halfway through: 0.5 s at 200 Gbps
 	// moves 100 Gb, the remaining 100 Gb drains at 100 Gbps in 1 s.
 	eng.After(500*sim.Millisecond, func() {
@@ -26,7 +26,7 @@ func TestSetLinkCapacityZeroStalls(t *testing.T) {
 	eng, n := testbed()
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	done := false
-	n.StartFlow(path, 200e9, "x", func(*Flow) { done = true })
+	n.StartFlow(path, 200e9, "x", FlowFunc(func(*Flow) { done = true }))
 	eng.After(100*sim.Millisecond, func() {
 		n.SetLinkCapacity(path.SrcPort.Up, -5) // clamps to 0
 	})
@@ -67,7 +67,7 @@ func TestZeroSizeControlMessage(t *testing.T) {
 	eng, n := testbed()
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	var done sim.Time
-	n.StartFlow(path, 0, "ctl", func(*Flow) { done = eng.Now() })
+	n.StartFlow(path, 0, "ctl", FlowFunc(func(*Flow) { done = eng.Now() }))
 	eng.Run()
 	if done == 0 {
 		t.Fatal("control message never delivered")
@@ -88,7 +88,7 @@ func TestTrickleCapacitySchedulesNoCompletion(t *testing.T) {
 		eng.RunUntil(start)
 		path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 		var done sim.Time
-		n.StartFlow(path, 1e12, "x", func(*Flow) { done = eng.Now() })
+		n.StartFlow(path, 1e12, "x", FlowFunc(func(*Flow) { done = eng.Now() }))
 		eng.RunUntil(start + sim.Millisecond)
 		n.SetLinkCapacity(path.SrcPort.Up, 1e-9) // 1 bit/s: ~31,700 years to drain
 		before := eng.Fired()

@@ -19,8 +19,8 @@ import (
 // of flows.
 //
 // The aggregation sits strictly behind the per-flow semantics: StartFlow,
-// Cancel, Reroute, OnPathDown and per-member OnComplete callbacks are
-// untouched, and the allocations match per-flow filling bit for bit. Two
+// Cancel, Reroute and the per-member PathDown and FlowDone notifications
+// are untouched, and the allocations match per-flow filling bit for bit. Two
 // per-member loops stay for that: settle advances each member's remaining
 // bits individually (members may differ in size), and freezeComponent
 // subtracts the bottleneck share once per member with per-step clamping

@@ -34,32 +34,55 @@ func Route(t *topo.Topology, srcNode, dstNode, rail, srcPlane int, sport uint16)
 		return t.PathFor(srcNode, dstNode, rail, srcPlane, -1, srcPlane)
 	}
 
-	// Stage 1: leaf picks a healthy uplink (spine).
-	var spines []int
-	for s, up := range src.Leaf.Ups {
+	// Stage 1: leaf picks a healthy uplink (spine). Both stages count the
+	// healthy candidates, then walk to the hashed one: no candidate list.
+	healthy := 0
+	for _, up := range src.Leaf.Ups {
 		if up.Up() {
-			spines = append(spines, s)
+			healthy++
 		}
 	}
-	if len(spines) == 0 {
+	if healthy == 0 {
 		return nil, fmt.Errorf("netsim: leaf %s has no healthy uplinks", src.Leaf.Name())
 	}
-	spine := spines[int(hash5(srcNode, dstNode, rail, srcPlane, int(sport), 1)%uint64(len(spines)))]
+	k := int(hash5(srcNode, dstNode, rail, srcPlane, int(sport), 1) % uint64(healthy))
+	spine := -1
+	for s, up := range src.Leaf.Ups {
+		if up.Up() {
+			if k == 0 {
+				spine = s
+				break
+			}
+			k--
+		}
+	}
 
 	// Stage 2: spine picks a healthy downlink toward one of the
 	// destination node's two planes.
 	dstGroup := t.Group(dstNode)
-	var planes []int
+	planeUp := func(q int) bool {
+		return t.LeafAt(rail, q, dstGroup).Downs[spine].Up() && t.PortAt(dstNode, rail, q).Down.Up()
+	}
+	healthy = 0
 	for q := 0; q < topo.Planes; q++ {
-		leaf := t.LeafAt(rail, q, dstGroup)
-		if leaf.Downs[spine].Up() && t.PortAt(dstNode, rail, q).Down.Up() {
-			planes = append(planes, q)
+		if planeUp(q) {
+			healthy++
 		}
 	}
-	if len(planes) == 0 {
+	if healthy == 0 {
 		return nil, fmt.Errorf("netsim: spine %d has no healthy downlink to node %d", spine, dstNode)
 	}
-	dstPlane := planes[int(hash5(srcNode, dstNode, rail, srcPlane, int(sport), 2)%uint64(len(planes)))]
+	k = int(hash5(srcNode, dstNode, rail, srcPlane, int(sport), 2) % uint64(healthy))
+	dstPlane := -1
+	for q := 0; q < topo.Planes; q++ {
+		if planeUp(q) {
+			if k == 0 {
+				dstPlane = q
+				break
+			}
+			k--
+		}
+	}
 	return t.PathFor(srcNode, dstNode, rail, srcPlane, spine, dstPlane)
 }
 

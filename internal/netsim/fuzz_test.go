@@ -120,26 +120,27 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 		return flows[len(flows)-1-int(b)%len(flows)]
 	}
 	start := func(p *topo.Path, size float64, onDown byte, onComplete func(*Flow)) *Flow {
-		f := n.StartFlow(p, size, fmt.Sprintf("f%d", len(flows)), func(f *Flow) {
+		h := &handler{done: func(f *Flow) {
 			log("done", f.Label)
 			if onComplete != nil {
 				onComplete(f)
 			}
-		})
+		}}
 		switch onDown % 3 {
 		case 1:
 			alt := paths[int(onDown/3)%len(paths)]
-			f.OnPathDown = func(f *Flow) { log("down-reroute", f.Label); n.Reroute(f, alt) }
+			h.down = func(f *Flow) { log("down-reroute", f.Label); n.Reroute(f, alt) }
 		case 2:
-			f.OnPathDown = func(f *Flow) { log("down-cancel", f.Label); n.Cancel(f) }
+			h.down = func(f *Flow) { log("down-cancel", f.Label); n.Cancel(f) }
 		}
+		f := n.StartFlow(p, size, fmt.Sprintf("f%d", len(flows)), h)
 		flows = append(flows, f)
 		return f
 	}
 
 	apply := func(op, a, b, c byte) {
 		switch op {
-		case 0: // one flow; its OnComplete may cancel another flow
+		case 0: // one flow; its FlowDone may cancel another flow
 			if len(flows) >= fuzzMaxFlows {
 				return
 			}
@@ -152,7 +153,7 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 				}
 			}
 			start(paths[int(a)%len(paths)], fuzzSizes[b%8], c&0x7f, onComplete)
-		case 1: // two equal flows on one chain: the first's OnComplete cancels its same-instant batchmate
+		case 1: // two equal flows on one chain: the first's FlowDone cancels its same-instant batchmate
 			if len(flows)+2 > fuzzMaxFlows {
 				return
 			}

@@ -274,21 +274,15 @@ func completionDelay(rem, good float64, horizon sim.Time) sim.Time {
 
 // rearmCompletion points the network's single completion event at minEta
 // from now, or cancels it when minEta reaches sim.MaxTime from now (no
-// completion; the sum would wrap). The event is moved in place
-// (Engine.Reschedule) whenever it is still queued: recompute runs on every
-// flow-set change, and under the old cancel-and-recreate pattern each run
-// leaked one dead event into the engine heap — a reroute-heavy run
-// accumulated them faster than pops drained them.
+// completion; the sum would wrap). The network owns the event and re-arms
+// it in place (Engine.Arm): recompute runs on every flow-set change, and
+// cancelling and recreating the event each time would leave one dead event
+// in the engine heap per run — a reroute-heavy run would accumulate them
+// faster than pops drain them.
 func (n *Network) rearmCompletion(minEta sim.Time) {
 	if minEta >= sim.MaxTime-n.Engine.Now() {
-		if n.completeEv != nil {
-			n.completeEv.Cancel()
-			n.completeEv = nil
-		}
+		n.completeEv.Cancel()
 		return
 	}
-	if n.Engine.Reschedule(n.completeEv, n.Engine.Now()+minEta) {
-		return
-	}
-	n.completeEv = n.Engine.After(minEta, n.completions)
+	n.Engine.Arm(n.completeEv, n.Engine.Now()+minEta)
 }

@@ -16,7 +16,7 @@ func TestLinkLossStretchesCompletion(t *testing.T) {
 	// still occupies 200 Gbps of wire, but delivers at 100 Gbps.
 	n.SetLinkLoss(path.Links[1], 0.5)
 	var doneAt sim.Time
-	n.StartFlow(path, 200e9, "lossy", func(f *Flow) { doneAt = eng.Now() })
+	n.StartFlow(path, 200e9, "lossy", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	eng.Run()
 	if !almostEqual(doneAt.Seconds(), 2.0, 0.01) {
 		t.Fatalf("completion at %v, want ~2s (1s payload at 50%% loss)", doneAt)
@@ -32,7 +32,7 @@ func TestLinkLossCompoundsAcrossHops(t *testing.T) {
 	n.SetLinkLoss(path.Links[1], 0.5)
 	n.SetLinkLoss(path.Links[2], 0.5)
 	var doneAt sim.Time
-	n.StartFlow(path, 200e9, "lossy", func(f *Flow) { doneAt = eng.Now() })
+	n.StartFlow(path, 200e9, "lossy", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	eng.Run()
 	// Goodput factor (1-0.5)^2 = 0.25 -> ~4 s.
 	if !almostEqual(doneAt.Seconds(), 4.0, 0.01) {
@@ -49,7 +49,7 @@ func TestLinkLossClearedMidFlight(t *testing.T) {
 	lossy := path.Links[1]
 	n.SetLinkLoss(lossy, 0.5)
 	var doneAt sim.Time
-	n.StartFlow(path, 200e9, "healing", func(f *Flow) { doneAt = eng.Now() })
+	n.StartFlow(path, 200e9, "healing", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	// After 1 s the link heals: 100 Gb delivered, 100 Gb to go at full rate.
 	eng.Schedule(sim.Second, func() { n.SetLinkLoss(lossy, 0) })
 	eng.Run()
@@ -67,7 +67,7 @@ func TestLinkLossDoesNotAffectOtherPaths(t *testing.T) {
 	clean, _ := n.Topo.PathFor(4, 6, 0, 0, 1, 0)
 	n.SetLinkLoss(lossy.Links[1], 0.9)
 	var doneAt sim.Time
-	n.StartFlow(clean, 200e9, "clean", func(f *Flow) { doneAt = eng.Now() })
+	n.StartFlow(clean, 200e9, "clean", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	eng.Run()
 	if !almostEqual(doneAt.Seconds(), 1.0, 0.01) {
 		t.Fatalf("clean flow finished at %v, want ~1s", doneAt)

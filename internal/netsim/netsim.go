@@ -30,6 +30,15 @@
 // tests hold the kernel to the per-flow reference kernel, kept as a test
 // oracle, and to the max-min certificate (CheckMaxMin); the accl and
 // harness tests pin whole workloads to goldens recorded from the oracle.
+//
+// The per-flow path allocates per flow, not per callback. StartFlow, the
+// one way to start a flow, takes a FlowHandler, which the caller
+// implements on the object it already keeps per flow (accl's QP share);
+// the flow is its own admission handler; and the network owns its
+// recompute and completion events and re-arms them in place. Starting,
+// admitting and completing a flow therefore allocates the Flow and its
+// admission Event only. Flow stays at 128 bytes because settle walks every
+// active flow at every completion and mutation (see Flow).
 package netsim
 
 import (
@@ -75,31 +84,60 @@ func DefaultConfig() Config {
 	}
 }
 
+// FlowHandler receives a flow's notifications. FlowDone fires once, when
+// the last bit is delivered. PathDown fires when a link on the flow's path
+// fails, or when the flow is admitted onto an already-failed path; the
+// handler may Reroute or Cancel the flow, and if it does neither the flow
+// stalls at rate zero until the link recovers. A caller that starts many
+// flows implements it on the object it already keeps per flow, so
+// starting a flow allocates no closure.
+type FlowHandler interface {
+	FlowDone(*Flow)
+	PathDown(*Flow)
+}
+
+// FlowFunc adapts a completion func to a FlowHandler whose PathDown does
+// nothing: such a flow stalls on a failed path until the link recovers.
+type FlowFunc func(*Flow)
+
+// FlowDone calls fn, if it is not nil.
+func (fn FlowFunc) FlowDone(f *Flow) {
+	if fn != nil {
+		fn(f)
+	}
+}
+
+// PathDown does nothing.
+func (FlowFunc) PathDown(*Flow) {}
+
 // Flow is one in-flight transfer.
+//
+// A Flow is 128 bytes, two cache lines, and must not grow. settle advances
+// every active flow at every completion and every mutation, and on
+// many-flow runs (netsim/scale-*) that walk is about half the CPU, so the
+// fields settle and the kernel's fan-out read come first and share one
+// cache line. Embedding the admission Event in the Flow would save its
+// allocation but add a third cache line to every flow settle walks, so the
+// Event is allocated beside the Flow instead.
 type Flow struct {
-	ID    int
-	Label string
-	Path  *topo.Path
+	Path *topo.Path
 
-	// OnComplete fires when the last bit is delivered.
-	OnComplete func(*Flow)
-	// OnPathDown fires when a link on the flow's path fails. The handler
-	// may Reroute or Cancel the flow; if it does neither the flow stalls
-	// at rate zero until the link recovers.
-	OnPathDown func(*Flow)
-
-	sizeBits  float64
 	remaining float64
-	rate      float64 // bits per second, current allocation
-	goodRate  float64 // bits per second actually delivered (rate minus loss)
-	cnpRate   float64 // CNPs per second currently being received
-	started   sim.Time
+	goodRate  float64    // bits per second actually delivered (rate minus loss)
+	cnpRate   float64    // CNPs per second currently being received
+	rate      float64    // bits per second, current allocation
+	class     *flowClass // the class of the flow's link chain while admitted
+	slot      int32      // index in Network.flows while admitted
 	admitted  bool
 	done      bool
-	slot      int32      // index in Network.flows while admitted
-	class     *flowClass // the class of the flow's link chain while admitted
-	admitEv   *sim.Event
-	span      *trace.Span // flow-lifetime span; nil when tracing is off
+	sizeBits  float64
+
+	Label   string
+	h       FlowHandler // nil: no notifications
+	net     *Network
+	admitEv *sim.Event // the pending admission; nil once admitted
+	started sim.Time
+	span    *trace.Span // flow-lifetime span; nil when tracing is off
 }
 
 // Rate reports the flow's current bandwidth allocation in bits/second.
@@ -141,11 +179,14 @@ type Network struct {
 	// nil hole at the flow's slot instead of shifting its successors, and
 	// the holes are squeezed out in order once they pass half the slice,
 	// so every walk of flows skips nil entries.
-	flows   []*Flow
-	holes   int
-	nextID  int
-	pending *sim.Event // scheduled recompute, nil if none
-	dirty   bool       // flow set or link state changed since last recompute
+	flows []*Flow
+	holes int
+	dirty bool // flow set or link state changed since last recompute
+
+	// recomputeEv is the network's batched rate recompute (invalidate),
+	// armed at most once per instant. The network owns it and re-arms it
+	// in place, as it does completeEv.
+	recomputeEv *sim.Event
 
 	// Flow-class state (see class.go): live classes in admission order for
 	// deterministic kernel iteration, plus a key index for O(1) membership
@@ -162,7 +203,8 @@ type Network struct {
 	// completeEv is the single next-completion event. Flows complete when
 	// their remaining bits reach zero at the scheduled instant; keeping one
 	// event for the whole network (instead of one per flow rescheduled on
-	// every rate change) keeps the engine's queue small and cheap. settle
+	// every rate change), re-armed in place, keeps the engine's queue small
+	// and allocates nothing per completion wave. settle
 	// collects the flows whose remaining bits it brings to zero in drained,
 	// so completions needs no scan.
 	completeEv *sim.Event
@@ -251,52 +293,74 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		ufParent:    make([]int32, nl),
 		kernel:      (*Network).recomputeClasses,
 	}
+	n.recomputeEv = sim.NewEvent(sim.Func(n.recompute))
+	n.completeEv = sim.NewEvent(sim.Func(n.completions))
 	if report := forcedCheck.Load(); report != nil {
 		n.check = *report
 	}
 	return n
 }
 
-// StartFlow submits a transfer of sizeBits along path. onComplete may be
-// nil. The returned flow can be rerouted or cancelled.
-func (n *Network) StartFlow(path *topo.Path, sizeBits float64, label string, onComplete func(*Flow)) *Flow {
+// StartFlow submits a transfer of sizeBits along path and is the one way
+// to start a flow. h receives the flow's completion and path-down
+// notifications and may be nil; a completion func adapts through
+// FlowFunc. The flow is admitted BaseLatency later, by an engine event
+// whose handler is the flow itself, so StartFlow allocates the Flow and
+// that Event and nothing else. The returned flow can be rerouted or
+// cancelled.
+func (n *Network) StartFlow(path *topo.Path, sizeBits float64, label string, h FlowHandler) *Flow {
 	if sizeBits <= 0 {
 		sizeBits = 1 // zero-size control message: deliver after latency
 	}
-	n.nextID++
 	f := &Flow{
-		ID:         n.nextID,
-		Label:      label,
-		Path:       path,
-		OnComplete: onComplete,
-		sizeBits:   sizeBits,
-		remaining:  sizeBits,
-		started:    n.Engine.Now(),
+		Label:     label,
+		Path:      path,
+		h:         h,
+		net:       n,
+		sizeBits:  sizeBits,
+		remaining: sizeBits,
+		started:   n.Engine.Now(),
 	}
 	if n.Trace.Enabled() {
 		f.span = n.Trace.Start(nil, "flow", label).Annotate("path", pathLabel(path))
 	}
-	f.admitEv = n.Engine.After(n.Cfg.BaseLatency, func() {
-		f.admitted = true
-		f.slot = int32(len(n.flows))
-		n.flows = append(n.flows, f)
-		for _, l := range f.Path.Links {
-			n.flowsOn[l.ID]++
-		}
-		n.classAdmit(f)
-		n.invalidate()
-		// A flow submitted onto an already-failed path would otherwise be
-		// admitted silently at rate zero: SetLinkUp only notifies flows that
-		// exist when the link goes down, so nothing would ever fire
-		// OnPathDown and a pinned-route sender would wait on OnComplete
-		// forever. Health is checked post-admission so the handler may
-		// Reroute or Cancel the flow like any other down-path notification.
-		if !f.done && f.OnPathDown != nil && !f.Path.Up() {
-			n.Trace.Event(f.span, "path-down", "admitted-on-down-path")
-			f.OnPathDown(f)
-		}
-	})
+	f.admitEv = sim.NewEvent((*admission)(f))
+	n.Engine.Arm(f.admitEv, n.Engine.Now()+max(n.Cfg.BaseLatency, 0))
 	return f
+}
+
+// admission is a Flow as the handler of its admission event; the named
+// type keeps Fire off Flow's own method set.
+type admission Flow
+
+// Fire admits the flow.
+func (a *admission) Fire() {
+	f := (*Flow)(a)
+	f.net.admit(f)
+}
+
+// admit moves a submitted flow into the flow set once its base latency
+// has elapsed.
+func (n *Network) admit(f *Flow) {
+	f.admitEv = nil
+	f.admitted = true
+	f.slot = int32(len(n.flows))
+	n.flows = append(n.flows, f)
+	for _, l := range f.Path.Links {
+		n.flowsOn[l.ID]++
+	}
+	n.classAdmit(f)
+	n.invalidate()
+	// A flow submitted onto an already-failed path would otherwise be
+	// admitted silently at rate zero: SetLinkUp only notifies flows that
+	// exist when the link goes down, so nothing would ever fire PathDown
+	// and a pinned-route sender would wait on FlowDone forever. Health is
+	// checked post-admission so the handler may Reroute or Cancel the flow
+	// like any other down-path notification.
+	if !f.done && f.h != nil && !f.Path.Up() {
+		n.Trace.Event(f.span, "path-down", "admitted-on-down-path")
+		f.h.PathDown(f)
+	}
 }
 
 // Cancel removes a flow without completing it.
@@ -406,9 +470,9 @@ func (n *Network) SetLinkUp(l *topo.Link, up bool) {
 			}
 		}
 		for _, f := range hit {
-			if !f.done && f.OnPathDown != nil {
+			if !f.done && f.h != nil {
 				n.Trace.Event(f.span, "path-down", l.Name)
-				f.OnPathDown(f)
+				f.h.PathDown(f)
 			}
 		}
 	}
@@ -489,10 +553,16 @@ func (n *Network) remove(f *Flow) {
 // invalidate schedules a single rate recomputation at the current instant.
 func (n *Network) invalidate() {
 	n.dirty = true
-	if n.pending != nil && !n.pending.Cancelled() && n.pending.At() == n.Engine.Now() {
+	if n.recomputePending() {
 		return
 	}
-	n.pending = n.Engine.After(0, n.recompute)
+	n.Engine.Arm(n.recomputeEv, n.Engine.Now())
+}
+
+// recomputePending reports whether the batched recompute is armed for the
+// current instant.
+func (n *Network) recomputePending() bool {
+	return n.recomputeEv.Queued() && n.recomputeEv.At() == n.Engine.Now()
 }
 
 // flush brings every observable up to the current instant. Mutators
@@ -504,7 +574,7 @@ func (n *Network) invalidate() {
 // as a no-op, keeping the engine's event accounting unchanged) and settles
 // the carried-bit/CNP counters.
 func (n *Network) flush() {
-	if n.dirty && n.pending != nil && !n.pending.Cancelled() && n.pending.At() == n.Engine.Now() {
+	if n.dirty && n.recomputePending() {
 		n.recomputeNow()
 		return
 	}
@@ -548,7 +618,6 @@ func (n *Network) settle() {
 // event then fires as a no-op, so engine event accounting is independent
 // of whether (and when) anyone read an observable.
 func (n *Network) recompute() {
-	n.pending = nil
 	if !n.dirty {
 		return
 	}
@@ -579,12 +648,11 @@ func (n *Network) linkCap(id int) float64 {
 // order. Flows whose rate changed since the ETA was computed simply are not
 // at zero yet; the recompute scheduled here re-arms the event for them.
 func (n *Network) completions() {
-	n.completeEv = nil
 	n.settle()
 	slices.SortFunc(n.drained, func(a, b *Flow) int { return cmp.Compare(a.slot, b.slot) })
 	n.invalidate()
 	// Finish flows one at a time, callback included, exactly as the old
-	// per-flow completion events did: an OnComplete handler may Cancel a
+	// per-flow completion events did: a FlowDone handler may Cancel a
 	// same-instant batchmate, and that flow must then neither complete nor
 	// see its callback fire. Handlers cannot add to drained meanwhile: a
 	// settle at the instant that was just settled returns at once.
@@ -596,8 +664,8 @@ func (n *Network) completions() {
 		f.done = true
 		f.span.FinishAt(n.Engine.Now())
 		n.remove(f)
-		if f.OnComplete != nil {
-			f.OnComplete(f)
+		if f.h != nil {
+			f.h.FlowDone(f)
 		}
 	}
 	clear(n.drained)

@@ -17,6 +17,22 @@ func testbed() (*sim.Engine, *Network) {
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// handler is a FlowHandler built from two funcs, either of which may be
+// nil.
+type handler struct{ done, down func(*Flow) }
+
+func (h *handler) FlowDone(f *Flow) {
+	if h.done != nil {
+		h.done(f)
+	}
+}
+
+func (h *handler) PathDown(f *Flow) {
+	if h.down != nil {
+		h.down(f)
+	}
+}
+
 func TestSingleFlowCompletionTime(t *testing.T) {
 	eng, n := testbed()
 	path, err := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
@@ -25,7 +41,7 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 	}
 	var doneAt sim.Time
 	size := 200e9 * 1.0 // 200 Gb -> 1 s at 200 Gbps
-	n.StartFlow(path, size, "t", func(f *Flow) { doneAt = eng.Now() })
+	n.StartFlow(path, size, "t", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	eng.Run()
 	want := n.Cfg.BaseLatency + sim.Second
 	if doneAt < want-sim.Millisecond || doneAt > want+sim.Millisecond {
@@ -41,8 +57,8 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	p2, _ := n.Topo.PathFor(2, 4, 0, 0, 1, 0)
 	var t1, t2 sim.Time
 	size := 200e9 // 1 s alone
-	n.StartFlow(p1, size, "a", func(f *Flow) { t1 = eng.Now() })
-	n.StartFlow(p2, size, "b", func(f *Flow) { t2 = eng.Now() })
+	n.StartFlow(p1, size, "a", FlowFunc(func(f *Flow) { t1 = eng.Now() }))
+	n.StartFlow(p2, size, "b", FlowFunc(func(f *Flow) { t2 = eng.Now() }))
 	eng.Run()
 	// Shared at 100 Gbps each -> ~2 s.
 	if !almostEqual(t1.Seconds(), 2.0, 0.01) || !almostEqual(t2.Seconds(), 2.0, 0.01) {
@@ -55,8 +71,8 @@ func TestEarlyFinisherReleasesBandwidth(t *testing.T) {
 	p1, _ := n.Topo.PathFor(0, 4, 0, 0, 0, 0)
 	p2, _ := n.Topo.PathFor(2, 4, 0, 0, 1, 0)
 	var tShort, tLong sim.Time
-	n.StartFlow(p1, 100e9, "short", func(f *Flow) { tShort = eng.Now() })
-	n.StartFlow(p2, 200e9, "long", func(f *Flow) { tLong = eng.Now() })
+	n.StartFlow(p1, 100e9, "short", FlowFunc(func(f *Flow) { tShort = eng.Now() }))
+	n.StartFlow(p2, 200e9, "long", FlowFunc(func(f *Flow) { tLong = eng.Now() }))
 	eng.Run()
 	// Both at 100 Gbps until short finishes at 1 s; long then has 100 Gb
 	// left at 200 Gbps -> finishes at ~1.5 s.
@@ -73,8 +89,8 @@ func TestDisjointFlowsDontInterfere(t *testing.T) {
 	p1, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	p2, _ := n.Topo.PathFor(4, 6, 1, 1, 1, 1)
 	var t1, t2 sim.Time
-	n.StartFlow(p1, 200e9, "a", func(f *Flow) { t1 = eng.Now() })
-	n.StartFlow(p2, 200e9, "b", func(f *Flow) { t2 = eng.Now() })
+	n.StartFlow(p1, 200e9, "a", FlowFunc(func(f *Flow) { t1 = eng.Now() }))
+	n.StartFlow(p2, 200e9, "b", FlowFunc(func(f *Flow) { t2 = eng.Now() }))
 	eng.Run()
 	if !almostEqual(t1.Seconds(), 1.0, 0.01) || !almostEqual(t2.Seconds(), 1.0, 0.01) {
 		t.Fatalf("disjoint flows slowed down: %v %v", t1, t2)
@@ -85,7 +101,7 @@ func TestNVLinkCapsIntraNode(t *testing.T) {
 	eng, n := testbed()
 	p := n.Topo.IntraNodePath(0)
 	var done sim.Time
-	n.StartFlow(p, 362e9, "nv", func(f *Flow) { done = eng.Now() })
+	n.StartFlow(p, 362e9, "nv", FlowFunc(func(f *Flow) { done = eng.Now() }))
 	eng.Run()
 	if !almostEqual(done.Seconds(), 1.0, 0.01) {
 		t.Fatalf("NVLink transfer took %v, want ~1s at 362 Gbps", done)
@@ -97,14 +113,16 @@ func TestLinkFailureStallsAndRecovers(t *testing.T) {
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 3, 0)
 	var done sim.Time
 	notified := false
-	f := n.StartFlow(path, 200e9, "x", func(f *Flow) { done = eng.Now() })
-	f.OnPathDown = func(*Flow) { notified = true }
+	n.StartFlow(path, 200e9, "x", &handler{
+		done: func(*Flow) { done = eng.Now() },
+		down: func(*Flow) { notified = true },
+	})
 	up := path.SrcPort.Leaf.Ups[3]
 	eng.After(500*sim.Millisecond, func() { n.SetLinkUp(up, false) })
 	eng.After(1500*sim.Millisecond, func() { n.SetLinkUp(up, true) })
 	eng.Run()
 	if !notified {
-		t.Fatal("OnPathDown not called")
+		t.Fatal("PathDown not called")
 	}
 	// ~0.5 s transferred before failure, stalled 1 s, ~0.5 s after.
 	if !almostEqual(done.Seconds(), 2.0, 0.02) {
@@ -116,14 +134,16 @@ func TestRerouteOnFailure(t *testing.T) {
 	eng, n := testbed()
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 3, 0)
 	var done sim.Time
-	f := n.StartFlow(path, 200e9, "x", func(f *Flow) { done = eng.Now() })
-	f.OnPathDown = func(fl *Flow) {
-		alt, err := n.Topo.PathFor(0, 2, 0, 0, 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Reroute(fl, alt)
-	}
+	n.StartFlow(path, 200e9, "x", &handler{
+		done: func(*Flow) { done = eng.Now() },
+		down: func(fl *Flow) {
+			alt, err := n.Topo.PathFor(0, 2, 0, 0, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Reroute(fl, alt)
+		},
+	})
 	eng.After(500*sim.Millisecond, func() {
 		n.SetLinkUp(path.SrcPort.Leaf.Ups[3], false)
 	})
@@ -137,7 +157,7 @@ func TestCancel(t *testing.T) {
 	eng, n := testbed()
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	fired := false
-	f := n.StartFlow(path, 200e9, "x", func(*Flow) { fired = true })
+	f := n.StartFlow(path, 200e9, "x", FlowFunc(func(*Flow) { fired = true }))
 	eng.After(100*sim.Millisecond, func() { n.Cancel(f) })
 	eng.Run()
 	if fired {
@@ -321,7 +341,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 			size := 1e9 * (1 + r.Float64()*10)
 			total += size
-			n.StartFlow(p, size, "f", func(fl *Flow) { delivered += fl.SizeBits() })
+			n.StartFlow(p, size, "f", FlowFunc(func(fl *Flow) { delivered += fl.SizeBits() }))
 		}
 		eng.Run()
 		return almostEqual(delivered, total, 1)
@@ -334,25 +354,27 @@ func TestConservationProperty(t *testing.T) {
 func TestStartFlowOntoDownPathNotifies(t *testing.T) {
 	eng, n := testbed()
 	// The path's spine uplink is already dead when the flow is submitted:
-	// admission must still fire OnPathDown (SetLinkUp only notifies flows
+	// admission must still fire PathDown (SetLinkUp only notifies flows
 	// that exist at failure time), so the handler can reroute instead of
 	// the flow silently stalling at rate zero forever.
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 3, 0)
 	n.SetLinkUp(path.SrcPort.Leaf.Ups[3], false)
 	var done sim.Time
-	f := n.StartFlow(path, 200e9, "x", func(*Flow) { done = eng.Now() })
 	notified := false
-	f.OnPathDown = func(fl *Flow) {
-		notified = true
-		alt, err := n.Topo.PathFor(0, 2, 0, 0, 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Reroute(fl, alt)
-	}
+	n.StartFlow(path, 200e9, "x", &handler{
+		done: func(*Flow) { done = eng.Now() },
+		down: func(fl *Flow) {
+			notified = true
+			alt, err := n.Topo.PathFor(0, 2, 0, 0, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Reroute(fl, alt)
+		},
+	})
 	eng.Run()
 	if !notified {
-		t.Fatal("OnPathDown not fired for a flow admitted onto a down path")
+		t.Fatal("PathDown not fired for a flow admitted onto a down path")
 	}
 	if done == 0 {
 		t.Fatal("rerouted flow never completed")
@@ -364,8 +386,10 @@ func TestStartFlowOntoDownPathCancelInHandler(t *testing.T) {
 	path, _ := n.Topo.PathFor(0, 2, 0, 0, 3, 0)
 	n.SetLinkUp(path.SrcPort.Leaf.Ups[3], false)
 	completed := false
-	f := n.StartFlow(path, 200e9, "x", func(*Flow) { completed = true })
-	f.OnPathDown = func(fl *Flow) { n.Cancel(fl) }
+	f := n.StartFlow(path, 200e9, "x", &handler{
+		done: func(*Flow) { completed = true },
+		down: func(fl *Flow) { n.Cancel(fl) },
+	})
 	eng.Run()
 	if completed {
 		t.Fatal("cancelled flow completed")
@@ -407,11 +431,11 @@ func TestCancelFromOnCompleteSuppressesBatchmate(t *testing.T) {
 	var second *Flow
 	secondFired := false
 	firstFired := false
-	first := n.StartFlow(path, 1e9, "first", func(*Flow) {
+	first := n.StartFlow(path, 1e9, "first", FlowFunc(func(*Flow) {
 		firstFired = true
 		n.Cancel(second)
-	})
-	second = n.StartFlow(path, 1e9, "second", func(*Flow) { secondFired = true })
+	}))
+	second = n.StartFlow(path, 1e9, "second", FlowFunc(func(*Flow) { secondFired = true }))
 	eng.Run()
 	if !firstFired {
 		t.Fatal("first flow never completed")

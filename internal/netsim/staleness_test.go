@@ -75,7 +75,7 @@ func TestReadPathFlushDoesNotPerturbRun(t *testing.T) {
 		done = make([]sim.Time, len(specs))
 		for i, s := range specs {
 			i := i
-			n.StartFlow(s.p, s.size, "f", func(f *Flow) { done[i] = eng.Now() })
+			n.StartFlow(s.p, s.size, "f", FlowFunc(func(f *Flow) { done[i] = eng.Now() }))
 		}
 		eng.Schedule(sim.Second, func() {
 			n.SetLinkCapacity(shared, 150)

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -47,19 +46,48 @@ func FromDuration(d time.Duration) Time { return Time(d) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. It is returned by the Schedule methods so
-// callers can cancel pending events.
+// Handler is the closure-free form of an event callback: the engine calls
+// Fire when the event runs. A long-lived model object implements it once,
+// often through a named type over itself, so scheduling a callback on it
+// allocates no closure.
+type Handler interface{ Fire() }
+
+// Func adapts a plain func to a Handler. Schedule and After wrap their
+// callback in it, so the engine keeps one event representation; a func
+// value is pointer-shaped, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a scheduled callback. Schedule and After return one so callers
+// can cancel it; a model that re-arms one timer over and over owns one
+// Event for its lifetime (NewEvent, Engine.Arm). Post's events are the
+// engine's own: it recycles each one once it fires, so nothing outside the
+// engine ever holds one.
+//
+// The struct is 48 bytes and must not grow: the engine allocates one for
+// every flow admission (netsim), and the heap's sift loops read it.
 type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	eng    *Engine
-	index  int // heap index; -1 when not queued
-	cancel bool
+	at      Time
+	seq     uint64
+	h       Handler
+	eng     *Engine
+	index   int32 // heap index; -1 when not queued
+	cancel  bool
+	recycle bool // a Post event: back to the engine's free list once it fires
 }
+
+// NewEvent returns an unqueued event that runs h each time an engine arms
+// it (Engine.Arm).
+func NewEvent(h Handler) *Event { return &Event{h: h, index: -1} }
 
 // At reports the instant the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
+
+// Queued reports whether the event is waiting to fire: armed, neither
+// cancelled nor fired since.
+func (e *Event) Queued() bool { return e.index >= 0 && !e.cancel }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op.
@@ -75,36 +103,82 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel was called on the event.
+// Cancelled reports whether Cancel was called on the event since it was
+// last armed.
 func (e *Event) Cancelled() bool { return e.cancel }
 
+// eventQueue is a binary min-heap on (at, seq). The keys are unique, so the
+// pop order is the same for any correct heap; a typed heap only saves the
+// interface calls of container/heap.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
+
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	q[i].index = int32(i)
+	q[j].index = int32(j)
 }
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
 }
-func (q *eventQueue) Pop() any {
+
+// down sifts q[i] toward the leaves and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	i0 := i
+	for {
+		j := 2*i + 1
+		if j >= len(q) {
+			break
+		}
+		if r := j + 1; r < len(q) && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// fix restores the heap after q[i]'s key changed.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q *eventQueue) push(ev *Event) {
+	ev.index = int32(len(*q))
+	*q = append(*q, ev)
+	q.up(len(*q) - 1)
+}
+
+func (q *eventQueue) pop() *Event {
 	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	n := len(old) - 1
+	old.swap(0, n)
+	ev := old[n]
+	old[n] = nil
+	*q = old[:n]
+	q.down(0)
+	ev.index = -1
+	return ev
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -116,7 +190,8 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	fired   uint64
-	dead    int // cancelled events still sitting in the queue
+	dead    int      // cancelled events still sitting in the queue
+	free    []*Event // fired Post events, ready for reuse
 	ids     map[string]int
 	stats   queueCounters
 }
@@ -220,46 +295,56 @@ func (e *Engine) maybeCompact() {
 	}
 	e.queue = live
 	for i, ev := range e.queue {
-		ev.index = i
+		ev.index = int32(i)
 	}
-	heap.Init(&e.queue)
+	for i := len(e.queue)/2 - 1; i >= 0; i-- {
+		e.queue.down(i)
+	}
 	e.dead = 0
 	e.stats.compactions++
 }
 
-// Reschedule moves a still-queued event to a new instant in place
-// (container/heap Fix) instead of cancelling it and allocating a
-// replacement. The event is assigned a fresh scheduling sequence number, so
-// among same-instant events it fires exactly where a newly created event
-// would — rescheduling is behaviorally indistinguishable from
-// cancel-plus-Schedule, minus the garbage and heap churn. It reports false
-// when the event is nil, already fired, or cancelled; callers then fall
-// back to scheduling a new event.
+// Reschedule moves a still-queued event to a new instant in place instead
+// of cancelling it and allocating a replacement. The event is assigned a
+// fresh scheduling sequence number, so among same-instant events it fires
+// exactly where a newly created event would — rescheduling is behaviorally
+// indistinguishable from cancel-plus-Schedule, minus the garbage and heap
+// churn. It reports false when the event is nil, already fired, or
+// cancelled; callers then fall back to scheduling a new event.
 func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	if ev == nil || ev.cancel || ev.index < 0 {
 		return false
 	}
-	if at < e.now {
-		panic(fmt.Sprintf("sim: reschedule at %v before now %v", at, e.now))
-	}
-	ev.at = at
-	e.seq++
-	ev.seq = e.seq
-	heap.Fix(&e.queue, ev.index)
-	e.stats.rescheduled++
+	e.Arm(ev, at)
 	return true
 }
 
-// Schedule queues fn to run at the absolute instant at. Scheduling in the
-// past panics: it always indicates a model bug, and silently reordering
-// time would corrupt every downstream measurement.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
+// Arm queues ev at the instant at, whatever state it is in: a queued event
+// moves in place, a cancelled one still parked in the heap is revived
+// there, and one that fired, or was cancelled and discarded, or is fresh
+// from NewEvent, is queued again. Like Reschedule, the event takes a fresh
+// sequence number, so among same-instant events it fires exactly where a
+// newly scheduled one would. A model that re-arms one timer over and over
+// (netsim's recompute and completion events, the C4D reporting tick) owns
+// one Event for its lifetime instead of allocating one per arming. Arming
+// in the past panics, as scheduling does.
+func (e *Engine) Arm(ev *Event, at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn, eng: e, index: -1}
-	heap.Push(&e.queue, ev)
+	ev.at, ev.seq, ev.eng = at, e.seq, e
+	if ev.index >= 0 {
+		if ev.cancel {
+			ev.cancel = false
+			e.dead--
+		}
+		e.queue.fix(int(ev.index))
+		e.stats.rescheduled++
+		return
+	}
+	ev.cancel = false
+	e.queue.push(ev)
 	e.stats.scheduled++
 	if n := len(e.queue); n > e.stats.hiHeap {
 		e.stats.hiHeap = n
@@ -267,6 +352,14 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if live := len(e.queue) - e.dead; live > e.stats.hiLive {
 		e.stats.hiLive = live
 	}
+}
+
+// Schedule queues fn to run at the absolute instant at. Scheduling in the
+// past panics: it always indicates a model bug, and silently reordering
+// time would corrupt every downstream measurement.
+func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := NewEvent(Func(fn))
+	e.Arm(ev, at)
 	return ev
 }
 
@@ -278,13 +371,32 @@ func (e *Engine) After(delay Time, fn func()) *Event {
 	return e.Schedule(e.now+delay, fn)
 }
 
+// Post queues h to fire at the absolute instant at, fire-and-forget: it
+// returns no Event, so the call cannot be cancelled, and the engine reuses
+// the Event once it fires. A steady stream of Posts allocates nothing once
+// the free list covers the most events ever in flight at once.
+func (e *Engine) Post(at Time, h Handler) {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{index: -1, recycle: true}
+	}
+	ev.h = h
+	e.Arm(ev, at)
+}
+
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // step executes the next event. It reports false when the queue is empty.
+// A Post event goes back to the free list before its handler runs, so the
+// handler's own Posts can reuse it.
 func (e *Engine) step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.cancel {
 			e.dead--
 			continue
@@ -294,7 +406,12 @@ func (e *Engine) step() bool {
 		}
 		e.now = ev.at
 		e.fired++
-		ev.fn()
+		h := ev.h
+		if ev.recycle {
+			ev.h = nil
+			e.free = append(e.free, ev)
+		}
+		h.Fire()
 		return true
 	}
 	return false
@@ -312,11 +429,8 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.queue) == 0 {
-			break
-		}
 		next := e.peek()
-		if next.at > deadline {
+		if next == nil || next.at > deadline {
 			break
 		}
 		e.step()
@@ -329,18 +443,24 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunFor executes events for the given span of virtual time from now.
 func (e *Engine) RunFor(span Time) { e.RunUntil(e.now + span) }
 
+// peek returns the next live event, or nil when none is queued.
 func (e *Engine) peek() *Event {
 	// Cancelled events may sit at the head; skip them without firing.
 	for len(e.queue) > 0 && e.queue[0].cancel {
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		e.dead--
 	}
 	if len(e.queue) == 0 {
-		return &Event{at: MaxTime}
+		return nil
 	}
 	return e.queue[0]
 }
 
 // NextEventAt reports the instant of the next pending event, or MaxTime if
 // the queue is empty.
-func (e *Engine) NextEventAt() Time { return e.peek().at }
+func (e *Engine) NextEventAt() Time {
+	if next := e.peek(); next != nil {
+		return next.at
+	}
+	return MaxTime
+}

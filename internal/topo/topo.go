@@ -227,25 +227,31 @@ func New(spec Spec) (*Topology, error) {
 		return l
 	}
 
-	// Spines: one pool per rail, shared across both planes.
+	// Spines: one pool per rail, shared across both planes. Every switch
+	// and port name is formatted once; link names join two of them.
+	var spineNames []string
 	for r := 0; r < spec.Rails; r++ {
 		for s := 0; s < spec.Spines; s++ {
-			t.Spines = append(t.Spines, &Spine{Rail: r, Index: s})
+			sp := &Spine{Rail: r, Index: s}
+			t.Spines = append(t.Spines, sp)
+			spineNames = append(spineNames, sp.Name())
 		}
 	}
 
 	// Leaves and leaf<->spine links.
+	var leafNames []string // by index in t.Leaves
 	for r := 0; r < spec.Rails; r++ {
 		for p := 0; p < Planes; p++ {
 			for g := 0; g < groups; g++ {
 				leaf := &Leaf{Rail: r, Plane: p, Group: g}
+				leafName := leaf.Name()
+				leafNames = append(leafNames, leafName)
 				for s := 0; s < spec.Spines; s++ {
 					sp := t.SpineAt(r, s)
-					up := newLink(LinkLeafUp, spec.PortGbps,
-						fmt.Sprintf("%s->%s", leaf.Name(), sp.Name()))
+					spName := spineNames[r*spec.Spines+s]
+					up := newLink(LinkLeafUp, spec.PortGbps, leafName+"->"+spName)
 					up.Leaf, up.Spine = leaf, sp
-					down := newLink(LinkSpineDown, spec.PortGbps,
-						fmt.Sprintf("%s->%s", sp.Name(), leaf.Name()))
+					down := newLink(LinkSpineDown, spec.PortGbps, spName+"->"+leafName)
 					down.Leaf, down.Spine = leaf, sp
 					leaf.Ups = append(leaf.Ups, up)
 					leaf.Downs = append(leaf.Downs, down)
@@ -266,11 +272,10 @@ func New(spec Spec) (*Topology, error) {
 			for p := 0; p < Planes; p++ {
 				leaf := t.leafIndex[[3]int{r, p, g}]
 				port := &Port{Node: n, Rail: r, Plane: p, Leaf: leaf}
-				up := newLink(LinkNodeUp, spec.PortGbps,
-					fmt.Sprintf("%s->%s", port.Name(), leaf.Name()))
+				portName, leafName := port.Name(), leafNames[(r*Planes+p)*groups+g]
+				up := newLink(LinkNodeUp, spec.PortGbps, portName+"->"+leafName)
 				up.Port, up.Leaf = port, leaf
-				down := newLink(LinkNodeDown, spec.PortGbps,
-					fmt.Sprintf("%s->%s", leaf.Name(), port.Name()))
+				down := newLink(LinkNodeDown, spec.PortGbps, leafName+"->"+portName)
 				down.Port, down.Leaf = port, leaf
 				port.Up, port.Down = up, down
 				leaf.Ports = append(leaf.Ports, port)

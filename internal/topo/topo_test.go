@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -258,6 +259,34 @@ func TestSpineLinks(t *testing.T) {
 	for _, l := range top.SpineLinks(1, 0) {
 		if l.Spine.Rail != 1 {
 			t.Fatalf("rail 1 spine links include rail %d", l.Spine.Rail)
+		}
+	}
+}
+
+// Link names join their endpoints' names, each formatted once, into
+// exactly the "<from>-><to>" form a per-link Sprintf gives.
+func TestLinkNamesJoinEndpointNames(t *testing.T) {
+	for _, spec := range []Spec{PaperTestbed(), MultiJobTestbed(4)} {
+		top := MustNew(spec)
+		for _, l := range top.Links {
+			var want string
+			switch l.Kind {
+			case LinkLeafUp:
+				want = fmt.Sprintf("%s->%s", l.Leaf.Name(), l.Spine.Name())
+			case LinkSpineDown:
+				want = fmt.Sprintf("%s->%s", l.Spine.Name(), l.Leaf.Name())
+			case LinkNodeUp:
+				want = fmt.Sprintf("%s->%s", l.Port.Name(), l.Leaf.Name())
+			case LinkNodeDown:
+				want = fmt.Sprintf("%s->%s", l.Leaf.Name(), l.Port.Name())
+			case LinkNVLinkTx:
+				want = fmt.Sprintf("n%d/nvlink-tx", l.NodeID)
+			case LinkNVLinkRx:
+				want = fmt.Sprintf("n%d/nvlink-rx", l.NodeID)
+			}
+			if l.Name != want {
+				t.Fatalf("link %d (%v) named %q, want %q", l.ID, l.Kind, l.Name, want)
+			}
 		}
 	}
 }
