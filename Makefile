@@ -60,14 +60,18 @@ kernel-race:
 	$(GO) test -race ./internal/sim/ ./internal/netsim/ ./internal/accl/
 	$(GO) run -race ./cmd/c4 bench -only 'netsim/*'
 
-# Ten seconds of coverage-guided fuzzing of the network kernel: random
-# flow/link operation sequences on the testbed fabric, where the class
-# kernel (serial and parallel) must replay the per-flow oracle bit for bit
-# and every allocation must pass the max-min certificate. Plain `go test`
-# already replays the committed seed corpus
-# (internal/netsim/testdata/fuzz/).
+# Ten seconds of coverage-guided fuzzing per target. The network kernel:
+# random flow/link operation sequences on the testbed fabric, where the
+# class kernel (serial and parallel) must replay the per-flow oracle bit
+# for bit and every allocation must pass the max-min certificate. The
+# telemetry stream reader: random JSONL, where the line scanner must agree
+# with encoding/json, ReadStream with an encoding/json-only reader, and
+# every record must re-encode and read back unchanged. Plain `go test`
+# already replays the committed seed corpora (testdata/fuzz/ in each
+# package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting
@@ -138,7 +142,9 @@ ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smo
 # Microbenchmarks, with allocations reported, including the
 # incremental-vs-full-recompute pair (internal/telemetry:
 # BenchmarkIncrementalObserve vs BenchmarkBatchAnalyzePass) behind the
-# online/scale-sweep scenario, the network-kernel set (internal/netsim:
+# online/scale-sweep scenario, the JSONL codec (internal/telemetry:
+# BenchmarkReadStream over a 10,000-record stream, BenchmarkEncodeRecord
+# per record), the network-kernel set (internal/netsim:
 # the per-flow test oracle BenchmarkRecomputePerFlow vs the flow-class
 # kernel BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
 # BenchmarkRecomputeAggregated128 at the netsim/scale-sweep shape of 128

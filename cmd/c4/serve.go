@@ -71,11 +71,11 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		handler = serve.AccessLog(stderr, handler)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := newHTTPServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	if *opsAddr != "" {
-		ops := &http.Server{Addr: *opsAddr, Handler: srv.OpsHandler()}
+		ops := newHTTPServer(*opsAddr, srv.OpsHandler())
 		go func() {
 			if err := ops.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("c4 serve: ops plane: %v", err)
@@ -103,6 +103,20 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	}
 	hs.Shutdown(context.Background())
 	return 0
+}
+
+// Connection limits for every server `c4 serve` starts. A client gets
+// serveHeaderTimeout to send its request headers, and an idle keep-alive
+// connection is closed after serveIdleTimeout. There is no WriteTimeout:
+// it would cut off an SSE stream that follows a long session.
+const (
+	serveHeaderTimeout = 10 * time.Second
+	serveIdleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer builds the API, ops and smoke-test servers alike.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: serveHeaderTimeout, IdleTimeout: serveIdleTimeout}
 }
 
 // smokeSpec is the session the smoke test drives: short enough for CI,
@@ -149,7 +163,7 @@ func runSmoke(cfg serve.Config, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("listen: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer("", srv.Handler())
 	go hs.Serve(ln)
 	defer hs.Shutdown(context.Background())
 	base := "http://" + ln.Addr().String()

@@ -80,7 +80,7 @@ func toWire(r Record) wireRecord {
 	return w
 }
 
-func fromWire(w wireRecord) (Record, error) {
+func fromWire(w *wireRecord) (Record, error) {
 	rec := Record{Time: sim.Time(w.TNs), Node: w.Node, Comm: w.Comm}
 	switch w.Kind {
 	case "comm-create":
@@ -90,9 +90,14 @@ func fromWire(w wireRecord) (Record, error) {
 		rec.Kind = KindCommClose
 	case "coll":
 		rec.Kind = KindColl
-		phase := accl.PhaseArrive
-		if w.Phase == "complete" {
+		var phase accl.CollPhase
+		switch w.Phase {
+		case "arrive":
+			phase = accl.PhaseArrive
+		case "complete":
 			phase = accl.PhaseComplete
+		default:
+			return Record{}, fmt.Errorf("telemetry: unknown coll phase %q", w.Phase)
 		}
 		rec.Coll = &accl.CollEvent{
 			Time: sim.Time(w.TNs), Comm: w.Comm, Seq: w.Seq, Node: w.Node,
@@ -122,12 +127,19 @@ func fromWire(w wireRecord) (Record, error) {
 // serving plane uses it to frame individual records into SSE events
 // without re-implementing the wire format.
 func EncodeRecord(r Record) ([]byte, error) {
-	b, err := json.Marshal(toWire(r))
+	var buf [lineReserve]byte
+	line, err := appendRecord(buf[:0], r)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return append(append(make([]byte, 0, len(line)+1), line...), '\n'), nil
 }
+
+// lineReserve is room for any line of the simulator's records: a
+// StreamWriter flushes before less than this is left in its buffer, so
+// appending a line in place does not outgrow it. Longer lines (a large
+// comm-create membership) still encode, through one allocation.
+const lineReserve = 512
 
 // StreamWriter serializes the record stream as JSONL. It implements
 // Sink, so it plugs into a Pipeline beside the online detector.
@@ -150,9 +162,14 @@ func (s *StreamWriter) Observe(r Record) {
 	if s.err != nil {
 		return
 	}
-	line, err := EncodeRecord(r)
+	if s.w.Available() < lineReserve {
+		if s.err = s.w.Flush(); s.err != nil {
+			return
+		}
+	}
+	line, err := appendRecord(s.w.AvailableBuffer(), r)
 	if err == nil {
-		_, err = s.w.Write(line)
+		_, err = s.w.Write(append(line, '\n'))
 	}
 	if err != nil {
 		s.err = err
@@ -181,32 +198,55 @@ func (s *StreamWriter) Flush() error {
 }
 
 // ReadStream parses a JSONL telemetry stream. Blank lines are skipped; a
-// malformed line fails with its line number.
+// malformed line fails with its line number. Lines of the shape
+// StreamWriter writes are scanned directly; any other line is decoded by
+// encoding/json, so every JSON object with the wire keys reads as before.
 func ReadStream(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Record
-	line := 0
+	// Records collect in chunks that double up to maxChunk and are joined
+	// once at the end, so the result is allocated at its final length
+	// instead of being regrown and copied by append.
+	const maxChunk = 4096
+	var full [][]Record
+	chunk := make([]Record, 0, 64)
+	total, line := 0, 0
+	var w wireRecord // one for all lines: json.Unmarshal moves it to the heap
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
-		var w wireRecord
-		if err := json.Unmarshal(raw, &w); err != nil {
-			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
+		w = wireRecord{}
+		if !scanRecord(raw, &w) {
+			w = wireRecord{}
+			if err := json.Unmarshal(raw, &w); err != nil {
+				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
+			}
 		}
-		rec, err := fromWire(w)
+		rec, err := fromWire(&w)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
 		}
-		out = append(out, rec)
+		if len(chunk) == cap(chunk) {
+			full = append(full, chunk)
+			chunk = make([]Record, 0, min(2*cap(chunk), maxChunk))
+		}
+		chunk = append(chunk, rec)
+		total++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: reading stream: %w", err)
 	}
-	return out, nil
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]Record, 0, total)
+	for _, c := range full {
+		out = append(out, c...)
+	}
+	return append(out, chunk...), nil
 }
 
 // Replay drives a recorded stream through a fresh OnlineDetector,

@@ -244,6 +244,17 @@ func TestReadStreamRejectsGarbage(t *testing.T) {
 	if _, err := ReadStream(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("malformed line accepted")
 	}
+	// A coll record's phase must be arrive or complete: a misspelled or
+	// missing one is not an arrival.
+	for _, line := range []string{
+		`{"t_ns":1,"kind":"coll","node":0,"comm":1,"seq":1,"op":"allreduce","phase":"completed"}`,
+		`{"t_ns":1,"kind":"coll","node":0,"comm":1,"seq":1,"op":"allreduce"}`,
+	} {
+		_, err := ReadStream(strings.NewReader("\n" + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("coll line %s: err %v, want a line-2 error", line, err)
+		}
+	}
 	if recs, err := ReadStream(strings.NewReader("\n\n")); err != nil || len(recs) != 0 {
 		t.Fatalf("blank lines: %v, %v", recs, err)
 	}
