@@ -66,12 +66,15 @@ kernel-race:
 # for bit and every allocation must pass the max-min certificate. The
 # telemetry stream reader: random JSONL, where the line scanner must agree
 # with encoding/json, ReadStream with an encoding/json-only reader, and
-# every record must re-encode and read back unchanged. Plain `go test`
-# already replays the committed seed corpora (testdata/fuzz/ in each
-# package).
+# every record must re-encode and read back unchanged. The campaign
+# manifest reader: random bytes, where only one JSON document with nothing
+# after it may be accepted, and an accepted manifest must re-read from its
+# own encoding with the same hash. Plain `go test` already replays the
+# committed seed corpora (testdata/fuzz/ in each package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s ./internal/campaign/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting

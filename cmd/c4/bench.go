@@ -9,8 +9,7 @@ import (
 	"sort"
 	"strings"
 
-	"c4/internal/faults"
-	_ "c4/internal/harness" // registers every scenario and campaign
+	"c4/internal/harness" // registers every scenario and campaign
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 )
@@ -24,7 +23,7 @@ import (
 //	c4 bench -list                        # enumerate scenarios
 //	c4 bench -only fig12,fig13            # a selection
 //	c4 bench -only 'ablation-*'           # glob selection
-//	c4 bench -only 'campaign/*' -campaign-json out  # campaigns + JSON reports
+//	c4 bench -only 'campaign/*' -campaign-json out  # campaigns + merged reports
 //	c4 bench -md > EXPERIMENTS.md         # paper-vs-measured markdown table
 //	c4 bench -json > baseline.json        # bench-regression baseline (see c4 benchdiff)
 func runBench(args []string, stdout, stderr io.Writer) int {
@@ -37,7 +36,7 @@ func runBench(args []string, stdout, stderr io.Writer) int {
 		md      = fs.Bool("md", false, "emit the EXPERIMENTS.md paper-vs-measured table")
 		jsonOut = fs.Bool("json", false, "emit the bench-regression JSON report of every tracked scenario")
 		shard   = fs.String("shard", "", "run one stride of the selection: \"i/n\" keeps scenarios with index ≡ i (mod n)")
-		cmpJSON = fs.String("campaign-json", "", "also write one <name>.json report per selected fault campaign into this directory")
+		cmpJSON = fs.String("campaign-json", "", "also write each selected fault campaign's merged report (the c4 campaign merge format) to <name>.json in this directory")
 	)
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
@@ -126,12 +125,12 @@ func shardScenarios(scns []scenario.Scenario, spec string) ([]scenario.Scenario,
 	return mine, nil
 }
 
-// writeCampaignJSON archives the machine-readable report of every fault
-// campaign that ran, as dir/<name>.json, returning how many writes failed.
+// writeCampaignJSON archives the merged report of every fault campaign
+// that ran, as dir/<name>.json, returning how many writes failed.
 func writeCampaignJSON(dir string, reports []scenario.Report, stderr io.Writer) int {
 	failures := 0
 	for _, rep := range reports {
-		res, ok := rep.Result.(*faults.Result)
+		res, ok := rep.Result.(*harness.CampaignResult)
 		if rep.Err != nil || !ok {
 			continue
 		}
@@ -236,8 +235,8 @@ func writeMarkdown(w io.Writer, scns []scenario.Scenario, reports []scenario.Rep
 	return failures
 }
 
-// writeFaultModelDocs documents the campaign engine's fault model and
-// knobs (internal/faults) in the generated experiments file.
+// writeFaultModelDocs documents the fault model and campaign knobs
+// (internal/faults) in the generated experiments file.
 func writeFaultModelDocs(w io.Writer) {
 	fmt.Fprintln(w, `
 ## Fault model and campaign knobs
@@ -265,10 +264,13 @@ Fault archetypes (composable; overlapping faults on one component stack):
 Trial knobs: job size (8/16/32 nodes, TP=8 per node), spine count (8 = 1:1
 fabric, 4 = 2:1 oversubscription), placement (spread = every ring edge
 crosses the spines; packed = one leaf group, fabric-fault immune), fault
-start/duration, and per-kind severity. Campaign results aggregate into
-this table via the campaign/* rows above; machine-readable reports come
-from `+"`c4 bench -only campaign/<name> -campaign-json DIR`"+` and the bench
-baseline from `+"`c4 bench -json`"+`.
+start/duration, and per-kind severity. Each campaign/* row above is the
+one-entry manifest {family, seeds: {from: seed, count: 1}} run in process
+through the manifest runner below, as one shard, and merged; the row
+shows the merged report's pooled aggregate.
+`+"`c4 bench -only campaign/<name> -campaign-json DIR`"+` writes that merged
+report, bootstrap confidence intervals included, in the format
+`+"`c4 campaign check`"+` reads, and `+"`c4 bench -json`"+` the bench baseline.
 
 Beyond the fixed registry rows, manifest-driven campaigns
 (`+"`c4 campaign`"+`, manifests in campaigns/) scale the sampled

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"c4/internal/campaign"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 )
@@ -43,6 +44,10 @@ func TestBenchUnknownCampaign(t *testing.T) {
 	}
 }
 
+// TestBenchCampaignJSON checks -campaign-json writes a campaign row's
+// merged report: it passes the merged-report check, and it is byte for
+// byte what `c4 campaign run` + `merge` write for the row's one-entry
+// manifest.
 func TestBenchCampaignJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign sweep in -short mode")
@@ -51,12 +56,32 @@ func TestBenchCampaignJSON(t *testing.T) {
 	if code, _, stderr := runC4(t, "bench", "-only", "campaign/straggler-sweep", "-campaign-json", dir); code != 0 {
 		t.Fatalf("c4 bench -only campaign/straggler-sweep: exit %d\n%s", code, stderr)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "straggler-sweep.json"))
+	got, err := os.ReadFile(filepath.Join(dir, "straggler-sweep.json"))
 	if err != nil {
 		t.Fatalf("campaign JSON report not written: %v", err)
 	}
-	if len(data) == 0 {
-		t.Fatal("campaign JSON report empty")
+	merged, err := campaign.ReadMerged(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.Check(); err != nil {
+		t.Fatalf("campaign JSON report fails its check: %v", err)
+	}
+
+	manifest := filepath.Join(dir, "one-entry.json")
+	src := `{"version":1,"name":"straggler-sweep","seed":1,"entries":[{"family":"straggler-sweep"}]}`
+	if err := os.WriteFile(manifest, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	partial, want := filepath.Join(dir, "partial.json"), filepath.Join(dir, "merged.json")
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-out", partial); code != 0 {
+		t.Fatalf("campaign run: exit %d\n%s", code, stderr)
+	}
+	if code, _, stderr := runC4(t, "campaign", "merge", "-manifest", manifest, "-out", want, partial); code != 0 {
+		t.Fatalf("campaign merge: exit %d\n%s", code, stderr)
+	}
+	if wantBytes, err := os.ReadFile(want); err != nil || !bytes.Equal(got, wantBytes) {
+		t.Fatalf("-campaign-json report differs from the one-entry manifest's merged report (%v)", err)
 	}
 }
 

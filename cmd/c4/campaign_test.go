@@ -47,6 +47,27 @@ func TestCampaignUsageAndBadArgs(t *testing.T) {
 	}
 }
 
+// TestCampaignRunTrialPanic checks a trial that panics fails the run with
+// exit 1 and a diagnostic naming it, not a crash, and writes no partial.
+func TestCampaignRunTrialPanic(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "two-spines.json")
+	// Two spines leave trial outage-two-spines an outage on spine 3.
+	const src = `{"version": 1, "name": "two-spines",
+	  "entries": [{"family": "outage-sweep", "horizon_s": 30, "knobs": {"spines": [2]}}]}`
+	if err := os.WriteFile(manifest, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "partial.json")
+	code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-out", out)
+	if code != 1 || !strings.Contains(stderr, "outage-two-spines") {
+		t.Fatalf("exit %d, want 1 with the panicking trial named; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("failed run left a partial behind (stat: %v)", err)
+	}
+}
+
 func TestCampaignExpand(t *testing.T) {
 	dir := t.TempDir()
 	manifest := writeTinyManifest(t, dir)

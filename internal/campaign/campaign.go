@@ -14,10 +14,10 @@
 // intervals over the per-trial statistics. Interrupted shards resume from
 // a per-shard checkpoint file, re-running only missing trials.
 //
-// Where the scenario registry reproduces the paper's fixed experiments
-// and internal/faults generates dozens of trials in one process, this
-// package is the 10k-trial substrate: fleet-scale statistics with
-// confidence intervals instead of single seeds.
+// It is the one campaign engine: the registry's campaign/* rows run their
+// family as a one-entry manifest through ShardRun and Merge in process,
+// and `c4 campaign` scales the same families to 10k-trial manifests with
+// fleet-scale statistics and confidence intervals instead of single seeds.
 package campaign
 
 import (
@@ -151,12 +151,26 @@ func ParsePlacement(s string) (faults.Placement, error) {
 	return 0, fmt.Errorf("campaign: unknown placement %q (want spread or packed)", s)
 }
 
+// decodeDocument decodes the one JSON document a reader holds: anything
+// but whitespace after it is an error, so a concatenated or corrupted
+// file is refused rather than read up to its first value.
+func decodeDocument(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON document, which ends at byte %d", end)
+	}
+	return nil
+}
+
 // ReadManifest parses, normalizes and validates a manifest document.
 func ReadManifest(r io.Reader) (*Manifest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := dec.Decode(&m); err != nil {
+	if err := decodeDocument(dec, &m); err != nil {
 		return nil, fmt.Errorf("campaign: bad manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
@@ -273,8 +287,8 @@ type TrialSpec struct {
 	Family string
 	Seed   int64
 	Knobs  string
-	// TrialSeed is the derived per-trial root seed, identical to what an
-	// in-process faults.Campaign.Run of the same instance would use.
+	// TrialSeed is the derived per-trial root seed,
+	// faults.TrialSeed(Seed, i) for the instance's i-th trial.
 	TrialSeed int64
 	// Horizon is the resolved virtual-time horizon.
 	Horizon sim.Time

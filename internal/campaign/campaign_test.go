@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,6 +47,8 @@ func TestManifestValidate(t *testing.T) {
 		{"bad-placement", `{"version": 1, "name": "x", "entries": [{"family": "mixed", "knobs": {"placement": ["diagonal"]}}]}`, "unknown placement"},
 		{"bad-spines", `{"version": 1, "name": "x", "entries": [{"family": "mixed", "knobs": {"spines": [0]}}]}`, "spines"},
 		{"bad-job-n", `{"version": 1, "name": "x", "entries": [{"family": "mixed", "knobs": {"job_n": [-4]}}]}`, "job_n"},
+		{"concatenated", tinyManifest + tinyManifest, "after the JSON document"},
+		{"trailing-junk", tinyManifest + " trailing junk", "after the JSON document"},
 	}
 	for _, tc := range cases {
 		_, err := ReadManifest(strings.NewReader(tc.src))
@@ -56,6 +59,39 @@ func TestManifestValidate(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
 	}
+}
+
+// FuzzReadManifest checks the manifest reader on arbitrary bytes:
+//   - it never panics;
+//   - it accepts only input that is exactly one JSON document, with
+//     nothing but whitespace around it (json.Valid is the reference);
+//   - normalization is idempotent: an accepted manifest re-reads from its
+//     own json.Marshal with an equal Hash.
+//
+// It never calls Expand: trial and seed counts are unbounded on purpose.
+// Plain `go test` replays the committed corpus (testdata/fuzz/); `make
+// fuzz-smoke` explores further.
+func FuzzReadManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadManifest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted %q, which is not exactly one JSON document", data)
+		}
+		norm, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("marshal accepted manifest: %v", err)
+		}
+		again, err := ReadManifest(bytes.NewReader(norm))
+		if err != nil {
+			t.Fatalf("normalized manifest %s does not re-read: %v", norm, err)
+		}
+		if again.Hash() != m.Hash() {
+			t.Fatalf("normalized manifest %s re-reads with hash %s, want %s", norm, again.Hash(), m.Hash())
+		}
+	})
 }
 
 // TestManifestHashNormalized checks the content hash sees the normalized
@@ -80,8 +116,8 @@ func TestManifestHashNormalized(t *testing.T) {
 }
 
 // TestExpand pins the expansion layout: entries in order, seeds
-// ascending, knob grid cartesian in listed order, trial seeds identical
-// to the in-process campaign derivation.
+// ascending, knob grid cartesian in listed order, trial seeds from
+// faults.TrialSeed.
 func TestExpand(t *testing.T) {
 	m := testManifest(t, `{
 	  "version": 1, "name": "grid", "seed": 7,
@@ -113,7 +149,7 @@ func TestExpand(t *testing.T) {
 	if specs[0].Trial.Placement != faults.Spread || specs[0].Trial.Spines != 8 {
 		t.Fatalf("knob overrides not applied: %+v", specs[0].Trial)
 	}
-	// Trial seed must match what faults.Campaign.Run derives for trial i.
+	// Trial seed i of an instance is faults.TrialSeed(seed, i).
 	if want := faults.TrialSeed(7, 0); specs[0].TrialSeed != want {
 		t.Fatalf("trial seed %d, want %d", specs[0].TrialSeed, want)
 	}
@@ -164,6 +200,61 @@ func TestExpandInvalidManifest(t *testing.T) {
 	} {
 		if specs, err := m.Expand(); err == nil {
 			t.Errorf("%s: Expand returned %d trials and no error", name, len(specs))
+		}
+	}
+}
+
+// TestSerialMatchesParallel is the trial pool's replay contract: one
+// shard run on one worker and on four must emit byte-identical partials
+// (run with -race to also prove the pool shares no state).
+func TestSerialMatchesParallel(t *testing.T) {
+	m := testManifest(t, `{"version": 1, "name": "pool", "seed": 7,
+	  "entries": [{"family": "mixed", "trials": 4, "horizon_s": 60, "knobs": {"job_n": [8]}}]}`)
+	serial, err := (&ShardRun{Manifest: m, Of: 1, Workers: 1}).Run()
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	parallel, err := (&ShardRun{Manifest: m, Of: 1, Workers: 4}).Run()
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if s, p := partialBytes(t, serial), partialBytes(t, parallel); !bytes.Equal(s, p) {
+		t.Fatalf("parallel shard diverged from serial:\nserial:\n%s\nparallel:\n%s", s, p)
+	}
+	for _, r := range serial.Records {
+		if r.Result.Events == 0 {
+			t.Fatalf("trial %d (%s) fired no events", r.Index, r.Result.ID)
+		}
+	}
+}
+
+// TestShardRunReportsTrialPanic checks a trial that panics on the pool
+// fails the run with an error naming the trial, instead of killing the
+// process, and that the trials which finished stay in the checkpoint.
+func TestShardRunReportsTrialPanic(t *testing.T) {
+	// The knob shrinks the fabric to two spines, so outage-two-spines
+	// (trial 3) arms an outage on a spine that does not exist. The
+	// manifest validates and expands; only running the trial fails.
+	m := testManifest(t, `{"version": 1, "name": "two-spines",
+	  "entries": [{"family": "outage-sweep", "horizon_s": 30, "knobs": {"spines": [2]}}]}`)
+	for _, workers := range []int{1, 4} {
+		ckpt := filepath.Join(t.TempDir(), "shard.ckpt")
+		p, err := (&ShardRun{Manifest: m, Of: 1, Workers: workers, Checkpoint: ckpt}).Run()
+		if err == nil {
+			t.Fatalf("workers %d: run with a panicking trial returned %d records and no error", workers, len(p.Records))
+		}
+		for _, want := range []string{"trial 3 ", "family outage-sweep", "seed 1", `knobs "spines=2"`,
+			"trial outage-two-spines", "spine 3 outside"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers %d: error %q does not mention %q", workers, err, want)
+			}
+		}
+		done, err := loadCheckpoint(ckpt, m.Hash(), 0, 1)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if _, ok := done[3]; ok || len(done) != 5 {
+			t.Fatalf("workers %d: checkpoint holds trials %v, want every trial but 3", workers, done)
 		}
 	}
 }
@@ -350,6 +441,13 @@ func TestPartialRoundTrip(t *testing.T) {
 	if _, err := ReadPartial(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Fatal("future partial version accepted")
 	}
+	if _, err := ReadPartial(bytes.NewReader(append(b, "not json at all"...))); err == nil ||
+		!strings.Contains(err.Error(), "after the JSON document") {
+		t.Fatalf("partial with trailing data: err = %v, want trailing-data refusal", err)
+	}
+	if _, err := ReadPartial(bytes.NewReader(append(b, " \n\t\r\n"...))); err != nil {
+		t.Fatalf("partial with trailing whitespace: %v", err)
+	}
 
 	merged, err := Merge([]*Partial{runShard(t, m, 0, 2), p})
 	if err != nil {
@@ -365,6 +463,10 @@ func TestPartialRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadMerged(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Fatal("future merged version accepted")
+	}
+	if _, err := ReadMerged(bytes.NewReader(append(mb, mb...))); err == nil ||
+		!strings.Contains(err.Error(), "after the JSON document") {
+		t.Fatalf("merged report with a second object: err = %v, want trailing-data refusal", err)
 	}
 	if s := merged.String(); !strings.Contains(s, "precision") || !strings.Contains(s, "aggregate:") {
 		t.Fatalf("merged String() missing summary lines:\n%s", s)

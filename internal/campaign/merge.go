@@ -33,22 +33,22 @@ type Stat struct {
 }
 
 // Summary is the fleet-scale statistics block of a merged campaign:
-// distributional statistics over per-trial values, plus the exact
-// count-based aggregate the in-process campaign reports, so the two
-// views can be cross-checked.
+// distributional statistics over per-trial values, plus the exact pooled
+// aggregate, so the two views can be cross-checked. The registry's
+// campaign/* rows report and track the aggregate.
 type Summary struct {
 	// Precision is over trials that emitted at least one finding;
 	// Recall over trials with at least one relevant injected fault;
 	// RCAAccuracy over trials with at least one classified finding;
 	// GoodputDelta over trials with a relevant fault (the irrelevant-
 	// fault trials would only dilute the steering signal — the same
-	// rule faults.Result.GoodputDelta applies).
+	// rule the pooled faults.GoodputDelta applies).
 	Precision    Stat `json:"precision"`
 	Recall       Stat `json:"recall"`
 	RCAAccuracy  Stat `json:"rca_accuracy"`
 	GoodputDelta Stat `json:"goodput_delta"`
-	// Aggregate is the exact pooled view: confusion-count ratios and the
-	// goodput-sum delta, as an in-process faults campaign would report.
+	// Aggregate is the exact pooled view: the confusion-count ratios of
+	// faults.Aggregate and the goodput-sum delta of faults.GoodputDelta.
 	Aggregate map[string]float64 `json:"aggregate"`
 }
 
@@ -75,7 +75,7 @@ func (m *Merged) WriteJSON(w io.Writer) error {
 // ReadMerged parses a merged artifact.
 func ReadMerged(r io.Reader) (*Merged, error) {
 	var m Merged
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	if err := decodeDocument(json.NewDecoder(r), &m); err != nil {
 		return nil, fmt.Errorf("campaign: bad merged report: %w", err)
 	}
 	if m.Version != Version {
@@ -140,14 +140,16 @@ func Merge(partials []*Partial) (*Merged, error) {
 		return nil, fmt.Errorf("campaign: %d of %d trials missing (first: %s); run the absent shards or resume from their checkpoints",
 			ref.Trials-len(byIndex), ref.Trials, strings.Join(missing, ", "))
 	}
-	records := make([]Record, 0, ref.Trials)
-	for i := 0; i < ref.Trials; i++ {
-		records = append(records, byIndex[i])
+	records := make([]Record, ref.Trials)
+	results := make([]faults.TrialResult, ref.Trials)
+	for i := range records {
+		records[i] = byIndex[i]
+		results[i] = records[i].Result
 	}
 	return &Merged{
 		Version: Version, Name: ref.Name, ManifestHash: ref.ManifestHash,
 		Seed: ref.Seed, Trials: ref.Trials,
-		Summary: summarize(records, ref.Seed),
+		Summary: summarize(results, ref.Seed),
 		Records: records,
 	}, nil
 }
@@ -170,31 +172,20 @@ func MergeHash(m *Manifest, partials []*Partial) (*Merged, error) {
 // order and every bootstrap draws from one RNG seeded by the manifest
 // seed, consumed in fixed metric order — determinism is load-bearing:
 // merged artifacts are byte-compared in CI.
-func summarize(records []Record, seed int64) Summary {
+func summarize(trials []faults.TrialResult, seed int64) Summary {
 	var precision, recall, rcaAcc, delta []float64
-	var agg faults.Score
-	var base, steered float64
-	for _, r := range records {
-		sc := r.Result.Score
-		agg = agg.Add(sc)
+	for _, tr := range trials {
+		sc := tr.Score
 		if sc.Events > 0 {
 			precision = append(precision, sc.Precision())
 		}
 		if sc.Relevant > 0 {
 			recall = append(recall, sc.Recall())
-			delta = append(delta, r.Result.Delta())
-			base += r.Result.BaseGoodput
-			steered += r.Result.SteeredGoodput
+			delta = append(delta, tr.Delta())
 		}
 		if sc.RCAEvents > 0 {
 			rcaAcc = append(rcaAcc, sc.RCAAccuracy())
 		}
-	}
-	// The delta is steered/base - 1 when any relevant goodput was
-	// measured, 0 otherwise — mirroring faults.Result.GoodputDelta.
-	aggDelta := 0.0
-	if base > 0 {
-		aggDelta = steered/base - 1
 	}
 	r := sim.NewRand(seed*1_000_003 + 17)
 	stat := func(xs []float64) Stat {
@@ -202,6 +193,7 @@ func summarize(records []Record, seed int64) Summary {
 		lo, hi := metrics.BootstrapCI(xs, bootResamples, bootConf, r)
 		return Stat{N: len(xs), Mean: mean, Std: std, CILo: lo, CIHi: hi}
 	}
+	agg := faults.Aggregate(trials)
 	return Summary{
 		Precision:    stat(precision),
 		Recall:       stat(recall),
@@ -211,7 +203,7 @@ func summarize(records []Record, seed int64) Summary {
 			"precision":     agg.Precision(),
 			"recall":        agg.Recall(),
 			"rca_accuracy":  agg.RCAAccuracy(),
-			"goodput_delta": aggDelta,
+			"goodput_delta": faults.GoodputDelta(trials),
 		},
 	}
 }

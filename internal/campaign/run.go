@@ -53,7 +53,7 @@ func (p *Partial) WriteJSON(w io.Writer) error {
 // ReadPartial parses a shard artifact.
 func ReadPartial(r io.Reader) (*Partial, error) {
 	var p Partial
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	if err := decodeDocument(json.NewDecoder(r), &p); err != nil {
 		return nil, fmt.Errorf("campaign: bad partial: %w", err)
 	}
 	if p.Version != Version {
@@ -149,7 +149,13 @@ func (sr *ShardRun) Run() (*Partial, error) {
 	}
 
 	recs := make([]Record, len(todo))
+	// A trial that panics does so on a pool goroutine, where nothing
+	// recovers it; capture each trial's panic and report the first, in
+	// index order, as the run's error. Trials that finished stay in the
+	// checkpoint.
+	panics := make([]any, len(todo))
 	scenario.ForEach(len(todo), sr.Workers, func(i int) {
+		defer func() { panics[i] = recover() }()
 		recs[i] = record(todo[i], todo[i].Run())
 		if ckpt != nil {
 			// Appended on completion, so checkpoint line order is
@@ -158,6 +164,13 @@ func (sr *ShardRun) Run() (*Partial, error) {
 			ckpt.Append(recs[i])
 		}
 	})
+	for i, p := range panics {
+		if p != nil {
+			ts := todo[i]
+			return nil, fmt.Errorf("campaign: trial %d (family %s, seed %d, knobs %q, trial %s) panicked: %v",
+				ts.Index, ts.Family, ts.Seed, ts.Knobs, ts.Trial.ID, p)
+		}
+	}
 	if ckpt != nil {
 		if err := ckpt.Close(); err != nil {
 			return nil, err

@@ -1,11 +1,8 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 
 	"c4/internal/accl"
 	"c4/internal/c4d"
@@ -15,7 +12,6 @@ import (
 	"c4/internal/metrics"
 	"c4/internal/netsim"
 	"c4/internal/rca"
-	"c4/internal/scenario"
 	"c4/internal/sim"
 	"c4/internal/steering"
 	"c4/internal/topo"
@@ -79,7 +75,8 @@ func (tr TrialResult) Delta() float64 {
 }
 
 // Campaign is a named sweep: a deterministic trial generator plus a shape
-// check over the aggregated result.
+// check over its trial results. It is a family of the manifest runner
+// (internal/campaign), which runs its trials and pools their results.
 type Campaign struct {
 	Name        string
 	Description string
@@ -99,9 +96,9 @@ type Campaign struct {
 	// preserves the historical trial count for registry runs and bench
 	// baselines while manifests request 10k+.
 	DefaultTrials int
-	// Check validates campaign-specific claims on the aggregate result
-	// (optional; generic sanity checks always run).
-	Check func(*Result) error
+	// Check validates campaign-specific claims on the trial results, in
+	// trial order (optional; generic sanity checks always run).
+	Check func([]TrialResult) error
 }
 
 // Trials produces the campaign's trial list, overriding the sample count
@@ -118,42 +115,23 @@ func (c Campaign) Trials(seed int64, n int) ([]Trial, error) {
 	return c.GenN(seed, n), nil
 }
 
-// Result is the aggregated campaign report. It implements
-// scenario.Result (String + CheckShape) and scenario.EventCounter.
-type Result struct {
-	Name    string
-	Seed    int64
-	Horizon sim.Time
-	Trials  []TrialResult
-
-	check func(*Result) error
-}
-
-// Fired implements scenario.EventCounter: total simulation events across
-// every trial's engines.
-func (r *Result) Fired() uint64 {
-	var n uint64
-	for _, tr := range r.Trials {
-		n += tr.Events
-	}
-	return n
-}
-
-// Aggregate sums the per-trial scores.
-func (r *Result) Aggregate() Score {
+// Aggregate pools the trials' confusion counts: the exact campaign-level
+// score whose precision, recall and RCA accuracy a campaign reports.
+func Aggregate(trials []TrialResult) Score {
 	var sc Score
-	for _, tr := range r.Trials {
+	for _, tr := range trials {
 		sc = sc.Add(tr.Score)
 	}
 	return sc
 }
 
-// GoodputDelta is the aggregate steering gain over the trials where the
+// GoodputDelta is the pooled steering gain over the trials where the
 // injected faults could impact the job; irrelevant-fault trials (fabric
-// faults under packed placement) would only dilute it.
-func (r *Result) GoodputDelta() float64 {
+// faults under packed placement) would only dilute it. It is 0 when no
+// relevant trial measured any goodput.
+func GoodputDelta(trials []TrialResult) float64 {
 	var base, steered float64
-	for _, tr := range r.Trials {
+	for _, tr := range trials {
 		if tr.Score.Relevant == 0 {
 			continue
 		}
@@ -166,126 +144,9 @@ func (r *Result) GoodputDelta() float64 {
 	return steered/base - 1
 }
 
-// String renders the campaign report as a table plus the aggregate line.
-func (r *Result) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Campaign %s — %d trials, horizon %v, seed %d\n",
-		r.Name, len(r.Trials), r.Horizon, r.Seed)
-	rows := make([][]string, 0, len(r.Trials))
-	for _, tr := range r.Trials {
-		rca := "-"
-		if tr.Score.RCAEvents > 0 {
-			rca = fmt.Sprintf("%.2f", tr.Score.RCAAccuracy())
-		}
-		rows = append(rows, []string{
-			tr.ID,
-			fmt.Sprintf("%d/%d", tr.Score.Relevant, tr.Faults),
-			fmt.Sprintf("%.2f", tr.Score.Precision()),
-			fmt.Sprintf("%.2f", tr.Score.Recall()),
-			rca,
-			fmt.Sprintf("%.1f", tr.BaseGoodput),
-			fmt.Sprintf("%.1f", tr.SteeredGoodput),
-			fmt.Sprintf("%+.1f%%", tr.Delta()*100),
-		})
-	}
-	sb.WriteString(metrics.Table(
-		[]string{"trial", "rel", "P", "R", "rca", "pinned", "steered", "delta"}, rows))
-	agg := r.Aggregate()
-	fmt.Fprintf(&sb, "aggregate: precision %.2f, recall %.2f, rca %.2f, steering goodput %+.1f%%\n",
-		agg.Precision(), agg.Recall(), agg.RCAAccuracy(), r.GoodputDelta()*100)
-	return sb.String()
-}
-
-// CheckShape validates the generic campaign invariants plus the
-// campaign-specific Check.
-func (r *Result) CheckShape() error {
-	if len(r.Trials) == 0 {
-		return fmt.Errorf("campaign %s: no trials ran", r.Name)
-	}
-	for _, tr := range r.Trials {
-		if tr.BaseIters <= 0 || tr.SteeredIters <= 0 {
-			return fmt.Errorf("campaign %s: trial %s made no progress (base %d, steered %d iters)",
-				r.Name, tr.ID, tr.BaseIters, tr.SteeredIters)
-		}
-	}
-	if r.check != nil {
-		return r.check(r)
-	}
-	return nil
-}
-
-// Metrics returns the aggregate numbers tracked by the bench-regression
-// guard.
-func (r *Result) Metrics() map[string]float64 {
-	agg := r.Aggregate()
-	return map[string]float64{
-		"precision":     agg.Precision(),
-		"recall":        agg.Recall(),
-		"rca_accuracy":  agg.RCAAccuracy(),
-		"goodput_delta": r.GoodputDelta(),
-	}
-}
-
-// jsonReport is the serialized campaign report shape.
-type jsonReport struct {
-	Name      string             `json:"name"`
-	Seed      int64              `json:"seed"`
-	HorizonS  float64            `json:"horizon_s"`
-	Aggregate map[string]float64 `json:"aggregate"`
-	Trials    []TrialResult      `json:"trials"`
-}
-
-// WriteJSON emits the machine-readable campaign report.
-func (r *Result) WriteJSON(w io.Writer) error {
-	rep := jsonReport{
-		Name: r.Name, Seed: r.Seed, HorizonS: r.Horizon.Seconds(),
-		Aggregate: r.Metrics(), Trials: r.Trials,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// RunScenario executes the campaign under a scenario context, tracking its
-// event total; it is the registry entry point. The context's worker bound
-// propagates to the trial pool, so a `-workers 1` sweep is fully serial.
-func (c Campaign) RunScenario(ctx *scenario.Ctx) scenario.Result {
-	res := c.Run(ctx.Seed, ctx.Workers)
-	ctx.Track(res)
-	return res
-}
-
-// Run executes the campaign's trials on a bounded worker pool (workers<=0
-// means GOMAXPROCS). Every trial derives its own seed from the root seed
-// and builds isolated engines, so a parallel sweep is byte-identical to a
-// serial one.
-func (c Campaign) Run(seed int64, workers int) *Result {
-	trials := c.Gen(seed)
-	res := &Result{Name: c.Name, Seed: seed, Horizon: c.Horizon, check: c.Check}
-	res.Trials = make([]TrialResult, len(trials))
-	// Panics inside a trial happen on pool goroutines, outside the
-	// scenario runner's per-scenario guard; capture them per trial and
-	// re-raise the first (by trial order, for determinism) on the
-	// caller's goroutine, where RunOne's recover turns it into a failed
-	// report instead of a process crash.
-	panics := make([]any, len(trials))
-	scenario.ForEach(len(trials), workers, func(i int) {
-		defer func() { panics[i] = recover() }()
-		res.Trials[i] = RunTrial(trials[i], TrialSeed(seed, i), c.Horizon)
-	})
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("campaign %s trial %s: %v", c.Name, trials[i].ID, p))
-		}
-	}
-	return res
-}
-
-// TrialSeed derives the root seed for trial i of a campaign run from the
-// campaign seed; trials must not share RNG streams or equal-seeded trials
-// would correlate. External drivers (the sharded manifest runner) use the
-// same derivation so a shard executing trial i reproduces the exact bytes
-// an in-process campaign run would.
+// TrialSeed derives the root seed for trial i of a campaign instance from
+// the campaign seed; trials must not share RNG streams or equal-seeded
+// trials would correlate.
 func TrialSeed(seed int64, i int) int64 { return seed + int64(i+1)*1_000_003 }
 
 // RunTrial executes one trial's two arms and scores them.

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"c4/internal/sim"
@@ -33,79 +34,96 @@ func miniCampaign() Campaign {
 	}
 }
 
-// TestSerialMatchesParallel is the campaign-runner replay contract: the
-// same seed must produce a byte-identical report whether trials run on one
-// worker or many (run with -race to also prove the pool shares no state).
-func TestSerialMatchesParallel(t *testing.T) {
+// runMini runs every trial of miniCampaign at a campaign seed, with the
+// per-trial seeds the manifest runner derives.
+func runMini(seed int64) []TrialResult {
 	c := miniCampaign()
-	serial := c.Run(7, 1)
-	parallel := c.Run(7, 4)
-	if s, p := serial.String(), parallel.String(); s != p {
-		t.Fatalf("parallel campaign diverged from serial:\nserial:\n%s\nparallel:\n%s", s, p)
+	var out []TrialResult
+	for i, tr := range c.Gen(seed) {
+		out = append(out, RunTrial(tr, TrialSeed(seed, i), c.Horizon))
 	}
-	if serial.Fired() == 0 {
-		t.Fatal("campaign fired no events")
-	}
+	return out
 }
 
 func TestSameSeedByteIdentical(t *testing.T) {
-	c := miniCampaign()
-	a, b := c.Run(3, 0), c.Run(3, 0)
-	if a.String() != b.String() {
-		t.Fatalf("same seed diverged:\n%s\nvs:\n%s", a, b)
-	}
-	var aj, bj bytes.Buffer
-	if err := a.WriteJSON(&aj); err != nil {
+	a, b := runMini(3), runMini(3)
+	aj, err := json.Marshal(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteJSON(&bj); err != nil {
+	bj, err := json.Marshal(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if aj.String() != bj.String() {
-		t.Fatal("same seed produced different JSON reports")
+	if !bytes.Equal(aj, bj) {
+		t.Fatalf("same seed diverged:\n%s\nvs:\n%s", aj, bj)
 	}
 	// And the JSON must round-trip as valid JSON.
-	var parsed map[string]any
-	if err := json.Unmarshal(aj.Bytes(), &parsed); err != nil {
-		t.Fatalf("report JSON invalid: %v", err)
+	var parsed []map[string]any
+	if err := json.Unmarshal(aj, &parsed); err != nil {
+		t.Fatalf("trial results JSON invalid: %v", err)
 	}
-	if parsed["name"] != "mini" {
-		t.Fatalf("JSON name = %v", parsed["name"])
+	if len(parsed) != 2 || parsed[0]["id"] != "mini-flap" {
+		t.Fatalf("JSON trials = %v", parsed)
 	}
 }
 
 func TestDifferentSeedsVary(t *testing.T) {
-	c := miniCampaign()
-	a, b := c.Run(3, 0), c.Run(4, 0)
-	if a.String() == b.String() {
-		t.Fatal("different seeds produced identical campaign reports")
+	a, b := runMini(3), runMini(4)
+	if fmt.Sprint(a) == fmt.Sprint(b) {
+		t.Fatal("different seeds produced identical trial results")
 	}
 }
 
 func TestMiniCampaignMeasuresSomething(t *testing.T) {
-	res := miniCampaign().Run(1, 0)
-	if err := res.CheckShape(); err != nil {
-		t.Fatalf("shape: %v\n%s", err, res)
-	}
-	for _, tr := range res.Trials {
+	trials := runMini(1)
+	for _, tr := range trials {
+		if tr.BaseIters <= 0 || tr.SteeredIters <= 0 {
+			t.Fatalf("trial %s made no progress: %+v", tr.ID, tr)
+		}
 		if tr.BaseGoodput <= 0 || tr.SteeredGoodput <= 0 {
-			t.Fatalf("trial %s has zero goodput:\n%s", tr.ID, res)
+			t.Fatalf("trial %s has zero goodput: %+v", tr.ID, tr)
+		}
+		if tr.Events == 0 {
+			t.Fatalf("trial %s fired no events", tr.ID)
 		}
 	}
 	// The flap trial crosses the spine layer: it must be relevant, and the
 	// pinned arm must suffer relative to the steered arm.
-	flap := res.Trials[0]
+	flap := trials[0]
 	if flap.Score.Relevant != 1 {
 		t.Fatalf("flap trial relevant=%d, want 1", flap.Score.Relevant)
 	}
 	if flap.Delta() <= 0 {
-		t.Fatalf("flap trial delta %+.2f, want steering to win:\n%s", flap.Delta(), res)
+		t.Fatalf("flap trial delta %+.2f, want steering to win: %+v", flap.Delta(), flap)
 	}
-	m := res.Metrics()
-	for _, key := range []string{"precision", "recall", "rca_accuracy", "goodput_delta"} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("Metrics() missing %q", key)
-		}
+	if agg := Aggregate(trials); agg.Relevant != 2 || agg.Detected == 0 {
+		t.Fatalf("pooled score %+v, want 2 relevant faults and a detection", agg)
+	}
+}
+
+// TestPooledFormulas pins the campaign-level formulas on hand-made
+// trials: confusion counts add up, and the goodput delta pools only the
+// trials with a relevant fault.
+func TestPooledFormulas(t *testing.T) {
+	trials := []TrialResult{
+		{Score: Score{Events: 2, TP: 1, FP: 1, Relevant: 1, Detected: 1}, BaseGoodput: 40, SteeredGoodput: 60},
+		{Score: Score{Events: 1, TP: 1}, BaseGoodput: 10, SteeredGoodput: 90},
+		{Score: Score{Relevant: 2, Detected: 1}, BaseGoodput: 60, SteeredGoodput: 90},
+	}
+	agg := Aggregate(trials)
+	if agg.Events != 3 || agg.TP != 2 || agg.FP != 1 || agg.Relevant != 3 || agg.Detected != 2 {
+		t.Fatalf("Aggregate = %+v", agg)
+	}
+	// (60+90)/(40+60) - 1: the irrelevant trial's +800% must not count.
+	if d := GoodputDelta(trials); d != 0.5 {
+		t.Fatalf("GoodputDelta = %v, want 0.5", d)
+	}
+	if d := GoodputDelta(trials[1:2]); d != 0 {
+		t.Fatalf("GoodputDelta with no relevant trial = %v, want 0", d)
+	}
+	if agg := Aggregate(nil); agg != (Score{}) {
+		t.Fatalf("Aggregate(nil) = %+v", agg)
 	}
 }
 

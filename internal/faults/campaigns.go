@@ -70,20 +70,20 @@ func flapSweep() Campaign {
 			}
 			return trials
 		},
-		Check: func(r *Result) error {
-			agg := r.Aggregate()
+		Check: func(trials []TrialResult) error {
+			agg := Aggregate(trials)
 			if agg.Recall() < 0.8 {
 				return fmt.Errorf("flap-sweep: recall %.2f, want >=0.8", agg.Recall())
 			}
 			if agg.Precision() < 0.7 {
 				return fmt.Errorf("flap-sweep: precision %.2f, want >=0.7", agg.Precision())
 			}
-			if d := r.GoodputDelta(); d < 0.3 {
+			if d := GoodputDelta(trials); d < 0.3 {
 				return fmt.Errorf("flap-sweep: steering goodput delta %+.2f, want >=+0.3", d)
 			}
 			// Packed single-leaf trials never cross the flapped uplink: the
 			// fault must be irrelevant there and steering must not matter.
-			for _, tr := range r.Trials {
+			for _, tr := range trials {
 				if tr.Score.Relevant == 0 {
 					if d := tr.Delta(); d < -0.1 || d > 0.1 {
 						return fmt.Errorf("flap-sweep: immune trial %s has delta %+.2f", tr.ID, d)
@@ -134,14 +134,14 @@ func degradeSweep() Campaign {
 			}
 			return trials
 		},
-		Check: func(r *Result) error {
-			agg := r.Aggregate()
+		Check: func(trials []TrialResult) error {
+			agg := Aggregate(trials)
 			if agg.Precision() < 0.7 {
 				return fmt.Errorf("degrade-sweep: precision %.2f, want >=0.7", agg.Precision())
 			}
 			// Severe faults must be caught even if mild ones sail under kappa.
 			hi := 0
-			for _, tr := range r.Trials {
+			for _, tr := range trials {
 				if tr.Score.Relevant > 0 && tr.Score.Detected == tr.Score.Relevant &&
 					(tr.ID == "nic-s90-spread" || tr.ID == "nic-s90-packed" || tr.ID == "drop-l90-spread") {
 					hi++
@@ -191,12 +191,12 @@ func outageSweep() Campaign {
 					Specs: []Spec{outage(1, faultStart, 120*sim.Second)}},
 			}
 		},
-		Check: func(r *Result) error {
-			agg := r.Aggregate()
+		Check: func(trials []TrialResult) error {
+			agg := Aggregate(trials)
 			if agg.Recall() < 0.9 {
 				return fmt.Errorf("outage-sweep: recall %.2f, want >=0.9", agg.Recall())
 			}
-			if d := r.GoodputDelta(); d < 0.2 {
+			if d := GoodputDelta(trials); d < 0.2 {
 				return fmt.Errorf("outage-sweep: steering goodput delta %+.2f, want >=+0.2", d)
 			}
 			return nil
@@ -235,12 +235,12 @@ func stragglerSweep() Campaign {
 			}
 			return trials
 		},
-		Check: func(r *Result) error {
-			agg := r.Aggregate()
+		Check: func(trials []TrialResult) error {
+			agg := Aggregate(trials)
 			if agg.Recall() < 0.8 {
 				return fmt.Errorf("straggler-sweep: recall %.2f, want >=0.8", agg.Recall())
 			}
-			if d := r.GoodputDelta(); d < 0.05 {
+			if d := GoodputDelta(trials); d < 0.05 {
 				return fmt.Errorf("straggler-sweep: steering goodput delta %+.2f, want >=+0.05", d)
 			}
 			return nil
@@ -311,15 +311,15 @@ func mixedMonteCarlo() Campaign {
 			}
 			return out
 		},
-		Check: func(r *Result) error {
-			agg := r.Aggregate()
+		Check: func(trials []TrialResult) error {
+			agg := Aggregate(trials)
 			if agg.Precision() < 0.6 {
 				return fmt.Errorf("mixed: precision %.2f, want >=0.6", agg.Precision())
 			}
 			if agg.Detected == 0 {
 				return fmt.Errorf("mixed: nothing detected across %d relevant faults", agg.Relevant)
 			}
-			if d := r.GoodputDelta(); d < 0 {
+			if d := GoodputDelta(trials); d < 0 {
 				return fmt.Errorf("mixed: steering goodput delta %+.2f, want >=0", d)
 			}
 			return nil

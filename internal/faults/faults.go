@@ -1,17 +1,17 @@
-// Package faults is the fault-injection campaign engine of the C4
-// reproduction. It provides a composable, seed-deterministic fault model —
-// link flap with duty cycle, NIC bandwidth degradation, spine/switch
-// outage, straggler compute, silent packet drop — that injects timed
-// events into any netsim/topo instance, plus a campaign runner that sweeps
-// fault type × severity × topology scale × placement as generated
-// scenarios.
+// Package faults is the fault-injection model of the C4 reproduction. It
+// provides a composable, seed-deterministic fault model — link flap with
+// duty cycle, NIC bandwidth degradation, spine/switch outage, straggler
+// compute, silent packet drop — that injects timed events into any
+// netsim/topo instance, plus the campaign families that sweep fault type ×
+// severity × topology scale × placement as generated trials, the trial
+// runner, and the pooled formulas over trial results.
 //
 // Each campaign trial runs the same fault schedule twice: once with C4P
 // dynamic steering responding to the faults, once with routes pinned (no
 // fault response), and scores C4D's diagnosis precision/recall against the
-// injected ground truth plus the goodput delta steering buys. Where the
-// harness package reproduces the paper's ~15 fixed experiments, this
-// package generates hundreds.
+// injected ground truth plus the goodput delta steering buys. The manifest
+// runner (internal/campaign) executes and merges the trials, for the
+// registry's campaign/* rows and for `c4 campaign` alike.
 package faults
 
 import (
