@@ -69,12 +69,16 @@ kernel-race:
 # every record must re-encode and read back unchanged. The campaign
 # manifest reader: random bytes, where only one JSON document with nothing
 # after it may be accepted, and an accepted manifest must re-read from its
-# own encoding with the same hash. Plain `go test` already replays the
+# own encoding with the same hash. The session spec: random POST
+# /v1/sessions bodies through NewSession (and with them the trace and
+# strategy parsers), which must never panic and may accept only specs
+# inside the creation bounds. Plain `go test` already replays the
 # committed seed corpora (testdata/fuzz/ in each package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz FuzzNewSession -fuzztime 10s .
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting

@@ -15,9 +15,10 @@ import (
 // runSim is `c4 sim`: an end-to-end training scenario on the simulated
 // cluster, a distributed job under C4D monitoring and C4P traffic
 // engineering with an injectable fault, driving the full detect ->
-// isolate -> restart loop and printing the timeline. -plan runs a
-// compiled 3D-parallelism plan instead, and -tenancy-trace replays a
-// multi-tenant arrival trace.
+// isolate -> restart loop and printing the timeline. -plan makes the job
+// a compiled 3D-parallelism plan under the same loop (every other job
+// flag still applies), and -tenancy-trace replays a multi-tenant arrival
+// trace.
 //
 // Every mode compiles its flags into a c4.SessionSpec and runs it through
 // the same c4.Session lifecycle `c4 serve` serves, so a CLI run and a
@@ -29,6 +30,7 @@ import (
 //	c4 sim -tenancy-trace trace.json -tenancy-policy spread -provider baseline
 //	c4 sim -plan tp8/pp4/dp2/ga8            # compile + run a 3D-parallelism plan
 //	c4 sim -plan tp8/pp2/dp8/ga4 -job gpt175b -plan-bucket-mib 256 -plan-overlap
+//	c4 sim -plan tp8/pp2/dp4/ga4 -plan-iters 100 -fault crash -victim 9
 func runSim(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("sim", stderr)
 	var (
@@ -36,7 +38,7 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 		provider  = fs.String("provider", "c4p", "path control: baseline | c4p | c4p-dynamic")
 		fault     = fs.String("fault", "none", "inject: none | crash | straggler | nic")
 		faultAt   = fs.Duration("fault-at", 30*time.Second, "fault injection time")
-		victim    = fs.Int("victim", 6, "faulty node")
+		victim    = fs.Int("victim", 6, "faulty node (one of the job's nodes)")
 		horizon   = fs.Duration("horizon", 15*time.Minute, "virtual time to simulate")
 		noC4D     = fs.Bool("no-c4d", false, "disable C4D monitoring and recovery")
 		placement = fs.String("placement", "spread", "node placement: topo (pack leaf groups) | spread (maximize spine traffic)")
@@ -47,7 +49,7 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 		tenTrace  = fs.String("tenancy-trace", "", "replay a multi-tenant JSON arrival trace on a shared fabric (see README for the format)")
 		tenPolicy = fs.String("tenancy-policy", "packed", "with -tenancy-trace: placement policy: packed | spread | random")
 		tenSpines = fs.Int("tenancy-spines", 8, "with -tenancy-trace: spine switches per rail (8 = 1:1, 4 = 2:1)")
-		planStr   = fs.String("plan", "", "compile and run a 3D-parallelism plan for -job, e.g. 'tp8/pp4/dp2/ga8' (PP*DP nodes, spread placement; TP stays intra-node)")
+		planStr   = fs.String("plan", "", "compile and run a 3D-parallelism plan for -job, e.g. 'tp8/pp4/dp2/ga8' (PP*DP nodes placed by -placement; TP stays intra-node)")
 		planBkt   = fs.Float64("plan-bucket-mib", 0, "with -plan: DP gradient bucket size in MiB (0 = one bucket)")
 		planOvl   = fs.Bool("plan-overlap", false, "with -plan: launch buckets inside the final backward pass (comm/compute overlap)")
 		planIters = fs.Int("plan-iters", 5, "with -plan: iterations to run")

@@ -84,6 +84,7 @@ func TestSimPlanBadInputs(t *testing.T) {
 		"bad model":       {"-plan", "tp8/dp2", "-job", "gpt9000"},
 		"oversized world": {"-plan", "pp8/dp8"},
 		"bad provider":    {"-plan", "tp8/dp2", "-provider", "smoke-signals"},
+		"victim off plan": {"-plan", "tp8/pp2/dp2", "-fault", "crash"},
 	}
 	for name, args := range cases {
 		if code, _, _ := runC4(t, append([]string{"sim", "-plan-iters", "1"}, args...)...); code != 2 {

@@ -312,6 +312,60 @@ func TestShardMergeDeterminism(t *testing.T) {
 	}
 }
 
+// TestCheckRederivesSummary: Check recomputes the summary from the
+// records and the seed, so an edit to either side of a merged report
+// fails it even when every number stays finite and every interval stays
+// ordered. An untampered report passes after a JSON round trip.
+func TestCheckRederivesSummary(t *testing.T) {
+	m := testManifest(t, tinyManifest)
+	merged, err := Merge([]*Partial{runShard(t, m, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := mergedBytes(t, merged)
+	read := func() *Merged {
+		r, err := ReadMerged(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if err := read().Check(); err != nil {
+		t.Fatalf("untampered report: %v", err)
+	}
+	first := func(r *Merged, ok func(faults.TrialResult) bool) *faults.TrialResult {
+		for i := range r.Records {
+			if ok(r.Records[i].Result) {
+				return &r.Records[i].Result
+			}
+		}
+		t.Fatal("no record to tamper with")
+		return nil
+	}
+	tampers := map[string]func(*Merged){
+		"record 0 tp, base goodput and aggregate": func(r *Merged) {
+			r.Records[0].Result.Score.TP = 0
+			r.Records[0].Result.BaseGoodput = 1e9
+			r.Summary.Aggregate = map[string]float64{}
+		},
+		"empty aggregate": func(r *Merged) { r.Summary.Aggregate = map[string]float64{} },
+		"true positives": func(r *Merged) {
+			first(r, func(tr faults.TrialResult) bool { return tr.Score.TP > 0 }).Score.TP = 0
+		},
+		"base goodput": func(r *Merged) {
+			first(r, func(tr faults.TrialResult) bool { return tr.Score.Relevant > 0 }).BaseGoodput *= 2
+		},
+		"summary mean": func(r *Merged) { r.Summary.Recall.Mean /= 2 },
+	}
+	for name, tamper := range tampers {
+		r := read()
+		tamper(r)
+		if err := r.Check(); err == nil {
+			t.Errorf("%s: tampered report passed Check", name)
+		}
+	}
+}
+
 // TestMergeRefusals locks in the reducer's refusal conditions: gaps,
 // duplicates, and mixed manifests must fail loudly, never silently
 // produce a partial report.

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"reflect"
 	"strings"
 
 	"c4/internal/faults"
@@ -209,12 +209,15 @@ func summarize(trials []faults.TrialResult, seed int64) Summary {
 }
 
 // Check validates a merged artifact's internal consistency: complete
-// trial coverage in order, finite summary statistics, well-formed
-// intervals. It is the CI gate run by `c4 campaign check`.
+// trial coverage in order, progress in every trial, and a summary equal
+// to the one its records and seed re-derive (summarize is deterministic
+// and its floats survive the JSON round trip exactly). It is the CI gate
+// run by `c4 campaign check`.
 func (m *Merged) Check() error {
 	if m.Trials != len(m.Records) {
 		return fmt.Errorf("campaign: merged report has %d records for %d trials", len(m.Records), m.Trials)
 	}
+	results := make([]faults.TrialResult, len(m.Records))
 	for i, r := range m.Records {
 		if r.Index != i {
 			return fmt.Errorf("campaign: record %d has index %d; merged reports are trial-ordered", i, r.Index)
@@ -223,30 +226,11 @@ func (m *Merged) Check() error {
 			return fmt.Errorf("campaign: trial %d (%s) made no progress (base %d, steered %d iters)",
 				r.Index, r.Result.ID, r.Result.BaseIters, r.Result.SteeredIters)
 		}
+		results[i] = r.Result
 	}
-	for name, st := range map[string]Stat{
-		"precision": m.Summary.Precision, "recall": m.Summary.Recall,
-		"rca_accuracy": m.Summary.RCAAccuracy, "goodput_delta": m.Summary.GoodputDelta,
-	} {
-		for field, v := range map[string]float64{
-			"mean": st.Mean, "std": st.Std, "ci_lo": st.CILo, "ci_hi": st.CIHi,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("campaign: summary %s.%s is non-finite", name, field)
-			}
-		}
-		if st.CILo > st.CIHi {
-			return fmt.Errorf("campaign: summary %s interval inverted (%v > %v)", name, st.CILo, st.CIHi)
-		}
-		if st.N > 0 && (st.Mean < st.CILo-3*st.Std-1e-9 || st.Mean > st.CIHi+3*st.Std+1e-9) {
-			return fmt.Errorf("campaign: summary %s mean %v far outside its interval (%v, %v)",
-				name, st.Mean, st.CILo, st.CIHi)
-		}
-	}
-	for k, v := range m.Summary.Aggregate {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("campaign: aggregate %s is non-finite", k)
-		}
+	if want := summarize(results, m.Seed); !reflect.DeepEqual(want, m.Summary) {
+		return fmt.Errorf("campaign: summary differs from the one its %d records and seed %d re-derive",
+			len(m.Records), m.Seed)
 	}
 	return nil
 }

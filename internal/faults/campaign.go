@@ -295,17 +295,12 @@ func runArm(tr Trial, seed int64, horizon sim.Time, steered bool) arm {
 			Engine: eng, Cluster: cl,
 			IsolationDelay: 10 * sim.Second,
 			RestartDelay:   60 * sim.Second,
-			Isolate:        func(int) { j.Stop() },
-			Restart: func(node, repl int) {
-				// Best-effort replace: the blamed node may already have
-				// been swapped out by an earlier recovery, in which case
-				// ReplaceNode fails and the job resumes with its current
-				// membership (the fault, if still live, re-triggers C4D).
-				_ = j.ReplaceNode(node, repl)
-				if !j.Running() {
-					j.Run(1<<30, nil)
-				}
-			},
+			Job:            j,
+			// Best-effort replace: the blamed node may already have been
+			// swapped out by an earlier recovery, in which case the swap
+			// fails and the job resumes with its current membership (the
+			// fault, if still live, re-triggers C4D).
+			Restart: func(int, int, error) { j.Run(1<<30, nil) },
 		})
 		master.Subscribe(func(ev c4d.Event) {
 			if steerable(ev) && slices.Contains(j.Nodes(), ev.Node) {

@@ -73,8 +73,8 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 		Engine: eng, Cluster: cl,
 		IsolationDelay: 10 * sim.Second,
 		RestartDelay:   30 * sim.Second,
-		Isolate:        func(int) { j.Stop() },
-		Restart: func(node, repl int) {
+		Job:            j,
+		Restart: func(node, repl int, err error) {
 			snap, ok := mgr.Restore(node)
 			if !ok {
 				t.Errorf("no snapshot survived losing node %d", node)
@@ -83,13 +83,11 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 			restoredIter = snap.Iteration
 			lostAtRestart = mgr.LostIterations(itersDone, node)
 			itersAtRestart = itersDone
-			if err := j.ReplaceNode(node, repl); err != nil {
+			if err != nil {
 				t.Errorf("replace %d -> %d: %v", node, repl, err)
 				return
 			}
-			if !j.Running() {
-				j.Run(1<<30, nil)
-			}
+			j.Run(1<<30, nil)
 		},
 	})
 	master.Subscribe(func(ev c4d.Event) {

@@ -77,15 +77,13 @@ func runPipeline(ctx *scenario.Ctx) PipelineResult {
 		Cluster:        cl,
 		IsolationDelay: 30 * sim.Second,
 		RestartDelay:   3 * sim.Minute,
-		Isolate: func(node int) {
-			j.Stop()
-		},
-		Restart: func(node, repl int) {
-			res.RestartedAt = e.Eng.Now()
-			res.Replacement = 16 + (repl-16)%8 // map spare machine to fabric node
-			if err := j.ReplaceNode(node, res.Replacement); err != nil {
+		Job:            j,
+		Restart: func(node, repl int, err error) {
+			if err != nil {
 				panic(err)
 			}
+			res.RestartedAt = e.Eng.Now()
+			res.Replacement = repl
 			j.Run(5, func(job.Report) { res.Finished = true })
 		},
 	})

@@ -356,6 +356,14 @@ func (j *Job) finish() {
 	if j.onDone == nil {
 		return
 	}
+	cb := j.onDone
+	j.onDone = nil
+	cb(j.Report())
+}
+
+// Report summarizes every iteration completed so far, across restarts;
+// TotalTime runs from the latest Run call.
+func (j *Job) Report() Report {
 	rep := Report{
 		Iters:     len(j.iterTimes),
 		TotalTime: j.cfg.Engine.Now() - j.runStart,
@@ -375,9 +383,7 @@ func (j *Job) finish() {
 			rep.SamplesPerSec = j.cfg.Spec.SamplesPerIter / rep.AvgIter.Seconds()
 		}
 	}
-	cb := j.onDone
-	j.onDone = nil
-	cb(rep)
+	return rep
 }
 
 // ReplaceNode swaps a (failed, isolated) node for a replacement and

@@ -27,6 +27,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"c4/internal/sim"
 	"c4/internal/workload"
@@ -94,6 +95,14 @@ type Plan struct {
 	Order [][]Task
 }
 
+// Size caps of a compiled plan: a stage holds 2·GA compute slots and its
+// gradient is cut into at most MaxBuckets buckets, so neither an absurd
+// GA nor a tiny bucket size can make Compile allocate without bound.
+const (
+	MaxGA      = 1024
+	MaxBuckets = 4096
+)
+
 // Compile expands the spec's parallelization strategy into a schedule.
 func Compile(spec workload.JobSpec, opts Options) (*Plan, error) {
 	par := spec.Par.Normalize()
@@ -103,6 +112,12 @@ func Compile(spec workload.JobSpec, opts Options) (*Plan, error) {
 	}
 	if spec.ComputePerMicroBatch < 0 {
 		return nil, fmt.Errorf("plan: job %q has negative compute time", spec.Name)
+	}
+	if par.GA > MaxGA {
+		return nil, fmt.Errorf("plan: job %q accumulates %d micro-batches, more than %d", spec.Name, par.GA, MaxGA)
+	}
+	if n := bucketCount(spec.Model.GradBytesPerRank(par), opts.BucketBytes); n > MaxBuckets {
+		return nil, fmt.Errorf("plan: job %q cuts a stage's gradient into %d buckets, more than %d", spec.Name, n, MaxBuckets)
 	}
 	p := &Plan{
 		Spec: spec, Opts: opts,
@@ -131,16 +146,26 @@ func DefaultActivationBytes(m workload.Model, par workload.Parallelism) float64 
 	return m.GradBytesPerRank(par) / float64(8*par.GA)
 }
 
+// bucketCount is how many buckets of at most `bucket` bytes splitBuckets
+// cuts `total` bytes into (one when bucket is 0 or negative). It
+// saturates instead of overflowing, so callers can bound it first.
+func bucketCount(total, bucket float64) int {
+	if !(bucket > 0) || bucket >= total || total <= 0 {
+		return 1
+	}
+	n := math.Ceil(total / bucket)
+	if n > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int(n)
+}
+
 // splitBuckets cuts `total` bytes into buckets of at most `bucket` bytes.
 func splitBuckets(total, bucket float64) []float64 {
 	if bucket <= 0 || bucket >= total || total <= 0 {
 		return []float64{total}
 	}
-	n := int(total / bucket)
-	if float64(n)*bucket < total {
-		n++
-	}
-	out := make([]float64, 0, n)
+	out := make([]float64, 0, bucketCount(total, bucket))
 	left := total
 	for left > 0 {
 		b := bucket

@@ -302,6 +302,21 @@ func TestAdmissionControl(t *testing.T) {
 	cl.waitDone(b.ID)
 }
 
+// TestCreateRejectsUnrunnableSpecs: specs whose run would panic — a fault
+// victim outside the fabric, an instant past the simulated clock's range
+// — are refused at the door, so no /run can take the daemon down.
+func TestCreateRejectsUnrunnableSpecs(t *testing.T) {
+	cl, _ := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"job": {"fault": "nic", "victim": 99}}`,
+		`{"job": {"fault": "crash", "fault_at_s": 1e30}}`,
+	} {
+		if code, resp := cl.do("POST", "/v1/sessions", json.RawMessage(body)); code != http.StatusBadRequest {
+			t.Errorf("POST %s: %d %s, want 400", body, code, resp)
+		}
+	}
+}
+
 // TestDeleteCancelsRunningSession checks DELETE on a mid-run session
 // cancels it cooperatively and removes it.
 func TestDeleteCancelsRunningSession(t *testing.T) {

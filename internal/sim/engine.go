@@ -38,6 +38,15 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Duration converts the virtual instant to a time.Duration offset.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
+// MaxSpanSeconds bounds the instants and durations a run spec may name,
+// in seconds (about 31.7 years): far past any horizon a run reaches, and
+// small enough that an instant plus a few such spans stays inside Time.
+const MaxSpanSeconds = 1e9
+
+// ValidSpan reports whether s is a finite number of seconds in
+// [0, MaxSpanSeconds], which FromSeconds converts without overflow.
+func ValidSpan(s float64) bool { return s >= 0 && s <= MaxSpanSeconds }
+
 // FromSeconds converts floating-point seconds to a virtual time offset.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 

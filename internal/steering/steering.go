@@ -1,7 +1,10 @@
 // Package steering implements the job steering service of the paper's
-// Fig 4: it receives C4D findings, isolates the blamed node (drawing a
-// replacement from the backup pool the paper provisions at 64 spare GPUs
-// per 1024), and restarts the job from the last checkpoint. It also
+// Fig 4, the one C4 control loop every live simulation shares: it
+// receives C4D findings, stops the job and fences the blamed node, draws
+// a replacement from the backup pool the paper provisions at 64 spare
+// GPUs per 1024, swaps it into the job and hands the job back for
+// restart from the last checkpoint. Callers keep only their policy: which
+// findings to steer on, the delays, and what a restart runs. It also
 // contains the month-scale availability model that reproduces Table I and
 // Table III.
 package steering
@@ -32,17 +35,26 @@ type Config struct {
 	IsolationDelay sim.Time
 	// RestartDelay is scheduler + process re-launch + re-init time.
 	RestartDelay sim.Time
-	// Isolate is invoked when the service fences a node (the job should
-	// stop). Restart is invoked when the job may resume with the
-	// replacement node (or the same node if no spare was available).
-	Isolate func(node int)
-	Restart func(node, replacement int)
+	// Job is the steered job (required): the service stops it when it
+	// fences a node and swaps the replacement in at the restart instant.
+	Job Job
+	// Restart is invoked at the restart instant, after the swap, with the
+	// replacement node (the same node when no spare was available) and
+	// the swap's error; it decides how the job resumes.
+	Restart func(node, replacement int, err error)
 
 	// Trace, when enabled, records each recovery as a "steer" span from
 	// the triggering finding to the restart instant, parented under the
 	// detection that caused it (the tracer's "detect" mark, falling back
 	// to the open "fault" window). Optional.
 	Trace *trace.Tracer
+}
+
+// Job is the part of a running training job the service steers;
+// *job.Job satisfies it.
+type Job interface {
+	Stop()
+	ReplaceNode(old, replacement int) error
 }
 
 // Service is the live recovery pipeline driven by C4D events.
@@ -67,12 +79,13 @@ func NewService(cfg Config) *Service {
 // Actions returns the recovery log.
 func (s *Service) Actions() []Action { return append([]Action(nil), s.actions...) }
 
-// Handle processes one C4D finding: isolate, replace, restart. Findings
-// arriving while a recovery is in flight are coalesced (the restart already
-// fixes the job).
-func (s *Service) Handle(ev c4d.Event) {
+// Handle processes one C4D finding: stop the job and fence the node,
+// then swap in the replacement and restart. Findings arriving while a
+// recovery is in flight are coalesced (the restart already fixes the
+// job); Handle reports whether this finding started a recovery.
+func (s *Service) Handle(ev c4d.Event) bool {
 	if s.busy {
-		return
+		return false
 	}
 	s.busy = true
 	now := s.cfg.Engine.Now()
@@ -85,9 +98,7 @@ func (s *Service) Handle(ev c4d.Event) {
 		sp = tr.Start(parent, "steer", ev.Syndrome.String())
 		sp.Annotate("node", fmt.Sprintf("%d", ev.Node))
 	}
-	if s.cfg.Isolate != nil {
-		s.cfg.Isolate(ev.Node)
-	}
+	s.cfg.Job.Stop()
 	act := Action{Time: now, Event: ev, Node: ev.Node}
 	s.cfg.Engine.After(s.cfg.IsolationDelay, func() {
 		repl := s.cfg.Cluster.Isolate(ev.Node)
@@ -101,11 +112,13 @@ func (s *Service) Handle(ev c4d.Event) {
 			sp.FinishAt(act.RestartAt)
 			s.actions = append(s.actions, act)
 			s.busy = false
+			err := s.cfg.Job.ReplaceNode(ev.Node, repl)
 			if s.cfg.Restart != nil {
-				s.cfg.Restart(ev.Node, repl)
+				s.cfg.Restart(ev.Node, repl, err)
 			}
 		})
 	})
+	return true
 }
 
 func (a Action) String() string {

@@ -1,6 +1,7 @@
 package steering
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -121,27 +122,53 @@ func TestCrashTableMatchesTableI(t *testing.T) {
 	}
 }
 
+// fakeJob records what the service does to the steered job.
+type fakeJob struct {
+	stops    int
+	replaced [][2]int
+	err      error // returned by every ReplaceNode
+}
+
+func (f *fakeJob) Stop() { f.stops++ }
+
+func (f *fakeJob) ReplaceNode(old, repl int) error {
+	f.replaced = append(f.replaced, [2]int{old, repl})
+	return f.err
+}
+
 func TestServicePipeline(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.NewCluster(4, 8, 2)
-	var isolated, restartedOld, restartedNew int
-	isolated, restartedOld, restartedNew = -1, -1, -1
+	j := &fakeJob{}
+	restartedOld, restartedNew := -1, -1
+	var restartErr error
+	var stopsAtRestart int
 	svc := NewService(Config{
 		Engine:         eng,
 		Cluster:        cl,
 		IsolationDelay: 30 * sim.Second,
 		RestartDelay:   2 * sim.Minute,
-		Isolate:        func(n int) { isolated = n },
-		Restart:        func(old, repl int) { restartedOld, restartedNew = old, repl },
+		Job:            j,
+		Restart: func(old, repl int, err error) {
+			restartedOld, restartedNew, restartErr = old, repl, err
+			stopsAtRestart = j.stops
+		},
 	})
 	ev := c4d.Event{Time: 0, Syndrome: c4d.NonCommHang, Scope: c4d.ScopeNode, Node: 2}
-	eng.After(0, func() { svc.Handle(ev) })
+	started := false
+	eng.After(0, func() { started = svc.Handle(ev) })
 	eng.Run()
-	if isolated != 2 {
-		t.Fatalf("isolated = %d", isolated)
+	if !started {
+		t.Fatal("Handle did not report the recovery it started")
 	}
-	if restartedOld != 2 || restartedNew != 4 {
-		t.Fatalf("restart = (%d,%d), want (2,4)", restartedOld, restartedNew)
+	if j.stops != 1 || stopsAtRestart != 1 {
+		t.Fatalf("job stopped %d times (%d by the restart), want once before it", j.stops, stopsAtRestart)
+	}
+	if len(j.replaced) != 1 || j.replaced[0] != [2]int{2, 4} {
+		t.Fatalf("swaps = %v, want [[2 4]]", j.replaced)
+	}
+	if restartedOld != 2 || restartedNew != 4 || restartErr != nil {
+		t.Fatalf("restart = (%d,%d,%v), want (2,4,nil)", restartedOld, restartedNew, restartErr)
 	}
 	if !cl.Machines[2].Isolated {
 		t.Fatal("cluster state not updated")
@@ -161,29 +188,65 @@ func TestServicePipeline(t *testing.T) {
 func TestServiceCoalescesConcurrentFindings(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.NewCluster(4, 8, 2)
-	svc := NewService(Config{Engine: eng, Cluster: cl})
+	j := &fakeJob{}
+	svc := NewService(Config{Engine: eng, Cluster: cl, Job: j})
+	var first, second bool
 	eng.After(0, func() {
-		svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 1})
-		svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 1}) // duplicate burst
+		first = svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 1})
+		second = svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 1}) // duplicate burst
 	})
 	eng.Run()
+	if !first || second {
+		t.Fatalf("Handle = %v then %v, want true then false (coalesced)", first, second)
+	}
 	if got := len(svc.Actions()); got != 1 {
 		t.Fatalf("actions = %d, want 1 (coalesced)", got)
+	}
+	if j.stops != 1 || len(j.replaced) != 1 {
+		t.Fatalf("job stopped %d times and swapped %v, want once each", j.stops, j.replaced)
 	}
 }
 
 func TestServiceEmptySparePool(t *testing.T) {
 	eng := sim.NewEngine()
 	cl := cluster.NewCluster(2, 8, 0)
+	j := &fakeJob{}
 	var repl int
 	svc := NewService(Config{
-		Engine: eng, Cluster: cl,
-		Restart: func(_, r int) { repl = r },
+		Engine: eng, Cluster: cl, Job: j,
+		Restart: func(_, r int, _ error) { repl = r },
 	})
 	eng.After(0, func() { svc.Handle(c4d.Event{Node: 1}) })
 	eng.Run()
-	if repl != 1 {
-		t.Fatalf("replacement = %d, want in-place restart (1)", repl)
+	if repl != 1 || len(j.replaced) != 1 || j.replaced[0] != [2]int{1, 1} {
+		t.Fatalf("replacement = %d, swaps %v, want in-place restart (1)", repl, j.replaced)
+	}
+}
+
+// TestServicePassesSwapErrorToRestart: a failed swap still reaches the
+// restart policy, which decides what to do about it, and the service is
+// free for the next finding.
+func TestServicePassesSwapErrorToRestart(t *testing.T) {
+	eng := sim.NewEngine()
+	cl := cluster.NewCluster(4, 8, 2)
+	swapErr := errors.New("node 3 not in job")
+	j := &fakeJob{err: swapErr}
+	var got error
+	restarts := 0
+	svc := NewService(Config{
+		Engine: eng, Cluster: cl, Job: j,
+		Restart: func(_, _ int, err error) { got = err; restarts++ },
+	})
+	eng.After(0, func() { svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 3}) })
+	eng.Run()
+	if restarts != 1 || !errors.Is(got, swapErr) {
+		t.Fatalf("restart saw %v after %d restarts, want the swap error once", got, restarts)
+	}
+	started := false
+	eng.After(0, func() { started = svc.Handle(c4d.Event{Syndrome: c4d.CommHang, Node: 0}) })
+	eng.Run()
+	if !started || restarts != 2 {
+		t.Fatalf("second finding started=%v restarts=%d, want a fresh recovery", started, restarts)
 	}
 }
 

@@ -52,6 +52,15 @@ func TestParseTraceRejectsBadEvents(t *testing.T) {
 		"bad arrival":   `{"events": [{"at_s": -1, "nodes": 2, "duration_s": 10}]}`,
 		"bad model":     `{"events": [{"at_s": 0, "nodes": 2, "duration_s": 10, "model": "gpt9000"}]}`,
 		"not json":      `{"events": [`,
+		// Values past the simulated clock's range, which once panicked Run.
+		"huge arrival":     `{"events": [{"at_s": 1e300, "nodes": 2, "duration_s": 10}]}`,
+		"huge duration":    `{"events": [{"at_s": 0, "nodes": 2, "duration_s": 1e300}]}`,
+		"huge compute":     `{"events": [{"at_s": 0, "nodes": 2, "duration_s": 10, "compute_ms": 1e300}]}`,
+		"negative compute": `{"events": [{"at_s": 0, "nodes": 2, "duration_s": 10, "compute_ms": -1}]}`,
+		// A whole iteration's compute counts: 1e11 ms per micro-batch is in
+		// range for one, not for the 16 (plus pipeline fill) of ga 16.
+		"huge iteration": `{"events": [{"at_s": 0, "nodes": 2, "duration_s": 10, "compute_ms": 1e11, "ga": 16}]}`,
+		"ga past cap":    `{"events": [{"at_s": 0, "nodes": 4, "duration_s": 10, "pp": 2, "ga": 2000000000}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseTrace([]byte(in)); err == nil {

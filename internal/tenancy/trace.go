@@ -12,13 +12,15 @@ import (
 	"fmt"
 	"sort"
 
+	"c4/internal/plan"
 	"c4/internal/sim"
 	"c4/internal/workload"
 )
 
 // TraceEvent is one job arrival.
 type TraceEvent struct {
-	// AtS is the arrival time in seconds of virtual time.
+	// AtS is the arrival time in seconds of virtual time, at most
+	// sim.MaxSpanSeconds.
 	AtS float64 `json:"at_s"`
 	// Name labels the job in reports; defaults to "job<i>" when empty.
 	Name string `json:"name,omitempty"`
@@ -27,12 +29,15 @@ type TraceEvent struct {
 	// Model is a workload model short name ("gpt22b", "llama7b", ...);
 	// empty defaults to gpt22b.
 	Model string `json:"model,omitempty"`
-	// DurationS is how long the tenant holds its nodes, in seconds; the
-	// job departs (finishing its in-flight iteration) when it elapses.
+	// DurationS is how long the tenant holds its nodes, in seconds (at
+	// most sim.MaxSpanSeconds); the job departs (finishing its in-flight
+	// iteration) when it elapses.
 	DurationS float64 `json:"duration_s"`
 	// ComputeMS is the per-micro-batch compute time in milliseconds;
 	// zero defaults to 200 ms. Smaller values make the job more
-	// communication-bound and therefore more collision-sensitive.
+	// communication-bound and therefore more collision-sensitive. One
+	// iteration's compute, (GA+PP) micro-batch times, may not exceed
+	// sim.MaxSpanSeconds.
 	ComputeMS float64 `json:"compute_ms,omitempty"`
 	// PP is the job's pipeline-parallel depth (must divide Nodes); 0 or 1
 	// means pure data parallelism. Pipeline tenants put stage-to-stage
@@ -40,7 +45,8 @@ type TraceEvent struct {
 	// gradient sync — the mixed PP+DP load of the plan/* scenarios.
 	PP int `json:"pp,omitempty"`
 	// GA is the gradient-accumulation depth; 0 or 1 means one micro-batch
-	// per optimizer step. GA>1 compiles to the full 1F1B schedule.
+	// per optimizer step. GA>1 compiles to the full 1F1B schedule. At
+	// most plan.MaxGA.
 	GA int `json:"ga,omitempty"`
 }
 
@@ -76,15 +82,24 @@ type Trace struct {
 // Validate checks every event and reports the first problem.
 func (t Trace) Validate() error {
 	for i, ev := range t.Events {
+		// One iteration's nominal compute: GA micro-batches plus the
+		// pipeline fill.
+		iterS := ev.ComputeMS / 1e3 * (float64(max(ev.GA, 1)) + float64(max(ev.PP, 1)))
 		switch {
-		case ev.AtS < 0:
-			return fmt.Errorf("tenancy: event %d arrives at %v s, before the epoch", i, ev.AtS)
+		case !sim.ValidSpan(ev.AtS):
+			return fmt.Errorf("tenancy: event %d arrives at %v s, want 0 to %g s", i, ev.AtS, sim.MaxSpanSeconds)
 		case ev.Nodes <= 0:
 			return fmt.Errorf("tenancy: event %d (%s) requests %d nodes", i, ev.Name, ev.Nodes)
-		case ev.DurationS <= 0:
-			return fmt.Errorf("tenancy: event %d (%s) has duration %v s", i, ev.Name, ev.DurationS)
+		case ev.DurationS <= 0 || !sim.ValidSpan(ev.DurationS):
+			return fmt.Errorf("tenancy: event %d (%s) has duration %v s, want above 0 up to %g s",
+				i, ev.Name, ev.DurationS, sim.MaxSpanSeconds)
+		case !sim.ValidSpan(iterS):
+			return fmt.Errorf("tenancy: event %d (%s) has compute %v ms per micro-batch, want 0 up to %g s per iteration",
+				i, ev.Name, ev.ComputeMS, sim.MaxSpanSeconds)
 		case ev.PP < 0 || ev.GA < 0:
 			return fmt.Errorf("tenancy: event %d (%s) has negative pp/ga", i, ev.Name)
+		case ev.GA > plan.MaxGA:
+			return fmt.Errorf("tenancy: event %d (%s) has ga %d, more than %d", i, ev.Name, ev.GA, plan.MaxGA)
 		case ev.PP > 1 && ev.Nodes%ev.PP != 0:
 			return fmt.Errorf("tenancy: event %d (%s): pp %d does not divide %d nodes",
 				i, ev.Name, ev.PP, ev.Nodes)

@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 
 	"c4/internal/accl"
@@ -62,15 +64,19 @@ type SessionSpec struct {
 	// Scenario runs one registered experiment by name (see `c4 bench -list`).
 	Scenario string `json:"scenario,omitempty"`
 	// Job runs the interactive training-job simulation: a distributed job
-	// under C4D monitoring and C4P traffic engineering with an injectable
-	// fault — or, when Job.Plan is set, a compiled 3D-parallelism plan.
+	// — the Fig 14 preset, or a compiled 3D-parallelism plan when Job.Plan
+	// is set — under C4D monitoring, C4P traffic engineering and the
+	// steering loop, with an injectable fault.
 	Job *SessionJob `json:"job,omitempty"`
 	// Tenancy replays a multi-tenant arrival trace on a shared fabric.
 	Tenancy *SessionTenancy `json:"tenancy,omitempty"`
 }
 
 // SessionJob configures the training-job and plan modes (the
-// `c4 sim -job ...` and `c4 sim -plan ...` flag set).
+// `c4 sim -job ...` and `c4 sim -plan ...` flag set). Every field applies
+// to both modes; Plan only picks the strategy and the iteration budget.
+// Durations are in virtual seconds, each from 0 to 1e9 (about 31.7
+// years); 0 selects the default.
 type SessionJob struct {
 	// Model is the workload (gpt22b, gpt175b, llama7b, llama13b).
 	// Default gpt22b.
@@ -79,13 +85,15 @@ type SessionJob struct {
 	// Default c4p.
 	Provider string `json:"provider,omitempty"`
 	// Placement is topo (pack leaf groups) or spread (maximize spine
-	// traffic). Default spread. Ignored in plan mode.
+	// traffic) of the job's 16 nodes, or of PP·DP nodes in plan mode.
+	// Default spread.
 	Placement string `json:"placement,omitempty"`
 	// Fault injects one fault: none | crash | straggler | nic.
 	Fault string `json:"fault,omitempty"`
 	// FaultAtS is the injection instant in virtual seconds (default 30).
 	FaultAtS float64 `json:"fault_at_s,omitempty"`
-	// Victim is the faulty node (default 6).
+	// Victim is the faulty node (default 6). With a fault set, it must be
+	// one of the job's nodes.
 	Victim *int `json:"victim,omitempty"`
 	// HorizonS is the virtual time to simulate, in seconds (default 900).
 	HorizonS float64 `json:"horizon_s,omitempty"`
@@ -96,12 +104,17 @@ type SessionJob struct {
 
 	// Plan switches to plan mode: compile and run this 3D-parallelism
 	// strategy (e.g. "tp8/pp4/dp2/ga8") for Model on the 16-node testbed.
+	// PP and DP are each at most 16, PP·DP at most 16, and GA at most
+	// 1024 (plan.MaxGA).
 	Plan string `json:"plan,omitempty"`
-	// PlanBucketMiB is the DP gradient bucket size (0 = one bucket).
+	// PlanBucketMiB is the DP gradient bucket size (0 = one bucket). It
+	// may cut a stage's gradient into at most 4096 buckets
+	// (plan.MaxBuckets).
 	PlanBucketMiB float64 `json:"plan_bucket_mib,omitempty"`
 	// PlanOverlap launches buckets inside the final backward pass.
 	PlanOverlap bool `json:"plan_overlap,omitempty"`
-	// PlanIters is the iteration count in plan mode (default 5).
+	// PlanIters is the iteration budget in plan mode (default 5); the run
+	// ends once they are done, or at the horizon.
 	PlanIters int `json:"plan_iters,omitempty"`
 }
 
@@ -118,7 +131,8 @@ type SessionTenancy struct {
 	// Spines per rail: 8 = 1:1 fabric, 4 = 2:1 oversubscription.
 	// Default 8.
 	Spines int `json:"spines,omitempty"`
-	// HorizonS ends the replay, in virtual seconds (default 900).
+	// HorizonS ends the replay, in virtual seconds (default 900, at most
+	// 1e9).
 	HorizonS float64 `json:"horizon_s,omitempty"`
 }
 
@@ -166,20 +180,18 @@ type Session struct {
 }
 
 type jobResolved struct {
-	model     workload.Model
-	kind      harness.ProviderKind
-	placement string
-	fault     string
-	faultAt   sim.Time
-	victim    int
-	horizon   sim.Time
-	noC4D     bool
-	online    bool
-
-	plan      workload.Parallelism // plan mode when planSet
-	planSet   bool
-	planOpts  plan.Options
-	planIters int
+	spec    workload.JobSpec // the job on its placed testbed nodes
+	planned bool             // plan mode: print the schedule and breakdown
+	opts    plan.Options
+	iters   int
+	qps     int
+	kind    harness.ProviderKind
+	fault   string
+	faultAt sim.Time
+	victim  int
+	horizon sim.Time
+	noC4D   bool
+	online  bool
 }
 
 // parseProviderKind maps the shared CLI/spec provider names onto the
@@ -242,8 +254,29 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	return s, nil
 }
 
+// The job fabric: MultiJobTestbed(8) with the 16 primaries a job or plan
+// runs on and the 8 spares steering swaps in.
+const (
+	jobNodes   = 16
+	spareNodes = 8
+)
+
+func jobFabric() topo.Spec {
+	spec := topo.MultiJobTestbed(8)
+	spec.Nodes = jobNodes + spareNodes
+	return spec
+}
+
+// seconds converts a spec duration, rejecting values that are not
+// finite, are negative, or lie past sim.MaxSpanSeconds.
+func seconds(field string, v float64) (sim.Time, error) {
+	if !sim.ValidSpan(v) {
+		return 0, fmt.Errorf("session: %s = %v, want 0 to %g seconds", field, v, sim.MaxSpanSeconds)
+	}
+	return sim.FromSeconds(v), nil
+}
+
 func resolveJob(js SessionJob) (*jobResolved, error) {
-	jr := &jobResolved{}
 	name := js.Model
 	if name == "" {
 		name = "gpt22b"
@@ -253,41 +286,28 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 		return nil, fmt.Errorf("session: unknown job model %q (have: %s)",
 			name, joinNames(workload.ModelNames()))
 	}
-	jr.model = model
 	kind, err := parseProviderKind(js.Provider)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	jr.kind = kind
-
-	jr.horizon = sim.FromSeconds(js.HorizonS)
-	if js.HorizonS <= 0 {
+	jr := &jobResolved{kind: kind, iters: 1_000_000, qps: 4, victim: 6, noC4D: js.NoC4D, online: js.Online}
+	if jr.horizon, err = seconds("horizon_s", js.HorizonS); err != nil {
+		return nil, err
+	}
+	if jr.horizon == 0 {
 		jr.horizon = 15 * sim.Minute
 	}
-	jr.online = js.Online
-
-	if js.Plan != "" {
-		par, err := workload.ParseParallelism(js.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		if world := par.PP * par.DP; world > 16 {
-			return nil, fmt.Errorf("session: strategy %v needs %d nodes, testbed has 16", par, world)
-		}
-		jr.plan, jr.planSet = par, true
-		jr.planOpts = plan.Options{BucketBytes: js.PlanBucketMiB * (1 << 20), Overlap: js.PlanOverlap}
-		jr.planIters = js.PlanIters
-		if jr.planIters <= 0 {
-			jr.planIters = 5
-		}
-		return jr, nil
+	if jr.faultAt, err = seconds("fault_at_s", js.FaultAtS); err != nil {
+		return nil, err
 	}
-
-	jr.placement = js.Placement
-	if jr.placement == "" {
-		jr.placement = "spread"
+	if jr.faultAt == 0 {
+		jr.faultAt = 30 * sim.Second
 	}
-	if jr.placement != "topo" && jr.placement != "spread" {
+	placement := js.Placement
+	if placement == "" {
+		placement = "spread"
+	}
+	if placement != "topo" && placement != "spread" {
 		return nil, fmt.Errorf("session: unknown placement %q (want topo | spread)", js.Placement)
 	}
 	jr.fault = js.Fault
@@ -299,15 +319,77 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 	default:
 		return nil, fmt.Errorf("session: unknown fault %q (want none | crash | straggler | nic)", js.Fault)
 	}
-	jr.faultAt = sim.FromSeconds(js.FaultAtS)
-	if js.FaultAtS <= 0 {
-		jr.faultAt = 30 * sim.Second
-	}
-	jr.victim = 6
 	if js.Victim != nil {
 		jr.victim = *js.Victim
 	}
-	jr.noC4D = js.NoC4D
+
+	world := jobNodes
+	var par workload.Parallelism
+	if js.Plan != "" {
+		if par, err = workload.ParseParallelism(js.Plan); err != nil {
+			return nil, fmt.Errorf("session: %w", err)
+		}
+		// Bound each factor first: their product could wrap past the check.
+		if par.PP > jobNodes || par.DP > jobNodes || par.PP*par.DP > jobNodes {
+			return nil, fmt.Errorf("session: strategy %v needs more than the testbed's %d nodes", par, jobNodes)
+		}
+		if mib := js.PlanBucketMiB; !(mib >= 0 && mib <= math.MaxFloat64) {
+			return nil, fmt.Errorf("session: plan_bucket_mib = %v, want a finite size >= 0", mib)
+		}
+		jr.opts = plan.Options{BucketBytes: js.PlanBucketMiB * (1 << 20), Overlap: js.PlanOverlap}
+		jr.planned, jr.qps, jr.iters = true, 8, js.PlanIters
+		if jr.iters <= 0 {
+			jr.iters = 5
+		}
+		world = par.PP * par.DP
+	}
+
+	var nodes []int
+	if placement == "topo" {
+		// Topology-aware placement (§III-B): pack leaf groups so ring
+		// edges avoid the spine layer entirely where possible.
+		t := topo.MustNew(jobFabric())
+		alloc, err := sched.New(t).Allocate(world)
+		if err != nil {
+			return nil, fmt.Errorf("session: %w", err)
+		}
+		nodes = sched.RingOrder(t, alloc)
+	} else {
+		// Worst-case placement: alternating leaf groups, so every ring
+		// and pipeline edge crosses the spines.
+		nodes = harness.InterleavedNodes(world)
+	}
+	if jr.fault != "none" && !slices.Contains(nodes, jr.victim) {
+		return nil, fmt.Errorf("session: victim %d is not one of the job's nodes %v", jr.victim, nodes)
+	}
+
+	switch {
+	case jr.planned:
+		jr.spec = workload.JobSpec{
+			Name:                 model.Name,
+			Model:                model,
+			Par:                  par,
+			Nodes:                nodes,
+			ComputePerMicroBatch: 550 * sim.Millisecond,
+			ComputeJitter:        0.02,
+			SamplesPerIter:       64,
+		}
+	case model.Name == workload.GPT22B.Name:
+		jr.spec = workload.Fig14Jobs(nodes)[0]
+	case model.Name == workload.Llama7B.Name:
+		jr.spec = workload.Fig14Jobs(nodes)[1]
+	case model.Name == workload.GPT175B.Name:
+		jr.spec = workload.Fig14Jobs(nodes)[2]
+	default:
+		// Models outside Fig 14 (Llama-13B) run the Job1-style TP8×DP16
+		// configuration with their own gradient volume.
+		jr.spec = workload.Fig14Jobs(nodes)[0]
+		jr.spec.Name, jr.spec.Model = model.Name, model
+	}
+	// Compiling checks the plan's size caps (GA, buckets per stage).
+	if _, err := plan.Compile(jr.spec, jr.opts); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 	return jr, nil
 }
 
@@ -335,8 +417,11 @@ func resolveTenancy(ts SessionTenancy) (*tenancy.Config, error) {
 	default:
 		return nil, fmt.Errorf("session: unknown provider %q (want baseline | c4p | c4p-dynamic)", ts.Provider)
 	}
-	horizon := sim.FromSeconds(ts.HorizonS)
-	if ts.HorizonS <= 0 {
+	horizon, err := seconds("horizon_s", ts.HorizonS)
+	if err != nil {
+		return nil, err
+	}
+	if horizon == 0 {
 		horizon = 15 * sim.Minute
 	}
 	return &tenancy.Config{
@@ -458,8 +543,6 @@ func (s *Session) Run(ctx context.Context) error {
 	switch {
 	case s.scn.Name != "":
 		metrics, summary, err = s.runScenario(ctx)
-	case s.jr != nil && s.jr.planSet:
-		metrics, summary, err = s.runPlanned(ctx, sinks)
 	case s.jr != nil:
 		metrics, summary, err = s.runJob(ctx, sinks)
 	default:
@@ -543,57 +626,17 @@ func (s *Session) newPipeline(env *harness.Env, sinks []TelemetrySink, online bo
 	return telemetry.NewPipeline(env.Eng, telemetry.PipelineConfig{}, consumers...)
 }
 
-// runJob is the interactive training-job simulation: the full detect →
-// isolate → restart loop under an injectable fault (`c4 sim -job`).
+// runJob is the interactive training-job simulation (`c4 sim -job` and
+// `c4 sim -plan`): the Fig 14 preset or a compiled 3D-parallelism plan,
+// with an injectable fault, under the full detect → isolate → restart
+// loop. It runs to the horizon, or until a plan's iterations are done.
 func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string]float64, string, error) {
 	jr := s.jr
-	spec := topo.MultiJobTestbed(8)
-	spec.Nodes = 24 // 16 primaries + 8 spares
-	env := harness.NewEnv(spec)
+	env := harness.NewEnv(jobFabric())
 	if s.tracer != nil {
 		s.tracer.Bind(env.Eng)
 		env.Net.Trace = s.tracer
 	}
-	machines := cluster.NewCluster(16, 8, 8)
-
-	var nodes []int
-	switch jr.placement {
-	case "topo":
-		// Topology-aware placement (§III-B): pack leaf groups so ring
-		// edges avoid the spine layer entirely where possible.
-		sc := sched.New(env.Topo)
-		alloc, err := sc.Allocate(16)
-		if err != nil {
-			return nil, "", err
-		}
-		nodes = sched.RingOrder(env.Topo, alloc)
-	default: // "spread"
-		// Worst-case placement: every ring edge crosses the spines.
-		for i := 0; i < 16; i++ {
-			if i%2 == 0 {
-				nodes = append(nodes, i/2)
-			} else {
-				nodes = append(nodes, 8+i/2)
-			}
-		}
-	}
-
-	specs := workload.Fig14Jobs(nodes)
-	var jobSpec workload.JobSpec
-	switch jr.model.Name {
-	case workload.GPT22B.Name:
-		jobSpec = specs[0]
-	case workload.Llama7B.Name:
-		jobSpec = specs[1]
-	case workload.GPT175B.Name:
-		jobSpec = specs[2]
-	default:
-		// Models outside Fig 14 (Llama-13B) run the Job1-style TP8×DP16
-		// configuration with their own gradient volume.
-		jobSpec = specs[0]
-		jobSpec.Name, jobSpec.Model = jr.model.Name, jr.model
-	}
-
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(s.log, "[%12v] ", env.Eng.Now())
 		fmt.Fprintf(s.log, format+"\n", args...)
@@ -606,10 +649,11 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 		Engine: env.Eng, Net: env.Net,
 		Provider:   env.NewProvider(jr.kind, s.spec.Seed),
 		Rails:      []int{0},
-		Spec:       jobSpec,
+		Spec:       jr.spec,
+		Plan:       jr.opts,
 		Rand:       sim.NewRand(s.spec.Seed),
 		Context:    ctx,
-		QPsPerConn: 4,
+		QPsPerConn: jr.qps,
 	}
 	if !jr.noC4D {
 		master = c4d.NewMaster(c4d.Config{Trace: s.tracer})
@@ -628,33 +672,49 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 	if err != nil {
 		return nil, "", err
 	}
-	j.OnIteration(func(i int, d sim.Time) {
-		if i%20 == 0 {
-			logf("iteration %d done in %v (%.1f samples/sec)",
-				i, d, jobSpec.SamplesPerIter/d.Seconds())
+	if jr.planned {
+		fmt.Fprintln(s.log, j.Plan())
+		j.OnIteration(func(i int, d sim.Time) {
+			fmt.Fprintf(s.log, "iteration %2d: %v\n", i, d)
+		})
+	} else {
+		j.OnIteration(func(i int, d sim.Time) {
+			if i%20 == 0 {
+				logf("iteration %d done in %v (%.1f samples/sec)",
+					i, d, jr.spec.SamplesPerIter/d.Seconds())
+			}
+		})
+	}
+	// Once every iteration is done, stop the fleet's reporting ticks and
+	// drop a fault still pending, so the event queue drains.
+	var faultEv *sim.Event
+	done := func(r job.Report) {
+		if r.Iters < jr.iters {
+			return
 		}
-	})
+		if fleet != nil {
+			fleet.Stop()
+		}
+		if faultEv != nil {
+			faultEv.Cancel()
+		}
+	}
 
 	if master != nil {
-		nextSpare := 16
+		machines := cluster.NewCluster(jobNodes, 8, spareNodes)
 		svc := steering.NewService(steering.Config{
 			Engine: env.Eng, Cluster: machines,
 			IsolationDelay: 30 * sim.Second,
 			RestartDelay:   3 * sim.Minute,
+			Job:            j,
 			Trace:          s.tracer,
-			Isolate: func(node int) {
-				logf("steering: isolating node %d, stopping job", node)
-				j.Stop()
-			},
-			Restart: func(node, repl int) {
-				spare := nextSpare
-				nextSpare++
-				logf("steering: replacing node %d with spare %d, restarting job", node, spare)
-				if err := j.ReplaceNode(node, spare); err != nil {
+			Restart: func(node, repl int, err error) {
+				logf("steering: replacing node %d with spare %d, restarting job", node, repl)
+				if err != nil {
 					logf("steering: replace failed: %v", err)
 					return
 				}
-				j.Run(1_000_000, nil)
+				j.Run(jr.iters-j.Report().Iters, done)
 			},
 		})
 		master.Subscribe(func(ev c4d.Event) {
@@ -667,16 +727,15 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 				tr.Event(tr.Mark("detect"), "rca", fmt.Sprintf("%v", top.Kind)).
 					Annotate("confidence", fmt.Sprintf("%.2f", top.Confidence))
 			}
-			if ev.Syndrome == c4d.CommHang || ev.Syndrome == c4d.NonCommHang {
-				svc.Handle(ev)
+			if (ev.Syndrome == c4d.CommHang || ev.Syndrome == c4d.NonCommHang) && svc.Handle(ev) {
+				logf("steering: isolating node %d, stopping job", ev.Node)
 			}
 		})
 	}
 
-	j.Run(1_000_000, nil)
-
+	j.Run(jr.iters, done)
 	if jr.fault != "none" {
-		env.Eng.Schedule(jr.faultAt, func() {
+		faultEv = env.Eng.Schedule(jr.faultAt, func() {
 			if tr := s.tracer; tr.Enabled() {
 				// The session's injected fault persists until recovery, so
 				// its span stays open (exporters draw it to the horizon);
@@ -719,119 +778,51 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 		return nil, "", runErr
 	}
 
-	iters := j.IterTimes()
-	fmt.Fprintln(s.log)
-	logf("simulation finished: %d iterations completed", len(iters))
+	rep := j.Report()
 	metrics := map[string]float64{
-		"iterations": float64(len(iters)),
+		"iterations": float64(rep.Iters),
 		"sim_events": float64(env.Eng.Fired()),
 	}
-	summary := fmt.Sprintf("%d iterations completed", len(iters))
-	if len(iters) > 0 {
-		var sum sim.Time
-		for _, d := range iters {
-			sum += d
+	var summary string
+	if jr.planned {
+		fmt.Fprintf(s.log, "\n%d iterations under %v:\n", rep.Iters, jr.kind)
+		fmt.Fprintf(s.log, "  avg iteration  %v (%.1f samples/s)\n", rep.AvgIter, rep.SamplesPerSec)
+		fmt.Fprintf(s.log, "  compute        %v\n", rep.AvgCompute)
+		fmt.Fprintf(s.log, "  pipeline bubble %v\n", rep.AvgBubble)
+		fmt.Fprintf(s.log, "  exposed comm   %v (%.1f%% of the iteration)\n", rep.AvgExposed, rep.ExposedShare()*100)
+		metrics["avg_iter_s"] = rep.AvgIter.Seconds()
+		metrics["samples_per_sec"] = rep.SamplesPerSec
+		metrics["compute_s"] = rep.AvgCompute.Seconds()
+		metrics["bubble_s"] = rep.AvgBubble.Seconds()
+		metrics["exposed_s"] = rep.AvgExposed.Seconds()
+		metrics["exposed_share"] = rep.ExposedShare()
+		summary = fmt.Sprintf("%v: avg iteration %v (%.1f samples/s), exposed comm %.1f%%",
+			jr.spec.Par, rep.AvgIter, rep.SamplesPerSec, rep.ExposedShare()*100)
+	} else {
+		fmt.Fprintln(s.log)
+		logf("simulation finished: %d iterations completed", rep.Iters)
+		summary = fmt.Sprintf("%d iterations completed", rep.Iters)
+		if rep.Iters > 0 {
+			logf("average iteration: %v (%.1f samples/sec)", rep.AvgIter, rep.SamplesPerSec)
+			metrics["avg_iter_s"] = rep.AvgIter.Seconds()
+			metrics["samples_per_sec"] = rep.SamplesPerSec
+			summary = fmt.Sprintf("%d iterations, avg %v (%.1f samples/sec)",
+				rep.Iters, rep.AvgIter, rep.SamplesPerSec)
 		}
-		avg := sum / sim.Time(len(iters))
-		logf("average iteration: %v (%.1f samples/sec)", avg, jobSpec.SamplesPerIter/avg.Seconds())
-		metrics["avg_iter_s"] = avg.Seconds()
-		metrics["samples_per_sec"] = jobSpec.SamplesPerIter / avg.Seconds()
-		summary = fmt.Sprintf("%d iterations, avg %v (%.1f samples/sec)",
-			len(iters), avg, jobSpec.SamplesPerIter/avg.Seconds())
+		if master != nil {
+			logf("C4D emitted %d events", len(master.Events()))
+		}
+		if pipe != nil {
+			logf("telemetry: %d records streamed (%d dropped)", streamed, dropped)
+		}
 	}
 	if master != nil {
-		logf("C4D emitted %d events", len(master.Events()))
 		metrics["c4d_events"] = float64(len(master.Events()))
 	}
 	if pipe != nil {
-		logf("telemetry: %d records streamed (%d dropped)", streamed, dropped)
 		metrics["telemetry_records"] = float64(streamed)
 		metrics["telemetry_dropped"] = float64(dropped)
 	}
-	return metrics, summary, nil
-}
-
-// runPlanned compiles one 3D-parallelism strategy into a training-
-// iteration plan, executes it on the 16-node testbed under the chosen
-// provider, and reports the compiled schedule plus the measured
-// iteration breakdown (`c4 sim -plan`).
-func (s *Session) runPlanned(ctx context.Context, sinks []TelemetrySink) (map[string]float64, string, error) {
-	jr := s.jr
-	world := jr.plan.PP * jr.plan.DP
-	// Spread placement: alternating leaf groups, so ring and pipeline
-	// edges cross the spine layer — the same placement the plan/*
-	// scenarios sweep.
-	nodes := harness.InterleavedNodes(world)
-	env := harness.NewEnv(topo.MultiJobTestbed(8))
-	if s.tracer != nil {
-		s.tracer.Bind(env.Eng)
-		env.Net.Trace = s.tracer
-	}
-	spec := workload.JobSpec{
-		Name:                 jr.model.Name,
-		Model:                jr.model,
-		Par:                  jr.plan,
-		Nodes:                nodes,
-		ComputePerMicroBatch: 550 * sim.Millisecond,
-		ComputeJitter:        0.02,
-		SamplesPerIter:       64,
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(s.log, "[%12v] ", env.Eng.Now())
-		fmt.Fprintf(s.log, format+"\n", args...)
-	}
-	jobCfg := job.Config{
-		Engine: env.Eng, Net: env.Net,
-		Provider:   env.NewProvider(jr.kind, s.spec.Seed),
-		Rails:      []int{0},
-		Spec:       spec,
-		Plan:       jr.planOpts,
-		Rand:       sim.NewRand(s.spec.Seed),
-		Context:    ctx,
-		QPsPerConn: 8,
-	}
-	pipe := s.newPipeline(env, sinks, jr.online, logf)
-	if pipe != nil {
-		jobCfg.Sink = accl.Fanout(nil, pipe)
-	}
-	j, err := job.New(jobCfg)
-	if err != nil {
-		return nil, "", err
-	}
-	fmt.Fprintln(s.log, j.Plan())
-	j.OnIteration(func(i int, d sim.Time) {
-		fmt.Fprintf(s.log, "iteration %2d: %v\n", i, d)
-	})
-	var rep job.Report
-	j.Run(jr.planIters, func(r job.Report) { rep = r })
-	runErr := drainEngine(ctx, env.Eng)
-	if pipe != nil {
-		pipe.Stop()
-	}
-	if runErr != nil {
-		return nil, "", runErr
-	}
-	fmt.Fprintf(s.log, "\n%d iterations under %v:\n", rep.Iters, jr.kind)
-	fmt.Fprintf(s.log, "  avg iteration  %v (%.1f samples/s)\n", rep.AvgIter, rep.SamplesPerSec)
-	fmt.Fprintf(s.log, "  compute        %v\n", rep.AvgCompute)
-	fmt.Fprintf(s.log, "  pipeline bubble %v\n", rep.AvgBubble)
-	fmt.Fprintf(s.log, "  exposed comm   %v (%.1f%% of the iteration)\n", rep.AvgExposed, rep.ExposedShare()*100)
-	metrics := map[string]float64{
-		"iterations":      float64(rep.Iters),
-		"avg_iter_s":      rep.AvgIter.Seconds(),
-		"samples_per_sec": rep.SamplesPerSec,
-		"compute_s":       rep.AvgCompute.Seconds(),
-		"bubble_s":        rep.AvgBubble.Seconds(),
-		"exposed_s":       rep.AvgExposed.Seconds(),
-		"exposed_share":   rep.ExposedShare(),
-		"sim_events":      float64(env.Eng.Fired()),
-	}
-	if pipe != nil {
-		metrics["telemetry_records"] = float64(pipe.Records())
-		metrics["telemetry_dropped"] = float64(pipe.Dropped())
-	}
-	summary := fmt.Sprintf("%v: avg iteration %v (%.1f samples/s), exposed comm %.1f%%",
-		jr.plan, rep.AvgIter, rep.SamplesPerSec, rep.ExposedShare()*100)
 	return metrics, summary, nil
 }
 
@@ -854,21 +845,4 @@ func runEngineTo(ctx context.Context, eng *sim.Engine, deadline sim.Time) error 
 	}
 	eng.RunUntil(deadline) // advance the clock to exactly the deadline
 	return ctx.Err()
-}
-
-// drainEngine runs the queue dry like Engine.Run, checking ctx between
-// event instants.
-func drainEngine(ctx context.Context, eng *sim.Engine) error {
-	for i := 0; ; i++ {
-		if i&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		next := eng.NextEventAt()
-		if next == sim.MaxTime {
-			return ctx.Err()
-		}
-		eng.RunUntil(next)
-	}
 }

@@ -3,9 +3,13 @@ package c4
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"c4/internal/telemetry"
 )
 
 // jobSpec is a short interactive-job session used across the tests.
@@ -88,6 +92,116 @@ func TestSessionPlanMode(t *testing.T) {
 	}
 }
 
+// runLogged runs a spec to completion and returns its metrics and log.
+func runLogged(t *testing.T, spec SessionSpec) (map[string]float64, string) {
+	t.Helper()
+	var log bytes.Buffer
+	sess, err := NewSession(SessionOptions{Spec: spec, Log: &log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return sess.Metrics(), log.String()
+}
+
+// TestSessionPlanRecoversFromCrash runs a plan under the C4 loop: C4D
+// names the crashed stage-1 worker with a hang verdict, steering swaps in
+// the first spare, and the restarted plan finishes its whole budget.
+func TestSessionPlanRecoversFromCrash(t *testing.T) {
+	victim := 9
+	m, log := runLogged(t, SessionSpec{Seed: 1, Job: &SessionJob{
+		Plan: "tp8/pp2/dp4/ga4", PlanIters: 100, Fault: "crash", Victim: &victim,
+	}})
+	for _, want := range []string{
+		"FAULT: crashing worker process on node 9",
+		"non-comm-hang node n9",
+		"steering: isolating node 9, stopping job",
+		"steering: replacing node 9 with spare 16, restarting job",
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("log lacks %q:\n%s", want, log)
+		}
+	}
+	if m["iterations"] != 100 || m["c4d_events"] <= 0 {
+		t.Fatalf("metrics = %v, want 100 iterations and C4D events", m)
+	}
+}
+
+// TestSessionPlanHonorsJobOptions: -plan only picks the strategy and the
+// iteration budget; every other job option applies to plans too.
+func TestSessionPlanHonorsJobOptions(t *testing.T) {
+	victim := 9
+	crash := func() *SessionJob {
+		return &SessionJob{Plan: "tp8/pp2/dp4/ga4", PlanIters: 100, Fault: "crash", Victim: &victim}
+	}
+
+	t.Run("no_c4d", func(t *testing.T) {
+		js := crash()
+		js.NoC4D = true
+		m, log := runLogged(t, SessionSpec{Seed: 1, Job: js})
+		if strings.Contains(log, "C4D:") || strings.Contains(log, "steering:") {
+			t.Fatalf("no_c4d run still detected or steered:\n%s", log)
+		}
+		if _, ok := m["c4d_events"]; ok || m["iterations"] >= 100 || m["iterations"] <= 0 {
+			t.Fatalf("metrics = %v, want a hung plan with no C4D", m)
+		}
+	})
+
+	t.Run("horizon", func(t *testing.T) {
+		m, _ := runLogged(t, SessionSpec{Seed: 1, Job: &SessionJob{Plan: "tp8/pp2/dp4/ga4", PlanIters: 100, HorizonS: 10}})
+		if n := m["iterations"]; n <= 0 || n >= 5 {
+			t.Fatalf("iterations = %v in a 10 s horizon of ~3 s iterations", n)
+		}
+	})
+
+	t.Run("online", func(t *testing.T) {
+		js := crash()
+		js.Online = true
+		_, log := runLogged(t, SessionSpec{Seed: 1, Job: js})
+		if !strings.Contains(log, "ONLINE:") {
+			t.Fatalf("online detector logged nothing:\n%s", log)
+		}
+	})
+
+	t.Run("placement", func(t *testing.T) {
+		// Packed, the plan's 8 nodes are n0..n7: the default victim 6 is
+		// one of them, while spread ([0 8 1 9 2 10 3 11]) has no node 6.
+		spec := func(placement string) SessionSpec {
+			return SessionSpec{Seed: 1, Job: &SessionJob{
+				Plan: "tp8/pp2/dp4/ga4", PlanIters: 2, Placement: placement, Fault: "crash", FaultAtS: 60,
+			}}
+		}
+		if _, err := NewSession(SessionOptions{Spec: spec("spread")}); err == nil {
+			t.Fatal("spread placement accepted victim 6, which is not a node of the plan")
+		}
+		sess, err := NewSession(SessionOptions{Spec: spec("topo")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		used := map[int]bool{}
+		sess.AttachSink(telemetry.SinkFunc(func(r TelemetryRecord) {
+			if r.Kind == telemetry.KindCommCreate {
+				for _, n := range r.Nodes {
+					used[n] = true
+				}
+			}
+		}))
+		if err := sess.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(used) != 8 || !used[0] || !used[7] {
+			t.Fatalf("topo placement ran on nodes %v, want n0..n7", used)
+		}
+		if m := sess.Metrics(); m["iterations"] != 2 {
+			t.Fatalf("metrics = %v, want 2 iterations", m)
+		}
+	})
+}
+
 func TestSessionTenancyMode(t *testing.T) {
 	trace := []byte(`{"events": [
 		{"at_s": 0, "name": "a", "nodes": 2, "duration_s": 10},
@@ -148,6 +262,55 @@ func TestSessionSpecValidation(t *testing.T) {
 			t.Errorf("NewSession(%+v) accepted an invalid spec", spec)
 		}
 	}
+
+	// Bodies that NewSession once accepted and whose Run then panicked,
+	// ran nothing, or would allocate without bound.
+	bodies := []string{
+		`{"job": {"fault": "nic", "victim": 99}}`,
+		`{"job": {"fault": "nic", "victim": -1}}`,
+		`{"job": {"fault": "crash", "fault_at_s": 1e30}}`,
+		`{"job": {"horizon_s": 1e30}}`,
+		`{"job": {"horizon_s": -5}}`,
+		`{"job": {"plan": "pp4611686018427387904/dp4"}}`,
+		`{"job": {"plan": "tp8/pp2/dp4/ga2000000000"}}`,
+		`{"job": {"plan": "tp8/pp2/dp4", "plan_bucket_mib": 1e-9}}`,
+		`{"job": {"plan": "tp8/pp2/dp4", "plan_bucket_mib": -1}}`,
+		// The default victim 6 is not a node of this plan's [0 8 1 9].
+		`{"job": {"plan": "tp8/pp2/dp2", "fault": "crash"}}`,
+		`{"tenancy": {"trace": {"events": [{"at_s": 1e300, "nodes": 2, "duration_s": 10}]}}}`,
+		`{"tenancy": {"trace": {"events": [{"at_s": 0, "nodes": 2, "duration_s": 10, "compute_ms": 1e300}]}}}`,
+		`{"tenancy": {"trace": {"events": [{"at_s": 0, "nodes": 4, "duration_s": 10, "pp": 2, "ga": 2000000000}]}}}`,
+		`{"tenancy": {"trace": {"events": [{"at_s": 0, "nodes": 2, "duration_s": 10}]}, "horizon_s": 1e30}}`,
+	}
+	for _, body := range bodies {
+		spec, err := decodeSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if _, err := NewSession(SessionOptions{Spec: spec}); err == nil {
+			t.Errorf("NewSession accepted %s", body)
+		}
+	}
+	// Values that do not come from JSON but can from Go callers and flags.
+	for _, js := range []SessionJob{
+		{HorizonS: math.NaN()},
+		{FaultAtS: math.Inf(1), Fault: "crash"},
+		{Plan: "tp8/pp2/dp4", PlanBucketMiB: math.NaN()},
+		{Plan: "tp8/pp2/dp4", PlanBucketMiB: math.Inf(1)},
+	} {
+		if _, err := NewSession(SessionOptions{Spec: SessionSpec{Job: &js}}); err == nil {
+			t.Errorf("NewSession accepted %+v", js)
+		}
+	}
+}
+
+// decodeSpec decodes a session body the way `c4 serve` does.
+func decodeSpec(data []byte) (SessionSpec, error) {
+	var spec SessionSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 func TestSessionRunsAtMostOnce(t *testing.T) {
