@@ -58,7 +58,6 @@ func checkSpan(t *testing.T, what string, d sim.Time) {
 func checkJobBounds(t *testing.T, jr *jobResolved) {
 	t.Helper()
 	checkSpan(t, "horizon", jr.horizon)
-	checkSpan(t, "fault instant", jr.faultAt)
 	par, nodes := jr.spec.Par.Normalize(), jr.spec.Nodes
 	if par.PP < 1 || par.DP < 1 || par.PP > jobNodes || par.DP > jobNodes || len(nodes) != par.PP*par.DP || len(nodes) > jobNodes {
 		t.Fatalf("accepted strategy %v on %d nodes", par, len(nodes))
@@ -68,8 +67,14 @@ func checkJobBounds(t *testing.T, jr *jobResolved) {
 			t.Fatalf("accepted placement %v outside the %d primaries", nodes, jobNodes)
 		}
 	}
-	if jr.fault != "none" && !slices.Contains(nodes, jr.victim) {
-		t.Fatalf("accepted victim %d outside the job's nodes %v", jr.victim, nodes)
+	for _, f := range jr.faults {
+		checkSpan(t, "fault instant", f.Start)
+		if !slices.Contains(nodes, f.Node) {
+			t.Fatalf("accepted victim %d outside the job's nodes %v", f.Node, nodes)
+		}
+	}
+	if (jr.fault != "none") != (len(jr.faults) == 1) {
+		t.Fatalf("fault %q resolved to %d specs", jr.fault, len(jr.faults))
 	}
 	if jr.iters <= 0 || par.GA < 1 || par.GA > plan.MaxGA {
 		t.Fatalf("accepted %d iterations of GA %d", jr.iters, par.GA)

@@ -7,13 +7,9 @@ import (
 	"c4/internal/accl"
 	"c4/internal/c4d"
 	"c4/internal/c4p"
-	"c4/internal/cluster"
-	"c4/internal/job"
 	"c4/internal/metrics"
-	"c4/internal/netsim"
 	"c4/internal/rca"
 	"c4/internal/sim"
-	"c4/internal/steering"
 	"c4/internal/topo"
 	"c4/internal/workload"
 )
@@ -176,8 +172,6 @@ type arm struct {
 // provisions one extra group's worth of backup nodes after the primaries.
 type layoutInfo struct {
 	fabricNodes int
-	primaries   int
-	spares      int
 	jobNodes    []int
 }
 
@@ -192,15 +186,7 @@ func layout(tr Trial) layoutInfo {
 			nodes = append(nodes, i)
 		}
 	default:
-		// Interleave across G groups (at least two) so every ring edge
-		// crosses the spine layer.
-		g := (tr.JobN + nodesPerGroup - 1) / nodesPerGroup
-		if g < 2 {
-			g = 2
-		}
-		for i := 0; i < tr.JobN; i++ {
-			nodes = append(nodes, (i%g)*nodesPerGroup+i/g)
-		}
+		nodes = Interleave(tr.JobN)
 	}
 	maxNode := 0
 	for _, n := range nodes {
@@ -209,12 +195,27 @@ func layout(tr Trial) layoutInfo {
 		}
 	}
 	primaries := ((maxNode + nodesPerGroup) / nodesPerGroup) * nodesPerGroup
-	return layoutInfo{
-		fabricNodes: primaries + spareNodes,
-		primaries:   primaries,
-		spares:      spareNodes,
-		jobNodes:    nodes,
+	return layoutInfo{fabricNodes: primaries + spareNodes, jobNodes: nodes}
+}
+
+// Interleave places n job nodes across G leaf groups of the multi-job
+// testbed (at least two) so every ring edge crosses the spine layer: the
+// spread placement.
+func Interleave(n int) []int {
+	g := max((n+nodesPerGroup-1)/nodesPerGroup, 2)
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = (i%g)*nodesPerGroup + i/g
 	}
+	return nodes
+}
+
+// Fabric is the topology the trial's arms run on: the multi-job testbed
+// at the trial's spine count, sized to its placement plus the spare pool.
+func (tr Trial) Fabric() topo.Spec {
+	spec := topo.MultiJobTestbed(tr.Spines)
+	spec.Nodes = layout(tr).fabricNodes
+	return spec
 }
 
 // PinnedProvider wraps a path provider and disables its fault response:
@@ -242,90 +243,60 @@ func steerable(ev c4d.Event) bool { return ev.Scope != c4d.ScopeConnection }
 // the faults land. C4D monitors both; diagnosis is scored on the base arm,
 // where the syndromes are unmasked.
 func runArm(tr Trial, seed int64, horizon sim.Time, steered bool) arm {
-	lay := layout(tr)
-	spec := topo.MultiJobTestbed(tr.Spines)
-	spec.Nodes = lay.fabricNodes
-	eng := sim.NewEngine()
-	t := topo.MustNew(spec)
-	net := netsim.New(eng, t, netsim.DefaultConfig())
-
+	jobNodes := layout(tr).jobNodes
 	// Both arms open the same QP count so the measured delta isolates the
 	// fault response — dynamic re-placement, completion-time-driven QP
 	// re-weighting, and node replacement — rather than a QP-fanout
 	// difference (ablation-qp shows QP count alone moves goodput).
-	const qps = 4
-	var prov accl.PathProvider
-	adaptive := false
-	if steered {
-		prov = c4p.NewMaster(t, c4p.Dynamic, sim.NewRand(seed))
-		adaptive = true
-	} else {
-		prov = PinnedProvider{c4p.NewMaster(t, c4p.Static, sim.NewRand(seed))}
+	cfg := RigConfig{
+		Fabric: tr.Fabric(),
+		Job:    workload.TenantSpec(tr.ID, workload.GPT22B, jobNodes, 550*sim.Millisecond),
+		QPs:    4,
+		Seed:   seed + 1,
+		Faults: tr.Specs,
 	}
-
-	master := c4d.NewMaster(c4d.Config{})
-	fleet := c4d.NewFleet(eng, master)
-
-	j, err := job.New(job.Config{
-		Engine: eng, Net: net, Provider: prov, Sink: fleet,
-		Rails: []int{0}, Rand: sim.NewRand(seed + 1),
-		QPsPerConn: qps, AdaptiveWeights: adaptive,
-		Spec: workload.JobSpec{
-			Name:                 tr.ID,
-			Model:                workload.GPT22B,
-			Par:                  workload.Parallelism{TP: 8, DP: tr.JobN, GA: 1},
-			Nodes:                lay.jobNodes,
-			ComputePerMicroBatch: 550 * sim.Millisecond,
-			ComputeJitter:        0.02,
-			SamplesPerIter:       samplesPerIter,
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("faults: trial %s: %v", tr.ID, err))
-	}
-
-	inj := NewInjector(eng, net, t)
-	inj.SetStraggler = j.SetStraggler
-
-	var events []c4d.Event
+	cfg.Job.SamplesPerIter = samplesPerIter
+	var r *Rig
 	var analyzer *rca.Analyzer
 	if steered {
-		cl := cluster.NewCluster(lay.primaries, spec.GPUsPerNode, lay.spares)
-		svc := steering.NewService(steering.Config{
-			Engine: eng, Cluster: cl,
+		cfg.Adaptive = true
+		cfg.Provider = func(t *topo.Topology) accl.PathProvider {
+			return c4p.NewMaster(t, c4p.Dynamic, sim.NewRand(seed))
+		}
+		cfg.Steering = &SteeringPolicy{
+			Spares:         spareNodes,
 			IsolationDelay: 10 * sim.Second,
 			RestartDelay:   60 * sim.Second,
-			Job:            j,
 			// Best-effort replace: the blamed node may already have been
 			// swapped out by an earlier recovery, in which case the swap
 			// fails and the job resumes with its current membership (the
 			// fault, if still live, re-triggers C4D).
-			Restart: func(int, int, error) { j.Run(1<<30, nil) },
-		})
-		master.Subscribe(func(ev c4d.Event) {
-			if steerable(ev) && slices.Contains(j.Nodes(), ev.Node) {
-				svc.Handle(ev)
+			Restart: func(int, int, error) { r.Job.Run(1<<30, nil) },
+		}
+	} else {
+		cfg.Provider = func(t *topo.Topology) accl.PathProvider {
+			return PinnedProvider{c4p.NewMaster(t, c4p.Static, sim.NewRand(seed))}
+		}
+		analyzer = rca.NewAnalyzer(0)
+		cfg.OnTelemetry = analyzer.Observe
+	}
+	r, err := NewRig(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("faults: trial %s: %v", tr.ID, err))
+	}
+	if steered {
+		r.Master.Subscribe(func(ev c4d.Event) {
+			if steerable(ev) && slices.Contains(r.Job.Nodes(), ev.Node) {
+				r.Steering.Handle(ev)
 			}
 		})
-	} else {
-		analyzer = rca.NewAnalyzer(0)
-		inj.OnTelemetry = analyzer.Observe
-		master.Subscribe(func(ev c4d.Event) { events = append(events, ev) })
 	}
+	r.Job.Run(1<<30, nil)
+	r.Run(horizon)
 
-	for _, s := range tr.Specs {
-		if err := inj.Arm(s); err != nil {
-			panic(fmt.Sprintf("faults: trial %s: %v", tr.ID, err))
-		}
-	}
-
-	j.Run(1<<30, nil)
-	eng.RunUntil(horizon)
-	fleet.Stop()
-
-	a := arm{iters: len(j.IterTimes()), fired: eng.Fired()}
+	a := arm{iters: len(r.Job.IterTimes()), fired: r.Eng.Fired()}
 	if !steered {
-		a.score = ScoreEvents(events, inj.Truth(lay.jobNodes), analyzer)
+		a.score = ScoreEvents(r.Master.Events(), r.Injector.Truth(jobNodes), analyzer)
 	}
 	return a
 }

@@ -139,11 +139,8 @@ func TestLayouts(t *testing.T) {
 	}
 	for _, c := range cases {
 		lay := layout(c.tr)
-		if lay.primaries != c.primaries {
-			t.Errorf("%d/%v: primaries %d, want %d", c.tr.JobN, c.tr.Placement, lay.primaries, c.primaries)
-		}
-		if lay.fabricNodes != c.primaries+spareNodes {
-			t.Errorf("%d/%v: fabric %d, want %d", c.tr.JobN, c.tr.Placement, lay.fabricNodes, c.primaries+spareNodes)
+		if n := c.tr.Fabric().Nodes; lay.fabricNodes != c.primaries+spareNodes || n != lay.fabricNodes {
+			t.Errorf("%d/%v: fabric %d (Fabric %d), want %d", c.tr.JobN, c.tr.Placement, lay.fabricNodes, n, c.primaries+spareNodes)
 		}
 		if len(lay.jobNodes) != len(c.wantNodes) {
 			t.Fatalf("%d/%v: nodes %v", c.tr.JobN, c.tr.Placement, lay.jobNodes)
@@ -156,7 +153,7 @@ func TestLayouts(t *testing.T) {
 	}
 	// 32-node spread interleaves four groups.
 	lay := layout(Trial{JobN: 32, Placement: Spread})
-	if lay.primaries != 32 || lay.jobNodes[1] != 8 || lay.jobNodes[2] != 16 || lay.jobNodes[3] != 24 {
+	if lay.fabricNodes != 32+spareNodes || lay.jobNodes[1] != 8 || lay.jobNodes[2] != 16 || lay.jobNodes[3] != 24 {
 		t.Fatalf("32-node layout: %+v", lay)
 	}
 }
@@ -203,7 +200,7 @@ func TestMixedTrialSpecsValid(t *testing.T) {
 		for _, tr := range c.Gen(seed) {
 			eng, net, top := testRig()
 			inj := NewInjector(eng, net, top)
-			inj.SetStraggler = func(int, sim.Time) {}
+			inj.Job = &fakeJob{}
 			for _, s := range tr.Specs {
 				if err := inj.Arm(s); err != nil {
 					t.Fatalf("seed %d trial %s: %v", seed, tr.ID, err)

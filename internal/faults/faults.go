@@ -1,10 +1,12 @@
 // Package faults is the fault-injection model of the C4 reproduction. It
 // provides a composable, seed-deterministic fault model — link flap with
 // duty cycle, NIC bandwidth degradation, spine/switch outage, straggler
-// compute, silent packet drop — that injects timed events into any
-// netsim/topo instance, plus the campaign families that sweep fault type ×
-// severity × topology scale × placement as generated trials, the trial
-// runner, and the pooled formulas over trial results.
+// compute, silent packet drop, worker crash, NIC port loss — that injects
+// timed events into any netsim/topo instance, plus the campaign families
+// that sweep fault type × severity × topology scale × placement as
+// generated trials, the trial runner, and the pooled formulas over trial
+// results. It also holds the monitored-job rig (rig.go) every live C4 run
+// is assembled with.
 //
 // Each campaign trial runs the same fault schedule twice: once with C4P
 // dynamic steering responding to the faults, once with routes pinned (no
@@ -17,7 +19,6 @@ package faults
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"c4/internal/netsim"
 	"c4/internal/rca"
@@ -29,7 +30,7 @@ import (
 // Kind is one fault archetype of the model.
 type Kind int
 
-// The five fault archetypes.
+// The seven fault archetypes.
 const (
 	// LinkFlap periodically kills and revives both directions of one leaf
 	// uplink cable. Severity is the duty cycle: the fraction of each
@@ -48,6 +49,13 @@ const (
 	// leaf uplink. The link stays up at full capacity — no link-state
 	// monitor sees it; only transport statistics can.
 	PacketDrop
+	// Crash kills the worker process on Node: it stops arriving at
+	// collectives and the job hangs. It persists for the rest of the run;
+	// only steering, replacing the node, ends it.
+	Crash
+	// PortDown takes both ports of (Node, Rail) down, a NIC losing carrier.
+	// Like Crash it persists until steering replaces the node.
+	PortDown
 )
 
 func (k Kind) String() string {
@@ -62,14 +70,22 @@ func (k Kind) String() string {
 		return "straggler"
 	case PacketDrop:
 		return "packet-drop"
+	case Crash:
+		return "crash"
+	case PortDown:
+		return "port-down"
 	}
 	return "unknown"
 }
 
+// persistent reports whether the fault lasts for the rest of the run: its
+// Duration is ignored and nothing clears it.
+func (k Kind) persistent() bool { return k == Crash || k == PortDown }
+
 // Spec is one parameterized fault instance. Target fields are used
-// per-kind: Node for NICDegrade/Straggler, (Plane, Group, Uplink) for
-// LinkFlap/PacketDrop, Spine for SpineOutage; Rail applies to all fabric
-// faults.
+// per-kind: Node for NICDegrade/Straggler/Crash/PortDown, (Plane, Group,
+// Uplink) for LinkFlap/PacketDrop, Spine for SpineOutage; Rail applies to
+// all fabric faults.
 type Spec struct {
 	Kind   Kind
 	Node   int
@@ -80,16 +96,24 @@ type Spec struct {
 	Spine  int
 	// Severity is the fault magnitude: duty cycle (LinkFlap), capacity
 	// fraction lost (NICDegrade), loss fraction (PacketDrop), or extra
-	// seconds of compute per iteration (Straggler). Ignored by SpineOutage.
+	// seconds of compute per iteration (Straggler). Ignored by
+	// SpineOutage, Crash and PortDown.
 	Severity float64
 	Start    sim.Time
+	// Duration is the active window; Crash and PortDown ignore it.
 	Duration sim.Time
 	// Period is the flap cycle length (LinkFlap only).
 	Period sim.Time
 }
 
-// End reports when the fault clears.
-func (s Spec) End() sim.Time { return s.Start + s.Duration }
+// End reports when the fault clears: sim.MaxTime (never) for Crash and
+// PortDown.
+func (s Spec) End() sim.Time {
+	if s.Kind.persistent() {
+		return sim.MaxTime
+	}
+	return s.Start + s.Duration
+}
 
 func (s Spec) String() string {
 	switch s.Kind {
@@ -103,14 +127,18 @@ func (s Spec) String() string {
 		return fmt.Sprintf("%v r%d/spine%d [%v..%v]", s.Kind, s.Rail, s.Spine, s.Start, s.End())
 	case Straggler:
 		return fmt.Sprintf("%v n%d +%.1fs/iter [%v..%v]", s.Kind, s.Node, s.Severity, s.Start, s.End())
+	case Crash:
+		return fmt.Sprintf("%v n%d [%v..]", s.Kind, s.Node, s.Start)
+	case PortDown:
+		return fmt.Sprintf("%v n%d r%d [%v..]", s.Kind, s.Node, s.Rail, s.Start)
 	}
 	return fmt.Sprintf("%v n%d sev=%.2f [%v..%v]", s.Kind, s.Node, s.Severity, s.Start, s.End())
 }
 
-// Validate reports a descriptive error for an inconsistent spec.
-func (s Spec) Validate(t *topo.Topology) error {
-	spec := t.Spec
-	if s.Start < 0 || s.Duration <= 0 {
+// Validate reports a descriptive error for a spec that is inconsistent
+// or names a component the fabric does not have.
+func (s Spec) Validate(spec topo.Spec) error {
+	if s.Start < 0 || (s.Duration <= 0 && !s.Kind.persistent()) {
 		return fmt.Errorf("faults: %v has empty window [%v..%v]", s.Kind, s.Start, s.End())
 	}
 	switch s.Kind {
@@ -147,6 +175,8 @@ func (s Spec) Validate(t *topo.Topology) error {
 		if s.Severity <= 0 || s.Severity > 10 {
 			return fmt.Errorf("faults: straggler delay %vs outside (0,10]", s.Severity)
 		}
+		fallthrough
+	case Crash, PortDown:
 		if s.Node < 0 || s.Node >= spec.Nodes {
 			return fmt.Errorf("faults: node %d outside fabric", s.Node)
 		}
@@ -160,7 +190,7 @@ func (s Spec) Validate(t *topo.Topology) error {
 }
 
 // Links resolves the fabric links the fault manipulates (none for
-// Straggler).
+// Straggler and Crash).
 func (s Spec) Links(t *topo.Topology) []*topo.Link {
 	switch s.Kind {
 	case LinkFlap:
@@ -169,7 +199,7 @@ func (s Spec) Links(t *topo.Topology) []*topo.Link {
 	case PacketDrop:
 		leaf := t.LeafAt(s.Rail, s.Plane, s.Group)
 		return []*topo.Link{leaf.Ups[s.Uplink]}
-	case NICDegrade:
+	case NICDegrade, PortDown:
 		var out []*topo.Link
 		for p := 0; p < topo.Planes; p++ {
 			port := t.PortAt(s.Node, s.Rail, p)
@@ -192,8 +222,22 @@ func (s Spec) telemetry() *rca.Telemetry {
 		return &rca.Telemetry{Kind: rca.TelemetryNICDown, Node: s.Node}
 	case Straggler:
 		return &rca.Telemetry{Kind: rca.TelemetryThermal, Node: s.Node}
+	case Crash:
+		return &rca.Telemetry{Kind: rca.TelemetryXidError, Node: s.Node}
+	case PortDown:
+		return &rca.Telemetry{Kind: rca.TelemetryNICDown, Node: s.Node}
 	}
 	return nil
+}
+
+// Job is the part of a running training job the node-compute faults act
+// on; *job.Job satisfies it.
+type Job interface {
+	// SetStraggler applies (or, with extra=0, clears) a per-iteration
+	// compute delay on a node.
+	SetStraggler(node int, extra sim.Time)
+	// SetCrashed marks a node's worker crashed.
+	SetCrashed(node int, crashed bool)
 }
 
 // Injector arms fault specs onto a live simulation. Overlapping faults
@@ -204,14 +248,15 @@ type Injector struct {
 	Eng  *sim.Engine
 	Net  *netsim.Network
 	Topo *topo.Topology
-	// SetStraggler applies (or, with extra=0, clears) a per-iteration
-	// compute delay on a node; required only to arm Straggler specs.
-	SetStraggler func(node int, extra sim.Time)
+	// Job is the job Straggler and Crash specs act on; required only to
+	// arm them.
+	Job Job
 	// OnTelemetry, when set, receives the hardware-monitor signal each
 	// non-silent fault emits at onset (feeds the RCA service).
 	OnTelemetry func(rca.Telemetry)
 
 	armed    []Spec
+	events   []*sim.Event // every scheduled event, for Drop
 	baseGbps map[int]float64
 	downRefs map[int]int
 	degrades map[int][]float64
@@ -229,16 +274,28 @@ func NewInjector(eng *sim.Engine, net *netsim.Network, t *topo.Topology) *Inject
 	}
 }
 
-// Armed returns every spec armed so far, in arming order.
-func (in *Injector) Armed() []Spec { return append([]Spec(nil), in.armed...) }
+// Drop cancels every fault event that has not fired yet: faults still
+// pending never start, and active ones stay as they are.
+func (in *Injector) Drop() {
+	for _, ev := range in.events {
+		ev.Cancel()
+	}
+}
+
+// at schedules one of the injector's events.
+func (in *Injector) at(t sim.Time, fn func()) {
+	in.events = append(in.events, in.Eng.Schedule(t, fn))
+}
 
 // Arm validates the spec and schedules its timed events on the engine.
+// Crash and PortDown schedule no clearing event, and their fault span
+// stays open.
 func (in *Injector) Arm(s Spec) error {
-	if err := s.Validate(in.Topo); err != nil {
+	if err := s.Validate(in.Topo.Spec); err != nil {
 		return err
 	}
-	if s.Kind == Straggler && in.SetStraggler == nil {
-		return fmt.Errorf("faults: straggler armed without a SetStraggler hook")
+	if (s.Kind == Straggler || s.Kind == Crash) && in.Job == nil {
+		return fmt.Errorf("faults: %v armed without a job", s.Kind)
 	}
 	links := s.Links(in.Topo)
 	end := s.End()
@@ -250,81 +307,64 @@ func (in *Injector) Arm(s Spec) error {
 	// guess a detector could make too.
 	if tr := in.Net.Trace; tr.Enabled() {
 		var fsp *trace.Span
-		in.Eng.Schedule(s.Start, func() {
-			fsp = tr.Start(nil, "fault", s.Kind.String()).Annotate("spec", s.String())
+		in.at(s.Start, func() {
+			fsp = tr.Start(nil, "fault", s.Kind.String())
+			if s.Kind.persistent() {
+				fsp.Annotate("node", fmt.Sprint(s.Node))
+			} else {
+				fsp.Annotate("spec", s.String())
+			}
 			tr.SetMark("fault", fsp)
 		})
-		in.Eng.Schedule(end, func() {
-			fsp.FinishAt(in.Eng.Now())
-			if tr.Mark("fault") == fsp {
-				tr.SetMark("fault", nil)
-			}
-		})
+		if !s.Kind.persistent() {
+			in.at(end, func() {
+				fsp.FinishAt(in.Eng.Now())
+				if tr.Mark("fault") == fsp {
+					tr.SetMark("fault", nil)
+				}
+			})
+		}
 	}
+	// Every archetype but the flap is one onset and one clear; fabric
+	// faults apply theirs to each resolved link.
+	each := func(op func(*topo.Link)) func() {
+		return func() {
+			for _, l := range links {
+				op(l)
+			}
+		}
+	}
+	var onset, clear func()
 	switch s.Kind {
 	case LinkFlap:
 		downSpan := sim.Time(float64(s.Period) * s.Severity)
 		for at := s.Start; at < end; at += s.Period {
-			at := at
-			upAt := at + downSpan
-			if upAt > end {
-				upAt = end
-			}
-			in.Eng.Schedule(at, func() {
-				for _, l := range links {
-					in.down(l)
-				}
-			})
-			in.Eng.Schedule(upAt, func() {
-				for _, l := range links {
-					in.up(l)
-				}
-			})
+			in.at(at, each(in.down))
+			in.at(min(at+downSpan, end), each(in.up))
 		}
-	case SpineOutage:
-		in.Eng.Schedule(s.Start, func() {
-			for _, l := range links {
-				in.down(l)
-			}
-		})
-		in.Eng.Schedule(end, func() {
-			for _, l := range links {
-				in.up(l)
-			}
-		})
+	case SpineOutage, PortDown:
+		onset, clear = each(in.down), each(in.up)
 	case NICDegrade:
-		in.Eng.Schedule(s.Start, func() {
-			for _, l := range links {
-				in.degrade(l, s.Severity)
-			}
-		})
-		in.Eng.Schedule(end, func() {
-			for _, l := range links {
-				in.undegrade(l, s.Severity)
-			}
-		})
+		onset = each(func(l *topo.Link) { in.degrade(l, s.Severity, true) })
+		clear = each(func(l *topo.Link) { in.degrade(l, s.Severity, false) })
 	case PacketDrop:
-		in.Eng.Schedule(s.Start, func() {
-			for _, l := range links {
-				in.addLoss(l, s.Severity)
-			}
-		})
-		in.Eng.Schedule(end, func() {
-			for _, l := range links {
-				in.removeLoss(l, s.Severity)
-			}
-		})
+		onset = each(func(l *topo.Link) { in.loss(l, s.Severity, true) })
+		clear = each(func(l *topo.Link) { in.loss(l, s.Severity, false) })
 	case Straggler:
-		in.Eng.Schedule(s.Start, func() {
-			in.SetStraggler(s.Node, sim.FromSeconds(s.Severity))
-		})
-		in.Eng.Schedule(end, func() {
-			in.SetStraggler(s.Node, 0)
-		})
+		onset = func() { in.Job.SetStraggler(s.Node, sim.FromSeconds(s.Severity)) }
+		clear = func() { in.Job.SetStraggler(s.Node, 0) }
+	case Crash:
+		onset = func() { in.Job.SetCrashed(s.Node, true) }
+	}
+	if onset != nil {
+		in.at(s.Start, onset)
+		if !s.Kind.persistent() {
+			in.at(end, clear)
+		}
 	}
 	if tel := s.telemetry(); tel != nil && in.OnTelemetry != nil {
 		tel := *tel
-		in.Eng.Schedule(s.Start, func() {
+		in.at(s.Start, func() {
 			tel.Time = in.Eng.Now()
 			in.OnTelemetry(tel)
 		})
@@ -364,26 +404,13 @@ func (in *Injector) up(l *topo.Link) {
 	}
 }
 
-func (in *Injector) degrade(l *topo.Link, frac float64) {
+// degrade adds (or removes) one capacity loss on the link; concurrent
+// losses multiply.
+func (in *Injector) degrade(l *topo.Link, frac float64, add bool) {
 	if _, ok := in.baseGbps[l.ID]; !ok {
 		in.baseGbps[l.ID] = l.Gbps
 	}
-	in.degrades[l.ID] = append(in.degrades[l.ID], frac)
-	in.applyCapacity(l)
-}
-
-func (in *Injector) undegrade(l *topo.Link, frac float64) {
-	fr := in.degrades[l.ID]
-	for i, f := range fr {
-		if f == frac {
-			in.degrades[l.ID] = append(fr[:i], fr[i+1:]...)
-			break
-		}
-	}
-	in.applyCapacity(l)
-}
-
-func (in *Injector) applyCapacity(l *topo.Link) {
+	stack(in.degrades, l, frac, add)
 	g := in.baseGbps[l.ID]
 	for _, f := range in.degrades[l.ID] {
 		g *= 1 - f
@@ -391,23 +418,10 @@ func (in *Injector) applyCapacity(l *topo.Link) {
 	in.Net.SetLinkCapacity(l, g)
 }
 
-func (in *Injector) addLoss(l *topo.Link, frac float64) {
-	in.losses[l.ID] = append(in.losses[l.ID], frac)
-	in.applyLoss(l)
-}
-
-func (in *Injector) removeLoss(l *topo.Link, frac float64) {
-	fr := in.losses[l.ID]
-	for i, f := range fr {
-		if f == frac {
-			in.losses[l.ID] = append(fr[:i], fr[i+1:]...)
-			break
-		}
-	}
-	in.applyLoss(l)
-}
-
-func (in *Injector) applyLoss(l *topo.Link) {
+// loss adds (or removes) one packet-loss fraction on the link; concurrent
+// losses compound.
+func (in *Injector) loss(l *topo.Link, frac float64, add bool) {
+	stack(in.losses, l, frac, add)
 	keep := 1.0
 	for _, f := range in.losses[l.ID] {
 		keep *= 1 - f
@@ -415,8 +429,13 @@ func (in *Injector) applyLoss(l *topo.Link) {
 	in.Net.SetLinkLoss(l, 1-keep)
 }
 
-func sortedCopy(xs []int) []int {
-	cp := slices.Clone(xs)
-	sort.Ints(cp)
-	return cp
+// stack pushes frac onto the link's fraction stack, or pops one equal to
+// it.
+func stack(m map[int][]float64, l *topo.Link, frac float64, push bool) {
+	fr := m[l.ID]
+	if push {
+		m[l.ID] = append(fr, frac)
+	} else if i := slices.Index(fr, frac); i >= 0 {
+		m[l.ID] = append(fr[:i], fr[i+1:]...)
+	}
 }

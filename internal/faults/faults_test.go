@@ -3,6 +3,7 @@ package faults
 import (
 	"testing"
 
+	"c4/internal/c4d"
 	"c4/internal/netsim"
 	"c4/internal/rca"
 	"c4/internal/sim"
@@ -28,15 +29,26 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: Straggler, Severity: 99, Duration: sim.Minute, Node: 1},
 		{Kind: PacketDrop, Severity: 1.0, Duration: sim.Minute},
 		{Kind: Kind(99), Severity: 0.5, Duration: sim.Minute},
+		{Kind: Crash, Node: 16},
+		{Kind: Crash, Node: -1},
+		{Kind: Crash, Node: 1, Start: -sim.Second},
+		{Kind: PortDown, Node: 999},
+		{Kind: PortDown, Node: 1, Rail: 8},
 	}
 	for _, s := range bad {
-		if err := s.Validate(top); err == nil {
+		if err := s.Validate(top.Spec); err == nil {
 			t.Errorf("spec %+v validated, want error", s)
 		}
 	}
-	good := Spec{Kind: SpineOutage, Rail: 0, Spine: 3, Start: sim.Second, Duration: sim.Minute}
-	if err := good.Validate(top); err != nil {
-		t.Errorf("spec %v rejected: %v", good, err)
+	for _, good := range []Spec{
+		{Kind: SpineOutage, Rail: 0, Spine: 3, Start: sim.Second, Duration: sim.Minute},
+		// The persistent kinds have no window to validate.
+		{Kind: Crash, Node: 15, Start: sim.Second},
+		{Kind: PortDown, Node: 0, Rail: 7},
+	} {
+		if err := good.Validate(top.Spec); err != nil {
+			t.Errorf("spec %v rejected: %v", good, err)
+		}
 	}
 }
 
@@ -201,33 +213,149 @@ func TestLossComposition(t *testing.T) {
 	eng.RunUntil(2 * sim.Minute)
 }
 
+// fakeJob records what the node-compute faults do to a job.
+type fakeJob struct {
+	applied map[int]sim.Time
+	crashed map[int]bool
+}
+
+func (j *fakeJob) SetStraggler(node int, extra sim.Time) {
+	if j.applied == nil {
+		j.applied = map[int]sim.Time{}
+	}
+	j.applied[node] = extra
+}
+
+func (j *fakeJob) SetCrashed(node int, crashed bool) {
+	if j.crashed == nil {
+		j.crashed = map[int]bool{}
+	}
+	j.crashed[node] = crashed
+}
+
 func TestStragglerNeedsHook(t *testing.T) {
 	eng, net, top := testRig()
 	inj := NewInjector(eng, net, top)
-	err := inj.Arm(Spec{Kind: Straggler, Node: 1, Severity: 0.5, Duration: sim.Minute})
-	if err == nil {
-		t.Fatal("straggler armed without hook")
+	for _, k := range []Kind{Straggler, Crash} {
+		if err := inj.Arm(Spec{Kind: k, Node: 1, Severity: 0.5, Duration: sim.Minute}); err == nil {
+			t.Fatalf("%v armed without a job", k)
+		}
 	}
-	applied := map[int]sim.Time{}
-	inj.SetStraggler = func(node int, extra sim.Time) { applied[node] = extra }
+	job := &fakeJob{}
+	inj.Job = job
 	if err := inj.Arm(Spec{Kind: Straggler, Node: 1, Severity: 0.5,
 		Start: sim.Second, Duration: sim.Minute}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(30 * sim.Second)
-	if applied[1] != 500*sim.Millisecond {
-		t.Fatalf("straggler delay %v, want 500ms", applied[1])
+	if job.applied[1] != 500*sim.Millisecond {
+		t.Fatalf("straggler delay %v, want 500ms", job.applied[1])
 	}
 	eng.RunUntil(2 * sim.Minute)
-	if applied[1] != 0 {
-		t.Fatalf("straggler delay %v after window, want cleared", applied[1])
+	if job.applied[1] != 0 {
+		t.Fatalf("straggler delay %v after window, want cleared", job.applied[1])
+	}
+}
+
+// TestPersistentFaults: Crash and PortDown start at Start, emit their
+// monitor signal, and nothing clears them for the rest of the run; their
+// ground truth impacts exactly the victim.
+func TestPersistentFaults(t *testing.T) {
+	eng, net, top := testRig()
+	inj := NewInjector(eng, net, top)
+	job := &fakeJob{}
+	inj.Job = job
+	var got []rca.Telemetry
+	inj.OnTelemetry = func(tel rca.Telemetry) { got = append(got, tel) }
+	for _, s := range []Spec{
+		{Kind: Crash, Node: 3, Start: 10 * sim.Second},
+		{Kind: PortDown, Node: 5, Rail: 0, Start: 20 * sim.Second},
+	} {
+		if err := inj.Arm(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ports []*topo.Link
+	for p := 0; p < topo.Planes; p++ {
+		port := top.PortAt(5, 0, p)
+		ports = append(ports, port.Up, port.Down)
+	}
+	portsUp := func() (up int) {
+		for _, l := range ports {
+			if l.Up() {
+				up++
+			}
+		}
+		return up
+	}
+	eng.RunUntil(10*sim.Second - 1)
+	if job.crashed[3] || len(got) != 0 {
+		t.Fatalf("crash fired before its start: crashed %v, signals %v", job.crashed, got)
+	}
+	eng.RunUntil(10 * sim.Second)
+	if !job.crashed[3] || portsUp() != len(ports) {
+		t.Fatalf("at 10s: crashed %v, %d of %d ports up", job.crashed, portsUp(), len(ports))
+	}
+	eng.RunUntil(20 * sim.Second)
+	if portsUp() != 0 {
+		t.Fatalf("port-down left %d ports up at its start", portsUp())
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending after both onsets, want none (no clearing event)", n)
+	}
+	eng.RunUntil(24 * sim.Hour)
+	if !job.crashed[3] || portsUp() != 0 {
+		t.Fatalf("persistent faults cleared: crashed %v, %d ports up", job.crashed, portsUp())
+	}
+	want := []rca.Telemetry{
+		{Time: 10 * sim.Second, Kind: rca.TelemetryXidError, Node: 3},
+		{Time: 20 * sim.Second, Kind: rca.TelemetryNICDown, Node: 5},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("signals %v, want %v", got, want)
+	}
+	for _, gt := range inj.Truth([]int{1, 3, 5, 7}) {
+		if node := gt.Spec.Node; len(gt.Impact) != 1 || gt.Impact[0] != node {
+			t.Errorf("%v: impact %v, want exactly [%d]", gt.Spec, gt.Impact, node)
+		}
+		if !gt.Matches(c4d.Event{Time: 23 * sim.Hour, Node: gt.Spec.Node}) {
+			t.Errorf("%v: a late finding on the victim does not match", gt.Spec)
+		}
+	}
+	for _, gt := range inj.Truth([]int{0, 1}) {
+		if gt.Relevant() {
+			t.Errorf("%v impacts %v, a job without its node", gt.Spec, gt.Impact)
+		}
+	}
+}
+
+// TestDropCancelsPendingFaults: a fault whose instant has not come never
+// fires once dropped, while one already active stays.
+func TestDropCancelsPendingFaults(t *testing.T) {
+	eng, net, top := testRig()
+	inj := NewInjector(eng, net, top)
+	job := &fakeJob{}
+	inj.Job = job
+	for _, s := range []Spec{
+		{Kind: Straggler, Node: 1, Severity: 0.5, Start: sim.Second, Duration: sim.Hour},
+		{Kind: Crash, Node: 2, Start: sim.Minute},
+	} {
+		if err := inj.Arm(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(2 * sim.Second)
+	inj.Drop()
+	eng.RunUntil(2 * sim.Hour)
+	if job.crashed[2] || job.applied[1] != 500*sim.Millisecond {
+		t.Fatalf("after Drop: crashed %v, stragglers %v", job.crashed, job.applied)
 	}
 }
 
 func TestTelemetrySignals(t *testing.T) {
 	eng, net, top := testRig()
 	inj := NewInjector(eng, net, top)
-	inj.SetStraggler = func(int, sim.Time) {}
+	inj.Job = &fakeJob{}
 	var got []rca.Telemetry
 	inj.OnTelemetry = func(tel rca.Telemetry) { got = append(got, tel) }
 	specs := []Spec{
@@ -253,8 +381,8 @@ func TestTelemetrySignals(t *testing.T) {
 			t.Errorf("signal %d: %v, want %v", i, tel.Kind, want[i])
 		}
 	}
-	if len(inj.Armed()) != len(specs) {
-		t.Fatalf("Armed() reports %d specs, want %d", len(inj.Armed()), len(specs))
+	if n := len(inj.Truth(nil)); n != len(specs) {
+		t.Fatalf("Truth reports %d armed specs, want %d", n, len(specs))
 	}
 }
 

@@ -97,7 +97,7 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 	})
 
 	inj := NewInjector(eng, net, tp)
-	inj.SetStraggler = j.SetStraggler
+	inj.Job = j
 	if err := inj.Arm(Spec{
 		Kind: Straggler, Node: victim, Severity: 2,
 		Start: 20 * sim.Second, Duration: 3 * sim.Minute,

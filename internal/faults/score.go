@@ -32,7 +32,7 @@ type GroundTruth struct {
 func makeTruth(s Spec, t *topo.Topology, jobNodes []int) GroundTruth {
 	gt := GroundTruth{Spec: s}
 	switch s.Kind {
-	case NICDegrade, Straggler:
+	case NICDegrade, Straggler, Crash, PortDown:
 		for _, n := range jobNodes {
 			if n == s.Node {
 				gt.Impact = []int{s.Node}
@@ -45,7 +45,8 @@ func makeTruth(s Spec, t *topo.Topology, jobNodes []int) GroundTruth {
 			groups[t.Group(n)] = true
 		}
 		if len(groups) > 1 {
-			gt.Impact = sortedCopy(jobNodes)
+			gt.Impact = slices.Clone(jobNodes)
+			slices.Sort(gt.Impact)
 		}
 	}
 	return gt
@@ -61,7 +62,7 @@ func (gt GroundTruth) Matches(ev c4d.Event) bool {
 	if !gt.Relevant() {
 		return false
 	}
-	if ev.Time < gt.Spec.Start || ev.Time > gt.Spec.End()+Grace {
+	if ev.Time < gt.Spec.Start || ev.Time-Grace > gt.Spec.End() {
 		return false
 	}
 	if slices.Contains(gt.Impact, ev.Node) {
@@ -74,8 +75,8 @@ func (gt GroundTruth) Matches(ev c4d.Event) bool {
 // classification for this fault archetype.
 func (k Kind) ExpectedCauses() []cluster.FaultKind {
 	switch k {
-	case Straggler:
-		// Compute-side degradation: the crash-cause taxonomy's GPU-side
+	case Straggler, Crash:
+		// Compute-side faults: the crash-cause taxonomy's GPU-side
 		// entries.
 		return []cluster.FaultKind{cluster.FaultCUDAError, cluster.FaultECCNVLink}
 	default:

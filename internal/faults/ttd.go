@@ -45,7 +45,7 @@ func (gt GroundTruth) matchesDetection(d c4d.Detection) bool {
 	if !gt.Relevant() {
 		return false
 	}
-	if d.At < gt.Spec.Start || d.At > gt.Spec.End()+Grace {
+	if d.At < gt.Spec.Start || d.At-Grace > gt.Spec.End() {
 		return false
 	}
 	for _, s := range d.Suspects {

@@ -74,13 +74,21 @@ func (p ProviderKind) String() string {
 
 // NewProvider instantiates the policy on an environment.
 func (e *Env) NewProvider(kind ProviderKind, seed int64) accl.PathProvider {
-	switch kind {
-	case C4PStatic:
-		return c4p.NewMaster(e.Topo, c4p.Static, sim.NewRand(seed))
-	case C4PDynamic:
-		return c4p.NewMaster(e.Topo, c4p.Dynamic, sim.NewRand(seed))
-	default:
-		return accl.NewECMPProvider(e.Topo, sim.NewRand(seed))
+	return kind.On(seed)(e.Topo)
+}
+
+// On returns the policy's constructor, for a topology built elsewhere (a
+// faults.Rig's).
+func (p ProviderKind) On(seed int64) func(*topo.Topology) accl.PathProvider {
+	return func(t *topo.Topology) accl.PathProvider {
+		switch p {
+		case C4PStatic:
+			return c4p.NewMaster(t, c4p.Static, sim.NewRand(seed))
+		case C4PDynamic:
+			return c4p.NewMaster(t, c4p.Dynamic, sim.NewRand(seed))
+		default:
+			return accl.NewECMPProvider(t, sim.NewRand(seed))
+		}
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 
 	"c4/internal/c4d"
 	"c4/internal/cluster"
+	"c4/internal/faults"
 	"c4/internal/job"
 	"c4/internal/scenario"
 	"c4/internal/sim"
-	"c4/internal/steering"
 	"c4/internal/topo"
 	"c4/internal/workload"
 )
@@ -39,71 +39,46 @@ type PipelineResult struct {
 func RunPipeline(seed int64) PipelineResult { return runPipeline(scenario.NewCtx(seed)) }
 
 func runPipeline(ctx *scenario.Ctx) PipelineResult {
-	seed := ctx.Seed
-	spec := topo.MultiJobTestbed(8)
-	spec.Nodes = 24 // 16 primaries + 8 backups, the paper's spare ratio
-	e := newEnv(ctx, spec)
-	cl := cluster.NewCluster(16, 8, 8)
-
-	master := c4d.NewMaster(c4d.Config{})
-	fleet := c4d.NewFleet(e.Eng, master)
-
-	jobSpec := workload.JobSpec{
-		Name:                 "pipeline-GPT22B",
-		Model:                workload.GPT22B,
-		Par:                  workload.Parallelism{TP: 8, DP: 16, GA: 1},
-		Nodes:                InterleavedNodes(16),
-		ComputePerMicroBatch: 550 * sim.Millisecond,
-		ComputeJitter:        0.02,
-		SamplesPerIter:       64,
-	}
-	j, err := job.New(job.Config{
-		Engine: e.Eng, Net: e.Net,
-		Provider: e.NewProvider(C4PStatic, seed),
-		Sink:     fleet,
-		Rails:    []int{0},
-		Spec:     jobSpec,
-		Rand:     sim.NewRand(seed),
+	fabric := topo.MultiJobTestbed(8)
+	fabric.Nodes = 24 // 16 primaries + 8 backups, the paper's spare ratio
+	const victim = 6
+	res := PipelineResult{BlamedNode: -1, Replacement: -1, InjectedAt: 20 * sim.Second}
+	res.Fault = cluster.Fault{Kind: cluster.FaultCUDAError, Node: victim, Time: res.InjectedAt, Local: true}
+	var r *faults.Rig
+	r, err := faults.NewRig(faults.RigConfig{
+		Fabric:   fabric,
+		Job:      workload.TenantSpec("pipeline-GPT22B", workload.GPT22B, InterleavedNodes(16), 550*sim.Millisecond),
+		Provider: C4PStatic.On(ctx.Seed),
+		Seed:     ctx.Seed,
+		Faults:   []faults.Spec{{Kind: faults.Crash, Node: victim, Start: res.InjectedAt}},
+		Steering: &faults.SteeringPolicy{
+			Spares:         8,
+			IsolationDelay: 30 * sim.Second,
+			RestartDelay:   3 * sim.Minute,
+			Restart: func(node, repl int, err error) {
+				if err != nil {
+					panic(err)
+				}
+				res.RestartedAt = r.Eng.Now()
+				res.Replacement = repl
+				r.Job.Run(5, func(job.Report) { res.Finished = true })
+			},
+		},
 	})
 	if err != nil {
 		panic(err)
 	}
-
-	res := PipelineResult{BlamedNode: -1, Replacement: -1}
-	victim := 6
-
-	svc := steering.NewService(steering.Config{
-		Engine:         e.Eng,
-		Cluster:        cl,
-		IsolationDelay: 30 * sim.Second,
-		RestartDelay:   3 * sim.Minute,
-		Job:            j,
-		Restart: func(node, repl int, err error) {
-			if err != nil {
-				panic(err)
-			}
-			res.RestartedAt = e.Eng.Now()
-			res.Replacement = repl
-			j.Run(5, func(job.Report) { res.Finished = true })
-		},
-	})
-	master.Subscribe(func(ev c4d.Event) {
+	ctx.Track(r.Eng)
+	r.Master.Subscribe(func(ev c4d.Event) {
 		res.Events = append(res.Events, ev)
 		if res.DetectedAt == 0 {
 			res.DetectedAt = ev.Time
 			res.BlamedNode = ev.Node
 		}
-		svc.Handle(ev)
+		r.Steering.Handle(ev)
 	})
-
-	j.Run(1000, nil)
-	res.InjectedAt = 20 * sim.Second
-	e.Eng.Schedule(res.InjectedAt, func() {
-		res.Fault = cluster.Fault{Kind: cluster.FaultCUDAError, Node: victim, Time: e.Eng.Now(), Local: true}
-		j.SetCrashed(victim, true)
-	})
-	e.Eng.RunUntil(30 * sim.Minute)
-	fleet.Stop()
+	r.Job.Run(1000, nil)
+	r.Run(30 * sim.Minute)
 
 	if res.DetectedAt > 0 {
 		res.Detection = res.DetectedAt - res.InjectedAt

@@ -60,13 +60,13 @@ type rig struct {
 	stopped      bool
 }
 
-func newRig(t *testing.T, dcfg DetectorConfig, pcfg PipelineConfig, extra ...Consumer) *rig {
+func newRig(t *testing.T, dcfg DetectorConfig, pcfg PipelineConfig, extra ...Sink) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
 	net := netsim.New(eng, tp, netsim.DefaultConfig())
 	det := NewOnlineDetector(eng, dcfg)
-	pipe := NewPipeline(eng, pcfg, append([]Consumer{det}, extra...)...)
+	pipe := NewPipeline(eng, pcfg, append([]Sink{det}, extra...)...)
 	nodes := []int{0, 2, 4, 6}
 	comm, err := accl.NewCommunicator(accl.Config{
 		Engine: eng, Net: net, Provider: &plannedProvider{topo: tp},

@@ -30,17 +30,11 @@ type Sink interface {
 	Observe(Record)
 }
 
-// Consumer is the historical name for Sink.
-type Consumer = Sink
-
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(Record)
 
 // Observe implements Sink.
 func (f SinkFunc) Observe(r Record) { f(r) }
-
-// ConsumerFunc is the historical name for SinkFunc.
-type ConsumerFunc = SinkFunc
 
 // Pipeline is the streaming telemetry collection plane. It implements
 // accl.StatsSink: data-plane records (collectives, messages, waits) land
@@ -51,7 +45,7 @@ type ConsumerFunc = SinkFunc
 type Pipeline struct {
 	cfg  PipelineConfig
 	eng  *sim.Engine
-	cons []Consumer
+	cons []Sink
 
 	collectors map[int]*Collector
 	nodes      []int // sorted keys of collectors
@@ -67,7 +61,7 @@ type Pipeline struct {
 
 // NewPipeline creates a pipeline feeding the given consumers (typically
 // an OnlineDetector and/or a StreamWriter) and starts the drain cadence.
-func NewPipeline(eng *sim.Engine, cfg PipelineConfig, consumers ...Consumer) *Pipeline {
+func NewPipeline(eng *sim.Engine, cfg PipelineConfig, consumers ...Sink) *Pipeline {
 	if cfg.BufCap <= 0 {
 		cfg.BufCap = 4096
 	}

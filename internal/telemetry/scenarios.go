@@ -14,14 +14,11 @@ import (
 	"c4/internal/c4d"
 	"c4/internal/c4p"
 	"c4/internal/faults"
-	"c4/internal/job"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
 	"c4/internal/topo"
 	"c4/internal/workload"
-
-	"c4/internal/netsim"
 )
 
 // raceConfig is one online-vs-batch trial.
@@ -32,100 +29,53 @@ type raceConfig struct {
 	seed    int64
 	specs   []faults.Spec
 	drain   sim.Time // pipeline drain cadence (0 = streaming)
-	bufCap  int
 }
 
-// raceOutcome collects both arms' verdicts plus work accounting.
+// raceOutcome is a finished race: the rig (batch C4D's verdicts and work
+// counters), the online detector and its pipeline, and the ground truth.
 type raceOutcome struct {
-	batch  []c4d.Event
-	online []c4d.Detection
+	*faults.Rig
+	det    *OnlineDetector
+	pipe   *Pipeline
 	truths []faults.GroundTruth
-
-	fired   uint64
-	iters   int
-	records uint64
-	drops   uint64
-	drains  uint64
-
-	batchPasses   int
-	batchCells    int
-	onlineUpdates uint64
-}
-
-// spreadNodes interleaves jobN nodes across the testbed's two leaf groups
-// so every ring edge crosses the spine layer (the fault-visible worst
-// case, matching the campaigns' spread placement).
-func spreadNodes(jobN int) []int {
-	nodes := make([]int, jobN)
-	for i := range nodes {
-		nodes[i] = (i%2)*8 + i/2
-	}
-	return nodes
 }
 
 // runRace executes one trial: a single job, one fault schedule, both
 // detectors fed from one fan-out instrumentation point.
 func runRace(cfg raceConfig) raceOutcome {
-	spec := topo.MultiJobTestbed(cfg.spines)
-	spec.Nodes = 16
-	eng := sim.NewEngine()
-	t := topo.MustNew(spec)
-	net := netsim.New(eng, t, netsim.DefaultConfig())
-
-	// Pinned static routes in both arms: the syndromes must stay unmasked
-	// (no rerouting or node replacement) so detection latency is the only
-	// difference under measurement.
-	prov := faults.PinnedProvider{PathProvider: c4p.NewMaster(t, c4p.Static, sim.NewRand(cfg.seed))}
-
-	master := c4d.NewMaster(c4d.Config{})
-	fleet := c4d.NewFleet(eng, master)
-	det := NewOnlineDetector(eng, DetectorConfig{})
-	pipe := NewPipeline(eng, PipelineConfig{BufCap: cfg.bufCap, DrainInterval: cfg.drain}, det)
-
-	jobNodes := spreadNodes(cfg.jobN)
-	j, err := job.New(job.Config{
-		Engine: eng, Net: net, Provider: prov,
-		Sink:  accl.Fanout(fleet, pipe),
-		Rails: []int{0}, Rand: sim.NewRand(cfg.seed + 1),
-		QPsPerConn: 4,
-		Spec: workload.JobSpec{
-			Name:                 "online-race",
-			Model:                workload.GPT22B,
-			Par:                  workload.Parallelism{TP: 8, DP: cfg.jobN, GA: 1},
-			Nodes:                jobNodes,
-			ComputePerMicroBatch: 550 * sim.Millisecond,
-			ComputeJitter:        0.02,
-			SamplesPerIter:       64,
+	fabric := topo.MultiJobTestbed(cfg.spines)
+	fabric.Nodes = 16
+	// Spread placement: every ring edge crosses the spine layer, the
+	// fault-visible worst case.
+	jobNodes := faults.Interleave(cfg.jobN)
+	var det *OnlineDetector
+	var pipe *Pipeline
+	r, err := faults.NewRig(faults.RigConfig{
+		Fabric: fabric,
+		Job:    workload.TenantSpec("online-race", workload.GPT22B, jobNodes, 550*sim.Millisecond),
+		QPs:    4,
+		// Pinned static routes in both arms: the syndromes must stay
+		// unmasked (no rerouting or node replacement) so detection latency
+		// is the only difference under measurement.
+		Provider: func(t *topo.Topology) accl.PathProvider {
+			return faults.PinnedProvider{PathProvider: c4p.NewMaster(t, c4p.Static, sim.NewRand(cfg.seed))}
 		},
+		Seed: cfg.seed + 1,
+		Stream: func(eng *sim.Engine) accl.StatsSink {
+			det = NewOnlineDetector(eng, DetectorConfig{})
+			pipe = NewPipeline(eng, PipelineConfig{DrainInterval: cfg.drain}, det)
+			return pipe
+		},
+		Faults: cfg.specs,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("telemetry: race job: %v", err))
+		panic(fmt.Sprintf("telemetry: race: %v", err))
 	}
-
-	inj := faults.NewInjector(eng, net, t)
-	inj.SetStraggler = j.SetStraggler
-	for _, s := range cfg.specs {
-		if err := inj.Arm(s); err != nil {
-			panic(fmt.Sprintf("telemetry: race fault: %v", err))
-		}
-	}
-
-	j.Run(1<<30, nil)
-	eng.RunUntil(cfg.horizon)
-	fleet.Stop()
+	r.Job.Run(1<<30, nil)
+	r.Run(cfg.horizon)
 	pipe.Stop()
 	det.Stop()
-
-	passes := master.AnalyzePasses()
-	return raceOutcome{
-		batch:  master.Events(),
-		online: det.Detections(),
-		truths: inj.Truth(jobNodes),
-		fired:  eng.Fired(), iters: len(j.IterTimes()),
-		records: pipe.Records(), drops: pipe.Dropped(), drains: pipe.Drains(),
-		batchPasses: passes, batchCells: master.MatrixCellVisits(),
-		onlineUpdates: det.Updates(),
-	}
+	return raceOutcome{Rig: r, det: det, pipe: pipe, truths: r.Injector.Truth(jobNodes)}
 }
 
 // ---------------------------------------------------------------------------
@@ -196,9 +146,9 @@ func RunDetectionLatency(ctx *scenario.Ctx) *DetectionLatencyResult {
 			seed:  ctx.Seed + int64(i)*7919,
 			specs: []faults.Spec{latencyFault(kind, victim)},
 		})
-		batchRep := faults.ScoreTTD(c4d.Detections(out.batch), out.truths)
-		onlineRep := faults.ScoreTTD(out.online, out.truths)
-		tr := latencyTrial{Kind: kind, Fired: out.fired,
+		batchRep := faults.ScoreTTD(c4d.Detections(out.Master.Events()), out.truths)
+		onlineRep := faults.ScoreTTD(out.det.Detections(), out.truths)
+		tr := latencyTrial{Kind: kind, Fired: out.Eng.Fired(),
 			BatchFalseAlarms:  batchRep.FalseAlarms,
 			OnlineFalseAlarms: onlineRep.FalseAlarms,
 		}
@@ -315,9 +265,9 @@ func RunCadenceSweep(ctx *scenario.Ctx) *CadenceSweepResult {
 			specs: []faults.Spec{latencyFault("nic-degrade", 8)},
 			drain: cadences[i],
 		})
-		rep := faults.ScoreTTD(out.online, out.truths)
-		arm := cadenceArm{Drain: cadences[i], Drains: out.drains,
-			Records: out.records, Drops: out.drops, Fired: out.fired}
+		rep := faults.ScoreTTD(out.det.Detections(), out.truths)
+		arm := cadenceArm{Drain: cadences[i], Drains: out.pipe.Drains(),
+			Records: out.pipe.Records(), Drops: out.pipe.Dropped(), Fired: out.Eng.Fired()}
 		if len(rep.Faults) == 1 && rep.Faults[0].Detected {
 			arm.Detected = true
 			arm.TTD = rep.Faults[0].TimeToDetect
@@ -446,8 +396,8 @@ func RunScaleSweep(ctx *scenario.Ctx) *ScaleSweepResult {
 			seed: ctx.Seed + int64(sizes[i]),
 		})
 		res.Points[i] = scalePoint{
-			JobN: sizes[i], BatchPasses: out.batchPasses, BatchCells: out.batchCells,
-			Records: out.records, OnlineUpdates: out.onlineUpdates, Fired: out.fired,
+			JobN: sizes[i], BatchPasses: out.Master.AnalyzePasses(), BatchCells: out.Master.MatrixCellVisits(),
+			Records: out.pipe.Records(), OnlineUpdates: out.det.Updates(), Fired: out.Eng.Fired(),
 		}
 	})
 	ctx.Track(res)

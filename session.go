@@ -14,13 +14,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 
 	"c4/internal/accl"
 	"c4/internal/c4d"
-	"c4/internal/cluster"
+	"c4/internal/faults"
 	"c4/internal/harness"
 	"c4/internal/job"
 	"c4/internal/plan"
@@ -28,7 +30,6 @@ import (
 	"c4/internal/scenario"
 	"c4/internal/sched"
 	"c4/internal/sim"
-	"c4/internal/steering"
 	"c4/internal/telemetry"
 	"c4/internal/tenancy"
 	"c4/internal/topo"
@@ -88,7 +89,11 @@ type SessionJob struct {
 	// traffic) of the job's 16 nodes, or of PP·DP nodes in plan mode.
 	// Default spread.
 	Placement string `json:"placement,omitempty"`
-	// Fault injects one fault: none | crash | straggler | nic.
+	// Fault injects one fault through the fault injector, persisting for
+	// the rest of the run: none | crash (faults.Crash: the worker process
+	// dies, with a GPU Xid signal) | straggler (faults.Straggler: +400 ms
+	// of compute per iteration, with a thermal signal) | nic
+	// (faults.PortDown: both rail-0 NIC ports lose carrier).
 	Fault string `json:"fault,omitempty"`
 	// FaultAtS is the injection instant in virtual seconds (default 30).
 	FaultAtS float64 `json:"fault_at_s,omitempty"`
@@ -186,12 +191,22 @@ type jobResolved struct {
 	iters   int
 	qps     int
 	kind    harness.ProviderKind
-	fault   string
-	faultAt sim.Time
-	victim  int
+	fault   string        // "none" or a sessionFaults key
+	faults  []faults.Spec // the fault on the victim; none for "none"
 	horizon sim.Time
 	noC4D   bool
 	online  bool
+}
+
+// sessionFaults maps SessionJob.Fault onto its injector archetype and the
+// line the session logs at its onset.
+var sessionFaults = map[string]struct {
+	spec faults.Spec
+	log  string
+}{
+	"crash":     {faults.Spec{Kind: faults.Crash}, "crashing worker process on node %d"},
+	"straggler": {faults.Spec{Kind: faults.Straggler, Severity: 0.4}, "node %d becomes a straggler (+400ms/iteration)"},
+	"nic":       {faults.Spec{Kind: faults.PortDown}, "node %d loses both NIC ports on rail 0"},
 }
 
 // parseProviderKind maps the shared CLI/spec provider names onto the
@@ -284,24 +299,25 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 	model, ok := workload.ModelByName(name)
 	if !ok {
 		return nil, fmt.Errorf("session: unknown job model %q (have: %s)",
-			name, joinNames(workload.ModelNames()))
+			name, strings.Join(workload.ModelNames(), ", "))
 	}
 	kind, err := parseProviderKind(js.Provider)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	jr := &jobResolved{kind: kind, iters: 1_000_000, qps: 4, victim: 6, noC4D: js.NoC4D, online: js.Online}
+	jr := &jobResolved{kind: kind, iters: 1_000_000, qps: 4, noC4D: js.NoC4D, online: js.Online}
 	if jr.horizon, err = seconds("horizon_s", js.HorizonS); err != nil {
 		return nil, err
 	}
 	if jr.horizon == 0 {
 		jr.horizon = 15 * sim.Minute
 	}
-	if jr.faultAt, err = seconds("fault_at_s", js.FaultAtS); err != nil {
+	faultAt, err := seconds("fault_at_s", js.FaultAtS)
+	if err != nil {
 		return nil, err
 	}
-	if jr.faultAt == 0 {
-		jr.faultAt = 30 * sim.Second
+	if faultAt == 0 {
+		faultAt = 30 * sim.Second
 	}
 	placement := js.Placement
 	if placement == "" {
@@ -314,13 +330,13 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 	if jr.fault == "" {
 		jr.fault = "none"
 	}
-	switch jr.fault {
-	case "none", "crash", "straggler", "nic":
-	default:
+	sf, faulty := sessionFaults[jr.fault]
+	if !faulty && jr.fault != "none" {
 		return nil, fmt.Errorf("session: unknown fault %q (want none | crash | straggler | nic)", js.Fault)
 	}
+	victim := 6
 	if js.Victim != nil {
-		jr.victim = *js.Victim
+		victim = *js.Victim
 	}
 
 	world := jobNodes
@@ -359,21 +375,20 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 		// and pipeline edge crosses the spines.
 		nodes = harness.InterleavedNodes(world)
 	}
-	if jr.fault != "none" && !slices.Contains(nodes, jr.victim) {
-		return nil, fmt.Errorf("session: victim %d is not one of the job's nodes %v", jr.victim, nodes)
+	if faulty {
+		if !slices.Contains(nodes, victim) {
+			return nil, fmt.Errorf("session: victim %d is not one of the job's nodes %v", victim, nodes)
+		}
+		// The fault outlasts the horizon: nothing clears it inside the run.
+		f := sf.spec
+		f.Node, f.Start, f.Duration = victim, faultAt, jr.horizon
+		jr.faults = []faults.Spec{f}
 	}
 
 	switch {
 	case jr.planned:
-		jr.spec = workload.JobSpec{
-			Name:                 model.Name,
-			Model:                model,
-			Par:                  par,
-			Nodes:                nodes,
-			ComputePerMicroBatch: 550 * sim.Millisecond,
-			ComputeJitter:        0.02,
-			SamplesPerIter:       64,
-		}
+		jr.spec = workload.TenantSpec(model.Name, model, nodes, 550*sim.Millisecond)
+		jr.spec.Par, jr.spec.SamplesPerIter = par, 64
 	case model.Name == workload.GPT22B.Name:
 		jr.spec = workload.Fig14Jobs(nodes)[0]
 	case model.Name == workload.Llama7B.Name:
@@ -433,17 +448,6 @@ func resolveTenancy(ts SessionTenancy) (*tenancy.Config, error) {
 	}, nil
 }
 
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
-}
-
 // Spec returns the session's spec.
 func (s *Session) Spec() SessionSpec { return s.spec }
 
@@ -485,14 +489,7 @@ func (s *Session) AttachTracer(tr *Tracer) {
 func (s *Session) Metrics() map[string]float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.metrics == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(s.metrics))
-	for k, v := range s.metrics {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.metrics)
 }
 
 // Summary returns a one-line human-readable outcome ("" before Run
@@ -569,9 +566,7 @@ func (s *Session) runScenario(ctx context.Context) (map[string]float64, string, 
 	}
 	metrics := map[string]float64{"sim_events": float64(rep.Events)}
 	if s.scn.Metrics != nil {
-		for k, v := range s.scn.Metrics(rep.Result) {
-			metrics[k] = v
-		}
+		maps.Copy(metrics, s.scn.Metrics(rep.Result))
 	}
 	summary := fmt.Sprintf("scenario %s ok", s.scn.Name)
 	if s.scn.Summarize != nil {
@@ -607,71 +602,71 @@ func (s *Session) runTenancy(ctx context.Context) (map[string]float64, string, e
 	return metrics, summary, nil
 }
 
-// newPipeline wires the attached sinks (plus the optional online
-// detector) into a streaming telemetry pipeline on the job's engine, or
-// returns nil when nothing consumes the stream.
-func (s *Session) newPipeline(env *harness.Env, sinks []TelemetrySink, online bool, logf func(string, ...any)) *telemetry.Pipeline {
-	var consumers []telemetry.Sink
-	consumers = append(consumers, sinks...)
-	if online {
-		det := telemetry.NewOnlineDetector(env.Eng, telemetry.DetectorConfig{})
-		det.Subscribe(func(d c4d.Detection) {
-			logf("ONLINE: %v", d)
-		})
-		consumers = append(consumers, det)
-	}
-	if len(consumers) == 0 {
-		return nil
-	}
-	return telemetry.NewPipeline(env.Eng, telemetry.PipelineConfig{}, consumers...)
-}
-
 // runJob is the interactive training-job simulation (`c4 sim -job` and
 // `c4 sim -plan`): the Fig 14 preset or a compiled 3D-parallelism plan,
 // with an injectable fault, under the full detect → isolate → restart
 // loop. It runs to the horizon, or until a plan's iterations are done.
 func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string]float64, string, error) {
 	jr := s.jr
-	env := harness.NewEnv(jobFabric())
-	if s.tracer != nil {
-		s.tracer.Bind(env.Eng)
-		env.Net.Trace = s.tracer
-	}
+	var r *faults.Rig
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(s.log, "[%12v] ", env.Eng.Now())
+		fmt.Fprintf(s.log, "[%12v] ", r.Eng.Now())
 		fmt.Fprintf(s.log, format+"\n", args...)
 	}
-
 	analyzer := rca.NewAnalyzer(0)
-	var fleet *c4d.Fleet
-	var master *c4d.Master
-	jobCfg := job.Config{
-		Engine: env.Eng, Net: env.Net,
-		Provider:   env.NewProvider(jr.kind, s.spec.Seed),
-		Rails:      []int{0},
-		Spec:       jr.spec,
-		Plan:       jr.opts,
-		Rand:       sim.NewRand(s.spec.Seed),
-		Context:    ctx,
-		QPsPerConn: jr.qps,
+	cfg := faults.RigConfig{
+		Fabric: jobFabric(), Job: jr.spec, Plan: jr.opts, QPs: jr.qps,
+		Provider: jr.kind.On(s.spec.Seed), Seed: s.spec.Seed, Context: ctx,
+		NoC4D: jr.noC4D, Trace: s.tracer, Faults: jr.faults,
+		// The server monitor sees the fault before anyone else.
+		OnTelemetry: func(tel rca.Telemetry) {
+			logf("FAULT: "+sessionFaults[jr.fault].log, tel.Node)
+			analyzer.Observe(tel)
+		},
 	}
-	if !jr.noC4D {
-		master = c4d.NewMaster(c4d.Config{Trace: s.tracer})
-		fleet = c4d.NewFleet(env.Eng, master)
-		jobCfg.Sink = fleet
-	}
-
 	// Streaming telemetry plane: attached sinks (JSONL export, the SSE
 	// hub) and/or the online detector racing batch C4D, all fed from the
 	// same instrumentation point.
-	pipe := s.newPipeline(env, sinks, jr.online, logf)
-	if pipe != nil {
-		jobCfg.Sink = accl.Fanout(jobCfg.Sink, pipe)
+	var pipe *telemetry.Pipeline
+	if len(sinks) > 0 || jr.online {
+		cfg.Stream = func(eng *sim.Engine) accl.StatsSink {
+			consumers := slices.Clone(sinks)
+			if jr.online {
+				det := telemetry.NewOnlineDetector(eng, telemetry.DetectorConfig{})
+				det.Subscribe(func(d c4d.Detection) { logf("ONLINE: %v", d) })
+				consumers = append(consumers, det)
+			}
+			pipe = telemetry.NewPipeline(eng, telemetry.PipelineConfig{}, consumers...)
+			return pipe
+		}
 	}
-	j, err := job.New(jobCfg)
+	// Once every iteration is done, stop monitoring and drop a fault
+	// still pending, so the event queue drains.
+	done := func(rep job.Report) {
+		if rep.Iters >= jr.iters {
+			r.Quiesce()
+		}
+	}
+	if !jr.noC4D {
+		cfg.Steering = &faults.SteeringPolicy{
+			Spares:         spareNodes,
+			IsolationDelay: 30 * sim.Second,
+			RestartDelay:   3 * sim.Minute,
+			Restart: func(node, repl int, err error) {
+				logf("steering: replacing node %d with spare %d, restarting job", node, repl)
+				if err != nil {
+					logf("steering: replace failed: %v", err)
+					return
+				}
+				r.Job.Run(jr.iters-r.Job.Report().Iters, done)
+			},
+		}
+	}
+	r, err := faults.NewRig(cfg)
 	if err != nil {
 		return nil, "", err
 	}
+	j := r.Job
 	if jr.planned {
 		fmt.Fprintln(s.log, j.Plan())
 		j.OnIteration(func(i int, d sim.Time) {
@@ -685,38 +680,8 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 			}
 		})
 	}
-	// Once every iteration is done, stop the fleet's reporting ticks and
-	// drop a fault still pending, so the event queue drains.
-	var faultEv *sim.Event
-	done := func(r job.Report) {
-		if r.Iters < jr.iters {
-			return
-		}
-		if fleet != nil {
-			fleet.Stop()
-		}
-		if faultEv != nil {
-			faultEv.Cancel()
-		}
-	}
-
+	master := r.Master
 	if master != nil {
-		machines := cluster.NewCluster(jobNodes, 8, spareNodes)
-		svc := steering.NewService(steering.Config{
-			Engine: env.Eng, Cluster: machines,
-			IsolationDelay: 30 * sim.Second,
-			RestartDelay:   3 * sim.Minute,
-			Job:            j,
-			Trace:          s.tracer,
-			Restart: func(node, repl int, err error) {
-				logf("steering: replacing node %d with spare %d, restarting job", node, repl)
-				if err != nil {
-					logf("steering: replace failed: %v", err)
-					return
-				}
-				j.Run(jr.iters-j.Report().Iters, done)
-			},
-		})
 		master.Subscribe(func(ev c4d.Event) {
 			logf("C4D: %v", ev)
 			rep := analyzer.Classify(ev)
@@ -727,52 +692,16 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 				tr.Event(tr.Mark("detect"), "rca", fmt.Sprintf("%v", top.Kind)).
 					Annotate("confidence", fmt.Sprintf("%.2f", top.Confidence))
 			}
-			if (ev.Syndrome == c4d.CommHang || ev.Syndrome == c4d.NonCommHang) && svc.Handle(ev) {
+			if (ev.Syndrome == c4d.CommHang || ev.Syndrome == c4d.NonCommHang) && r.Steering.Handle(ev) {
 				logf("steering: isolating node %d, stopping job", ev.Node)
 			}
 		})
 	}
 
 	j.Run(jr.iters, done)
-	if jr.fault != "none" {
-		faultEv = env.Eng.Schedule(jr.faultAt, func() {
-			if tr := s.tracer; tr.Enabled() {
-				// The session's injected fault persists until recovery, so
-				// its span stays open (exporters draw it to the horizon);
-				// the "fault" mark parents detect/steer spans under it.
-				sp := tr.Start(nil, "fault", jr.fault)
-				sp.Annotate("node", fmt.Sprintf("%d", jr.victim))
-				tr.SetMark("fault", sp)
-			}
-			switch jr.fault {
-			case "crash":
-				logf("FAULT: crashing worker process on node %d", jr.victim)
-				// The server monitor sees the GPU Xid before anyone else.
-				analyzer.Observe(rca.Telemetry{Time: env.Eng.Now(), Kind: rca.TelemetryXidError, Node: jr.victim})
-				j.SetCrashed(jr.victim, true)
-			case "straggler":
-				logf("FAULT: node %d becomes a straggler (+400ms/iteration)", jr.victim)
-				j.SetStraggler(jr.victim, 400*sim.Millisecond)
-			case "nic":
-				logf("FAULT: node %d loses both NIC ports on rail 0", jr.victim)
-				analyzer.Observe(rca.Telemetry{Time: env.Eng.Now(), Kind: rca.TelemetryNICDown, Node: jr.victim})
-				for p := 0; p < topo.Planes; p++ {
-					port := env.Topo.PortAt(jr.victim, 0, p)
-					env.Net.SetLinkUp(port.Up, false)
-					env.Net.SetLinkUp(port.Down, false)
-				}
-			}
-		})
-	}
-
-	runErr := runEngineTo(ctx, env.Eng, jr.horizon)
-	if fleet != nil {
-		fleet.Stop()
-	}
-	var streamed, dropped uint64
+	runErr := r.Run(jr.horizon)
 	if pipe != nil {
 		pipe.Stop()
-		streamed, dropped = pipe.Records(), pipe.Dropped()
 	}
 	if runErr != nil {
 		return nil, "", runErr
@@ -781,7 +710,7 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 	rep := j.Report()
 	metrics := map[string]float64{
 		"iterations": float64(rep.Iters),
-		"sim_events": float64(env.Eng.Fired()),
+		"sim_events": float64(r.Eng.Fired()),
 	}
 	var summary string
 	if jr.planned {
@@ -813,36 +742,15 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 			logf("C4D emitted %d events", len(master.Events()))
 		}
 		if pipe != nil {
-			logf("telemetry: %d records streamed (%d dropped)", streamed, dropped)
+			logf("telemetry: %d records streamed (%d dropped)", pipe.Records(), pipe.Dropped())
 		}
 	}
 	if master != nil {
 		metrics["c4d_events"] = float64(len(master.Events()))
 	}
 	if pipe != nil {
-		metrics["telemetry_records"] = float64(streamed)
-		metrics["telemetry_dropped"] = float64(dropped)
+		metrics["telemetry_records"] = float64(pipe.Records())
+		metrics["telemetry_dropped"] = float64(pipe.Dropped())
 	}
 	return metrics, summary, nil
-}
-
-// runEngineTo drives the engine to the deadline exactly like
-// Engine.RunUntil, but checks ctx between event instants so a server can
-// cancel a runaway session. Chunking by instant cannot change results:
-// the engine fires the identical event sequence either way.
-func runEngineTo(ctx context.Context, eng *sim.Engine, deadline sim.Time) error {
-	for i := 0; ; i++ {
-		if i&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		next := eng.NextEventAt()
-		if next > deadline {
-			break
-		}
-		eng.RunUntil(next)
-	}
-	eng.RunUntil(deadline) // advance the clock to exactly the deadline
-	return ctx.Err()
 }
