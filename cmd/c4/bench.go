@@ -25,7 +25,7 @@ import (
 //	c4 bench -only 'ablation-*'           # glob selection
 //	c4 bench -only 'campaign/*' -campaign-json out  # campaigns + merged reports
 //	c4 bench -md > EXPERIMENTS.md         # paper-vs-measured markdown table
-//	c4 bench -json > baseline.json        # bench-regression baseline (see c4 benchdiff)
+//	c4 bench -json > baseline.json        # bench-regression baseline (see make bench-check)
 func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("bench", stderr)
 	var (

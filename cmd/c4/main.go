@@ -3,8 +3,8 @@
 // (sim), the scenario registry and its regression outputs (bench),
 // manifest-driven fault campaigns (campaign), the session daemon (serve),
 // offline triage of telemetry streams (replay), conn-stats archives
-// (analyze) and causal traces (trace), the nccl-tests benchmark
-// (nccltest) and the bench-regression guard (benchdiff).
+// (analyze) and causal traces (trace), and the nccl-tests benchmark
+// (nccltest).
 //
 //	c4 sim -job gpt22b -fault crash -fault-at 30s
 //	c4 bench -only 'fig*'
@@ -14,7 +14,6 @@
 //	c4 analyze -demo -dir /tmp/stats
 //	c4 trace -check run.trace.json
 //	c4 nccltest -nodes 8 -provider baseline
-//	c4 benchdiff bench/baseline.json current.json
 //
 // Every subcommand prints its flags with -h. Exit codes: 0 success, 1 a
 // failed run or check, 2 a usage error.
@@ -43,7 +42,6 @@ var commands = []struct {
 	{"analyze", "localize anomalies in an archived conn-stats CSV (Fig 5)", runAnalyze},
 	{"trace", "profile, diff or check a causal trace", runTrace},
 	{"nccltest", "measure ring allreduce bus bandwidth (nccl-tests)", runNCCLTest},
-	{"benchdiff", "compare a bench JSON report against the baseline", runBenchdiff},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

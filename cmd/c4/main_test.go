@@ -27,7 +27,7 @@ func TestCommandContract(t *testing.T) {
 	flagOf := map[string]string{
 		"sim": "-job", "bench": "-only", "campaign": "-manifest", "serve": "-addr",
 		"replay": "-stream", "analyze": "-demo", "trace": "-diff",
-		"nccltest": "-nodes", "benchdiff": "-tol",
+		"nccltest": "-nodes",
 	}
 	if len(flagOf) != len(commands) {
 		t.Fatalf("contract table covers %d subcommands, commands has %d", len(flagOf), len(commands))
@@ -60,7 +60,7 @@ func TestCommandContract(t *testing.T) {
 			}
 		}
 	}
-	if code, _, stderr := runC4(t, "help"); code != 0 || !strings.Contains(stderr, "benchdiff") {
+	if code, _, stderr := runC4(t, "help"); code != 0 || !strings.Contains(stderr, "nccltest") {
 		t.Errorf("c4 help: exit %d, stderr %q", code, stderr)
 	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,8 +27,9 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := DiffBenchReports(rep, got, 0.0001); len(diffs) != 0 {
-		t.Fatalf("round trip drifted: %v", diffs)
+	rep.Sort()
+	if !reflect.DeepEqual(got, rep) {
+		t.Fatalf("round trip changed the report:\n%+v\nwant\n%+v", got, rep)
 	}
 	// Canonical form: scenarios sorted by name.
 	if got.Scenarios[0].Name != "campaign/flap" {
@@ -49,81 +51,6 @@ func TestBenchReportCanonicalBytes(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("serialization not canonical:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-func TestDiffDetectsDrift(t *testing.T) {
-	base := sampleReport()
-	cur := sampleReport()
-	cur.Scenarios[0].Metrics["busbw"] = 360 * 1.08 // +8% > 5%
-	diffs := DiffBenchReports(base, cur, 0.05)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "busbw") {
-		t.Fatalf("diffs = %v, want one busbw drift", diffs)
-	}
-	// Within tolerance: no complaint.
-	cur.Scenarios[0].Metrics["busbw"] = 360 * 1.04
-	if diffs := DiffBenchReports(base, cur, 0.05); len(diffs) != 0 {
-		t.Fatalf("within-tolerance drift flagged: %v", diffs)
-	}
-}
-
-func TestDiffDetectsEventDrift(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Scenarios[1].Events = 6000 // +20%
-	diffs := DiffBenchReports(base, cur, 0.05)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "events") {
-		t.Fatalf("diffs = %v, want one event-count drift", diffs)
-	}
-}
-
-func TestDiffDetectsMissingAndNew(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Scenarios = cur.Scenarios[:1] // drop campaign/flap
-	cur.Scenarios = append(cur.Scenarios, BenchScenario{Name: "novel", Events: 1})
-	diffs := DiffBenchReports(base, cur, 0.05)
-	joined := strings.Join(diffs, "\n")
-	if !strings.Contains(joined, "campaign/flap: missing") {
-		t.Fatalf("missing scenario not reported: %v", diffs)
-	}
-	if !strings.Contains(joined, "novel: not in baseline") {
-		t.Fatalf("new scenario not reported: %v", diffs)
-	}
-}
-
-func TestDiffDetectsMetricChanges(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	delete(cur.Scenarios[1].Metrics, "recall")
-	cur.Scenarios[1].Metrics["novel_metric"] = 1
-	diffs := DiffBenchReports(base, cur, 0.05)
-	joined := strings.Join(diffs, "\n")
-	if !strings.Contains(joined, `metric "recall" missing`) {
-		t.Fatalf("dropped metric not reported: %v", diffs)
-	}
-	if !strings.Contains(joined, `new metric "novel_metric"`) {
-		t.Fatalf("new metric not reported: %v", diffs)
-	}
-}
-
-func TestDiffSeedMismatch(t *testing.T) {
-	base, cur := sampleReport(), sampleReport()
-	cur.Seed = 2
-	if diffs := DiffBenchReports(base, cur, 0.05); len(diffs) == 0 {
-		t.Fatal("seed mismatch not reported")
-	}
-}
-
-func TestRelDriftNearZero(t *testing.T) {
-	// A metric moving off a zero baseline must trip the guard even though
-	// the relative change is undefined — including moves smaller than the
-	// relative tolerance (a 0 -> 0.01 false-alarm rate is a regression).
-	if _, bad := relDrift(0, 0.2, 0.05); !bad {
-		t.Fatal("zero-baseline drift not flagged")
-	}
-	if _, bad := relDrift(0, 0.01, 0.05); !bad {
-		t.Fatal("sub-tolerance zero-baseline drift not flagged")
-	}
-	if _, bad := relDrift(0, 0, 0.05); bad {
-		t.Fatal("zero-to-zero flagged")
 	}
 }
 
