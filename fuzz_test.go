@@ -1,6 +1,8 @@
 package c4
 
 import (
+	"bytes"
+	"encoding/json"
 	"slices"
 	"testing"
 
@@ -21,9 +23,12 @@ import (
 // fuzz-smoke` explores further.
 func FuzzNewSession(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := decodeSpec(data)
+		spec, err := DecodeSessionSpec(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("decoded %q, which is not exactly one JSON document", data)
 		}
 		sess, err := NewSession(SessionOptions{Spec: spec})
 		if err != nil {

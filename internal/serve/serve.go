@@ -274,10 +274,8 @@ func fail(w http.ResponseWriter, code int, format string, args ...any) {
 // stalest finished entry if the table is full, and park the session in
 // state created with its stream hub already attached.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec c4.SessionSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := c4.DecodeSessionSpec(http.MaxBytesReader(w, r.Body, 8<<20))
+	if err != nil {
 		fail(w, http.StatusBadRequest, "decoding session spec: %v", err)
 		return
 	}

@@ -317,6 +317,26 @@ func TestCreateRejectsUnrunnableSpecs(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesTrailingData: the body is one JSON document; a second
+// value or junk after it is refused instead of ignored.
+func TestCreateRefusesTrailingData(t *testing.T) {
+	cl, _ := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"seed": 1, "scenario": "fig12"} {"seed": 2}`,
+		`{"seed": 1, "scenario": "fig12"} junk`,
+	} {
+		resp, err := cl.hc.Post(cl.base+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "data after the JSON document") {
+			t.Errorf("POST %s: %d %s, want 400 naming the trailing data", body, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestDeleteCancelsRunningSession checks DELETE on a mid-run session
 // cancels it cooperatively and removes it.
 func TestDeleteCancelsRunningSession(t *testing.T) {

@@ -73,6 +73,24 @@ type SessionSpec struct {
 	Tenancy *SessionTenancy `json:"tenancy,omitempty"`
 }
 
+// DecodeSessionSpec reads a SessionSpec JSON document, the body of
+// POST /v1/sessions. Unknown keys are errors, and so is anything but
+// whitespace after the document: a second value or junk is refused, not
+// ignored.
+func DecodeSessionSpec(r io.Reader) (SessionSpec, error) {
+	var spec SessionSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return SessionSpec{}, err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return SessionSpec{}, fmt.Errorf("data after the JSON document, which ends at byte %d", end)
+	}
+	return spec, nil
+}
+
 // SessionJob configures the training-job and plan modes (the
 // `c4 sim -job ...` and `c4 sim -plan ...` flag set). Every field applies
 // to both modes; Plan only picks the strategy and the iteration budget.

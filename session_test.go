@@ -3,7 +3,6 @@ package c4
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -283,13 +282,26 @@ func TestSessionSpecValidation(t *testing.T) {
 		`{"tenancy": {"trace": {"events": [{"at_s": 0, "nodes": 2, "duration_s": 10}]}, "horizon_s": 1e30}}`,
 	}
 	for _, body := range bodies {
-		spec, err := decodeSpec([]byte(body))
+		spec, err := DecodeSessionSpec(strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
 		if _, err := NewSession(SessionOptions{Spec: spec}); err == nil {
 			t.Errorf("NewSession accepted %s", body)
 		}
+	}
+	// A body is one document: data after it is refused, whitespace is not.
+	for _, body := range []string{
+		`{"seed": 1, "scenario": "fig12"} {"seed": 2}`,
+		`{"seed": 1, "scenario": "fig12"} junk`,
+		`{"seed": 1, "scenario": "fig12"}]`,
+	} {
+		if _, err := DecodeSessionSpec(strings.NewReader(body)); err == nil {
+			t.Errorf("DecodeSessionSpec accepted trailing data in %s", body)
+		}
+	}
+	if spec, err := DecodeSessionSpec(strings.NewReader(" {\"seed\": 3, \"scenario\": \"fig12\"}\n\t ")); err != nil || spec.Seed != 3 {
+		t.Errorf("DecodeSessionSpec refused a document with whitespace around it: %+v, %v", spec, err)
 	}
 	// Values that do not come from JSON but can from Go callers and flags.
 	for _, js := range []SessionJob{
@@ -302,15 +314,6 @@ func TestSessionSpecValidation(t *testing.T) {
 			t.Errorf("NewSession accepted %+v", js)
 		}
 	}
-}
-
-// decodeSpec decodes a session body the way `c4 serve` does.
-func decodeSpec(data []byte) (SessionSpec, error) {
-	var spec SessionSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	return spec, err
 }
 
 func TestSessionRunsAtMostOnce(t *testing.T) {
