@@ -47,12 +47,14 @@ func TestCampaignUsageAndBadArgs(t *testing.T) {
 	}
 }
 
-// TestCampaignRunTrialPanic checks a trial that panics fails the run with
-// exit 1 and a diagnostic naming it, not a crash, and writes no partial.
+// TestCampaignRunTrialPanic checks a manifest with a trial that cannot
+// run (it would panic) fails the run with exit 1 and a diagnostic naming
+// the trial, not a crash, and writes no partial.
 func TestCampaignRunTrialPanic(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "two-spines.json")
-	// Two spines leave trial outage-two-spines an outage on spine 3.
+	// Two spines leave trial outage-two-spines an outage on spine 3, which
+	// expansion refuses before any trial runs.
 	const src = `{"version": 1, "name": "two-spines",
 	  "entries": [{"family": "outage-sweep", "horizon_s": 30, "knobs": {"spines": [2]}}]}`
 	if err := os.WriteFile(manifest, []byte(src), 0o644); err != nil {

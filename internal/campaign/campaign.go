@@ -44,9 +44,9 @@ type Manifest struct {
 	// Name labels the experiment in artifacts and reports.
 	Name string `json:"name"`
 	// Seed is the root seed: the default campaign seed when an entry has
-	// no seed range, and the seed of the merge-time bootstrap RNG.
-	// Defaults to 1.
-	Seed int64 `json:"seed,omitempty"`
+	// no seed range, and the seed of the merge-time bootstrap RNG. An
+	// absent seed defaults to 1; an explicit 0 stays 0.
+	Seed *int64 `json:"seed,omitempty"`
 	// Entries are the campaign instantiations; expansion concatenates
 	// them in order.
 	Entries []Entry `json:"entries"`
@@ -203,8 +203,9 @@ func (m *Manifest) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("campaign: manifest has no name")
 	}
-	if m.Seed == 0 {
-		m.Seed = 1
+	if m.Seed == nil {
+		one := int64(1)
+		m.Seed = &one
 	}
 	if len(m.Entries) == 0 {
 		return fmt.Errorf("campaign: manifest %s has no entries", m.Name)
@@ -227,7 +228,7 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("campaign: entry %d (%s): negative horizon %v", i, e.Family, e.HorizonS)
 		}
 		if e.Seeds == nil {
-			e.Seeds = &SeedRange{From: m.Seed, Count: 1}
+			e.Seeds = &SeedRange{From: *m.Seed, Count: 1}
 		}
 		if e.Seeds.Count <= 0 {
 			return fmt.Errorf("campaign: entry %d (%s): seed range count %d, want >= 1", i, e.Family, e.Seeds.Count)
@@ -306,7 +307,9 @@ func (ts TrialSpec) Run() faults.TrialResult {
 // listed order, trials in generation order — so every holder of an
 // equal-hash manifest derives the identical list. It validates (and so
 // normalizes) the manifest first, so a manifest built in Go expands
-// exactly like the same document read through ReadManifest.
+// exactly like the same document read through ReadManifest, and it arms
+// nothing it cannot run: every trial's fault specs must fit the fabric
+// the trial builds.
 func (m *Manifest) Expand() ([]TrialSpec, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -334,6 +337,13 @@ func (m *Manifest) Expand() ([]TrialSpec, error) {
 					}
 					if combo.jobN != nil {
 						tr.JobN = *combo.jobN
+					}
+					fabric := tr.Fabric()
+					for _, s := range tr.Specs {
+						if err := s.Validate(fabric); err != nil {
+							return nil, fmt.Errorf("campaign: entry %d (%s), trial %d (%s, knobs %q): %v: %w",
+								ei, e.Family, len(out), tr.ID, combo.label, s, err)
+						}
 					}
 					out = append(out, TrialSpec{
 						Index:     len(out),

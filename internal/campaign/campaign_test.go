@@ -117,14 +117,15 @@ func TestManifestHashNormalized(t *testing.T) {
 
 // TestExpand pins the expansion layout: entries in order, seeds
 // ascending, knob grid cartesian in listed order, trial seeds from
-// faults.TrialSeed.
+// faults.TrialSeed. (Mixed draws faults on spines and uplinks 0-7, so its
+// spine knob must stay at 8 or above.)
 func TestExpand(t *testing.T) {
 	m := testManifest(t, `{
 	  "version": 1, "name": "grid", "seed": 7,
 	  "entries": [{
 	    "family": "mixed", "trials": 2, "horizon_s": 60,
 	    "seeds": {"from": 7, "count": 2},
-	    "knobs": {"placement": ["spread", "packed"], "spines": [8, 4]}
+	    "knobs": {"placement": ["spread", "packed"], "spines": [8, 16]}
 	  }]
 	}`)
 	specs, err := m.Expand()
@@ -232,19 +233,23 @@ func TestSerialMatchesParallel(t *testing.T) {
 // fails the run with an error naming the trial, instead of killing the
 // process, and that the trials which finished stay in the checkpoint.
 func TestShardRunReportsTrialPanic(t *testing.T) {
-	// The knob shrinks the fabric to two spines, so outage-two-spines
-	// (trial 3) arms an outage on a spine that does not exist. The
-	// manifest validates and expands; only running the trial fails.
-	m := testManifest(t, `{"version": 1, "name": "two-spines",
-	  "entries": [{"family": "outage-sweep", "horizon_s": 30, "knobs": {"spines": [2]}}]}`)
+	// Expansion refuses a spec its trial's fabric cannot hold, so plant
+	// one after it: outage-two-spines (trial 3) arms an outage on a spine
+	// that does not exist, and only running the trial fails.
+	m := testManifest(t, `{"version": 1, "name": "outages", "entries": [{"family": "outage-sweep", "horizon_s": 30}]}`)
+	specs, err := m.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[3].Trial.Specs[1].Spine = 99
 	for _, workers := range []int{1, 4} {
 		ckpt := filepath.Join(t.TempDir(), "shard.ckpt")
-		p, err := (&ShardRun{Manifest: m, Of: 1, Workers: workers, Checkpoint: ckpt}).Run()
+		p, err := (&ShardRun{Manifest: m, Of: 1, Workers: workers, Checkpoint: ckpt}).run(specs)
 		if err == nil {
 			t.Fatalf("workers %d: run with a panicking trial returned %d records and no error", workers, len(p.Records))
 		}
-		for _, want := range []string{"trial 3 ", "family outage-sweep", "seed 1", `knobs "spines=2"`,
-			"trial outage-two-spines", "spine 3 outside"} {
+		for _, want := range []string{"trial 3 ", "family outage-sweep", "seed 1", `knobs ""`,
+			"trial outage-two-spines", "spine 99 outside"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("workers %d: error %q does not mention %q", workers, err, want)
 			}
@@ -256,6 +261,74 @@ func TestShardRunReportsTrialPanic(t *testing.T) {
 		if _, ok := done[3]; ok || len(done) != 5 {
 			t.Fatalf("workers %d: checkpoint holds trials %v, want every trial but 3", workers, done)
 		}
+	}
+}
+
+// TestExpandRefusesSpecsOffTheFabric: a knob that shrinks a trial's
+// fabric below its fault specs fails expansion, naming the entry, the
+// trial and the spec, so `c4 campaign expand` and `run` both fail before
+// any trial runs.
+func TestExpandRefusesSpecsOffTheFabric(t *testing.T) {
+	m := testManifest(t, `{"version": 1, "name": "two-spines",
+	  "entries": [{"family": "outage-sweep", "horizon_s": 30, "knobs": {"spines": [2]}}]}`)
+	ckpt := filepath.Join(t.TempDir(), "shard.ckpt")
+	_, expandErr := m.Expand()
+	_, runErr := (&ShardRun{Manifest: m, Of: 1, Checkpoint: ckpt}).Run()
+	for _, err := range []error{expandErr, runErr} {
+		if err == nil {
+			t.Fatal("a manifest arming spine 3 of 2 expanded")
+		}
+		for _, want := range []string{"entry 0 (outage-sweep)", "trial 3 (outage-two-spines", `knobs "spines=2"`,
+			"spine-outage r0/spine3", "spine 3 outside [0,2)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("the refused run left a checkpoint (%v): a trial ran", err)
+	}
+}
+
+// TestManifestSeedZero: an explicit seed 0 stays 0 through normalization,
+// expansion and the merged report; an absent seed defaults to 1; and a
+// non-zero seed hashes as it always has.
+func TestManifestSeedZero(t *testing.T) {
+	one := testManifest(t, tinyManifest)
+	absent := testManifest(t, strings.Replace(tinyManifest, `"seed": 1,`, "", 1))
+	seven := testManifest(t, strings.Replace(tinyManifest, `"seed": 1`, `"seed": 7`, 1))
+	for _, c := range []struct {
+		m    *Manifest
+		seed int64
+		hash string
+	}{
+		{one, 1, "sha256:b5b7f996209f1b8e142d2e3cdf33bd5badd167340430d88d8536f97daf5e9e9b"},
+		{absent, 1, "sha256:b5b7f996209f1b8e142d2e3cdf33bd5badd167340430d88d8536f97daf5e9e9b"},
+		{seven, 7, "sha256:40cc244f919f711701c2ae4e66e66bcee291768b5b828c63ab4c1430953b35b3"},
+	} {
+		if *c.m.Seed != c.seed || c.m.Hash() != c.hash {
+			t.Errorf("manifest seed %d hash %s, want seed %d hash %s", *c.m.Seed, c.m.Hash(), c.seed, c.hash)
+		}
+	}
+
+	zero := testManifest(t, `{"version": 1, "name": "zero", "seed": 0,
+	  "entries": [{"family": "mixed", "trials": 1, "horizon_s": 30}]}`)
+	if *zero.Seed != 0 || zero.Entries[0].Seeds.From != 0 {
+		t.Fatalf("seed 0 normalized to seed %d, seed range %+v", *zero.Seed, *zero.Entries[0].Seeds)
+	}
+	enc, err := json.Marshal(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := testManifest(t, string(enc)); *again.Seed != 0 || again.Hash() != zero.Hash() {
+		t.Fatalf("seed 0 does not survive a round trip: %s", enc)
+	}
+	merged, err := Merge([]*Partial{runShard(t, zero, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Seed != 0 || merged.Records[0].Seed != 0 {
+		t.Fatalf("merged report seed %d, record seed %d, want both 0", merged.Seed, merged.Records[0].Seed)
 	}
 }
 

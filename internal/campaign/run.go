@@ -115,6 +115,11 @@ func (sr *ShardRun) Run() (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sr.run(specs)
+}
+
+// run executes this shard's part of the manifest's expansion.
+func (sr *ShardRun) run(specs []TrialSpec) (*Partial, error) {
 	hash := sr.Manifest.Hash()
 	var mine []TrialSpec
 	for _, ts := range specs {
@@ -124,6 +129,7 @@ func (sr *ShardRun) Run() (*Partial, error) {
 	}
 
 	done := map[int]Record{}
+	var err error
 	if sr.Checkpoint != "" {
 		done, err = loadCheckpoint(sr.Checkpoint, hash, sr.Shard, sr.Of)
 		if err != nil {
@@ -179,7 +185,7 @@ func (sr *ShardRun) Run() (*Partial, error) {
 
 	p := &Partial{
 		Version: Version, Name: sr.Manifest.Name, ManifestHash: hash,
-		Seed: sr.Manifest.Seed, Trials: len(specs), Shard: sr.Shard, Of: sr.Of,
+		Seed: *sr.Manifest.Seed, Trials: len(specs), Shard: sr.Shard, Of: sr.Of,
 	}
 	for _, r := range done {
 		p.Records = append(p.Records, r)

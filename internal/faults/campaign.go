@@ -168,34 +168,19 @@ type arm struct {
 	score Score
 }
 
-// layout maps a trial onto fabric and job node sets. The fabric always
-// provisions one extra group's worth of backup nodes after the primaries.
-type layoutInfo struct {
-	fabricNodes int
-	jobNodes    []int
-}
-
 const nodesPerGroup = 8 // MultiJobTestbed group width
 const spareNodes = 4
 
-func layout(tr Trial) layoutInfo {
-	var nodes []int
-	switch tr.Placement {
-	case Packed:
-		for i := 0; i < tr.JobN; i++ {
-			nodes = append(nodes, i)
-		}
-	default:
-		nodes = Interleave(tr.JobN)
+// jobNodes maps the trial's placement onto fabric nodes.
+func (tr Trial) jobNodes() []int {
+	if tr.Placement != Packed {
+		return Interleave(tr.JobN)
 	}
-	maxNode := 0
-	for _, n := range nodes {
-		if n > maxNode {
-			maxNode = n
-		}
+	nodes := make([]int, tr.JobN)
+	for i := range nodes {
+		nodes[i] = i
 	}
-	primaries := ((maxNode + nodesPerGroup) / nodesPerGroup) * nodesPerGroup
-	return layoutInfo{fabricNodes: primaries + spareNodes, jobNodes: nodes}
+	return nodes
 }
 
 // Interleave places n job nodes across G leaf groups of the multi-job
@@ -211,10 +196,11 @@ func Interleave(n int) []int {
 }
 
 // Fabric is the topology the trial's arms run on: the multi-job testbed
-// at the trial's spine count, sized to its placement plus the spare pool.
+// at the trial's spine count, with the leaf groups its placement spans
+// and one group's worth of backup nodes after them.
 func (tr Trial) Fabric() topo.Spec {
 	spec := topo.MultiJobTestbed(tr.Spines)
-	spec.Nodes = layout(tr).fabricNodes
+	spec.Nodes = (slices.Max(tr.jobNodes())/nodesPerGroup+1)*nodesPerGroup + spareNodes
 	return spec
 }
 
@@ -243,7 +229,7 @@ func steerable(ev c4d.Event) bool { return ev.Scope != c4d.ScopeConnection }
 // the faults land. C4D monitors both; diagnosis is scored on the base arm,
 // where the syndromes are unmasked.
 func runArm(tr Trial, seed int64, horizon sim.Time, steered bool) arm {
-	jobNodes := layout(tr).jobNodes
+	jobNodes := tr.jobNodes()
 	// Both arms open the same QP count so the measured delta isolates the
 	// fault response — dynamic re-placement, completion-time-driven QP
 	// re-weighting, and node replacement — rather than a QP-fanout

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"c4/internal/sim"
@@ -138,23 +139,17 @@ func TestLayouts(t *testing.T) {
 		{Trial{JobN: 16, Placement: Spread}, []int{0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15}, 16},
 	}
 	for _, c := range cases {
-		lay := layout(c.tr)
-		if n := c.tr.Fabric().Nodes; lay.fabricNodes != c.primaries+spareNodes || n != lay.fabricNodes {
-			t.Errorf("%d/%v: fabric %d (Fabric %d), want %d", c.tr.JobN, c.tr.Placement, lay.fabricNodes, n, c.primaries+spareNodes)
+		if n := c.tr.Fabric().Nodes; n != c.primaries+spareNodes {
+			t.Errorf("%d/%v: fabric %d, want %d", c.tr.JobN, c.tr.Placement, n, c.primaries+spareNodes)
 		}
-		if len(lay.jobNodes) != len(c.wantNodes) {
-			t.Fatalf("%d/%v: nodes %v", c.tr.JobN, c.tr.Placement, lay.jobNodes)
-		}
-		for i, n := range c.wantNodes {
-			if lay.jobNodes[i] != n {
-				t.Fatalf("%d/%v: nodes %v, want %v", c.tr.JobN, c.tr.Placement, lay.jobNodes, c.wantNodes)
-			}
+		if nodes := c.tr.jobNodes(); !slices.Equal(nodes, c.wantNodes) {
+			t.Fatalf("%d/%v: nodes %v, want %v", c.tr.JobN, c.tr.Placement, nodes, c.wantNodes)
 		}
 	}
 	// 32-node spread interleaves four groups.
-	lay := layout(Trial{JobN: 32, Placement: Spread})
-	if lay.fabricNodes != 32+spareNodes || lay.jobNodes[1] != 8 || lay.jobNodes[2] != 16 || lay.jobNodes[3] != 24 {
-		t.Fatalf("32-node layout: %+v", lay)
+	tr := Trial{JobN: 32, Placement: Spread}
+	if nodes := tr.jobNodes(); tr.Fabric().Nodes != 32+spareNodes || nodes[1] != 8 || nodes[2] != 16 || nodes[3] != 24 {
+		t.Fatalf("32-node layout: fabric %d, nodes %v", tr.Fabric().Nodes, nodes)
 	}
 }
 

@@ -47,8 +47,9 @@ type CampaignResult struct {
 // runCampaign runs family c's one-entry manifest at the context's seed. A
 // failed run panics, so the scenario runner reports the row as failed.
 func runCampaign(ctx *scenario.Ctx, c faults.Campaign) *CampaignResult {
-	m := &campaign.Manifest{Version: campaign.Version, Name: c.Name, Seed: ctx.Seed,
-		Entries: []campaign.Entry{{Family: c.Name, Seeds: &campaign.SeedRange{From: ctx.Seed, Count: 1}}}}
+	seed := ctx.Seed
+	m := &campaign.Manifest{Version: campaign.Version, Name: c.Name, Seed: &seed,
+		Entries: []campaign.Entry{{Family: c.Name, Seeds: &campaign.SeedRange{From: seed, Count: 1}}}}
 	p, err := (&campaign.ShardRun{Manifest: m, Of: 1, Workers: ctx.Workers}).Run()
 	var merged *campaign.Merged
 	if err == nil {
