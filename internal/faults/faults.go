@@ -82,6 +82,9 @@ func (k Kind) String() string {
 // Duration is ignored and nothing clears it.
 func (k Kind) persistent() bool { return k == Crash || k == PortDown }
 
+// nodeLocal reports whether the fault targets one node (Spec.Node).
+func (k Kind) nodeLocal() bool { return k == NICDegrade || k == Straggler || k.persistent() }
+
 // Spec is one parameterized fault instance. Target fields are used
 // per-kind: Node for NICDegrade/Straggler/Crash/PortDown, (Plane, Group,
 // Uplink) for LinkFlap/PacketDrop, Spine for SpineOutage; Rail applies to
@@ -309,7 +312,7 @@ func (in *Injector) Arm(s Spec) error {
 		var fsp *trace.Span
 		in.at(s.Start, func() {
 			fsp = tr.Start(nil, "fault", s.Kind.String())
-			if s.Kind.persistent() {
+			if s.Kind.nodeLocal() {
 				fsp.Annotate("node", fmt.Sprint(s.Node))
 			} else {
 				fsp.Annotate("spec", s.String())
