@@ -337,7 +337,7 @@ func (in *Injector) Arm(s Spec) error {
 			}
 		}
 	}
-	var onset, clear func()
+	var on, off func()
 	switch s.Kind {
 	case LinkFlap:
 		downSpan := sim.Time(float64(s.Period) * s.Severity)
@@ -346,23 +346,23 @@ func (in *Injector) Arm(s Spec) error {
 			in.at(min(at+downSpan, end), each(in.up))
 		}
 	case SpineOutage, PortDown:
-		onset, clear = each(in.down), each(in.up)
+		on, off = each(in.down), each(in.up)
 	case NICDegrade:
-		onset = each(func(l *topo.Link) { in.degrade(l, s.Severity, true) })
-		clear = each(func(l *topo.Link) { in.degrade(l, s.Severity, false) })
+		on = each(func(l *topo.Link) { in.degrade(l, s.Severity, true) })
+		off = each(func(l *topo.Link) { in.degrade(l, s.Severity, false) })
 	case PacketDrop:
-		onset = each(func(l *topo.Link) { in.loss(l, s.Severity, true) })
-		clear = each(func(l *topo.Link) { in.loss(l, s.Severity, false) })
+		on = each(func(l *topo.Link) { in.loss(l, s.Severity, true) })
+		off = each(func(l *topo.Link) { in.loss(l, s.Severity, false) })
 	case Straggler:
-		onset = func() { in.Job.SetStraggler(s.Node, sim.FromSeconds(s.Severity)) }
-		clear = func() { in.Job.SetStraggler(s.Node, 0) }
+		on = func() { in.Job.SetStraggler(s.Node, sim.FromSeconds(s.Severity)) }
+		off = func() { in.Job.SetStraggler(s.Node, 0) }
 	case Crash:
-		onset = func() { in.Job.SetCrashed(s.Node, true) }
+		on = func() { in.Job.SetCrashed(s.Node, true) }
 	}
-	if onset != nil {
-		in.at(s.Start, onset)
+	if on != nil {
+		in.at(s.Start, on)
 		if !s.Kind.persistent() {
-			in.at(end, clear)
+			in.at(end, off)
 		}
 	}
 	if tel := s.telemetry(); tel != nil && in.OnTelemetry != nil {

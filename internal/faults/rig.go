@@ -128,15 +128,6 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	return r, nil
 }
 
-// Quiesce ends monitoring once the job is done: the fleet stops reporting
-// and faults not yet fired are dropped, so the event queue drains.
-func (r *Rig) Quiesce() {
-	if r.Fleet != nil {
-		r.Fleet.Stop()
-	}
-	r.Injector.Drop()
-}
-
 // Run drives the engine to the horizon, then stops the fleet. With a
 // Context it checks cancellation between event instants, which fires the
 // identical event sequence, and returns the context's error.

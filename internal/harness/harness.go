@@ -19,6 +19,7 @@ import (
 
 	"c4/internal/accl"
 	"c4/internal/c4p"
+	"c4/internal/faults"
 	"c4/internal/netsim"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -92,19 +93,10 @@ func (p ProviderKind) On(seed int64) func(*topo.Topology) accl.PathProvider {
 	}
 }
 
-// InterleavedNodes returns m nodes alternating between the two leaf groups
-// of the multi-job testbed, so every ring edge crosses the spine layer
-// (the paper's benchmark placement).
-func InterleavedNodes(m int) []int {
-	out := make([]int, 0, m)
-	for i := 0; len(out) < m; i++ {
-		out = append(out, i)
-		if len(out) < m {
-			out = append(out, i+8)
-		}
-	}
-	return out
-}
+// InterleavedNodes returns m nodes alternating between the leaf groups of
+// the multi-job testbed, so every ring edge crosses the spine layer (the
+// paper's benchmark placement, the campaigns' spread).
+func InterleavedNodes(m int) []int { return faults.Interleave(m) }
 
 // fig10JobNodes returns the node pair of concurrent job i (i in [0,8)):
 // one server per leaf group, as in Fig 10's setup.

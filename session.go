@@ -658,12 +658,16 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 			return pipe
 		}
 	}
-	// Once every iteration is done, stop monitoring and drop a fault
-	// still pending, so the event queue drains.
+	// Once every iteration is done, stop the fleet's reporting ticks and
+	// drop a fault still pending, so the event queue drains.
 	done := func(rep job.Report) {
-		if rep.Iters >= jr.iters {
-			r.Quiesce()
+		if rep.Iters < jr.iters {
+			return
 		}
+		if r.Fleet != nil {
+			r.Fleet.Stop()
+		}
+		r.Injector.Drop()
 	}
 	if !jr.noC4D {
 		cfg.Steering = &faults.SteeringPolicy{
