@@ -31,15 +31,12 @@ type GroundTruth struct {
 // affected connections.
 func makeTruth(s Spec, t *topo.Topology, jobNodes []int) GroundTruth {
 	gt := GroundTruth{Spec: s}
-	switch s.Kind {
-	case NICDegrade, Straggler, Crash, PortDown:
-		for _, n := range jobNodes {
-			if n == s.Node {
-				gt.Impact = []int{s.Node}
-				break
-			}
+	switch {
+	case s.Kind.nodeLocal():
+		if slices.Contains(jobNodes, s.Node) {
+			gt.Impact = []int{s.Node}
 		}
-	case LinkFlap, PacketDrop, SpineOutage:
+	case s.Kind == LinkFlap || s.Kind == PacketDrop || s.Kind == SpineOutage:
 		groups := map[int]bool{}
 		for _, n := range jobNodes {
 			groups[t.Group(n)] = true
