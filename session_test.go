@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"c4/internal/sim"
 	"c4/internal/telemetry"
 )
 
@@ -104,6 +105,40 @@ func runLogged(t *testing.T, spec SessionSpec) (map[string]float64, string) {
 		t.Fatal(err)
 	}
 	return sess.Metrics(), log.String()
+}
+
+// TestSessionFaultsPersist: each session fault opens at its instant and
+// stays active to the end of the run (its fault span is still open), and
+// a fault instant past the horizon never fires.
+func TestSessionFaultsPersist(t *testing.T) {
+	for _, fault := range []string{"crash", "straggler", "nic"} {
+		for _, atS := range []float64{30, 120} {
+			sess, err := NewSession(SessionOptions{Spec: SessionSpec{Seed: 1, Job: &SessionJob{
+				Fault: fault, FaultAtS: atS, HorizonS: 90, NoC4D: true,
+			}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewTracer()
+			sess.AttachTracer(tr)
+			if err := sess.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			sess.Close()
+			var spans []*TraceSpan
+			for _, sp := range tr.Spans() {
+				if sp.Kind == "fault" {
+					spans = append(spans, sp)
+				}
+			}
+			switch {
+			case atS > 90 && len(spans) != 0:
+				t.Errorf("%s at %vs fired inside a 90 s horizon", fault, atS)
+			case atS < 90 && (len(spans) != 1 || !spans[0].Open() || spans[0].Start != sim.FromSeconds(atS)):
+				t.Errorf("%s at %vs: fault spans %+v, want one opened at its instant and never closed", fault, atS, spans)
+			}
+		}
+	}
 }
 
 // TestSessionPlanRecoversFromCrash runs a plan under the C4 loop: C4D
