@@ -72,13 +72,17 @@ kernel-race:
 # own encoding with the same hash. The session spec: random POST
 # /v1/sessions bodies through NewSession (and with them the trace and
 # strategy parsers), which must never panic and may accept only specs
-# inside the creation bounds. Plain `go test` already replays the
+# inside the creation bounds. The four C4D stats CSV readers: random
+# bytes, where no reader may panic, whatever one accepts must re-write and
+# read back equal, and accepted conn stats may cost the offline analyzer
+# at most one window per record. Plain `go test` already replays the
 # committed seed corpora (testdata/fuzz/ in each package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzNewSession -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzReadStats -fuzztime 10s ./internal/c4d/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting

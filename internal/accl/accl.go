@@ -46,9 +46,6 @@ type Config struct {
 	// hand-offs instead of the fluid single-shot approximation. Slower but
 	// produces the per-step message series C4D's detectors analyze.
 	Stepwise bool
-	// StepChunks is the number of pipeline steps per direction in
-	// stepwise mode; 0 means the algorithmic 2(M-1) ring steps.
-	StepChunks int
 }
 
 // Communicator executes collectives among a fixed set of nodes.

@@ -319,10 +319,7 @@ func (c *Communicator) runRingStepwise(o *Op, arr []sim.Time) {
 		return
 	}
 	n := c.TotalGPUs()
-	steps := c.cfg.StepChunks
-	if steps <= 0 {
-		steps = 2 * (m - 1)
-	}
+	steps := 2 * (m - 1) // the algorithmic ring steps
 	edgeBytes := o.Bytes * edgeFactor(o.Type, n)
 	chunk := edgeBytes / float64(steps)
 

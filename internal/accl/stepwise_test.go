@@ -33,17 +33,6 @@ func TestStepwiseEmitsPerStepMessages(t *testing.T) {
 	}
 }
 
-func TestStepwiseCustomChunks(t *testing.T) {
-	h := newHarness()
-	c := h.comm(t, Config{Stepwise: true, StepChunks: 3}, []int{0, 2, 4, 6})
-	c.AllReduce(64*MiB, nil, nil)
-	h.eng.Run()
-	// 4 edges × 3 steps × 2 QPs.
-	if got := len(h.rec.Messages); got != 24 {
-		t.Fatalf("messages = %d, want 24", got)
-	}
-}
-
 func TestStepwiseConservesBytes(t *testing.T) {
 	h := newHarness()
 	c := h.comm(t, Config{Stepwise: true}, []int{0, 2, 4, 6})

@@ -49,47 +49,82 @@ func TestWarmFleetTickAllocs(t *testing.T) {
 	fleet.Stop()
 }
 
-// Ingest prunes per-op transport evidence only when the lowest op it holds
-// leaves the 8-op window, yet the maps hold exactly what pruning on every
-// message leaves: a stream of mostly rising, sometimes late, sequence
-// numbers checked against that rule after every report.
+// HangWatch.Msg prunes per-op transport evidence only when the lowest op
+// it holds leaves the 9-op window, yet the maps hold exactly what pruning
+// on every message leaves: a stream of mostly rising, sometimes late,
+// sequence numbers checked against that rule after every message. It
+// walks the maps only on the messages that move the window.
 func TestIngestPrunesOpEvidenceOnlyWhenWindowMoves(t *testing.T) {
-	m := NewMaster(Config{})
-	m.RegisterComm(accl.CommInfo{Comm: 1, Nodes: []int{0, 1, 2, 3}})
-	cs := m.comms[1]
+	w := NewHangWatch([]int{0, 1, 2, 3})
 	want := map[int]bool{}
 	r := sim.NewRand(3)
-	seq := 0
+	seq, walks := 0, 0
 	for step := 0; step < 2000; step++ {
-		var msgs []accl.MsgEvent
-		for k := r.Intn(4); k >= 0; k-- {
-			s := seq
-			switch x := r.Intn(10); {
-			case x < 4:
-				seq++
-				s = seq
-			case x == 9:
-				s = seq - r.Intn(12) // a late message from an older op
-			}
-			msgs = append(msgs, accl.MsgEvent{Comm: 1, Seq: s, SrcNode: r.Intn(4), DstNode: r.Intn(4)})
-			want[s] = true
-			for old := range want {
-				if old < s-8 {
-					delete(want, old)
-				}
+		s := seq
+		switch x := r.Intn(10); {
+		case x < 4:
+			seq++
+			s = seq
+		case x == 9:
+			s = seq - r.Intn(12) // a late message from an older op
+		}
+		lowest := s
+		for old := range want {
+			lowest = min(lowest, old)
+		}
+		walked := w.Msg(accl.MsgEvent{Comm: 1, Seq: s, SrcNode: r.Intn(4), DstNode: r.Intn(4)})
+		want[s] = true
+		for old := range want {
+			if old < s-8 {
+				delete(want, old)
 			}
 		}
-		m.Ingest(Report{Messages: msgs})
-		got := sortedKeys(cs.opTx)
-		if w := sortedKeys(want); !slices.Equal(got, w) {
-			t.Fatalf("step %d: opTx holds ops %v, want %v", step, got, w)
+		if moved := lowest < s-8; moved != (walked > 0) {
+			t.Fatalf("step %d: op %d walked %d entries, lowest op held %d", step, s, walked, lowest)
 		}
-		if rx := sortedKeys(cs.opRx); !slices.Equal(rx, got) {
+		if walked > 0 {
+			walks++
+		}
+		got := sortedKeys(w.opTx)
+		if ws := sortedKeys(want); !slices.Equal(got, ws) {
+			t.Fatalf("step %d: opTx holds ops %v, want %v", step, got, ws)
+		}
+		if rx := sortedKeys(w.opRx); !slices.Equal(rx, got) {
 			t.Fatalf("step %d: opRx holds ops %v, opTx %v", step, rx, got)
 		}
-		if cs.opMin != got[0] {
-			t.Fatalf("step %d: opMin = %d, lowest op held is %d", step, cs.opMin, got[0])
+		if w.opMin != got[0] {
+			t.Fatalf("step %d: opMin = %d, lowest op held is %d", step, w.opMin, got[0])
 		}
+	}
+	if walks == 0 {
+		t.Fatal("the window never moved")
+	}
+}
+
+// The master keeps first-arrival times only for the newest ops: after
+// 1,000 operations its hang watch holds at most opWindow of them.
+func TestMasterFirstArrivalsStayBounded(t *testing.T) {
+	m := NewMaster(Config{})
+	nodes := []int{0, 1, 2, 3}
+	m.RegisterComm(accl.CommInfo{Comm: 1, Nodes: nodes})
+	for seq := 1; seq <= 1000; seq++ {
+		var colls []accl.CollEvent
+		for _, n := range nodes {
+			colls = append(colls, accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseArrive, Time: sim.Time(seq) * sim.Second})
+		}
+		for _, n := range nodes {
+			colls = append(colls, accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseComplete, Time: sim.Time(seq)*sim.Second + 1})
+		}
+		m.Ingest(Report{Colls: colls})
+		if seq%50 == 0 {
+			m.Analyze(sim.Time(seq) * sim.Second)
+		}
+	}
+	if n := len(m.comms[1].hang.firstArr); n > opWindow {
+		t.Fatalf("first-arrival map holds %d ops after 1000, want at most %d", n, opWindow)
+	}
+	if evs := m.Events(); len(evs) != 0 {
+		t.Fatalf("completed ops produced findings: %v", evs)
 	}
 }
 

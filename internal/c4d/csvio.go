@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -34,7 +35,8 @@ func WriteConnStats(w io.Writer, msgs []accl.MsgEvent) error {
 	return cw.Flush()
 }
 
-// ReadConnStats parses conn-stats.csv.
+// ReadConnStats parses conn-stats.csv. It refuses negative times and a
+// transfer that ends before it starts, naming the line.
 func ReadConnStats(r io.Reader) ([]accl.MsgEvent, error) {
 	rows, err := readCSV(r, 11)
 	if err != nil {
@@ -47,8 +49,11 @@ func ReadConnStats(r io.Reader) ([]accl.MsgEvent, error) {
 			Rail: f.i(4), Plane: f.i(5), Sport: uint16(f.i(6)), QPN: f.i(7),
 			Bytes: f.f(8), Start: sim.Time(f.i64(9)), End: sim.Time(f.i64(10)),
 		}
+		if f.err == nil && (ev.Start < 0 || ev.End < ev.Start) {
+			f.err = fmt.Errorf("transfer spans [%d, %d] ns: times must satisfy 0 <= start_ns <= end_ns", ev.Start, ev.End)
+		}
 		if f.err != nil {
-			return nil, fmt.Errorf("conn-stats row: %w", f.err)
+			return nil, fmt.Errorf("conn-stats line %d: %w", f.line, f.err)
 		}
 		out = append(out, ev)
 	}
@@ -83,7 +88,7 @@ func ReadCollStats(r io.Reader) ([]accl.CollEvent, error) {
 			Phase: accl.CollPhase(f.i(6)), Time: sim.Time(f.i64(7)),
 		}
 		if f.err != nil {
-			return nil, fmt.Errorf("coll-stats row: %w", f.err)
+			return nil, fmt.Errorf("coll-stats line %d: %w", f.line, f.err)
 		}
 		out = append(out, ev)
 	}
@@ -114,7 +119,7 @@ func ReadRankStats(r io.Reader) ([]accl.WaitEvent, error) {
 			Dur: sim.Time(f.i64(4)), Time: sim.Time(f.i64(5)),
 		}
 		if f.err != nil {
-			return nil, fmt.Errorf("rank-stats row: %w", f.err)
+			return nil, fmt.Errorf("rank-stats line %d: %w", f.line, f.err)
 		}
 		out = append(out, ev)
 	}
@@ -144,9 +149,10 @@ func ReadCommStats(r io.Reader) ([]accl.CommInfo, error) {
 	var order []int
 	for _, f := range rows {
 		comm := f.i(0)
+		f.i(1) // the rank is the row's position within its communicator
 		node := f.i(2)
 		if f.err != nil {
-			return nil, fmt.Errorf("comm-stats row: %w", f.err)
+			return nil, fmt.Errorf("comm-stats line %d: %w", f.line, f.err)
 		}
 		if _, ok := byComm[comm]; !ok {
 			order = append(order, comm)
@@ -163,6 +169,7 @@ func ReadCommStats(r io.Reader) ([]accl.CommInfo, error) {
 // fields wraps one CSV row with typed accessors that latch the first error.
 type fields struct {
 	cells []string
+	line  int // of the row in its file, for error messages
 	err   error
 }
 
@@ -192,21 +199,24 @@ func (f *fields) f(i int) float64 {
 	return v
 }
 
+// readCSV reads every row after the header, each with its line number.
 func readCSV(r io.Reader, want int) ([]*fields, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = want
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
+	var out []*fields
+	for header := true; ; header = false {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !header {
+			line, _ := cr.FieldPos(0)
+			out = append(out, &fields{cells: rec, line: line})
+		}
 	}
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	out := make([]*fields, 0, len(recs)-1)
-	for _, rec := range recs[1:] { // skip header
-		out = append(out, &fields{cells: rec})
-	}
-	return out, nil
 }
 
 // OfflineFinding is one windowed analyzer result.
@@ -217,59 +227,74 @@ type OfflineFinding struct {
 	Finding     MatrixFinding
 }
 
+// offlineWindow is one analysis window's records of one communicator.
+type offlineWindow struct {
+	start sim.Time // a multiple of the window length
+	comm  int
+	pairs map[[2]int]*pairAgg
+}
+
+// offlineWindows buckets transfers by the window their end falls in,
+// [k*window, (k+1)*window), and returns the buckets that hold records in
+// (window, communicator) order: at most one per record, however far apart
+// the records lie. Records ending before time 0 fall in no window.
+func offlineWindows(msgs []accl.MsgEvent, window sim.Time) []*offlineWindow {
+	type key struct {
+		start sim.Time
+		comm  int
+	}
+	byKey := map[key]*offlineWindow{}
+	var out []*offlineWindow
+	for _, m := range msgs {
+		if m.End < 0 {
+			continue
+		}
+		k := key{m.End / window * window, m.Comm}
+		w := byKey[k]
+		if w == nil {
+			w = &offlineWindow{start: k.start, comm: k.comm, pairs: map[[2]int]*pairAgg{}}
+			byKey[k] = w
+			out = append(out, w)
+		}
+		pair := [2]int{m.SrcNode, m.DstNode}
+		agg := w.pairs[pair]
+		if agg == nil {
+			agg = &pairAgg{}
+			w.pairs[pair] = agg
+		}
+		agg.bytes += m.Bytes
+		agg.dur += m.Duration()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].start != out[j].start {
+			return out[i].start < out[j].start
+		}
+		return out[i].comm < out[j].comm
+	})
+	return out
+}
+
 // AnalyzeOffline replays conn-stats records through the comm-slow
 // localizer in fixed windows — the paper's "C4 Analyzer" box in Fig 5,
-// used for post-mortems on archived stats.
+// used for post-mortems on archived stats. Only windows that hold records
+// are analyzed; a window's end saturates at the largest time.
 func AnalyzeOffline(msgs []accl.MsgEvent, window sim.Time, kappa, rowColFrac float64) []OfflineFinding {
-	if len(msgs) == 0 || window <= 0 {
+	if window <= 0 {
 		return nil
 	}
-	var maxEnd sim.Time
-	for _, m := range msgs {
-		if m.End > maxEnd {
-			maxEnd = m.End
-		}
-	}
 	var out []OfflineFinding
-	for start := sim.Time(0); start < maxEnd; start += window {
-		end := start + window
-		// Per communicator, aggregate bandwidth per pair in the window.
-		byComm := map[int]map[[2]int]*pairAgg{}
-		for _, m := range msgs {
-			if m.End < start || m.End >= end {
-				continue
+	for _, w := range offlineWindows(msgs, window) {
+		end := w.start + min(window, math.MaxInt64-w.start)
+		bw := map[[2]int]float64{}
+		for key, agg := range w.pairs {
+			if agg.dur > 0 {
+				bw[key] = agg.bytes * 8 / agg.dur.Seconds()
 			}
-			pairs := byComm[m.Comm]
-			if pairs == nil {
-				pairs = map[[2]int]*pairAgg{}
-				byComm[m.Comm] = pairs
-			}
-			key := [2]int{m.SrcNode, m.DstNode}
-			agg := pairs[key]
-			if agg == nil {
-				agg = &pairAgg{}
-				pairs[key] = agg
-			}
-			agg.bytes += m.Bytes
-			agg.dur += m.Duration()
 		}
-		comms := make([]int, 0, len(byComm))
-		for c := range byComm {
-			comms = append(comms, c)
-		}
-		sort.Ints(comms)
-		for _, c := range comms {
-			bw := map[[2]int]float64{}
-			for key, agg := range byComm[c] {
-				if agg.dur > 0 {
-					bw[key] = agg.bytes * 8 / agg.dur.Seconds()
-				}
-			}
-			for _, f := range AnalyzeDelayMatrix(bw, kappa, rowColFrac) {
-				out = append(out, OfflineFinding{
-					WindowStart: start, WindowEnd: end, Comm: c, Finding: f,
-				})
-			}
+		for _, f := range AnalyzeDelayMatrix(bw, kappa, rowColFrac) {
+			out = append(out, OfflineFinding{
+				WindowStart: w.start, WindowEnd: end, Comm: w.comm, Finding: f,
+			})
 		}
 	}
 	return out

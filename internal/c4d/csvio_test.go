@@ -1,9 +1,15 @@
 package c4d
 
 import (
+	"bytes"
+	"io"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"c4/internal/accl"
 	"c4/internal/sim"
@@ -148,6 +154,74 @@ func TestAnalyzeOfflineFindsInjectedRow(t *testing.T) {
 	}
 }
 
+func readConnStatsFile(t *testing.T, path string) []accl.MsgEvent {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	msgs, err := ReadConnStats(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msgs
+}
+
+// A record ending exactly on a window boundary belongs to the window it
+// opens, even when it is the last record: four ring transfers ending at
+// 10 s, n3->n0 at a tenth of the others' bandwidth.
+func TestAnalyzeOfflineRecordOnWindowEdge(t *testing.T) {
+	msgs := readConnStatsFile(t, "testdata/conn-stats-window-edge.csv")
+	got := AnalyzeOffline(msgs, 10*sim.Second, 2, 0.6)
+	want := OfflineFinding{WindowStart: 10 * sim.Second, WindowEnd: 20 * sim.Second, Comm: 1,
+		Finding: MatrixFinding{Scope: ScopeConnection, Src: 3, Dst: 0, Slowdown: 10}}
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("findings = %+v, want [%+v]", got, want)
+	}
+}
+
+// Records a lifetime apart cost two windows, not every window between
+// them, and the last window's end saturates instead of wrapping negative.
+func TestAnalyzeOfflineFarApartRecords(t *testing.T) {
+	msgs := readConnStatsFile(t, "testdata/conn-stats-far-apart.csv")
+	if n := len(offlineWindows(msgs, 10*sim.Second)); n != 2 {
+		t.Fatalf("%d windows, want 2", n)
+	}
+	done := make(chan []OfflineFinding, 1)
+	go func() {
+		// Kappa 0 flags every cell: one finding per analyzed window.
+		done <- AnalyzeOffline(msgs, 10*sim.Second, 0, 0.6)
+	}()
+	select {
+	case got := <-done:
+		for _, f := range got {
+			if f.WindowEnd < f.WindowStart || f.WindowEnd-f.WindowStart > 10*sim.Second {
+				t.Fatalf("window [%d, %d] ns", f.WindowStart, f.WindowEnd)
+			}
+		}
+		if len(got) != 2 || got[1].WindowEnd != math.MaxInt64 {
+			t.Fatalf("findings = %+v, want one per window, the last ending at the largest time", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AnalyzeOffline did not finish within 10 s")
+	}
+}
+
+func TestReadConnStatsRefusesBadTimes(t *testing.T) {
+	const header = "comm,seq,src_node,dst_node,rail,plane,sport,qpn,bytes,start_ns,end_ns\n"
+	for _, tc := range []struct{ row, want string }{
+		{"1,1,0,1,0,0,0,0,8,-5,10", "line 3"},
+		{"1,1,0,1,0,0,0,0,8,0,-10", "line 3"},
+		{"1,1,0,1,0,0,0,0,8,20,10", "line 3"},
+	} {
+		in := header + "1,1,0,1,0,0,0,0,8,0,10\n" + tc.row + "\n"
+		if _, err := ReadConnStats(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("row %q: err = %v, want one naming %s", tc.row, err, tc.want)
+		}
+	}
+}
+
 func TestAnalyzeOfflineEmpty(t *testing.T) {
 	if got := AnalyzeOffline(nil, sim.Second, 2, 0.6); got != nil {
 		t.Fatalf("empty input: %+v", got)
@@ -178,5 +252,61 @@ func TestConnStatsRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzReadStats runs the four stats readers on arbitrary bytes. None may
+// panic; whatever a reader accepts, its writer re-writes and the re-write
+// reads back equal (floats compared by bits); and accepted conn-stats cost
+// AnalyzeOffline at most one window per record. Plain `go test` replays
+// the committed seed corpus in testdata/fuzz/FuzzReadStats.
+func FuzzReadStats(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if msgs, err := ReadConnStats(bytes.NewReader(data)); err == nil {
+			reread(t, "conn-stats", msgs, WriteConnStats, ReadConnStats, func(a, b accl.MsgEvent) bool {
+				fa, fb := a, b
+				fa.Bytes, fb.Bytes = 0, 0
+				return fa == fb && math.Float64bits(a.Bytes) == math.Float64bits(b.Bytes)
+			})
+			for _, window := range []sim.Time{1, 10 * sim.Second} {
+				if n := len(offlineWindows(msgs, window)); n > len(msgs) {
+					t.Fatalf("%d windows of %v for %d records", n, window, len(msgs))
+				}
+				AnalyzeOffline(msgs, window, 2, 0.6)
+			}
+		}
+		if colls, err := ReadCollStats(bytes.NewReader(data)); err == nil {
+			reread(t, "coll-stats", colls, WriteCollStats, ReadCollStats, func(a, b accl.CollEvent) bool {
+				fa, fb := a, b
+				fa.Bytes, fb.Bytes = 0, 0
+				return fa == fb && math.Float64bits(a.Bytes) == math.Float64bits(b.Bytes)
+			})
+		}
+		if waits, err := ReadRankStats(bytes.NewReader(data)); err == nil {
+			reread(t, "rank-stats", waits, WriteRankStats, ReadRankStats, func(a, b accl.WaitEvent) bool { return a == b })
+		}
+		if comms, err := ReadCommStats(bytes.NewReader(data)); err == nil {
+			reread(t, "comm-stats", comms, WriteCommStats, ReadCommStats, func(a, b accl.CommInfo) bool {
+				return a.Comm == b.Comm && slices.Equal(a.Nodes, b.Nodes)
+			})
+		}
+	})
+}
+
+// reread writes rows with write, reads them back with read, and requires
+// the same rows.
+func reread[T any](t *testing.T, name string, rows []T, write func(io.Writer, []T) error,
+	read func(io.Reader) ([]T, error), eq func(a, b T) bool) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf, rows); err != nil {
+		t.Fatalf("%s: re-writing %d accepted rows: %v", name, len(rows), err)
+	}
+	back, err := read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: reading the re-write back: %v\n%s", name, err, buf.Bytes())
+	}
+	if !slices.EqualFunc(rows, back, eq) {
+		t.Fatalf("%s: re-write reads back\n%+v\nwant\n%+v", name, back, rows)
 	}
 }

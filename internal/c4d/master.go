@@ -9,11 +9,15 @@ import (
 	"c4/internal/trace"
 )
 
-// Config tunes the master's detectors.
+// Config holds the C4D thresholds. The batch master and the online
+// detector (telemetry.DetectorConfig is this type) judge with the same
+// values; each field says which detector reads it.
 type Config struct {
 	// ReportInterval is the agent reporting period — the quantum of
 	// detection latency. The paper's deployment detects in "tens of
-	// seconds"; the default is 5 s.
+	// seconds"; the default is 5 s. The online detector, which has no
+	// reporting tick, decays its wait accumulators with it as their time
+	// constant, the streaming analogue of one window's wait total.
 	ReportInterval sim.Time
 	// HangTimeout is how long a collective may make no progress before the
 	// hang detectors fire. Default 30 s (vs the 30 *minutes* of the
@@ -23,23 +27,27 @@ type Config struct {
 	Kappa float64
 	// RowColFrac is the fraction of a matrix row/column that must be
 	// anomalous to blame a NIC side instead of a connection. Default 0.6.
+	// Batch master only.
 	RowColFrac float64
 	// WaitKappa is how many times the runner-up a straggler's waited-on
-	// time must exceed. Default 3.
+	// time must exceed (see Straggler). Default 3.
 	WaitKappa float64
-	// MinWait is the absolute waited-on floor per window. Default 50 ms.
+	// MinWait is the absolute waited-on floor: per window for the batch
+	// master, of the decayed accumulator for the online detector. Default
+	// 50 ms.
 	MinWait sim.Time
 	// DedupInterval suppresses repeated identical findings. Default 60 s.
 	DedupInterval sim.Time
 	// SmoothingWindows is the number of reporting windows the straggler
 	// detector averages over, smoothing random load variation (the EP
-	// extension discussed in §V). Default 3.
+	// extension discussed in §V). Default 3. Batch master only.
 	SmoothingWindows int
 
 	// Trace, when enabled, records each finding as an instant "detect"
 	// span parented under the tracer's current "fault" mark — the causal
 	// fault-window → detection link — and republishes it as the "detect"
-	// mark for steering to parent its actions under. Optional.
+	// mark for steering to parent its actions under. Optional; batch
+	// master only.
 	Trace *trace.Tracer
 }
 
@@ -57,7 +65,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills every unset (non-positive) threshold from
+// DefaultConfig.
+func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.ReportInterval <= 0 {
 		c.ReportInterval = d.ReportInterval
@@ -98,28 +108,16 @@ type commState struct {
 	// Active() (and hence the fleet's empty-pass skip) keys on.
 	seen bool
 
-	// Hang tracking.
-	arriveSeq   map[int]int      // node -> highest seq with an observed kernel launch
-	completeSeq map[int]int      // node -> highest completed seq
-	seqFirstArr map[int]sim.Time // seq -> first arrival time across nodes
-	lastMsgAt   sim.Time         // last transport progress in this comm
-
-	// Per-operation transport evidence (persists across windows: a hang is
-	// detected long after the healthy edges of the stalled op completed).
-	// opMin is the lowest op sequence the maps hold, so Ingest prunes them
-	// only when it leaves the window instead of on every message.
-	opTx  map[int]map[int]bool // seq -> nodes with tx progress in that op
-	opRx  map[int]map[int]bool // seq -> nodes with rx progress in that op
-	opMin int
+	hang *HangWatch
 
 	// Window accumulators (reset each analysis pass).
-	pairs  map[[2]int]*pairAgg
-	txSeen map[int]bool
-	rxSeen map[int]bool
-	waits  map[int]sim.Time // node -> time peers spent waiting on it (window)
+	pairs map[[2]int]*pairAgg
+	waits map[int]sim.Time // node -> time peers spent waiting on it (window)
 
-	// Smoothed waited-on totals for the straggler detector.
+	// Per-window wait totals of the last SmoothingWindows windows, and the
+	// straggler rule's input built from them (reused across passes).
 	waitHist map[int][]sim.Time
+	avgWait  []float64
 }
 
 // Master is the central C4D analyzer.
@@ -140,7 +138,7 @@ type Master struct {
 // NewMaster creates a master with the given (defaulted) config.
 func NewMaster(cfg Config) *Master {
 	return &Master{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		comms:    make(map[int]*commState),
 		lastFire: make(map[string]sim.Time),
 	}
@@ -158,17 +156,11 @@ func (m *Master) Events() []Event { return append([]Event(nil), m.events...) }
 // RegisterComm tells the master about a communicator's membership.
 func (m *Master) RegisterComm(ci accl.CommInfo) {
 	m.comms[ci.Comm] = &commState{
-		nodes:       append([]int(nil), ci.Nodes...),
-		arriveSeq:   make(map[int]int),
-		completeSeq: make(map[int]int),
-		seqFirstArr: make(map[int]sim.Time),
-		opTx:        make(map[int]map[int]bool),
-		opRx:        make(map[int]map[int]bool),
-		pairs:       make(map[[2]int]*pairAgg),
-		txSeen:      make(map[int]bool),
-		rxSeen:      make(map[int]bool),
-		waits:       make(map[int]sim.Time),
-		waitHist:    make(map[int][]sim.Time),
+		nodes:    append([]int(nil), ci.Nodes...),
+		hang:     NewHangWatch(ci.Nodes),
+		pairs:    make(map[[2]int]*pairAgg),
+		waits:    make(map[int]sim.Time),
+		waitHist: make(map[int][]sim.Time),
 	}
 }
 
@@ -209,19 +201,7 @@ func (m *Master) Ingest(r Report) {
 			continue
 		}
 		cs.seen = true
-		switch ev.Phase {
-		case accl.PhaseArrive:
-			if ev.Seq > cs.arriveSeq[ev.Node] {
-				cs.arriveSeq[ev.Node] = ev.Seq
-			}
-			if t, ok := cs.seqFirstArr[ev.Seq]; !ok || ev.Time < t {
-				cs.seqFirstArr[ev.Seq] = ev.Time
-			}
-		case accl.PhaseComplete:
-			if ev.Seq > cs.completeSeq[ev.Node] {
-				cs.completeSeq[ev.Node] = ev.Seq
-			}
-		}
+		cs.hang.Coll(ev)
 	}
 	for _, ev := range r.Messages {
 		cs := m.comms[ev.Comm]
@@ -237,33 +217,7 @@ func (m *Master) Ingest(r Report) {
 		}
 		agg.bytes += ev.Bytes
 		agg.dur += ev.Duration()
-		cs.txSeen[ev.SrcNode] = true
-		cs.rxSeen[ev.DstNode] = true
-		if cs.opTx[ev.Seq] == nil {
-			cs.opTx[ev.Seq] = make(map[int]bool)
-			cs.opRx[ev.Seq] = make(map[int]bool)
-			if len(cs.opTx) == 1 || ev.Seq < cs.opMin {
-				cs.opMin = ev.Seq
-			}
-		}
-		cs.opTx[ev.Seq][ev.SrcNode] = true
-		cs.opRx[ev.Seq][ev.DstNode] = true
-		// Bound memory: evidence for long-finished operations is useless.
-		// Nothing is older than the window while the lowest op is in it.
-		if cs.opMin < ev.Seq-8 {
-			cs.opMin = ev.Seq
-			for seq := range cs.opTx {
-				if seq < ev.Seq-8 {
-					delete(cs.opTx, seq)
-					delete(cs.opRx, seq)
-				} else {
-					cs.opMin = min(cs.opMin, seq)
-				}
-			}
-		}
-		if ev.End > cs.lastMsgAt {
-			cs.lastMsgAt = ev.End
-		}
+		cs.hang.Msg(ev)
 	}
 	for _, ev := range r.Waits {
 		cs := m.comms[ev.Comm]
@@ -291,8 +245,6 @@ func (m *Master) Analyze(now sim.Time) {
 		m.detectStraggler(now, id, cs)
 		// Reset window accumulators.
 		cs.pairs = make(map[[2]int]*pairAgg)
-		cs.txSeen = make(map[int]bool)
-		cs.rxSeen = make(map[int]bool)
 		cs.waits = make(map[int]sim.Time)
 	}
 }
@@ -315,87 +267,29 @@ func (m *Master) emit(e Event) {
 	}
 }
 
-// detectHangs finds workers that never entered an operation their peers
-// entered (non-comm hang) and operations whose transport stopped making
-// progress (comm hang), localizing the node with neither tx nor rx
-// progress.
+// detectHangs turns the communicator's hang verdict into one finding per
+// suspect.
 func (m *Master) detectHangs(now sim.Time, comm int, cs *commState) {
-	maxArr := 0
-	for _, n := range cs.nodes {
-		if s := cs.arriveSeq[n]; s > maxArr {
-			maxArr = s
-		}
-	}
-	if maxArr == 0 {
+	h, ok := cs.hang.Verdict(now, m.cfg.HangTimeout)
+	if !ok {
 		return
 	}
-	firstArr := cs.seqFirstArr[maxArr]
-	age := now - firstArr
-
-	// Non-communication hang: a peer is missing from op maxArr.
-	if age >= m.cfg.HangTimeout {
-		for _, n := range cs.nodes {
-			if cs.arriveSeq[n] < maxArr {
-				m.emit(Event{
-					Time: now, Comm: comm, Syndrome: NonCommHang, Scope: ScopeNode,
-					Node: n, Peer: -1, Severity: age.Seconds(),
-					Detail: fmt.Sprintf("no kernel launch for op %d (peers launched %v ago)", maxArr, age),
-				})
-			}
+	for _, n := range h.Suspects {
+		ev := Event{
+			Time: now, Comm: comm, Syndrome: h.Syndrome, Scope: ScopeNode,
+			Node: n, Peer: -1, Severity: h.Stalled.Seconds(),
 		}
-	}
-
-	// Communication hang: everyone entered op maxArr, nobody finished it,
-	// and the transport has been silent for HangTimeout.
-	allArrived := true
-	anyCompleted := false
-	for _, n := range cs.nodes {
-		if cs.arriveSeq[n] < maxArr {
-			allArrived = false
+		switch {
+		case h.Syndrome == NonCommHang:
+			ev.Detail = fmt.Sprintf("no kernel launch for op %d (peers launched %v ago)", h.Op, h.Stalled)
+		case h.Localized:
+			ev.Detail = fmt.Sprintf("op %d stalled %v; node has no tx/rx progress", h.Op, h.Stalled)
+		default:
+			// No discriminating evidence: the widened scope is in the
+			// detail string.
+			ev.Detail = fmt.Sprintf("op %d stalled %v; no single-node syndrome", h.Op, h.Stalled)
 		}
-		if cs.completeSeq[n] >= maxArr {
-			anyCompleted = true
-		}
-	}
-	if !allArrived || anyCompleted {
-		return
-	}
-	lastProgress := cs.lastMsgAt
-	if firstArr > lastProgress {
-		lastProgress = firstArr
-	}
-	if now-lastProgress < m.cfg.HangTimeout {
-		return
-	}
-	// Localize: nodes with neither transmit nor receive progress within
-	// the stalled operation while peers progressed. Per-op evidence is
-	// essential — the healthy edges of the stalled op typically completed
-	// several reporting windows before the timeout fires.
-	tx, rx := cs.opTx[maxArr], cs.opRx[maxArr]
-	anyTraffic := len(tx) > 0 || len(rx) > 0
-	var blamed []int
-	for _, n := range cs.nodes {
-		if !tx[n] && !rx[n] {
-			blamed = append(blamed, n)
-		}
-	}
-	if !anyTraffic || len(blamed) == 0 || len(blamed) == len(cs.nodes) {
-		// No discriminating evidence this window: report the hang against
-		// the communicator's first member so steering still reacts, with
-		// scope widened in the detail string.
-		m.emit(Event{
-			Time: now, Comm: comm, Syndrome: CommHang, Scope: ScopeNode,
-			Node: cs.nodes[0], Peer: -1, Severity: (now - lastProgress).Seconds(),
-			Detail: fmt.Sprintf("op %d stalled %v; no single-node syndrome", maxArr, now-lastProgress),
-		})
-		return
-	}
-	for _, n := range blamed {
-		m.emit(Event{
-			Time: now, Comm: comm, Syndrome: CommHang, Scope: ScopeNode,
-			Node: n, Peer: -1, Severity: (now - lastProgress).Seconds(),
-			Detail: fmt.Sprintf("op %d stalled %v; node has no tx/rx progress", maxArr, now-lastProgress),
-		})
+		m.emit(ev)
 	}
 }
 
@@ -433,10 +327,11 @@ func (m *Master) detectCommSlow(now sim.Time, comm int, cs *commState) {
 	}
 }
 
-// detectStraggler aggregates receiver-driven wait chains: the node peers
-// spend by far the most time waiting on is compute- or input-bound
-// (non-communication slow). Totals are smoothed over SmoothingWindows
-// reporting periods to absorb random variation (§V's EP discussion).
+// detectStraggler applies the straggler rule to receiver-driven wait
+// chains: the node peers spend by far the most time waiting on is compute-
+// or input-bound (non-communication slow). Totals are averaged over
+// SmoothingWindows reporting periods to absorb random variation (§V's EP
+// discussion).
 func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 	for _, n := range cs.nodes {
 		hist := append(cs.waitHist[n], cs.waits[n])
@@ -445,31 +340,50 @@ func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 		}
 		cs.waitHist[n] = hist
 	}
-	var top, second sim.Time
-	topNode := -1
+	cs.avgWait = cs.avgWait[:0]
 	for _, n := range cs.nodes {
 		var sum sim.Time
 		for _, w := range cs.waitHist[n] {
 			sum += w
 		}
-		avg := sum / sim.Time(len(cs.waitHist[n]))
-		if avg > top {
-			second = top
-			top, topNode = avg, n
-		} else if avg > second {
-			second = avg
-		}
+		cs.avgWait = append(cs.avgWait, float64(sum/sim.Time(len(cs.waitHist[n]))))
 	}
-	if topNode < 0 || top < m.cfg.MinWait {
+	i, ok := Straggler(cs.avgWait, float64(m.cfg.MinWait), m.cfg.WaitKappa)
+	if !ok {
 		return
 	}
-	if second > 0 && float64(top) < m.cfg.WaitKappa*float64(second) {
-		return
-	}
+	top := sim.Time(cs.avgWait[i])
 	m.emit(Event{
 		Time: now, Comm: comm, Syndrome: NonCommSlow, Scope: ScopeNode,
-		Node: topNode, Peer: -1,
+		Node: cs.nodes[i], Peer: -1,
 		Severity: top.Seconds() / m.cfg.ReportInterval.Seconds(),
 		Detail:   fmt.Sprintf("peers waited %v on this node per window", top),
 	})
+}
+
+// Straggler is the straggler rule (§III-A) both detectors apply: the
+// member its peers wait on most is a straggler when that wait reaches
+// minWait and at least waitKappa times the runner-up's. waits holds one
+// smoothed wait per member, in any unit shared with minWait. It returns
+// the top wait's index (the first on a tie; -1 when no wait is positive)
+// and whether the rule fires. A runner-up of 0 passes the ratio test with
+// no evidence, so in a two-member communicator the floor alone decides.
+func Straggler(waits []float64, minWait, waitKappa float64) (int, bool) {
+	var top, second float64
+	at := -1
+	for i, w := range waits {
+		if w > top {
+			second = top
+			top, at = w, i
+		} else if w > second {
+			second = w
+		}
+	}
+	if at < 0 || top < minWait {
+		return at, false
+	}
+	if second > 0 && top < waitKappa*second {
+		return at, false
+	}
+	return at, true
 }

@@ -12,6 +12,14 @@ import (
 // slow row a source-side (Tx) problem, and a slow column a destination-side
 // (Rx) problem.
 
+// MinLineCells is the breadth a row or column verdict needs. With fewer
+// than three observed cells on a side (e.g. ring traffic, where each node
+// has exactly one outgoing connection), a "whole row slow" claim is
+// indistinguishable from a single bad connection, so the finding stays at
+// connection scope. The online detector's streaming matrix applies the
+// same floor to the distinct peers it has seen on a line.
+const MinLineCells = 3
+
 // MatrixFinding is one localized slowness.
 type MatrixFinding struct {
 	Scope Scope // ScopeConnection, ScopeNodeTx or ScopeNodeRx
@@ -116,14 +124,8 @@ func AnalyzeDelayMatrix(bw map[[2]int]float64, kappa, rowColFrac float64) []Matr
 		}
 		return sides[i].node < sides[j].node
 	})
-	// A row/column verdict needs corroborating breadth: with fewer than
-	// three observed cells on a side (e.g. ring traffic, where each node
-	// has exactly one outgoing connection), a "whole row slow" claim is
-	// indistinguishable from a single bad connection, so the finding stays
-	// at connection scope.
-	const minLineCells = 3
 	for _, s := range sides {
-		if s.frac < rowColFrac || len(s.cells) < minLineCells {
+		if s.frac < rowColFrac || len(s.cells) < MinLineCells {
 			continue
 		}
 		// Skip if most of this side's cells were already claimed by an

@@ -111,7 +111,13 @@ func TestInjectorReproducesTableI(t *testing.T) {
 	const n = 20000
 	counts := map[FaultKind]int{}
 	local := 0
-	for _, f := range in.Sample(n) {
+	var at sim.Time
+	for i := 0; i < n; i++ {
+		f := in.Next(at)
+		if f.Time < at {
+			t.Fatalf("fault %d at %v, before the previous one at %v", i, f.Time, at)
+		}
+		at = f.Time
 		counts[f.Kind]++
 		if f.Local {
 			local++
@@ -150,25 +156,6 @@ func TestInjectorSampleWindow(t *testing.T) {
 			t.Fatalf("fault time %v out of order/window", f.Time)
 		}
 		prev = f.Time
-	}
-}
-
-func TestInjectorDrive(t *testing.T) {
-	eng := sim.NewEngine()
-	in := NewInjector(InjectorConfig{Rand: sim.NewRand(3), Nodes: 4096, GPUsPerNode: 8})
-	var seen []Fault
-	in.Drive(eng, 10*sim.Day, func(f Fault) { seen = append(seen, f) })
-	eng.Run()
-	if len(seen) == 0 {
-		t.Fatal("no faults driven")
-	}
-	for i, f := range seen {
-		if f.Time > 10*sim.Day {
-			t.Fatalf("fault %d after deadline: %v", i, f.Time)
-		}
-		if i > 0 && f.Time < seen[i-1].Time {
-			t.Fatal("faults out of order")
-		}
 	}
 }
 

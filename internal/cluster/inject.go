@@ -93,36 +93,6 @@ func (in *Injector) Next(after sim.Time) Fault {
 	}
 }
 
-// Drive schedules faults onto the engine until `until`, invoking handle for
-// each. The handler runs at the fault's virtual time.
-func (in *Injector) Drive(eng *sim.Engine, until sim.Time, handle func(Fault)) {
-	var schedule func(prev sim.Time)
-	schedule = func(prev sim.Time) {
-		f := in.Next(prev)
-		if f.Time > until {
-			return
-		}
-		eng.Schedule(f.Time, func() {
-			handle(f)
-			schedule(f.Time)
-		})
-	}
-	schedule(eng.Now())
-}
-
-// Sample draws n faults back-to-back starting at t=0; used by the
-// availability Monte-Carlo, which does not need an engine.
-func (in *Injector) Sample(n int) []Fault {
-	out := make([]Fault, 0, n)
-	var t sim.Time
-	for i := 0; i < n; i++ {
-		f := in.Next(t)
-		t = f.Time
-		out = append(out, f)
-	}
-	return out
-}
-
 // SampleWindow draws all faults arriving within the window [0, span).
 func (in *Injector) SampleWindow(span sim.Time) []Fault {
 	var out []Fault

@@ -39,9 +39,6 @@ type Config struct {
 	// and comm/compute overlap. The zero value synchronizes each stage's
 	// whole gradient once its backward drain ends.
 	Plan plan.Options
-	// Stepwise selects chunked collectives (needed when a C4D fleet wants
-	// per-step transport records).
-	Stepwise bool
 	// AdaptiveWeights enables ACCL's path re-weighting (C4P dynamic mode).
 	AdaptiveWeights bool
 	// QPsPerConn sets the QP count per connection (default 2, one per
@@ -162,8 +159,7 @@ func (j *Job) newComm(nodes []int) (*accl.Communicator, error) {
 	return accl.NewCommunicator(accl.Config{
 		Engine: j.cfg.Engine, Net: j.cfg.Net, Provider: j.cfg.Provider,
 		Sink: j.cfg.Sink, Rails: j.cfg.Rails, Rand: j.rand,
-		Stepwise: j.cfg.Stepwise, AdaptiveWeights: j.cfg.AdaptiveWeights,
-		QPsPerConn: j.cfg.QPsPerConn,
+		AdaptiveWeights: j.cfg.AdaptiveWeights, QPsPerConn: j.cfg.QPsPerConn,
 	}, nodes)
 }
 

@@ -2,120 +2,41 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"c4/internal/accl"
 	"c4/internal/c4d"
 	"c4/internal/sim"
 )
 
-// DetectorConfig tunes the online detector. Thresholds deliberately mirror
-// c4d.Config so the two arms disagree only in *when* they can fire, never
-// in *what* they consider anomalous.
-type DetectorConfig struct {
-	// HangTimeout is how long a collective may make no progress before the
-	// hang alarms fire. Default 30 s.
-	HangTimeout sim.Time
-	// Kappa is the slowdown multiple considered anomalous. Default 2.
-	Kappa float64
-	// WaitKappa is how many times the runner-up the top straggler's
-	// decayed waited-on time must exceed. Default 3.
-	WaitKappa float64
-	// MinWait is the decayed waited-on floor. Default 50 ms.
-	MinWait sim.Time
-	// WaitTau is the straggler accumulator's decay constant — the
-	// streaming analogue of the batch reporting window. Default 5 s.
-	WaitTau sim.Time
-	// DedupInterval suppresses repeated identical detections. Default 60 s.
-	DedupInterval sim.Time
-	// Alpha is the bandwidth EWMA smoothing factor. Default 0.4.
-	Alpha float64
-	// MinPairObs is how many observations a pair needs before it can be
-	// judged slow. Default 3.
-	MinPairObs int
-	// MinTotalObs is the global warmup before any slowness verdict.
-	// Default 24.
-	MinTotalObs int
-	// MinLineObs is the distinct-peer breadth a row/column verdict needs
-	// (below it, slowness stays at connection scope, matching the batch
-	// analyzer's minLineCells). Default 3.
-	MinLineObs int
-}
+// DetectorConfig is the online detector's configuration. It is
+// c4d.Config, so the two detectors judge with one set of thresholds and
+// differ only in when they look and how they smooth. The online detector
+// reads HangTimeout, Kappa, WaitKappa, MinWait and DedupInterval, and
+// decays its wait accumulators with ReportInterval as their time constant.
+type DetectorConfig = c4d.Config
 
-// DefaultDetectorConfig returns the tuning used across the repository.
-func DefaultDetectorConfig() DetectorConfig {
-	return DetectorConfig{
-		HangTimeout:   30 * sim.Second,
-		Kappa:         2,
-		WaitKappa:     3,
-		MinWait:       50 * sim.Millisecond,
-		WaitTau:       5 * sim.Second,
-		DedupInterval: 60 * sim.Second,
-		Alpha:         0.4,
-		MinPairObs:    3,
-		MinTotalObs:   24,
-		MinLineObs:    3,
-	}
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	d := DefaultDetectorConfig()
-	if c.HangTimeout <= 0 {
-		c.HangTimeout = d.HangTimeout
-	}
-	if c.Kappa <= 0 {
-		c.Kappa = d.Kappa
-	}
-	if c.WaitKappa <= 0 {
-		c.WaitKappa = d.WaitKappa
-	}
-	if c.MinWait <= 0 {
-		c.MinWait = d.MinWait
-	}
-	if c.WaitTau <= 0 {
-		c.WaitTau = d.WaitTau
-	}
-	if c.DedupInterval <= 0 {
-		c.DedupInterval = d.DedupInterval
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = d.Alpha
-	}
-	if c.MinPairObs <= 0 {
-		c.MinPairObs = d.MinPairObs
-	}
-	if c.MinTotalObs <= 0 {
-		c.MinTotalObs = d.MinTotalObs
-	}
-	if c.MinLineObs <= 0 {
-		c.MinLineObs = d.MinLineObs
-	}
-	return c
-}
+// The streaming matrix's warm-up: how many observations a pair needs
+// before it can be judged slow, the global count before any slowness
+// verdict, and its EWMA smoothing factor.
+const (
+	minPairObs  = 3
+	minTotalObs = 24
+	matrixAlpha = 0.4
+)
 
 // commWatch is the per-communicator incremental state.
 type commWatch struct {
-	comm  int
-	nodes []int
-
-	arriveSeq    map[int]int
-	completeSeq  map[int]int
-	seqFirstArr  map[int]sim.Time
-	lastProgress sim.Time
-
-	// Incrementally maintained view of the newest operation (seq maxArr):
-	// how many members have arrived at it and whether anyone completed
-	// it. These make hangDeadline O(1) per record; the full member scans
-	// run only when an alarm actually fires.
-	maxArr       int
-	arrivedAtMax int
-	completedMax bool
-
-	opTx map[int]map[int]bool
-	opRx map[int]map[int]bool
+	comm int
+	hang *c4d.HangWatch
 
 	matrix *DelayMatrix
-	waits  map[int]*DecayAccum
+
+	// Decayed waited-on time per node, in ascending node order, and the
+	// straggler rule's input built from them (reused across checks).
+	waitNodes []int
+	waits     []DecayAccum
+	waitVals  []float64
 
 	alarm   *sim.Event
 	alarmAt sim.Time
@@ -142,7 +63,7 @@ type OnlineDetector struct {
 // hang alarms).
 func NewOnlineDetector(eng *sim.Engine, cfg DetectorConfig) *OnlineDetector {
 	return &OnlineDetector{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg.WithDefaults(),
 		eng:      eng,
 		comms:    map[int]*commWatch{},
 		lastFire: map[string]sim.Time{},
@@ -187,15 +108,9 @@ func (d *OnlineDetector) Observe(rec Record) {
 	switch rec.Kind {
 	case KindCommCreate:
 		d.comms[rec.Comm] = &commWatch{
-			comm:        rec.Comm,
-			nodes:       append([]int(nil), rec.Nodes...),
-			arriveSeq:   map[int]int{},
-			completeSeq: map[int]int{},
-			seqFirstArr: map[int]sim.Time{},
-			opTx:        map[int]map[int]bool{},
-			opRx:        map[int]map[int]bool{},
-			matrix:      NewDelayMatrix(d.cfg.Alpha),
-			waits:       map[int]*DecayAccum{},
+			comm:   rec.Comm,
+			hang:   c4d.NewHangWatch(rec.Nodes),
+			matrix: NewDelayMatrix(matrixAlpha),
 		}
 	case KindCommClose:
 		if w := d.comms[rec.Comm]; w != nil {
@@ -232,61 +147,12 @@ func (d *OnlineDetector) emit(det c4d.Detection) {
 }
 
 func (d *OnlineDetector) observeColl(w *commWatch, ev accl.CollEvent) {
-	switch ev.Phase {
-	case accl.PhaseArrive:
-		if old := w.arriveSeq[ev.Node]; ev.Seq > old {
-			w.arriveSeq[ev.Node] = ev.Seq
-			switch {
-			case ev.Seq > w.maxArr:
-				// A new newest operation: this node is its first member,
-				// and nothing can have completed it yet (completion
-				// implies arrival).
-				w.maxArr = ev.Seq
-				w.arrivedAtMax = 1
-				w.completedMax = false
-				// Bound memory: first-arrival times of long-finished
-				// operations are useless (same window as opTx/opRx).
-				for seq := range w.seqFirstArr {
-					d.updates++
-					if seq < w.maxArr-8 {
-						delete(w.seqFirstArr, seq)
-					}
-				}
-			case ev.Seq == w.maxArr && old < w.maxArr:
-				w.arrivedAtMax++
-			}
-		}
-		if t, ok := w.seqFirstArr[ev.Seq]; !ok || ev.Time < t {
-			w.seqFirstArr[ev.Seq] = ev.Time
-		}
-	case accl.PhaseComplete:
-		if ev.Seq > w.completeSeq[ev.Node] {
-			w.completeSeq[ev.Node] = ev.Seq
-		}
-		if ev.Seq >= w.maxArr {
-			w.completedMax = true
-		}
-	}
+	d.updates += uint64(w.hang.Coll(ev))
 	d.rearmHangAlarm(w)
 }
 
 func (d *OnlineDetector) observeMsg(w *commWatch, ev accl.MsgEvent) {
-	if ev.End > w.lastProgress {
-		w.lastProgress = ev.End
-	}
-	if w.opTx[ev.Seq] == nil {
-		w.opTx[ev.Seq] = map[int]bool{}
-		w.opRx[ev.Seq] = map[int]bool{}
-	}
-	w.opTx[ev.Seq][ev.SrcNode] = true
-	w.opRx[ev.Seq][ev.DstNode] = true
-	for seq := range w.opTx {
-		d.updates++
-		if seq < ev.Seq-8 {
-			delete(w.opTx, seq)
-			delete(w.opRx, seq)
-		}
-	}
+	d.updates += uint64(w.hang.Msg(ev))
 	if dur := ev.Duration(); dur > 0 {
 		bw := ev.Bytes * 8 / dur.Seconds() / 1e9 // Gbps
 		w.matrix.Observe(ev.SrcNode, ev.DstNode, bw)
@@ -296,11 +162,12 @@ func (d *OnlineDetector) observeMsg(w *commWatch, ev accl.MsgEvent) {
 }
 
 func (d *OnlineDetector) observeWait(w *commWatch, ev accl.WaitEvent) {
-	acc := w.waits[ev.On]
-	if acc == nil {
-		acc = &DecayAccum{Tau: d.cfg.WaitTau}
-		w.waits[ev.On] = acc
+	i, ok := slices.BinarySearch(w.waitNodes, ev.On)
+	if !ok {
+		w.waitNodes = slices.Insert(w.waitNodes, i, ev.On)
+		w.waits = slices.Insert(w.waits, i, DecayAccum{Tau: d.cfg.ReportInterval})
 	}
+	acc := &w.waits[i]
 	acc.Add(ev.Time, ev.Dur.Seconds())
 	// O(1) precheck: the member scan can only produce a verdict when the
 	// node this record updated clears the absolute floor, which healthy
@@ -317,7 +184,7 @@ func (d *OnlineDetector) observeWait(w *commWatch, ev accl.WaitEvent) {
 // checkCommSlow judges the pair (and its row/column) the record just
 // updated against the sketch's healthy median.
 func (d *OnlineDetector) checkCommSlow(w *commWatch, src, dst int) {
-	if w.matrix.sketch.Count() < uint64(d.cfg.MinTotalObs) {
+	if w.matrix.sketch.Count() < minTotalObs {
 		return
 	}
 	med := w.matrix.Median()
@@ -330,23 +197,23 @@ func (d *OnlineDetector) checkCommSlow(w *commWatch, src, dst int) {
 	// Row/column verdicts first (broader evidence), mirroring the batch
 	// analyzer's preference, but only with enough distinct peers to tell
 	// a NIC side from a single bad cable.
-	if v, n, dsts := w.matrix.Row(src); dsts >= d.cfg.MinLineObs &&
-		n >= d.cfg.MinPairObs*d.cfg.MinLineObs && v > 0 && v < threshold {
+	if v, n, dsts := w.matrix.Row(src); dsts >= c4d.MinLineCells &&
+		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
 		d.emit(c4d.Detection{
 			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{src},
 			Severity: med / v, Detail: "streaming matrix row slow: source Tx degraded",
 		})
 		return
 	}
-	if v, n, srcs := w.matrix.Col(dst); srcs >= d.cfg.MinLineObs &&
-		n >= d.cfg.MinPairObs*d.cfg.MinLineObs && v > 0 && v < threshold {
+	if v, n, srcs := w.matrix.Col(dst); srcs >= c4d.MinLineCells &&
+		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
 		d.emit(c4d.Detection{
 			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{dst},
 			Severity: med / v, Detail: "streaming matrix column slow: destination Rx degraded",
 		})
 		return
 	}
-	if v, n := w.matrix.Pair(src, dst); n >= d.cfg.MinPairObs && v > 0 && v < threshold {
+	if v, n := w.matrix.Pair(src, dst); n >= minPairObs && v > 0 && v < threshold {
 		d.emit(c4d.Detection{
 			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{src, dst},
 			Severity: med / v, Detail: "streaming connection slow",
@@ -354,67 +221,29 @@ func (d *OnlineDetector) checkCommSlow(w *commWatch, src, dst int) {
 	}
 }
 
-// checkStraggler compares decayed waited-on time across members.
+// checkStraggler applies the straggler rule to the decayed waited-on
+// times.
 func (d *OnlineDetector) checkStraggler(w *commWatch, now sim.Time) {
-	var top, second float64
-	topNode := -1
-	nodes := make([]int, 0, len(w.waits))
-	for n := range w.waits {
-		nodes = append(nodes, n)
+	w.waitVals = w.waitVals[:0]
+	for i := range w.waits {
+		w.waitVals = append(w.waitVals, w.waits[i].ValueAt(now))
 	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		d.updates++
-		v := w.waits[n].ValueAt(now)
-		if v > top {
-			second = top
-			top, topNode = v, n
-		} else if v > second {
-			second = v
-		}
-	}
-	if topNode < 0 || top < d.cfg.MinWait.Seconds() {
+	d.updates += uint64(len(w.waits))
+	i, ok := c4d.Straggler(w.waitVals, d.cfg.MinWait.Seconds(), d.cfg.WaitKappa)
+	if !ok {
 		return
 	}
-	if second > 0 && top < d.cfg.WaitKappa*second {
-		return
-	}
+	top := w.waitVals[i]
 	d.emit(c4d.Detection{
-		At: now, Comm: w.comm, Syndrome: c4d.NonCommSlow, Suspects: []int{topNode},
-		Severity: top / d.cfg.WaitTau.Seconds(),
+		At: now, Comm: w.comm, Syndrome: c4d.NonCommSlow, Suspects: []int{w.waitNodes[i]},
+		Severity: top / d.cfg.ReportInterval.Seconds(),
 		Detail:   fmt.Sprintf("peers' decayed wait on this node %.3fs", top),
 	})
 }
 
-// hangDeadline computes the earliest instant a hang verdict could become
-// true given current evidence, or 0 when none applies. O(1): it reads
-// the incrementally maintained newest-op counters, never scanning the
-// membership — this runs on every data record.
-func (w *commWatch) hangDeadline(timeout sim.Time) sim.Time {
-	if w.maxArr == 0 {
-		return 0
-	}
-	firstArr := w.seqFirstArr[w.maxArr]
-	switch {
-	case w.arrivedAtMax < len(w.nodes):
-		// A peer is missing from op maxArr: non-comm hang ripens at
-		// firstArr + timeout.
-		return firstArr + timeout
-	case !w.completedMax:
-		// Everyone entered, nobody finished: comm hang ripens timeout
-		// after the last transport progress.
-		last := w.lastProgress
-		if firstArr > last {
-			last = firstArr
-		}
-		return last + timeout
-	}
-	return 0
-}
-
 // rearmHangAlarm (re)schedules the comm's alarm at the current deadline.
 func (d *OnlineDetector) rearmHangAlarm(w *commWatch) {
-	deadline := w.hangDeadline(d.cfg.HangTimeout)
+	deadline := w.hang.Deadline(d.cfg.HangTimeout)
 	if deadline == 0 {
 		if w.alarm != nil {
 			w.alarm.Cancel()
@@ -439,58 +268,21 @@ func (d *OnlineDetector) rearmHangAlarm(w *commWatch) {
 	w.alarm = d.eng.Schedule(at, func() { d.hangAlarm(w) })
 }
 
-// hangAlarm re-evaluates the hang conditions at the exact deadline.
+// hangAlarm re-evaluates the hang rule at the exact deadline.
 func (d *OnlineDetector) hangAlarm(w *commWatch) {
 	w.alarm = nil
 	if d.comms[w.comm] != w {
 		return // closed and replaced
 	}
 	now := d.eng.Now()
-	maxArr := w.maxArr
-	if maxArr == 0 {
-		return
-	}
-	firstArr := w.seqFirstArr[maxArr]
-	age := now - firstArr
-
-	allArrived := w.arrivedAtMax >= len(w.nodes)
-	switch {
-	case !allArrived && age >= d.cfg.HangTimeout:
-		// Alarms are rare; the member scan to name the missing peers is
-		// fine here.
-		var missing []int
-		for _, n := range w.nodes {
-			if w.arriveSeq[n] < maxArr {
-				missing = append(missing, n)
-			}
+	if h, ok := w.hang.Verdict(now, d.cfg.HangTimeout); ok {
+		detail := fmt.Sprintf("no kernel launch for op %d (peers launched %v ago)", h.Op, h.Stalled)
+		if h.Syndrome == c4d.CommHang {
+			detail = fmt.Sprintf("op %d transport silent for %v", h.Op, h.Stalled)
 		}
 		d.emit(c4d.Detection{
-			At: now, Comm: w.comm, Syndrome: c4d.NonCommHang, Suspects: missing,
-			Severity: age.Seconds(),
-			Detail:   fmt.Sprintf("no kernel launch for op %d (peers launched %v ago)", maxArr, age),
-		})
-	case allArrived && !w.completedMax:
-		last := w.lastProgress
-		if firstArr > last {
-			last = firstArr
-		}
-		if now-last < d.cfg.HangTimeout {
-			break
-		}
-		tx, rx := w.opTx[maxArr], w.opRx[maxArr]
-		var blamed []int
-		for _, n := range w.nodes {
-			if !tx[n] && !rx[n] {
-				blamed = append(blamed, n)
-			}
-		}
-		if len(tx) == 0 && len(rx) == 0 || len(blamed) == 0 || len(blamed) == len(w.nodes) {
-			blamed = w.nodes[:1] // no discriminating evidence: same fallback as batch
-		}
-		d.emit(c4d.Detection{
-			At: now, Comm: w.comm, Syndrome: c4d.CommHang, Suspects: blamed,
-			Severity: (now - last).Seconds(),
-			Detail:   fmt.Sprintf("op %d transport silent for %v", maxArr, now-last),
+			At: now, Comm: w.comm, Syndrome: h.Syndrome, Suspects: h.Suspects,
+			Severity: h.Stalled.Seconds(), Detail: detail,
 		})
 	}
 	// Keep watching: a persistent hang re-fires after dedup expires, and a

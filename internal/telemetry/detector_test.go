@@ -306,3 +306,16 @@ func TestOnlineDetectorWorkIsPerRecord(t *testing.T) {
 		t.Fatalf("%.2f update ops per record, want a small constant", perRecord)
 	}
 }
+
+// A communicator without members cannot hang: replaying a stream that
+// creates one and reports an arrival on it must neither panic at the hang
+// deadline nor blame anyone.
+func TestReplayMemberlessCommunicator(t *testing.T) {
+	records := []Record{
+		{Node: -1, Kind: KindCommCreate, Comm: 1},
+		RecordOfColl(accl.CollEvent{Comm: 1, Seq: 1, Node: 5, Phase: accl.PhaseArrive, Time: sim.Microsecond}),
+	}
+	if dets := Replay(records, DetectorConfig{}, 2*time30).Detections(); len(dets) != 0 {
+		t.Fatalf("memberless communicator produced %v", dets)
+	}
+}
