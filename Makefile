@@ -2,7 +2,8 @@
 # reproduction. `make ci` is the one-command gate: lint (gofmt + vet +
 # the c4vet determinism-lint suite) + build + the full test suite, then
 # the short suite again under the race detector (which also proves the
-# parallel scenario and campaign runners share no state). The GitHub
+# parallel scenario and campaign runners share no state), the smoke
+# trials, and the EXPERIMENTS.md guard (experiments-check). The GitHub
 # workflow (.github/workflows/ci.yml) runs the same targets plus the
 # bench-regression guard and a coverage report, so local and CI gates
 # agree.
@@ -13,7 +14,7 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 .PHONY: all build vet c4vet lint fmt-check test test-race kernel-race fuzz-smoke \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
 	campaign-smoke perf-check docker \
-	ci bench experiments bench-baseline bench-check cover clean
+	ci bench experiments experiments-check bench-baseline bench-check cover clean
 
 all: ci
 
@@ -148,7 +149,7 @@ perf-check:
 docker:
 	docker build -t c4:$(SHA) .
 
-ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check
+ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check experiments-check
 
 # Microbenchmarks, with allocations reported, including the
 # incremental-vs-full-recompute pair (internal/telemetry:
@@ -171,6 +172,14 @@ bench:
 # Regenerate the paper-vs-measured table from a full registry sweep.
 experiments:
 	$(GO) run ./cmd/c4 bench -md > EXPERIMENTS.md
+
+# Paper-table guard: the committed EXPERIMENTS.md must equal a fresh
+# `c4 bench -md` byte for byte, and `diff -u` prints each row that moved.
+# Run `make experiments` when a change to the tables is intended.
+experiments-check:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/c4 bench -md > .bench_build/EXPERIMENTS.md
+	diff -u EXPERIMENTS.md .bench_build/EXPERIMENTS.md
 
 # Bench-regression guard. Every tracked scenario metric is deterministic,
 # so the committed baseline (bench/baseline.json) pins behavior exactly:
@@ -198,4 +207,4 @@ cover:
 
 clean:
 	$(GO) clean ./...
-	rm -f cover.out BENCH_*.json .bench_build/bench-check.json TRACE_smoke.json CAMP_*.json CAMP_*.ckpt
+	rm -f cover.out BENCH_*.json .bench_build/bench-check.json .bench_build/EXPERIMENTS.md TRACE_smoke.json CAMP_*.json CAMP_*.ckpt

@@ -277,15 +277,17 @@ func WriteTrace(w io.Writer, spans []*TraceSpan) error { return trace.WriteChrom
 type (
 	// Env is one simulated cluster instance for experiments.
 	Env = harness.Env
-	// ProviderKind selects the path-control policy under test.
-	ProviderKind = harness.ProviderKind
+	// ProviderKind is the path-control policy under test: which provider
+	// routes each QP (Env.NewProvider builds it) and whether ACCL
+	// re-weights QPs, which only C4PDynamic does.
+	ProviderKind = c4p.ProviderKind
 )
 
 // Path-control policies compared in the evaluation.
 const (
-	BaselineECMP = harness.Baseline
-	C4PStatic    = harness.C4PStatic
-	C4PDynamic   = harness.C4PDynamic
+	BaselineECMP = c4p.Baseline
+	C4PStatic    = c4p.C4PStatic
+	C4PDynamic   = c4p.C4PDynamic
 )
 
 // EnvOptions configures OpenEnv.

@@ -76,7 +76,7 @@ func TestFacadeJobAndWorkloads(t *testing.T) {
 	j, err := NewJob(JobConfig{
 		Engine: env.Eng, Net: env.Net,
 		Provider: env.NewProvider(C4PStatic, 1),
-		Rails:    []int{0}, Spec: spec, Rand: NewRand(1),
+		Spec:     spec, Rand: NewRand(1),
 	})
 	if err != nil {
 		t.Fatal(err)

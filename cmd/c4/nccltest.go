@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"c4/internal/c4p"
 	"c4/internal/harness"
 	"c4/internal/topo"
 )
@@ -32,16 +33,9 @@ func runNCCLTest(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	var kind harness.ProviderKind
-	switch *provider {
-	case "baseline":
-		kind = harness.Baseline
-	case "c4p":
-		kind = harness.C4PStatic
-	case "c4p-dynamic":
-		kind = harness.C4PDynamic
-	default:
-		fmt.Fprintf(stderr, "c4 nccltest: unknown provider %q\n", *provider)
+	kind, err := c4p.ParseProviderKind(*provider)
+	if err != nil {
+		fmt.Fprintf(stderr, "c4 nccltest: %v\n", err)
 		return 2
 	}
 	if max := topo.MultiJobTestbed(*spines).Nodes; *nodes > max {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"c4"
@@ -89,6 +90,32 @@ func TestSimPlanBadInputs(t *testing.T) {
 	for name, args := range cases {
 		if code, _, _ := runC4(t, append([]string{"sim", "-plan-iters", "1"}, args...)...); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)
+		}
+	}
+}
+
+// TestUnknownProviderRefused drives -provider through every command that
+// takes it, job, plan, tenancy and nccltest: one parser reads the name, so
+// each refuses an unknown one the same way, with exit 2.
+func TestUnknownProviderRefused(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(trace, []byte(`{"events": [{"at_s": 0, "nodes": 2, "duration_s": 10}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{
+		"job":      {"sim", "-job", "gpt22b", "-horizon", "1s"},
+		"plan":     {"sim", "-plan", "tp8/dp2", "-plan-iters", "1"},
+		"tenancy":  {"sim", "-tenancy-trace", trace, "-horizon", "1s"},
+		"nccltest": {"nccltest", "-nodes", "2", "-iters", "1", "-mib", "1"},
+	} {
+		for _, p := range []string{"ecmp", "c4p-gte"} {
+			code, _, stderr := runC4(t, append(args, "-provider", p)...)
+			if code != 2 || !strings.Contains(stderr, "unknown provider") {
+				t.Errorf("%s -provider %s: exit %d, stderr %q; want exit 2 naming the unknown provider", name, p, code, stderr)
+			}
+		}
+		if code, _, stderr := runC4(t, append(args, "-provider", "c4p-dynamic")...); code != 0 {
+			t.Errorf("%s -provider c4p-dynamic: exit %d, want 0 (stderr: %s)", name, code, stderr)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func main() {
 		failAt  = 20 * c4.Second
 		horizon = 60 * c4.Second
 	)
-	run := func(kind c4.ProviderKind, qps int, adaptive bool) (pre, post float64) {
+	run := func(kind c4.ProviderKind, qps int) (pre, post float64) {
 		env, err := c4.OpenEnv(c4.EnvOptions{Spec: c4.MultiJobTestbed(8)})
 		if err != nil {
 			log.Fatal(err)
@@ -31,7 +31,7 @@ func main() {
 		for i := 0; i < 8; i++ {
 			b, err := harness.StartBench(env, harness.BenchConfig{
 				Nodes: []int{i, i + 8}, Bytes: 512 << 20, Until: horizon,
-				Provider: prov, QPsPerConn: qps, Adaptive: adaptive, Seed: int64(i),
+				Provider: prov, QPsPerConn: qps, Seed: int64(i),
 			})
 			if err != nil {
 				panic(err)
@@ -65,8 +65,8 @@ func main() {
 		return metrics.Mean(preV), metrics.Mean(postV)
 	}
 
-	sPre, sPost := run(c4.C4PStatic, 2, false)
-	dPre, dPost := run(c4.C4PDynamic, 8, true)
+	sPre, sPost := run(c4.C4PStatic, 2)
+	dPre, dPost := run(c4.C4PDynamic, 8)
 	fmt.Printf("one of 8 uplinks fails at %v (ideal after failure: 7/8 of peak)\n\n", failAt)
 	fmt.Printf("%-28s %10s %10s\n", "mode", "pre-fail", "post-fail")
 	fmt.Printf("%-28s %9.1f %9.1f Gbps\n", "static traffic engineering", sPre, sPost)

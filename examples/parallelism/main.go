@@ -42,7 +42,6 @@ func main() {
 		j, err := c4.NewJob(c4.JobConfig{
 			Engine: env.Eng, Net: env.Net,
 			Provider:   env.NewProvider(c4.C4PStatic, 1),
-			Rails:      []int{0},
 			Spec:       spec,
 			Plan:       opts,
 			Rand:       c4.NewRand(1),

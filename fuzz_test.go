@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"c4/internal/c4p"
 	"c4/internal/plan"
 	"c4/internal/sim"
 )
@@ -36,8 +37,10 @@ func FuzzNewSession(f *testing.F) {
 		}
 		if jr := sess.jr; jr != nil {
 			checkJobBounds(t, jr)
+			checkPolicy(t, spec.Job.Provider, jr.kind)
 		}
 		if ten := sess.ten; ten != nil {
+			checkPolicy(t, spec.Tenancy.Provider, ten.Arm)
 			checkSpan(t, "tenancy horizon", ten.Horizon)
 			for i, ev := range ten.Trace.Events {
 				slots := float64(max(ev.GA, 1)) + float64(max(ev.PP, 1))
@@ -49,6 +52,15 @@ func FuzzNewSession(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPolicy fails unless an accepted spec runs the policy its provider
+// name parses to.
+func checkPolicy(t *testing.T, name string, got c4p.ProviderKind) {
+	t.Helper()
+	if want, err := c4p.ParseProviderKind(name); err != nil || got != want {
+		t.Fatalf("accepted provider %q resolved to %v (parse: %v, %v)", name, got, want, err)
+	}
 }
 
 // checkSpan fails unless d is a positive span of at most

@@ -9,8 +9,8 @@
 // isolation decisions operate on nodes/NICs, and intra-node GPU hops ride
 // dedicated NVLink pairs, so collapsing the 8 local GPUs preserves every
 // syndrome C4D must observe while keeping flow counts tractable. GPU
-// counts still matter for bus-bandwidth arithmetic and enter through
-// Config.GPUsPerNode.
+// counts still matter for bus-bandwidth arithmetic and come from the
+// topology's Spec.GPUsPerNode.
 package accl
 
 import (
@@ -36,12 +36,6 @@ type Config struct {
 	// QPsPerConn is the number of QPs opened per (edge, rail); the paper's
 	// deployment uses one per physical port. Default 2.
 	QPsPerConn int
-	// GPUsPerNode feeds the bus-bandwidth formula. Default from topology.
-	GPUsPerNode int
-	// AdaptiveWeights enables ACCL's message-completion-time feedback: the
-	// share of each transfer sent on a QP follows the measured throughput
-	// of its path (C4P dynamic load balance, §III-B).
-	AdaptiveWeights bool
 	// Stepwise runs ring collectives chunk-by-chunk with receiver-driven
 	// hand-offs instead of the fluid single-shot approximation. Slower but
 	// produces the per-step message series C4D's detectors analyze.
@@ -56,6 +50,9 @@ type Communicator struct {
 	conns map[connKey]*Conn
 	seq   int
 	rand  *sim.Rand
+	// adaptive turns on ACCL's message-completion-time feedback, read once
+	// from the provider (PathProvider.Adaptive).
+	adaptive bool
 
 	// crashed nodes never arrive at collectives.
 	crashed map[int]bool
@@ -92,19 +89,17 @@ func NewCommunicator(cfg Config, nodes []int) (*Communicator, error) {
 	if cfg.QPsPerConn <= 0 {
 		cfg.QPsPerConn = 2
 	}
-	if cfg.GPUsPerNode <= 0 {
-		cfg.GPUsPerNode = cfg.Net.Topo.Spec.GPUsPerNode
-	}
 	if cfg.Rand == nil {
 		cfg.Rand = sim.NewRand(1)
 	}
 	c := &Communicator{
-		ID:      cfg.Engine.NextID("comm"),
-		cfg:     cfg,
-		nodes:   append([]int(nil), nodes...),
-		conns:   make(map[connKey]*Conn),
-		rand:    cfg.Rand.Fork(),
-		crashed: make(map[int]bool),
+		ID:       cfg.Engine.NextID("comm"),
+		cfg:      cfg,
+		nodes:    append([]int(nil), nodes...),
+		conns:    make(map[connKey]*Conn),
+		rand:     cfg.Rand.Fork(),
+		adaptive: cfg.Provider.Adaptive(),
+		crashed:  make(map[int]bool),
 	}
 	if cfg.Sink != nil {
 		cfg.Sink.OnCommCreate(CommInfo{Comm: c.ID, Nodes: append([]int(nil), nodes...)})
@@ -119,7 +114,7 @@ func (c *Communicator) Nodes() []int { return append([]int(nil), c.nodes...) }
 func (c *Communicator) Size() int { return len(c.nodes) }
 
 // TotalGPUs reports the GPU count behind the communicator.
-func (c *Communicator) TotalGPUs() int { return len(c.nodes) * c.cfg.GPUsPerNode }
+func (c *Communicator) TotalGPUs() int { return len(c.nodes) * c.cfg.Net.Topo.Spec.GPUsPerNode }
 
 // SetCrashed marks a node as crashed: it will never arrive at subsequent
 // collectives, which is the non-communication-hang syndrome.
@@ -295,7 +290,7 @@ func (c *Communicator) recordThroughput(conn *Conn, qp *QP, bits float64, dur si
 	} else {
 		qp.ewma = alpha*bps + (1-alpha)*qp.ewma
 	}
-	if !c.cfg.AdaptiveWeights || qp.assign == nil {
+	if !c.adaptive || qp.assign == nil {
 		return
 	}
 	plane := qp.assign.Path.SrcPort.Plane

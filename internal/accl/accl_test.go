@@ -17,6 +17,9 @@ type plannedProvider struct {
 	// forceDstPlane, when >= 0, routes every QP to that receive plane —
 	// used to manufacture the Fig 9 rx-imbalance pathology on demand.
 	forceDstPlane int
+	// adaptive is what Adaptive reports: whether communicators re-weight
+	// this provider's QPs.
+	adaptive bool
 }
 
 func newPlannedProvider(t *topo.Topology) *plannedProvider {
@@ -50,6 +53,8 @@ func (p *plannedProvider) Repair(req ConnRequest, old *Assignment) (*Assignment,
 }
 
 func (p *plannedProvider) Release(*Assignment) {}
+
+func (p *plannedProvider) Adaptive() bool { return p.adaptive }
 
 type harness struct {
 	eng  *sim.Engine
@@ -284,7 +289,9 @@ func TestAdaptiveWeightsShiftWithinPlane(t *testing.T) {
 	h := newHarness()
 	// 4 QPs per connection: two per plane, so load balance has room to
 	// move within a plane.
-	c := h.comm(t, Config{AdaptiveWeights: true, QPsPerConn: 4}, []int{0, 2})
+	prov := newPlannedProvider(h.topo)
+	prov.adaptive = true
+	c := h.comm(t, Config{Provider: prov, QPsPerConn: 4}, []int{0, 2})
 	// Warm up once so the connection (and its spine choices) exist.
 	c.AllReduce(16*MiB, nil, nil)
 	h.eng.RunUntil(sim.Second)

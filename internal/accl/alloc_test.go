@@ -17,9 +17,10 @@ func warmRing(tb testing.TB) func() {
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
 	net := netsim.New(eng, tp, netsim.DefaultConfig())
+	prov := newPlannedProvider(tp)
+	prov.adaptive = true
 	c, err := NewCommunicator(Config{
-		Engine: eng, Net: net, Provider: newPlannedProvider(tp), Sink: NullSink{},
-		AdaptiveWeights: true,
+		Engine: eng, Net: net, Provider: prov, Sink: NullSink{},
 	}, []int{0, 2, 4, 6})
 	if err != nil {
 		tb.Fatal(err)

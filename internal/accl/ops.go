@@ -293,8 +293,7 @@ func (c *Communicator) runSingleNode(o *Op, arrive sim.Time) {
 	if arrive == sim.MaxTime {
 		return
 	}
-	g := c.cfg.GPUsPerNode
-	bits := o.Bytes * 8 * busFactor(o.Type, g)
+	bits := o.Bytes * 8 * busFactor(o.Type, c.cfg.Net.Topo.Spec.GPUsPerNode)
 	node := c.nodes[0]
 	o.pendingEdges = 1
 	c.cfg.Engine.Schedule(arrive, func() {

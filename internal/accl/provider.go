@@ -23,6 +23,11 @@ type ConnRequest struct {
 // hashing (ECMPProvider); the C4P master implements the same interface with
 // global traffic engineering.
 type PathProvider interface {
+	// Adaptive reports whether communicators re-weight this provider's QPs
+	// by measured message-completion time (C4P dynamic load balance,
+	// §III-B): each QP's share of a transfer then follows its path's
+	// throughput. A communicator reads it once, when it opens.
+	Adaptive() bool
 	// Connect allocates a route for a new QP.
 	Connect(req ConnRequest) (*Assignment, error)
 	// Repair replaces a route whose path failed. old may be nil.
@@ -81,3 +86,6 @@ func (p *ECMPProvider) Repair(req ConnRequest, old *Assignment) (*Assignment, er
 
 // Release implements PathProvider; ECMP tracks no state.
 func (p *ECMPProvider) Release(*Assignment) {}
+
+// Adaptive implements PathProvider: hashed QPs keep equal shares.
+func (p *ECMPProvider) Adaptive() bool { return false }

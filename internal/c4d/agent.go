@@ -60,14 +60,14 @@ type Fleet struct {
 // NewFleet creates the agent fleet reporting to the batch master and
 // starts the reporting ticker.
 func NewFleet(eng *sim.Engine, master *Master) *Fleet {
-	return NewFleetDetector(eng, master, master.cfg.ReportInterval)
+	return NewFleetDetector(eng, master, ReportInterval)
 }
 
 // NewFleetDetector creates a fleet reporting to any Detector on the given
 // interval (<= 0 falls back to the default reporting interval).
 func NewFleetDetector(eng *sim.Engine, det Detector, interval sim.Time) *Fleet {
 	if interval <= 0 {
-		interval = DefaultConfig().ReportInterval
+		interval = ReportInterval
 	}
 	f := &Fleet{det: det, interval: interval, agents: make(map[int]*Agent), eng: eng}
 	f.ticker = sim.NewEvent(sim.Func(f.tick))

@@ -40,6 +40,8 @@ func (p *plannedProvider) Repair(req accl.ConnRequest, old *accl.Assignment) (*a
 
 func (p *plannedProvider) Release(*accl.Assignment) {}
 
+func (p *plannedProvider) Adaptive() bool { return false }
+
 // rig is a miniature training job: 4 nodes, iterative compute+allreduce,
 // with per-node compute delays and a C4D fleet watching.
 type rig struct {
@@ -261,8 +263,7 @@ func TestEventDeduplication(t *testing.T) {
 func TestMasterConfigDefaults(t *testing.T) {
 	m := NewMaster(Config{})
 	cfg := m.Config()
-	if cfg.ReportInterval <= 0 || cfg.HangTimeout <= 0 || cfg.Kappa <= 0 ||
-		cfg.RowColFrac <= 0 || cfg.WaitKappa <= 0 || cfg.MinWait <= 0 ||
+	if cfg.HangTimeout <= 0 || cfg.Kappa <= 0 || cfg.MinWait <= 0 ||
 		cfg.DedupInterval <= 0 || cfg.SmoothingWindows <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}

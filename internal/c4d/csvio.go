@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"c4/internal/accl"
 	"c4/internal/metrics"
@@ -20,11 +22,19 @@ import (
 // these files for post-mortems; here they also make the analyzer testable
 // against golden data.
 
+// The column names of each stats file: its writer's header line, and the
+// first row its reader requires.
+var (
+	connStatsHeader = []string{"comm", "seq", "src_node", "dst_node", "rail", "plane",
+		"sport", "qpn", "bytes", "start_ns", "end_ns"}
+	collStatsHeader = []string{"comm", "seq", "node", "op", "algo", "bytes", "phase", "t_ns"}
+	rankStatsHeader = []string{"comm", "seq", "waiter", "on", "dur_ns", "t_ns"}
+	commStatsHeader = []string{"comm", "rank", "node"}
+)
+
 // WriteConnStats emits transport-layer records (conn-stats.csv).
 func WriteConnStats(w io.Writer, msgs []accl.MsgEvent) error {
-	cw := metrics.NewCSVWriter(w,
-		"comm", "seq", "src_node", "dst_node", "rail", "plane",
-		"sport", "qpn", "bytes", "start_ns", "end_ns")
+	cw := metrics.NewCSVWriter(w, connStatsHeader...)
 	for _, m := range msgs {
 		err := cw.Write(m.Comm, m.Seq, m.SrcNode, m.DstNode, m.Rail, m.Plane,
 			int(m.Sport), m.QPN, m.Bytes, int64(m.Start), int64(m.End))
@@ -38,7 +48,7 @@ func WriteConnStats(w io.Writer, msgs []accl.MsgEvent) error {
 // ReadConnStats parses conn-stats.csv. It refuses negative times and a
 // transfer that ends before it starts, naming the line.
 func ReadConnStats(r io.Reader) ([]accl.MsgEvent, error) {
-	rows, err := readCSV(r, 11)
+	rows, err := readCSV(r, connStatsHeader)
 	if err != nil {
 		return nil, fmt.Errorf("conn-stats: %w", err)
 	}
@@ -62,8 +72,7 @@ func ReadConnStats(r io.Reader) ([]accl.MsgEvent, error) {
 
 // WriteCollStats emits operation-layer records (coll-stats.csv).
 func WriteCollStats(w io.Writer, colls []accl.CollEvent) error {
-	cw := metrics.NewCSVWriter(w,
-		"comm", "seq", "node", "op", "algo", "bytes", "phase", "t_ns")
+	cw := metrics.NewCSVWriter(w, collStatsHeader...)
 	for _, c := range colls {
 		err := cw.Write(c.Comm, c.Seq, c.Node, string(c.Op), c.Algo,
 			c.Bytes, int(c.Phase), int64(c.Time))
@@ -76,7 +85,7 @@ func WriteCollStats(w io.Writer, colls []accl.CollEvent) error {
 
 // ReadCollStats parses coll-stats.csv.
 func ReadCollStats(r io.Reader) ([]accl.CollEvent, error) {
-	rows, err := readCSV(r, 8)
+	rows, err := readCSV(r, collStatsHeader)
 	if err != nil {
 		return nil, fmt.Errorf("coll-stats: %w", err)
 	}
@@ -97,7 +106,7 @@ func ReadCollStats(r io.Reader) ([]accl.CollEvent, error) {
 
 // WriteRankStats emits receiver-driven wait records (rank-stats.csv).
 func WriteRankStats(w io.Writer, waits []accl.WaitEvent) error {
-	cw := metrics.NewCSVWriter(w, "comm", "seq", "waiter", "on", "dur_ns", "t_ns")
+	cw := metrics.NewCSVWriter(w, rankStatsHeader...)
 	for _, wt := range waits {
 		if err := cw.Write(wt.Comm, wt.Seq, wt.Waiter, wt.On, int64(wt.Dur), int64(wt.Time)); err != nil {
 			return err
@@ -108,7 +117,7 @@ func WriteRankStats(w io.Writer, waits []accl.WaitEvent) error {
 
 // ReadRankStats parses rank-stats.csv.
 func ReadRankStats(r io.Reader) ([]accl.WaitEvent, error) {
-	rows, err := readCSV(r, 6)
+	rows, err := readCSV(r, rankStatsHeader)
 	if err != nil {
 		return nil, fmt.Errorf("rank-stats: %w", err)
 	}
@@ -128,7 +137,7 @@ func ReadRankStats(r io.Reader) ([]accl.WaitEvent, error) {
 
 // WriteCommStats emits communicator membership (comm-stats.csv).
 func WriteCommStats(w io.Writer, comms []accl.CommInfo) error {
-	cw := metrics.NewCSVWriter(w, "comm", "rank", "node")
+	cw := metrics.NewCSVWriter(w, commStatsHeader...)
 	for _, ci := range comms {
 		for rank, node := range ci.Nodes {
 			if err := cw.Write(ci.Comm, rank, node); err != nil {
@@ -141,7 +150,7 @@ func WriteCommStats(w io.Writer, comms []accl.CommInfo) error {
 
 // ReadCommStats parses comm-stats.csv.
 func ReadCommStats(r io.Reader) ([]accl.CommInfo, error) {
-	rows, err := readCSV(r, 3)
+	rows, err := readCSV(r, commStatsHeader)
 	if err != nil {
 		return nil, fmt.Errorf("comm-stats: %w", err)
 	}
@@ -200,11 +209,13 @@ func (f *fields) f(i int) float64 {
 }
 
 // readCSV reads every row after the header, each with its line number.
-func readCSV(r io.Reader, want int) ([]*fields, error) {
+// A file that holds any row must open with exactly header: a file without
+// it would otherwise lose its first record silently.
+func readCSV(r io.Reader, header []string) ([]*fields, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = want
+	cr.FieldsPerRecord = len(header)
 	var out []*fields
-	for header := true; ; header = false {
+	for first := true; ; first = false {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return out, nil
@@ -212,9 +223,12 @@ func readCSV(r io.Reader, want int) ([]*fields, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !header {
-			line, _ := cr.FieldPos(0)
+		line, _ := cr.FieldPos(0)
+		if !first {
 			out = append(out, &fields{cells: rec, line: line})
+		} else if !slices.Equal(rec, header) {
+			return nil, fmt.Errorf("line %d: %q is not the header %q",
+				line, strings.Join(rec, ","), strings.Join(header, ","))
 		}
 	}
 }

@@ -116,6 +116,43 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// Every stats file must open with its own header, or its first record
+// would be taken for the header and dropped: the four-transfer conn-stats
+// file without its header line must be refused, naming line 1.
+func TestReadStatsRefuseMissingHeader(t *testing.T) {
+	data, err := os.ReadFile("testdata/conn-stats-no-header.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs, err := ReadConnStats(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("headerless conn-stats: %d records, err %v; want an error naming line 1", len(msgs), err)
+	}
+	readers := []struct {
+		header []string
+		read   func(io.Reader) error
+	}{
+		{connStatsHeader, func(r io.Reader) error { _, err := ReadConnStats(r); return err }},
+		{collStatsHeader, func(r io.Reader) error { _, err := ReadCollStats(r); return err }},
+		{rankStatsHeader, func(r io.Reader) error { _, err := ReadRankStats(r); return err }},
+		{commStatsHeader, func(r io.Reader) error { _, err := ReadCommStats(r); return err }},
+	}
+	for _, rd := range readers {
+		renamed := slices.Clone(rd.header)
+		renamed[len(renamed)-1] += "_x"
+		zeros := strings.TrimSuffix(strings.Repeat("0,", len(rd.header)), ",")
+		for _, first := range []string{strings.Join(renamed, ","), zeros} {
+			in := first + "\n" + zeros + "\n"
+			if err := rd.read(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1") {
+				t.Errorf("%s reader on %q: err = %v, want one naming line 1", rd.header, in, err)
+			}
+		}
+		good := strings.Join(rd.header, ",") + "\n" + zeros + "\n"
+		if err := rd.read(strings.NewReader(good)); err != nil {
+			t.Errorf("%s reader refused its own header: %v", rd.header, err)
+		}
+	}
+}
+
 func TestAnalyzeOfflineFindsInjectedRow(t *testing.T) {
 	// Synthesize two windows of full-mesh traffic: healthy in the first,
 	// node 3's Tx degraded 4x in the second.

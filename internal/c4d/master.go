@@ -9,29 +9,33 @@ import (
 	"c4/internal/trace"
 )
 
-// Config holds the C4D thresholds. The batch master and the online
-// detector (telemetry.DetectorConfig is this type) judge with the same
-// values; each field says which detector reads it.
-type Config struct {
+// The C4D thresholds no caller tunes; each says which code reads it.
+const (
 	// ReportInterval is the agent reporting period — the quantum of
 	// detection latency. The paper's deployment detects in "tens of
-	// seconds"; the default is 5 s. The online detector, which has no
-	// reporting tick, decays its wait accumulators with it as their time
-	// constant, the streaming analogue of one window's wait total.
-	ReportInterval sim.Time
+	// seconds". The online detector, which has no reporting tick, decays
+	// its wait accumulators with it as their time constant, the streaming
+	// analogue of one window's wait total.
+	ReportInterval = 5 * sim.Second
+	// RowColFrac is the fraction of a matrix row/column that must be
+	// anomalous to blame a NIC side instead of a connection. Batch master
+	// only.
+	RowColFrac = 0.6
+	// WaitKappa is how many times the runner-up a straggler's waited-on
+	// time must exceed (see Straggler). Both detectors.
+	WaitKappa = 3.0
+)
+
+// Config holds the tunable C4D thresholds. The batch master and the
+// online detector (telemetry.DetectorConfig is this type) judge with the
+// same values; each field says which detector reads it.
+type Config struct {
 	// HangTimeout is how long a collective may make no progress before the
 	// hang detectors fire. Default 30 s (vs the 30 *minutes* of the
 	// PyTorch elastic-agent baseline the paper complains about).
 	HangTimeout sim.Time
 	// Kappa is the slowdown multiple considered anomalous. Default 2.
 	Kappa float64
-	// RowColFrac is the fraction of a matrix row/column that must be
-	// anomalous to blame a NIC side instead of a connection. Default 0.6.
-	// Batch master only.
-	RowColFrac float64
-	// WaitKappa is how many times the runner-up a straggler's waited-on
-	// time must exceed (see Straggler). Default 3.
-	WaitKappa float64
 	// MinWait is the absolute waited-on floor: per window for the batch
 	// master, of the decayed accumulator for the online detector. Default
 	// 50 ms.
@@ -54,11 +58,8 @@ type Config struct {
 // DefaultConfig returns the tuning used across the repository.
 func DefaultConfig() Config {
 	return Config{
-		ReportInterval:   5 * sim.Second,
 		HangTimeout:      30 * sim.Second,
 		Kappa:            2,
-		RowColFrac:       0.6,
-		WaitKappa:        3,
 		MinWait:          50 * sim.Millisecond,
 		DedupInterval:    60 * sim.Second,
 		SmoothingWindows: 3,
@@ -69,20 +70,11 @@ func DefaultConfig() Config {
 // DefaultConfig.
 func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = d.ReportInterval
-	}
 	if c.HangTimeout <= 0 {
 		c.HangTimeout = d.HangTimeout
 	}
 	if c.Kappa <= 0 {
 		c.Kappa = d.Kappa
-	}
-	if c.RowColFrac <= 0 {
-		c.RowColFrac = d.RowColFrac
-	}
-	if c.WaitKappa <= 0 {
-		c.WaitKappa = d.WaitKappa
 	}
 	if c.MinWait <= 0 {
 		c.MinWait = d.MinWait
@@ -307,7 +299,7 @@ func (m *Master) detectCommSlow(now sim.Time, comm int, cs *commState) {
 		}
 		bw[key] = agg.bytes * 8 / agg.dur.Seconds()
 	}
-	for _, f := range AnalyzeDelayMatrix(bw, m.cfg.Kappa, m.cfg.RowColFrac) {
+	for _, f := range AnalyzeDelayMatrix(bw, m.cfg.Kappa, RowColFrac) {
 		ev := Event{
 			Time: now, Comm: comm, Syndrome: CommSlow, Scope: f.Scope,
 			Severity: f.Slowdown, Peer: -1,
@@ -348,7 +340,7 @@ func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 		}
 		cs.avgWait = append(cs.avgWait, float64(sum/sim.Time(len(cs.waitHist[n]))))
 	}
-	i, ok := Straggler(cs.avgWait, float64(m.cfg.MinWait), m.cfg.WaitKappa)
+	i, ok := Straggler(cs.avgWait, float64(m.cfg.MinWait), WaitKappa)
 	if !ok {
 		return
 	}
@@ -356,7 +348,7 @@ func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 	m.emit(Event{
 		Time: now, Comm: comm, Syndrome: NonCommSlow, Scope: ScopeNode,
 		Node: cs.nodes[i], Peer: -1,
-		Severity: top.Seconds() / m.cfg.ReportInterval.Seconds(),
+		Severity: top.Seconds() / ReportInterval.Seconds(),
 		Detail:   fmt.Sprintf("peers waited %v on this node per window", top),
 	})
 }

@@ -14,7 +14,10 @@
 //
 // The master implements accl.PathProvider, so enabling C4P for a job is a
 // one-line provider swap — mirroring how the production deployment slots
-// under ACCL without framework changes.
+// under ACCL without framework changes. ProviderKind names the three
+// path-control policies the evaluation compares and builds each one's
+// provider; every CLI, session spec and experiment picks its policy
+// through it.
 package c4p
 
 import (
@@ -44,6 +47,64 @@ func (m Mode) String() string {
 		return "dynamic"
 	}
 	return "static"
+}
+
+// ProviderKind is a path-control policy: which provider routes a job's
+// QPs and, through that provider's Adaptive, whether ACCL re-weights
+// them. It is the one place the choice is made.
+type ProviderKind int
+
+// The three policies compared across the evaluation.
+const (
+	// Baseline is plain ECMP hashing with no coordination.
+	Baseline ProviderKind = iota
+	// C4PStatic is C4P global traffic engineering at connect time.
+	C4PStatic
+	// C4PDynamic adds master reallocation on failures and ACCL's
+	// completion-time QP re-weighting (Fig 12b).
+	C4PDynamic
+)
+
+// ParseProviderKind maps a policy name as the CLIs and session specs
+// spell it — baseline | c4p | c4p-dynamic, empty meaning c4p — onto its
+// kind.
+func ParseProviderKind(s string) (ProviderKind, error) {
+	switch s {
+	case "", "c4p":
+		return C4PStatic, nil
+	case "baseline":
+		return Baseline, nil
+	case "c4p-dynamic":
+		return C4PDynamic, nil
+	}
+	return 0, fmt.Errorf("unknown provider %q (want baseline | c4p | c4p-dynamic)", s)
+}
+
+func (p ProviderKind) String() string {
+	switch p {
+	case Baseline:
+		return "baseline"
+	case C4PStatic:
+		return "c4p-gte"
+	case C4PDynamic:
+		return "c4p-dynamic"
+	}
+	return "unknown"
+}
+
+// On returns the policy's provider constructor, seeded for one run, for
+// whichever topology the caller builds.
+func (p ProviderKind) On(seed int64) func(*topo.Topology) accl.PathProvider {
+	return func(t *topo.Topology) accl.PathProvider {
+		switch p {
+		case C4PStatic:
+			return NewMaster(t, Static, sim.NewRand(seed))
+		case C4PDynamic:
+			return NewMaster(t, Dynamic, sim.NewRand(seed))
+		default:
+			return accl.NewECMPProvider(t, sim.NewRand(seed))
+		}
+	}
 }
 
 // Master is the C4P control plane. It is shared by all jobs in the cluster
@@ -124,6 +185,10 @@ func (m *Master) Repair(req accl.ConnRequest, old *accl.Assignment) (*accl.Assig
 	}
 	return m.allocate(req, plane)
 }
+
+// Adaptive implements accl.PathProvider: dynamic mode re-weights QPs by
+// completion time, static mode keeps them at equal shares.
+func (m *Master) Adaptive() bool { return m.Mode == Dynamic }
 
 // Release implements accl.PathProvider.
 func (m *Master) Release(as *accl.Assignment) {

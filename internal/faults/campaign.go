@@ -206,9 +206,14 @@ func (tr Trial) Fabric() topo.Spec {
 
 // PinnedProvider wraps a path provider and disables its fault response:
 // Repair hands back the existing assignment unchanged, so flows stay
-// pinned to their planned routes and simply stall until the fault clears.
-// It is the "no steering" arm of every campaign.
+// pinned to their planned routes and simply stall until the fault clears,
+// and no QP is ever re-weighted. It is the "no steering" arm of every
+// campaign.
 type PinnedProvider struct{ accl.PathProvider }
+
+// Adaptive implements accl.PathProvider: pinned QPs keep equal shares,
+// whatever the wrapped provider would do.
+func (PinnedProvider) Adaptive() bool { return false }
 
 // Repair implements accl.PathProvider without repairing anything.
 func (p PinnedProvider) Repair(req accl.ConnRequest, old *accl.Assignment) (*accl.Assignment, error) {
@@ -245,10 +250,7 @@ func runArm(tr Trial, seed int64, horizon sim.Time, steered bool) arm {
 	var r *Rig
 	var analyzer *rca.Analyzer
 	if steered {
-		cfg.Adaptive = true
-		cfg.Provider = func(t *topo.Topology) accl.PathProvider {
-			return c4p.NewMaster(t, c4p.Dynamic, sim.NewRand(seed))
-		}
+		cfg.Provider = c4p.C4PDynamic.On(seed)
 		cfg.Steering = &SteeringPolicy{
 			Spares:         spareNodes,
 			IsolationDelay: 10 * sim.Second,
@@ -261,7 +263,7 @@ func runArm(tr Trial, seed int64, horizon sim.Time, steered bool) arm {
 		}
 	} else {
 		cfg.Provider = func(t *topo.Topology) accl.PathProvider {
-			return PinnedProvider{c4p.NewMaster(t, c4p.Static, sim.NewRand(seed))}
+			return PinnedProvider{c4p.C4PStatic.On(seed)(t)}
 		}
 		analyzer = rca.NewAnalyzer(0)
 		cfg.OnTelemetry = analyzer.Observe

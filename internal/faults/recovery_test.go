@@ -37,10 +37,11 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 	jobNodes := []int{0, 1, 2, 3}
 	j, err := job.New(job.Config{
 		Engine: eng, Net: net,
-		Provider: c4p.NewMaster(tp, c4p.Dynamic, sim.NewRand(1)),
-		Sink:     fleet,
-		Rails:    []int{0}, Rand: sim.NewRand(2),
-		QPsPerConn: 4, AdaptiveWeights: true,
+		// The dynamic master also re-weights the job's QPs.
+		Provider:   c4p.NewMaster(tp, c4p.Dynamic, sim.NewRand(1)),
+		Sink:       fleet,
+		Rand:       sim.NewRand(2),
+		QPsPerConn: 4,
 		Spec: workload.JobSpec{
 			Name:                 "recovery-e2e",
 			Model:                workload.GPT22B,

@@ -30,9 +30,9 @@ type RigConfig struct {
 	Plan plan.Options
 	// QPs is the QP count per connection (0 keeps the job default).
 	QPs int
-	// Adaptive enables ACCL's completion-time-driven path re-weighting.
-	Adaptive bool
-	// Provider builds the path provider on the rig's topology.
+	// Provider builds the path provider on the rig's topology (for a
+	// policy, c4p.ProviderKind.On); it also decides whether ACCL re-weights
+	// the job's QPs.
 	Provider func(*topo.Topology) accl.PathProvider
 	// Seed seeds the job's compute jitter.
 	Seed int64
@@ -101,8 +101,8 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	}
 	r.Job, err = job.New(job.Config{
 		Engine: eng, Net: r.Net, Provider: cfg.Provider(t), Sink: sink,
-		Rails: []int{0}, Rand: sim.NewRand(cfg.Seed), Context: cfg.Context,
-		Spec: cfg.Job, Plan: cfg.Plan, QPsPerConn: cfg.QPs, AdaptiveWeights: cfg.Adaptive,
+		Rand: sim.NewRand(cfg.Seed), Context: cfg.Context,
+		Spec: cfg.Job, Plan: cfg.Plan, QPsPerConn: cfg.QPs,
 	})
 	if err != nil {
 		return nil, err

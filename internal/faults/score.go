@@ -52,20 +52,28 @@ func makeTruth(s Spec, t *topo.Topology, jobNodes []int) GroundTruth {
 // Relevant reports whether the fault can impact the job at all.
 func (gt GroundTruth) Relevant() bool { return len(gt.Impact) > 0 }
 
-// Matches reports whether a C4D finding is attributable to this fault:
-// it fires inside the fault's active window (plus grace) and blames an
-// impacted node (for connection-scope findings, either endpoint).
-func (gt GroundTruth) Matches(ev c4d.Event) bool {
+// Matches reports whether a C4D finding is attributable to this fault. It
+// applies the streaming scorer's rule to the finding's Detection, so both
+// scorers attribute alike: the blamed node, or for a connection-scope
+// finding either endpoint, must be impacted.
+func (gt GroundTruth) Matches(ev c4d.Event) bool { return gt.matchesDetection(ev.Detection()) }
+
+// matchesDetection is the one attribution rule: the detection fires inside
+// the fault's active window (plus grace) and names at least one impacted
+// node as a suspect.
+func (gt GroundTruth) matchesDetection(d c4d.Detection) bool {
 	if !gt.Relevant() {
 		return false
 	}
-	if ev.Time < gt.Spec.Start || ev.Time-Grace > gt.Spec.End() {
+	if d.At < gt.Spec.Start || d.At-Grace > gt.Spec.End() {
 		return false
 	}
-	if slices.Contains(gt.Impact, ev.Node) {
-		return true
+	for _, s := range d.Suspects {
+		if slices.Contains(gt.Impact, s) {
+			return true
+		}
 	}
-	return ev.Scope == c4d.ScopeConnection && slices.Contains(gt.Impact, ev.Peer)
+	return false
 }
 
 // ExpectedCauses returns the RCA root-cause kinds considered a correct

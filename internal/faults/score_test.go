@@ -84,3 +84,42 @@ func TestExpectedCauses(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchesIsTheDetectionRule pins one attribution rule for both
+// scorers: a batch finding matches a fault exactly when its Detection
+// does.
+func TestMatchesIsTheDetectionRule(t *testing.T) {
+	gt := GroundTruth{
+		Spec:   Spec{Kind: LinkFlap, Start: 10 * sim.Second, Duration: 20 * sim.Second},
+		Impact: []int{2, 5},
+	}
+	end := gt.Spec.End()
+	const mid = 15 * sim.Second
+	for _, tc := range []struct {
+		name string
+		ev   c4d.Event
+		want bool
+	}{
+		{"node scope, impacted node", c4d.Event{Time: mid, Scope: c4d.ScopeNode, Node: 2, Peer: -1}, true},
+		{"node scope, innocent node", c4d.Event{Time: mid, Scope: c4d.ScopeNode, Node: 3, Peer: -1}, false},
+		{"node scope ignores a peer", c4d.Event{Time: mid, Scope: c4d.ScopeNodeTx, Node: 3, Peer: 5}, false},
+		{"connection scope, impacted source", c4d.Event{Time: mid, Scope: c4d.ScopeConnection, Node: 5, Peer: 3}, true},
+		{"connection scope, impacted peer", c4d.Event{Time: mid, Scope: c4d.ScopeConnection, Node: 3, Peer: 5}, true},
+		{"connection scope, innocent endpoints", c4d.Event{Time: mid, Scope: c4d.ScopeConnection, Node: 3, Peer: 4}, false},
+		{"connection scope, Peer -1", c4d.Event{Time: mid, Scope: c4d.ScopeConnection, Node: 3, Peer: -1}, false},
+		{"at the fault's start", c4d.Event{Time: gt.Spec.Start, Scope: c4d.ScopeNode, Node: 2, Peer: -1}, true},
+		{"before the fault's start", c4d.Event{Time: gt.Spec.Start - 1, Scope: c4d.ScopeNode, Node: 2, Peer: -1}, false},
+		{"at the end of the grace", c4d.Event{Time: end + Grace, Scope: c4d.ScopeNode, Node: 2, Peer: -1}, true},
+		{"past the grace", c4d.Event{Time: end + Grace + 1, Scope: c4d.ScopeNode, Node: 2, Peer: -1}, false},
+	} {
+		if got := gt.Matches(tc.ev); got != tc.want {
+			t.Errorf("%s: Matches = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := gt.matchesDetection(tc.ev.Detection()); got != tc.want {
+			t.Errorf("%s: matchesDetection = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if (GroundTruth{Spec: gt.Spec}).Matches(c4d.Event{Time: mid, Scope: c4d.ScopeNode, Node: 2, Peer: -1}) {
+		t.Error("a fault impacting no node matched a finding")
+	}
+}

@@ -38,24 +38,6 @@ type TTDReport struct {
 	FalseAlarms int
 }
 
-// matchesDetection mirrors GroundTruth.Matches for the streaming shape:
-// the detection fires inside the fault's active window (plus grace) and
-// names at least one impacted node as a suspect.
-func (gt GroundTruth) matchesDetection(d c4d.Detection) bool {
-	if !gt.Relevant() {
-		return false
-	}
-	if d.At < gt.Spec.Start || d.At-Grace > gt.Spec.End() {
-		return false
-	}
-	for _, s := range d.Suspects {
-		if slices.Contains(gt.Impact, s) {
-			return true
-		}
-	}
-	return false
-}
-
 // localizes reports whether the detection blames only impacted nodes.
 func (gt GroundTruth) localizes(d c4d.Detection) bool {
 	if len(d.Suspects) == 0 {

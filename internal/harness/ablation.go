@@ -98,7 +98,7 @@ func runAlgoCrossover(ctx *scenario.Ctx) AlgoCrossover {
 			e := newEnv(ctx, topo.MultiJobTestbed(8))
 			comm, err := accl.NewCommunicator(accl.Config{
 				Engine: e.Eng, Net: e.Net,
-				Provider: e.NewProvider(C4PStatic, seed),
+				Provider: e.NewProvider(c4p.C4PStatic, seed),
 				Rails:    []int{0},
 				Stepwise: !tree,
 				Rand:     sim.NewRand(seed),
@@ -346,7 +346,7 @@ func runQPSweep(ctx *scenario.Ctx) QPSweep {
 			e := newEnv(ctx, topo.MultiJobTestbed(8))
 			b, err := StartBench(e, BenchConfig{
 				Nodes: InterleavedNodes(8), Bytes: 256 << 20, Iters: 3,
-				Provider: e.NewProvider(Baseline, seed+100*d), QPsPerConn: qps, Seed: seed + d,
+				Provider: e.NewProvider(c4p.Baseline, seed+100*d), QPsPerConn: qps, Seed: seed + d,
 			})
 			if err != nil {
 				panic(err)

@@ -6,6 +6,7 @@ import (
 
 	"c4/internal/accl"
 	"c4/internal/c4d"
+	"c4/internal/c4p"
 	"c4/internal/scenario"
 	"c4/internal/sim"
 	"c4/internal/topo"
@@ -37,7 +38,7 @@ func runAnalyzerDemo(ctx *scenario.Ctx) AnalyzerDemoResult {
 	res.Recorder = rec
 	comm, err := accl.NewCommunicator(accl.Config{
 		Engine: env.Eng, Net: env.Net,
-		Provider: env.NewProvider(C4PStatic, ctx.Seed),
+		Provider: env.NewProvider(c4p.C4PStatic, ctx.Seed),
 		Sink:     rec, Rails: []int{0},
 		Rand: sim.NewRand(ctx.Seed),
 	}, []int{0, 8, 1, 9, 2, 10})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -25,13 +26,13 @@ type Fig10Result struct {
 // runConcurrentJobs launches the 8 jobs and runs until the deadline,
 // returning each task's mean bus bandwidth. The env outlives the call so
 // callers can sample counters (Fig 11/13 reuse this).
-func runConcurrentJobs(e *Env, kind ProviderKind, seed int64, until sim.Time, qps int, adaptive bool) []*Bench {
+func runConcurrentJobs(e *Env, kind c4p.ProviderKind, seed int64, until sim.Time, qps int) []*Bench {
 	prov := e.NewProvider(kind, seed)
 	benches := make([]*Bench, 8)
 	for i := 0; i < 8; i++ {
 		b, err := StartBench(e, BenchConfig{
 			Nodes: fig10JobNodes(i), Bytes: 512 << 20, Until: until,
-			Provider: prov, QPsPerConn: qps, Adaptive: adaptive, Seed: seed + int64(i),
+			Provider: prov, QPsPerConn: qps, Seed: seed + int64(i),
 		})
 		if err != nil {
 			panic(err)
@@ -56,13 +57,13 @@ func runFig10(ctx *scenario.Ctx, spines int) Fig10Result {
 	}
 	const horizon = 60 * sim.Second
 	var sums [2]float64
-	for pi, kind := range []ProviderKind{Baseline, C4PStatic} {
+	for pi, kind := range []c4p.ProviderKind{c4p.Baseline, c4p.C4PStatic} {
 		e := newEnv(ctx, topo.MultiJobTestbed(spines))
-		benches := runConcurrentJobs(e, kind, seed, horizon, 2, false)
+		benches := runConcurrentJobs(e, kind, seed, horizon, 2)
 		e.Eng.RunUntil(horizon + 30*sim.Second) // let in-flight iterations drain
 		for _, b := range benches {
 			m := b.MeanBusGbps()
-			if kind == Baseline {
+			if kind == c4p.Baseline {
 				res.Baseline = append(res.Baseline, m)
 			} else {
 				res.C4P = append(res.C4P, m)

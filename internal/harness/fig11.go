@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -31,7 +32,7 @@ func runFig11(ctx *scenario.Ctx) Fig11Result {
 	seed := ctx.Seed
 	e := newEnv(ctx, topo.MultiJobTestbed(4))
 	const horizon = 60 * sim.Second
-	runConcurrentJobs(e, C4PStatic, seed, horizon, 2, false)
+	runConcurrentJobs(e, c4p.C4PStatic, seed, horizon, 2)
 
 	res := Fig11Result{}
 	noise := sim.NewRand(seed + 7)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -39,9 +40,9 @@ func runFig12(ctx *scenario.Ctx) Fig12Result {
 		failAt  = 30 * sim.Second
 		horizon = 90 * sim.Second
 	)
-	run := func(kind ProviderKind, qps int, adaptive bool, label string) Fig12Variant {
+	run := func(kind c4p.ProviderKind, qps int, label string) Fig12Variant {
 		e := newEnv(ctx, topo.MultiJobTestbed(8))
-		benches := runConcurrentJobs(e, kind, seed, horizon, qps, adaptive)
+		benches := runConcurrentJobs(e, kind, seed, horizon, qps)
 		e.Eng.Schedule(failAt, func() {
 			leaf := e.Topo.LeafAt(0, 0, 0)
 			e.Net.SetLinkUp(leaf.Ups[2], false)
@@ -76,8 +77,8 @@ func runFig12(ctx *scenario.Ctx) Fig12Result {
 	}
 	return Fig12Result{
 		FailAt:  failAt,
-		Static:  run(C4PStatic, 2, false, "static traffic engineering"),
-		Dynamic: run(C4PDynamic, 8, true, "dynamic load balance"),
+		Static:  run(c4p.C4PStatic, 2, "static traffic engineering"),
+		Dynamic: run(c4p.C4PDynamic, 8, "dynamic load balance"),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -43,9 +44,9 @@ func runFig13(ctx *scenario.Ctx) Fig13Result {
 		interval = 2 * sim.Second
 		failIdx  = 2
 	)
-	run := func(kind ProviderKind, qps int, adaptive bool, label string) Fig13Variant {
+	run := func(kind c4p.ProviderKind, qps int, label string) Fig13Variant {
 		e := newEnv(ctx, topo.MultiJobTestbed(8))
-		benches := runConcurrentJobs(e, kind, seed, horizon, qps, adaptive)
+		benches := runConcurrentJobs(e, kind, seed, horizon, qps)
 		leaf := e.Topo.LeafAt(0, 0, 0)
 		e.Eng.Schedule(failAt, func() {
 			e.Net.SetLinkUp(leaf.Ups[failIdx], false)
@@ -104,8 +105,8 @@ func runFig13(ctx *scenario.Ctx) Fig13Result {
 	return Fig13Result{
 		FailAt:    failAt,
 		FailIndex: failIdx,
-		Static:    run(C4PStatic, 2, false, "static traffic engineering"),
-		Dynamic:   run(C4PDynamic, 8, true, "dynamic load balance"),
+		Static:    run(c4p.C4PStatic, 2, "static traffic engineering"),
+		Dynamic:   run(c4p.C4PDynamic, 8, "dynamic load balance"),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/job"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
@@ -35,12 +36,11 @@ func runFig14(ctx *scenario.Ctx) Fig14Result {
 	specs := workload.Fig14Jobs(InterleavedNodes(16))
 	for _, spec := range specs {
 		res.Jobs = append(res.Jobs, fmt.Sprintf("%s (%s, %s)", spec.Name, spec.Model.Name, spec.Par))
-		run := func(kind ProviderKind, s int64) float64 {
+		run := func(kind c4p.ProviderKind, s int64) float64 {
 			e := newEnv(ctx, topo.MultiJobTestbed(8))
 			j, err := job.New(job.Config{
 				Engine: e.Eng, Net: e.Net,
 				Provider: e.NewProvider(kind, s),
-				Rails:    []int{0},
 				Spec:     spec,
 				Rand:     sim.NewRand(s),
 				// Production CCLs open several QPs per port, smoothing
@@ -59,10 +59,10 @@ func runFig14(ctx *scenario.Ctx) Fig14Result {
 		const draws = 3
 		var base float64
 		for d := int64(0); d < draws; d++ {
-			base += run(Baseline, seed+13*d)
+			base += run(c4p.Baseline, seed+13*d)
 		}
 		base /= draws
-		c4 := run(C4PStatic, seed)
+		c4 := run(c4p.C4PStatic, seed)
 		res.Baseline = append(res.Baseline, base)
 		res.C4P = append(res.C4P, c4)
 		res.Gains = append(res.Gains, c4/base-1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/job"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
@@ -68,8 +69,7 @@ func runFig3(ctx *scenario.Ctx) Fig3Result {
 			}
 			j, err := job.New(job.Config{
 				Engine: e.Eng, Net: e.Net,
-				Provider: e.NewProvider(Baseline, seed+31*d),
-				Rails:    []int{0},
+				Provider: e.NewProvider(c4p.Baseline, seed+31*d),
 				Spec:     fig3Job(nodes),
 				Rand:     sim.NewRand(seed + d),
 			})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/topo"
@@ -38,7 +39,7 @@ func runFig9(ctx *scenario.Ctx) Fig9Result {
 			e := newEnv(ctx, topo.MultiJobTestbed(8))
 			b, err := StartBench(e, BenchConfig{
 				Nodes: InterleavedNodes(m), Bytes: bytes, Iters: 4,
-				Provider: e.NewProvider(Baseline, seed+100*d), QPsPerConn: 2, Seed: seed + d,
+				Provider: e.NewProvider(c4p.Baseline, seed+100*d), QPsPerConn: 2, Seed: seed + d,
 			})
 			if err != nil {
 				panic(err)
@@ -51,7 +52,7 @@ func runFig9(ctx *scenario.Ctx) Fig9Result {
 		e := newEnv(ctx, topo.MultiJobTestbed(8))
 		b, err := StartBench(e, BenchConfig{
 			Nodes: InterleavedNodes(m), Bytes: bytes, Iters: 4,
-			Provider: e.NewProvider(C4PStatic, seed), QPsPerConn: 2, Seed: seed,
+			Provider: e.NewProvider(c4p.C4PStatic, seed), QPsPerConn: 2, Seed: seed,
 		})
 		if err != nil {
 			panic(err)

@@ -48,49 +48,9 @@ func newEnv(ctx *scenario.Ctx, spec topo.Spec) *Env {
 	return e
 }
 
-// ProviderKind selects the path-control policy under test.
-type ProviderKind int
-
-// The three policies compared across the evaluation.
-const (
-	// Baseline is plain ECMP hashing with no coordination.
-	Baseline ProviderKind = iota
-	// C4PStatic is C4P global traffic engineering at connect time.
-	C4PStatic
-	// C4PDynamic adds master reallocation and QP load balance on failures.
-	C4PDynamic
-)
-
-func (p ProviderKind) String() string {
-	switch p {
-	case Baseline:
-		return "baseline"
-	case C4PStatic:
-		return "c4p-gte"
-	case C4PDynamic:
-		return "c4p-dynamic"
-	}
-	return "unknown"
-}
-
-// NewProvider instantiates the policy on an environment.
-func (e *Env) NewProvider(kind ProviderKind, seed int64) accl.PathProvider {
+// NewProvider instantiates a path-control policy on the environment.
+func (e *Env) NewProvider(kind c4p.ProviderKind, seed int64) accl.PathProvider {
 	return kind.On(seed)(e.Topo)
-}
-
-// On returns the policy's constructor, for a topology built elsewhere (a
-// faults.Rig's).
-func (p ProviderKind) On(seed int64) func(*topo.Topology) accl.PathProvider {
-	return func(t *topo.Topology) accl.PathProvider {
-		switch p {
-		case C4PStatic:
-			return c4p.NewMaster(t, c4p.Static, sim.NewRand(seed))
-		case C4PDynamic:
-			return c4p.NewMaster(t, c4p.Dynamic, sim.NewRand(seed))
-		default:
-			return accl.NewECMPProvider(t, sim.NewRand(seed))
-		}
-	}
 }
 
 // InterleavedNodes returns m nodes alternating between the leaf groups of

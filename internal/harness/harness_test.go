@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"c4/internal/c4p"
 	"c4/internal/scenario"
 	"c4/internal/telemetry"
 	"c4/internal/topo"
@@ -243,7 +244,7 @@ func TestDifferentSeedsVaryBaseline(t *testing.T) {
 		e := NewEnv(topo.MultiJobTestbed(8))
 		b, err := StartBench(e, BenchConfig{
 			Nodes: InterleavedNodes(8), Bytes: 64 << 20, Iters: 2,
-			Provider: e.NewProvider(Baseline, seed), QPsPerConn: 2, Seed: seed,
+			Provider: e.NewProvider(c4p.Baseline, seed), QPsPerConn: 2, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +278,7 @@ func TestInterleavedNodes(t *testing.T) {
 
 func TestProviderKinds(t *testing.T) {
 	e := NewEnv(topo.MultiJobTestbed(8))
-	for _, k := range []ProviderKind{Baseline, C4PStatic, C4PDynamic} {
+	for _, k := range []c4p.ProviderKind{c4p.Baseline, c4p.C4PStatic, c4p.C4PDynamic} {
 		if e.NewProvider(k, 1) == nil {
 			t.Fatalf("provider %v is nil", k)
 		}

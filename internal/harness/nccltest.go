@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"c4/internal/accl"
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sim"
@@ -21,7 +22,6 @@ type BenchConfig struct {
 	Until      sim.Time
 	Provider   accl.PathProvider
 	QPsPerConn int
-	Adaptive   bool
 	Seed       int64
 }
 
@@ -37,9 +37,7 @@ type Bench struct {
 func StartBench(e *Env, cfg BenchConfig) (*Bench, error) {
 	comm, err := accl.NewCommunicator(accl.Config{
 		Engine: e.Eng, Net: e.Net, Provider: cfg.Provider,
-		Rails: []int{0}, QPsPerConn: cfg.QPsPerConn,
-		AdaptiveWeights: cfg.Adaptive,
-		Rand:            sim.NewRand(cfg.Seed),
+		Rails: []int{0}, QPsPerConn: cfg.QPsPerConn, Rand: sim.NewRand(cfg.Seed),
 	}, cfg.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("harness: bench communicator: %w", err)
@@ -80,14 +78,14 @@ type NCCLTestSpec struct {
 	Spines     int
 	MiB        float64
 	Iters      int
-	Kind       ProviderKind
+	Kind       c4p.ProviderKind
 	QPsPerConn int
 }
 
 // DefaultNCCLTest is the 8-node C4P configuration the paper's
 // microbenchmarks run at.
 func DefaultNCCLTest() NCCLTestSpec {
-	return NCCLTestSpec{Nodes: 8, Spines: 8, MiB: 512, Iters: 8, Kind: C4PStatic, QPsPerConn: 2}
+	return NCCLTestSpec{Nodes: 8, Spines: 8, MiB: 512, Iters: 8, Kind: c4p.C4PStatic, QPsPerConn: 2}
 }
 
 // NCCLTestResult is the per-iteration busbw log of one benchmark run.
@@ -110,8 +108,7 @@ func runNCCLTest(ctx *scenario.Ctx, spec NCCLTestSpec) NCCLTestResult {
 	e := newEnv(ctx, fab)
 	b, err := StartBench(e, BenchConfig{
 		Nodes: InterleavedNodes(spec.Nodes), Bytes: spec.MiB * (1 << 20), Iters: spec.Iters,
-		Provider: e.NewProvider(spec.Kind, ctx.Seed), QPsPerConn: spec.QPsPerConn,
-		Adaptive: spec.Kind == C4PDynamic, Seed: ctx.Seed,
+		Provider: e.NewProvider(spec.Kind, ctx.Seed), QPsPerConn: spec.QPsPerConn, Seed: ctx.Seed,
 	})
 	if err != nil {
 		panic(err)
@@ -142,7 +139,7 @@ func (r NCCLTestResult) CheckShape() error {
 	if r.Series.Len() != r.Spec.Iters {
 		return fmt.Errorf("nccltest: %d iterations completed, want %d", r.Series.Len(), r.Spec.Iters)
 	}
-	if r.Spec.Kind != Baseline && r.Spec.Spines >= 8 {
+	if r.Spec.Kind != c4p.Baseline && r.Spec.Spines >= 8 {
 		if m := r.MeanBusGbps(); m < 330 || m > 370 {
 			return fmt.Errorf("nccltest: C4P busbw %.1f Gbps, want ≈360", m)
 		}

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"c4/internal/c4p"
 	"c4/internal/sim"
 	"c4/internal/topo"
 )
@@ -11,7 +12,7 @@ func TestBenchIterCount(t *testing.T) {
 	e := NewEnv(topo.MultiJobTestbed(8))
 	b, err := StartBench(e, BenchConfig{
 		Nodes: InterleavedNodes(4), Bytes: 64 << 20, Iters: 5,
-		Provider: e.NewProvider(C4PStatic, 1), QPsPerConn: 2, Seed: 1,
+		Provider: e.NewProvider(c4p.C4PStatic, 1), QPsPerConn: 2, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,7 @@ func TestBenchDeadline(t *testing.T) {
 	e := NewEnv(topo.MultiJobTestbed(8))
 	b, err := StartBench(e, BenchConfig{
 		Nodes: InterleavedNodes(4), Bytes: 512 << 20, Until: 3 * sim.Second,
-		Provider: e.NewProvider(C4PStatic, 1), QPsPerConn: 2, Seed: 1,
+		Provider: e.NewProvider(c4p.C4PStatic, 1), QPsPerConn: 2, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestBenchStop(t *testing.T) {
 	e := NewEnv(topo.MultiJobTestbed(8))
 	b, err := StartBench(e, BenchConfig{
 		Nodes: InterleavedNodes(4), Bytes: 512 << 20, Iters: 1000,
-		Provider: e.NewProvider(C4PStatic, 1), QPsPerConn: 2, Seed: 1,
+		Provider: e.NewProvider(c4p.C4PStatic, 1), QPsPerConn: 2, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestBenchValidation(t *testing.T) {
 	e := NewEnv(topo.MultiJobTestbed(8))
 	if _, err := StartBench(e, BenchConfig{
 		Nodes:    nil,
-		Provider: e.NewProvider(C4PStatic, 1),
+		Provider: e.NewProvider(c4p.C4PStatic, 1),
 	}); err == nil {
 		t.Fatal("empty node list accepted")
 	}

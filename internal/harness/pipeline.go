@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"c4/internal/c4d"
+	"c4/internal/c4p"
 	"c4/internal/cluster"
 	"c4/internal/faults"
 	"c4/internal/job"
@@ -48,7 +49,7 @@ func runPipeline(ctx *scenario.Ctx) PipelineResult {
 	r, err := faults.NewRig(faults.RigConfig{
 		Fabric:   fabric,
 		Job:      workload.TenantSpec("pipeline-GPT22B", workload.GPT22B, InterleavedNodes(16), 550*sim.Millisecond),
-		Provider: C4PStatic.On(ctx.Seed),
+		Provider: c4p.C4PStatic.On(ctx.Seed),
 		Seed:     ctx.Seed,
 		Faults:   []faults.Spec{{Kind: faults.Crash, Node: victim, Start: res.InjectedAt}},
 		Steering: &faults.SteeringPolicy{

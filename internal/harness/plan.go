@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/job"
 	"c4/internal/metrics"
 	"c4/internal/plan"
@@ -53,12 +54,11 @@ func planSpec(m workload.Model, par workload.Parallelism, ga int, cpmb sim.Time)
 }
 
 // runPlanJob executes one job under one provider and returns its arm.
-func runPlanJob(kind ProviderKind, spec workload.JobSpec, opts plan.Options, seed int64, iters int) PlanArm {
+func runPlanJob(kind c4p.ProviderKind, spec workload.JobSpec, opts plan.Options, seed int64, iters int) PlanArm {
 	e := NewEnv(topo.MultiJobTestbed(8))
 	j, err := job.New(job.Config{
 		Engine: e.Eng, Net: e.Net,
 		Provider: e.NewProvider(kind, seed),
-		Rails:    []int{0},
 		Spec:     spec,
 		Plan:     opts,
 		Rand:     sim.NewRand(seed),
@@ -118,7 +118,7 @@ func RunPlanStrategySweep(ctx *scenario.Ctx) *PlanStrategySweep {
 	res.ECMP = make([]PlanArm, len(res.Strategies))
 	res.C4P = make([]PlanArm, len(res.Strategies))
 	type cell struct {
-		kind ProviderKind
+		kind c4p.ProviderKind
 		out  *PlanArm
 		spec workload.JobSpec
 		seed int64
@@ -131,8 +131,8 @@ func RunPlanStrategySweep(ctx *scenario.Ctx) *PlanStrategySweep {
 		// the PP8 end dilutes it to a few percent.
 		spec := planSpec(workload.GPT22B, par, par.GA, 70*sim.Millisecond)
 		cells = append(cells,
-			cell{Baseline, &res.ECMP[i], spec, ctx.Seed + int64(par.PP)*13},
-			cell{C4PStatic, &res.C4P[i], spec, ctx.Seed + int64(par.PP)*13})
+			cell{c4p.Baseline, &res.ECMP[i], spec, ctx.Seed + int64(par.PP)*13},
+			cell{c4p.C4PStatic, &res.C4P[i], spec, ctx.Seed + int64(par.PP)*13})
 	}
 	scenario.ForEach(len(cells), ctx.Workers, func(i int) {
 		c := cells[i]
@@ -255,7 +255,7 @@ func RunPlanBucketSweep(ctx *scenario.Ctx) *PlanBucketSweep {
 	// hide — the bucket size decides how much, which is the curve.
 	spec := planSpec(workload.GPT175B, workload.Parallelism{PP: 2, DP: 4}, 4, 550*sim.Millisecond)
 	scenario.ForEach(len(res.BucketsMiB), ctx.Workers, func(i int) {
-		res.Arms[i] = runPlanJob(C4PStatic, spec, plan.Options{
+		res.Arms[i] = runPlanJob(c4p.C4PStatic, spec, plan.Options{
 			Overlap:     true,
 			BucketBytes: res.BucketsMiB[i] * (1 << 20),
 		}, ctx.Seed, 5)
@@ -359,7 +359,7 @@ func RunPlanOverlapAblation(ctx *scenario.Ctx) *PlanOverlapAblation {
 	spec := planSpec(workload.GPT175B, workload.Parallelism{PP: 2, DP: 4}, 4, 550*sim.Millisecond)
 	arms := []*PlanArm{&res.Off, &res.On}
 	scenario.ForEach(len(arms), ctx.Workers, func(i int) {
-		*arms[i] = runPlanJob(C4PStatic, spec, plan.Options{
+		*arms[i] = runPlanJob(c4p.C4PStatic, spec, plan.Options{
 			Overlap:     i == 1,
 			BucketBytes: 256 << 20,
 		}, ctx.Seed, 5)

@@ -22,13 +22,14 @@ import (
 	"c4/internal/workload"
 )
 
-// Config wires a job to the simulated cluster.
+// Config wires a job to the simulated cluster. A job's communicators send
+// on rail 0, accl's default; its provider decides whether they re-weight
+// QPs.
 type Config struct {
 	Engine   *sim.Engine
 	Net      *netsim.Network
 	Provider accl.PathProvider
 	Sink     accl.StatsSink // may be nil
-	Rails    []int
 	Rand     *sim.Rand
 	Spec     workload.JobSpec
 	// Context cancels the job cooperatively: once it is cancelled, the
@@ -39,8 +40,6 @@ type Config struct {
 	// and comm/compute overlap. The zero value synchronizes each stage's
 	// whole gradient once its backward drain ends.
 	Plan plan.Options
-	// AdaptiveWeights enables ACCL's path re-weighting (C4P dynamic mode).
-	AdaptiveWeights bool
 	// QPsPerConn sets the QP count per connection (default 2, one per
 	// physical port; production CCLs open several per port).
 	QPsPerConn int
@@ -158,8 +157,7 @@ func (j *Job) Plan() *plan.Plan { return j.plan }
 func (j *Job) newComm(nodes []int) (*accl.Communicator, error) {
 	return accl.NewCommunicator(accl.Config{
 		Engine: j.cfg.Engine, Net: j.cfg.Net, Provider: j.cfg.Provider,
-		Sink: j.cfg.Sink, Rails: j.cfg.Rails, Rand: j.rand,
-		AdaptiveWeights: j.cfg.AdaptiveWeights, QPsPerConn: j.cfg.QPsPerConn,
+		Sink: j.cfg.Sink, Rand: j.rand, QPsPerConn: j.cfg.QPsPerConn,
 	}, nodes)
 }
 

@@ -45,7 +45,7 @@ func TestJob1RunsAndReports(t *testing.T) {
 	spec := workload.Fig14Jobs(nodes16())[0]
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestJob2ZeROPath(t *testing.T) {
 	}
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestJob3PipelineGroupsAndLowCommShare(t *testing.T) {
 	}
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestStragglerSlowsIterations(t *testing.T) {
 	spec := workload.Fig14Jobs(nodes16())[0]
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestStragglerSlowsIterations(t *testing.T) {
 	r2 := newRig()
 	j2, err := New(Config{
 		Engine: r2.eng, Net: r2.net, Provider: c4p.NewMaster(r2.topo, c4p.Static, sim.NewRand(1)),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestCrashHangsAndReplaceNodeRecovers(t *testing.T) {
 	spec := workload.Fig14Jobs(nodes16())[0]
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestReplaceNodeValidation(t *testing.T) {
 	spec := workload.Fig14Jobs(nodes16())[0]
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestOnIterationCallback(t *testing.T) {
 	spec := workload.Fig14Jobs(nodes16())[0]
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2),
+		Spec: spec, Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestContextCancelsPureDPJob(t *testing.T) {
 	defer cancel()
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: workload.Fig14Jobs(nodes16())[0], Rand: sim.NewRand(2),
+		Spec: workload.Fig14Jobs(nodes16())[0], Rand: sim.NewRand(2),
 		Context: ctx,
 	})
 	if err != nil {

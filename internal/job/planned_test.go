@@ -28,7 +28,7 @@ func runPipe(t *testing.T, opts plan.Options, iters int, mutate func(*Job)) Repo
 	r := newRig()
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: pipeSpec(), Rand: sim.NewRand(2),
+		Spec: pipeSpec(), Rand: sim.NewRand(2),
 		Plan: opts, QPsPerConn: 4,
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestPlannedCrashHangsPipeline(t *testing.T) {
 	r := newRig()
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: pipeSpec(), Rand: sim.NewRand(2),
+		Spec: pipeSpec(), Rand: sim.NewRand(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestPlannedMatchesBubbleFormulaWithoutJitter(t *testing.T) {
 	}
 	j, err := New(Config{
 		Engine: r.eng, Net: r.net, Provider: r.provider(),
-		Rails: []int{0}, Spec: spec, Rand: sim.NewRand(2), QPsPerConn: 4,
+		Spec: spec, Rand: sim.NewRand(2), QPsPerConn: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

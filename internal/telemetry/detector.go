@@ -12,8 +12,8 @@ import (
 // DetectorConfig is the online detector's configuration. It is
 // c4d.Config, so the two detectors judge with one set of thresholds and
 // differ only in when they look and how they smooth. The online detector
-// reads HangTimeout, Kappa, WaitKappa, MinWait and DedupInterval, and
-// decays its wait accumulators with ReportInterval as their time constant.
+// reads HangTimeout, Kappa, MinWait and DedupInterval, and decays its
+// wait accumulators with c4d.ReportInterval as their time constant.
 type DetectorConfig = c4d.Config
 
 // The streaming matrix's warm-up: how many observations a pair needs
@@ -165,7 +165,7 @@ func (d *OnlineDetector) observeWait(w *commWatch, ev accl.WaitEvent) {
 	i, ok := slices.BinarySearch(w.waitNodes, ev.On)
 	if !ok {
 		w.waitNodes = slices.Insert(w.waitNodes, i, ev.On)
-		w.waits = slices.Insert(w.waits, i, DecayAccum{Tau: d.cfg.ReportInterval})
+		w.waits = slices.Insert(w.waits, i, DecayAccum{Tau: c4d.ReportInterval})
 	}
 	acc := &w.waits[i]
 	acc.Add(ev.Time, ev.Dur.Seconds())
@@ -229,14 +229,14 @@ func (d *OnlineDetector) checkStraggler(w *commWatch, now sim.Time) {
 		w.waitVals = append(w.waitVals, w.waits[i].ValueAt(now))
 	}
 	d.updates += uint64(len(w.waits))
-	i, ok := c4d.Straggler(w.waitVals, d.cfg.MinWait.Seconds(), d.cfg.WaitKappa)
+	i, ok := c4d.Straggler(w.waitVals, d.cfg.MinWait.Seconds(), c4d.WaitKappa)
 	if !ok {
 		return
 	}
 	top := w.waitVals[i]
 	d.emit(c4d.Detection{
 		At: now, Comm: w.comm, Syndrome: c4d.NonCommSlow, Suspects: []int{w.waitNodes[i]},
-		Severity: top / d.cfg.ReportInterval.Seconds(),
+		Severity: top / c4d.ReportInterval.Seconds(),
 		Detail:   fmt.Sprintf("peers' decayed wait on this node %.3fs", top),
 	})
 }

@@ -42,6 +42,8 @@ func (p *plannedProvider) Repair(req accl.ConnRequest, old *accl.Assignment) (*a
 
 func (p *plannedProvider) Release(*accl.Assignment) {}
 
+func (p *plannedProvider) Adaptive() bool { return false }
+
 // rig is a miniature training job watched by the streaming pipeline: 4
 // nodes, iterative compute + allreduce, with injectable per-node compute
 // delays, exactly the c4d test workload so the two detectors are

@@ -58,7 +58,7 @@ func runRace(cfg raceConfig) raceOutcome {
 		// unmasked (no rerouting or node replacement) so detection latency
 		// is the only difference under measurement.
 		Provider: func(t *topo.Topology) accl.PathProvider {
-			return faults.PinnedProvider{PathProvider: c4p.NewMaster(t, c4p.Static, sim.NewRand(cfg.seed))}
+			return faults.PinnedProvider{PathProvider: c4p.C4PStatic.On(cfg.seed)(t)}
 		},
 		Seed: cfg.seed + 1,
 		Stream: func(eng *sim.Engine) accl.StatsSink {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 
+	"c4/internal/c4p"
 	"c4/internal/metrics"
 	"c4/internal/scenario"
 	"c4/internal/sched"
@@ -61,14 +62,14 @@ func RunCollisionSweep(ctx *scenario.Ctx) *CollisionSweepResult {
 	res.C4P = make([]RunResult, len(res.JobCounts))
 	type cell struct {
 		count int
-		arm   Arm
+		arm   c4p.ProviderKind
 		out   *RunResult
 	}
 	var cells []cell
 	for i, n := range res.JobCounts {
 		cells = append(cells,
-			cell{n, ArmPinnedECMP, &res.ECMP[i]},
-			cell{n, ArmC4P, &res.C4P[i]})
+			cell{n, c4p.Baseline, &res.ECMP[i]},
+			cell{n, c4p.C4PDynamic, &res.C4P[i]})
 	}
 	scenario.ForEach(len(cells), ctx.Workers, func(i int) {
 		c := cells[i]
@@ -172,7 +173,7 @@ func RunChurn(ctx *scenario.Ctx) *ChurnResult {
 		RunResult: Run(Config{
 			Spines:  8,
 			Policy:  sched.PolicyPacked,
-			Arm:     ArmC4P,
+			Arm:     c4p.C4PDynamic,
 			Horizon: 90 * sim.Second,
 			Seed:    ctx.Seed,
 			Trace:   trace,
@@ -250,7 +251,7 @@ func RunPlacementCompare(ctx *scenario.Ctx) *PlacementCompareResult {
 		res.Runs[i] = Run(Config{
 			Spines:  4,
 			Policy:  res.Policies[i],
-			Arm:     ArmPinnedECMP,
+			Arm:     c4p.Baseline,
 			Horizon: 40 * sim.Second,
 			Seed:    ctx.Seed + int64(i)*7,
 			Trace:   uniformTrace(3, 4, 60, 150),

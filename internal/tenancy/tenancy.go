@@ -18,7 +18,6 @@ import (
 	"c4/internal/accl"
 	"c4/internal/c4p"
 	"c4/internal/cluster"
-	"c4/internal/faults"
 	"c4/internal/job"
 	"c4/internal/metrics"
 	"c4/internal/netsim"
@@ -27,43 +26,21 @@ import (
 	"c4/internal/topo"
 )
 
-// Arm selects the path-steering policy a run compares.
-type Arm int
-
+// The shared cluster: two leaf groups of 8 nodes, every connection opening
+// one QP per physical port.
 const (
-	// ArmPinnedECMP is the no-coordination baseline: QPs hash onto spine
-	// uplinks at connect time and stay pinned there.
-	ArmPinnedECMP Arm = iota
-	// ArmC4PStatic is C4P's global traffic engineering at connect time
-	// only (the "c4p" provider of the other CLIs).
-	ArmC4PStatic
-	// ArmC4P is C4P in dynamic mode with adaptive QP weights: globally
-	// planned paths plus message-completion-time load balance.
-	ArmC4P
+	fabricNodes = 16
+	qpsPerConn  = 2
 )
-
-func (a Arm) String() string {
-	switch a {
-	case ArmC4PStatic:
-		return "c4p-gte"
-	case ArmC4P:
-		return "c4p-dynamic"
-	}
-	return "ecmp"
-}
 
 // Config describes one multi-tenant simulation.
 type Config struct {
 	// Spines per rail: 8 = the 1:1 fabric, 4 = 2:1 oversubscription.
 	Spines int
-	// FabricNodes sizes the cluster (default 16: two leaf groups of 8).
-	FabricNodes int
 	// Policy places arriving jobs (packed / spread / random).
 	Policy sched.Policy
-	// Arm selects the steering policy shared by every tenant.
-	Arm Arm
-	// QPsPerConn is the per-connection QP fanout (default 2).
-	QPsPerConn int
+	// Arm is the path-control policy every tenant shares.
+	Arm c4p.ProviderKind
 	// Horizon ends the simulation; jobs still running are measured up to
 	// it.
 	Horizon sim.Time
@@ -106,7 +83,7 @@ func (s JobStat) PerNodeGoodput() float64 {
 
 // RunResult aggregates one multi-tenant simulation.
 type RunResult struct {
-	Arm     Arm
+	Arm     c4p.ProviderKind
 	Policy  sched.Policy
 	Spines  int
 	Horizon sim.Time
@@ -134,38 +111,20 @@ func Run(cfg Config) RunResult {
 	if cfg.Spines <= 0 {
 		cfg.Spines = 8
 	}
-	if cfg.FabricNodes <= 0 {
-		cfg.FabricNodes = 16
-	}
-	if cfg.QPsPerConn <= 0 {
-		cfg.QPsPerConn = 2
-	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = sim.Minute
 	}
 
 	eng := sim.NewEngine()
 	spec := topo.MultiJobTestbed(cfg.Spines)
-	spec.Nodes = cfg.FabricNodes
+	spec.Nodes = fabricNodes
 	fab := topo.MustNew(spec)
 	net := netsim.New(eng, fab, netsim.DefaultConfig())
 
-	var prov accl.PathProvider
-	adaptive := false
-	switch cfg.Arm {
-	case ArmC4P:
-		prov = c4p.NewMaster(fab, c4p.Dynamic, sim.NewRand(cfg.Seed))
-		adaptive = true
-	case ArmC4PStatic:
-		prov = c4p.NewMaster(fab, c4p.Static, sim.NewRand(cfg.Seed))
-	default:
-		prov = faults.PinnedProvider{PathProvider: accl.NewECMPProvider(fab, sim.NewRand(cfg.Seed))}
-	}
-
 	st := &runState{
-		cfg: cfg, eng: eng, net: net, prov: prov, adaptive: adaptive,
+		cfg: cfg, eng: eng, net: net, prov: cfg.Arm.On(cfg.Seed)(fab),
 		sch:   sched.New(fab),
-		cl:    cluster.NewCluster(cfg.FabricNodes, spec.GPUsPerNode, 0),
+		cl:    cluster.NewCluster(fabricNodes, spec.GPUsPerNode, 0),
 		place: sim.NewRand(cfg.Seed + 1),
 	}
 	trace := cfg.Trace.normalized()
@@ -224,14 +183,13 @@ func Run(cfg Config) RunResult {
 
 // runState is the engine's mutable bookkeeping during a replay.
 type runState struct {
-	cfg      Config
-	eng      *sim.Engine
-	net      *netsim.Network
-	prov     accl.PathProvider
-	adaptive bool
-	sch      *sched.Scheduler
-	cl       *cluster.Cluster
-	place    *sim.Rand
+	cfg   Config
+	eng   *sim.Engine
+	net   *netsim.Network
+	prov  accl.PathProvider
+	sch   *sched.Scheduler
+	cl    *cluster.Cluster
+	place *sim.Rand
 
 	events []TraceEvent
 	stats  []JobStat
@@ -242,7 +200,7 @@ type runState struct {
 // arrive admits the job if it fits, otherwise queues it (strict FIFO, so
 // a big job at the head is never starved by small late arrivals).
 func (st *runState) arrive(i int) {
-	if st.events[i].Nodes > st.cfg.FabricNodes {
+	if st.events[i].Nodes > fabricNodes {
 		st.stats[i].Rejected = true
 		return
 	}
@@ -279,11 +237,9 @@ func (st *runState) admit(i int) {
 
 	j, err := job.New(job.Config{
 		Engine: st.eng, Net: st.net, Provider: st.prov,
-		Rails:           []int{0},
-		Rand:            sim.NewRand(st.cfg.Seed + int64(i+1)*1_000_003),
-		Spec:            ev.Spec(nodes),
-		QPsPerConn:      st.cfg.QPsPerConn,
-		AdaptiveWeights: st.adaptive,
+		Rand:       sim.NewRand(st.cfg.Seed + int64(i+1)*1_000_003),
+		Spec:       ev.Spec(nodes),
+		QPsPerConn: qpsPerConn,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("tenancy: job %s: %v", ev.Name, err))

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"c4/internal/c4p"
 	"c4/internal/scenario"
 	"c4/internal/sched"
 	"c4/internal/sim"
@@ -106,12 +107,12 @@ func TestSharedFabricContention(t *testing.T) {
 	// job alone — if cross-job contention weren't real, the whole tenancy
 	// layer would be theater.
 	solo := Run(Config{
-		Spines: 4, Policy: sched.PolicySpread, Arm: ArmPinnedECMP,
+		Spines: 4, Policy: sched.PolicySpread, Arm: c4p.Baseline,
 		Horizon: 30 * sim.Second, Seed: 1,
 		Trace: uniformTrace(1, 4, 60, 150),
 	})
 	pair := Run(Config{
-		Spines: 4, Policy: sched.PolicySpread, Arm: ArmPinnedECMP,
+		Spines: 4, Policy: sched.PolicySpread, Arm: c4p.Baseline,
 		Horizon: 30 * sim.Second, Seed: 1,
 		Trace: uniformTrace(2, 4, 60, 150),
 	})
@@ -211,9 +212,9 @@ func TestBeyondHorizonArrivalsNotCountedAsQueued(t *testing.T) {
 
 func TestArmProviders(t *testing.T) {
 	// All three arms must run the same workload; the static and dynamic
-	// C4P arms must both beat pinned ECMP under spread contention.
-	goodput := map[Arm]float64{}
-	for _, arm := range []Arm{ArmPinnedECMP, ArmC4PStatic, ArmC4P} {
+	// C4P arms must both beat ECMP under spread contention.
+	goodput := map[c4p.ProviderKind]float64{}
+	for _, arm := range []c4p.ProviderKind{c4p.Baseline, c4p.C4PStatic, c4p.C4PDynamic} {
 		res := Run(Config{
 			Spines: 4, Policy: sched.PolicySpread, Arm: arm,
 			Horizon: 30 * sim.Second, Seed: 1,
@@ -224,8 +225,8 @@ func TestArmProviders(t *testing.T) {
 		}
 		goodput[arm] = res.AggGoodput
 	}
-	if goodput[ArmC4PStatic] <= goodput[ArmPinnedECMP] || goodput[ArmC4P] <= goodput[ArmPinnedECMP] {
-		t.Fatalf("C4P arms should beat pinned ECMP: %v", goodput)
+	if goodput[c4p.C4PStatic] <= goodput[c4p.Baseline] || goodput[c4p.C4PDynamic] <= goodput[c4p.Baseline] {
+		t.Fatalf("C4P arms should beat ECMP: %v", goodput)
 	}
 }
 

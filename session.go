@@ -22,6 +22,7 @@ import (
 
 	"c4/internal/accl"
 	"c4/internal/c4d"
+	"c4/internal/c4p"
 	"c4/internal/faults"
 	"c4/internal/harness"
 	"c4/internal/job"
@@ -148,8 +149,8 @@ type SessionTenancy struct {
 	Trace json.RawMessage `json:"trace"`
 	// Policy places arriving jobs: packed | spread | random. Default packed.
 	Policy string `json:"policy,omitempty"`
-	// Provider is the steering arm: baseline | c4p | c4p-dynamic.
-	// Default c4p.
+	// Provider is the path-control policy every tenant shares: baseline
+	// | c4p | c4p-dynamic. Default c4p.
 	Provider string `json:"provider,omitempty"`
 	// Spines per rail: 8 = 1:1 fabric, 4 = 2:1 oversubscription.
 	// Default 8.
@@ -208,7 +209,7 @@ type jobResolved struct {
 	opts    plan.Options
 	iters   int
 	qps     int
-	kind    harness.ProviderKind
+	kind    c4p.ProviderKind
 	fault   string        // "none" or a sessionFaults key
 	faults  []faults.Spec // the fault on the victim; none for "none"
 	horizon sim.Time
@@ -225,20 +226,6 @@ var sessionFaults = map[string]struct {
 	"crash":     {faults.Spec{Kind: faults.Crash}, "crashing worker process on node %d"},
 	"straggler": {faults.Spec{Kind: faults.Straggler, Severity: 0.4}, "node %d becomes a straggler (+400ms/iteration)"},
 	"nic":       {faults.Spec{Kind: faults.PortDown}, "node %d loses both NIC ports on rail 0"},
-}
-
-// parseProviderKind maps the shared CLI/spec provider names onto the
-// harness policy kinds.
-func parseProviderKind(s string) (harness.ProviderKind, error) {
-	switch s {
-	case "", "c4p":
-		return harness.C4PStatic, nil
-	case "baseline":
-		return harness.Baseline, nil
-	case "c4p-dynamic":
-		return harness.C4PDynamic, nil
-	}
-	return 0, fmt.Errorf("unknown provider %q (want baseline | c4p | c4p-dynamic)", s)
 }
 
 // NewSession validates the spec and resolves it against the registries
@@ -319,7 +306,7 @@ func resolveJob(js SessionJob) (*jobResolved, error) {
 		return nil, fmt.Errorf("session: unknown job model %q (have: %s)",
 			name, strings.Join(workload.ModelNames(), ", "))
 	}
-	kind, err := parseProviderKind(js.Provider)
+	kind, err := c4p.ParseProviderKind(js.Provider)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -439,16 +426,9 @@ func resolveTenancy(ts SessionTenancy) (*tenancy.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	var arm tenancy.Arm
-	switch ts.Provider {
-	case "baseline":
-		arm = tenancy.ArmPinnedECMP
-	case "", "c4p":
-		arm = tenancy.ArmC4PStatic
-	case "c4p-dynamic":
-		arm = tenancy.ArmC4P
-	default:
-		return nil, fmt.Errorf("session: unknown provider %q (want baseline | c4p | c4p-dynamic)", ts.Provider)
+	arm, err := c4p.ParseProviderKind(ts.Provider)
+	if err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	horizon, err := seconds("horizon_s", ts.HorizonS)
 	if err != nil {
