@@ -1,162 +1,40 @@
 package c4
 
-// One benchmark per table/figure of the paper's evaluation, so
+// One benchmark per registered scenario — every table, figure, ablation
+// and scenario family of the study — named as the registry names it, so
 // `go test -bench=. -benchmem` regenerates the whole study and reports the
-// simulation cost of each experiment. The seed is fixed: every iteration
-// still performs the full simulation (results flow into CheckShape, so
-// nothing can be elided), and shape bounds are statistical — sweeping
-// thousands of seeds under -benchtime would eventually (and correctly)
-// find a >4σ Monte-Carlo draw, which is fuzzing, not benchmarking. Seed
-// sweeps live in the harness tests.
+// simulation cost of each experiment under the names bench/perf uses
+// (scenario.<name>.ms). The seed is fixed: every iteration still performs
+// the full simulation (results flow into CheckShape, so nothing can be
+// elided), and shape bounds are statistical — sweeping thousands of seeds
+// under -benchtime would eventually (and correctly) find a >4σ Monte-Carlo
+// draw, which is fuzzing, not benchmarking. Seed sweeps live in the
+// harness tests.
 
 import (
+	"context"
 	"testing"
 
-	"c4/internal/harness"
+	"c4/internal/scenario"
 )
 
 const benchSeed = 1
 
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunTableI(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunTableIII(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3ScaleSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig3(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9DualPortBalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig9(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10aOversub1to1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig10(benchSeed, 8)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10bOversub2to1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig10(benchSeed, 4)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11CNPRates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig11(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12LinkFailure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig12(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig13PortBandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig13(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig14RealJobs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunFig14(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLiveRecoveryPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunPipeline(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPlaneRule(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunPlaneRuleAblation(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationRingVsTree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunAlgoCrossover(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationCkptInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunCkptSweep(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationKappa(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunKappaSweep(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationQPsPerConn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.RunQPSweep(benchSeed)
-		if err := r.CheckShape(); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkScenarios(b *testing.B) {
+	for _, s := range scenario.All() {
+		b.Run(s.Name, func(b *testing.B) {
+			if s.Slow && testing.Short() {
+				b.Skip("slow scenario; skipped under -short")
+			}
+			for i := 0; i < b.N; i++ {
+				rep := scenario.RunOne(context.Background(), s, benchSeed)
+				if rep.Err != nil {
+					b.Fatal(rep.Err)
+				}
+				if rep.ShapeErr != nil {
+					b.Fatal(rep.ShapeErr)
+				}
+			}
+		})
 	}
 }

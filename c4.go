@@ -318,17 +318,10 @@ func OpenEnv(opts EnvOptions) (*Env, error) {
 	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t, cfg)}, nil
 }
 
-// Experiment runners; every paper table and figure is also a registered
-// scenario (see EXPERIMENTS.md for the index).
-var (
-	RunTableI     = harness.RunTableI
-	RunKappaSweep = harness.RunKappaSweep
-)
-
-// Scenario registry and parallel experiment runner. Every experiment above
-// is also registered as a named scenario; downstream users can register
-// their own workloads and run any selection concurrently, with results
-// guaranteed byte-identical to a serial sweep.
+// Scenario registry and parallel experiment runner. Every paper table and
+// figure is a registered scenario (see EXPERIMENTS.md for the index);
+// downstream users can register their own workloads and run any selection
+// concurrently, with results guaranteed byte-identical to a serial sweep.
 type (
 	// Scenario is one named, parameterized experiment.
 	Scenario = scenario.Scenario

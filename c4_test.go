@@ -133,14 +133,15 @@ func TestFacadeExperimentRunners(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runners covered in internal/harness")
 	}
-	// One cheap runner end-to-end through the facade.
-	r := RunTableI(1)
-	if err := r.CheckShape(); err != nil {
-		t.Fatal(err)
-	}
-	k := RunKappaSweep(1)
-	if err := k.CheckShape(); err != nil {
-		t.Fatal(err)
+	// Two cheap experiments end-to-end through the facade's runner.
+	for _, name := range []string{"tableI", "ablation-kappa"} {
+		s, ok := GetScenario(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		if rep := RunScenario(context.Background(), s, 1); rep.Err != nil || rep.ShapeErr != nil {
+			t.Fatalf("%s: err=%v shape=%v", name, rep.Err, rep.ShapeErr)
+		}
 	}
 }
 

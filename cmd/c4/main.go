@@ -2,16 +2,16 @@
 // subcommand is one workflow: the live detect -> isolate -> restart loop
 // (sim), the scenario registry and its regression outputs (bench),
 // manifest-driven fault campaigns (campaign), the session daemon (serve),
-// offline triage of telemetry streams (replay), conn-stats archives
-// (analyze) and causal traces (trace), and the nccl-tests benchmark
-// (nccltest).
+// offline triage of telemetry streams (replay), the offline analyzer
+// over the same streams (analyze) and causal traces (trace), and the
+// nccl-tests benchmark (nccltest).
 //
 //	c4 sim -job gpt22b -fault crash -fault-at 30s
 //	c4 bench -only 'fig*'
 //	c4 campaign run -manifest campaigns/smoke.json -shard 0/2 -out p0.json
 //	c4 serve -addr :8080
 //	c4 replay -stream run.jsonl -summary
-//	c4 analyze -demo -dir /tmp/stats
+//	c4 analyze run.jsonl
 //	c4 trace -check run.trace.json
 //	c4 nccltest -nodes 8 -provider baseline
 //
@@ -39,7 +39,7 @@ var commands = []struct {
 	{"campaign", "expand, run, merge and check manifest-driven campaigns", runCampaign},
 	{"serve", "serve simulation sessions over HTTP and SSE", runServe},
 	{"replay", "replay a telemetry JSONL stream through the online detector", runReplay},
-	{"analyze", "localize anomalies in an archived conn-stats CSV (Fig 5)", runAnalyze},
+	{"analyze", "localize slow NICs and links in a telemetry JSONL stream (Fig 5)", runAnalyze},
 	{"trace", "profile, diff or check a causal trace", runTrace},
 	{"nccltest", "measure ring allreduce bus bandwidth (nccl-tests)", runNCCLTest},
 }

@@ -30,8 +30,19 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if code, ok := parseFlags(fs, args); !ok {
 		return code
 	}
-	if *stream == "" {
-		fmt.Fprintln(stderr, "c4 replay: -stream FILE is required")
+	var bad string
+	switch {
+	case *stream == "":
+		bad = "-stream FILE is required"
+	case *tail < 0:
+		bad = fmt.Sprintf("-tail %v: want a duration of 0 or more", *tail)
+	case *hangT <= 0:
+		bad = fmt.Sprintf("-hang-timeout %v: want a positive timeout", *hangT)
+	case !(*kappa > 1):
+		bad = fmt.Sprintf("-kappa %v: want a slowdown multiple above 1", *kappa)
+	}
+	if bad != "" {
+		fmt.Fprintf(stderr, "c4 replay: %s\n", bad)
 		return 2
 	}
 	records, err := readFile(*stream, telemetry.ReadStream)

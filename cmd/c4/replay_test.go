@@ -87,6 +87,27 @@ func TestReplayBadInputs(t *testing.T) {
 	if code, _, _ := runC4(t, "replay", "-stream", garbage); code != 2 {
 		t.Fatalf("garbage stream: code %d, want 2", code)
 	}
+	// A transfer that ends before it starts makes the stream unreadable.
+	reversed := filepath.Join(t.TempDir(), "reversed.jsonl")
+	line := `{"t_ns":10,"kind":"msg","node":0,"comm":1,"seq":1,"bytes":8,"dst":1,"start_ns":20,"end_ns":10}`
+	if err := os.WriteFile(reversed, []byte("\n"+line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runC4(t, "replay", "-stream", reversed); code != 2 || !strings.Contains(stderr, "line 2") {
+		t.Fatalf("reversed transfer: code %d, stderr %q; want 2 naming line 2", code, stderr)
+	}
+	// Thresholds that mean nothing are usage errors naming their flag.
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	writeStream(t, path)
+	for _, tc := range []struct{ flag, value string }{
+		{"-hang-timeout", "0"}, {"-hang-timeout", "-30s"}, {"-tail", "-5s"},
+		{"-kappa", "1"}, {"-kappa", "0.5"}, {"-kappa", "-1"}, {"-kappa", "NaN"},
+	} {
+		code, _, stderr := runC4(t, "replay", "-stream", path, tc.flag, tc.value)
+		if code != 2 || !strings.Contains(stderr, tc.flag+" ") {
+			t.Errorf("c4 replay %s %s: code %d, stderr %q; want 2 naming the flag", tc.flag, tc.value, code, stderr)
+		}
+	}
 }
 
 func TestReplayQuietStream(t *testing.T) {

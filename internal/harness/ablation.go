@@ -25,11 +25,7 @@ type PlaneRuleAblation struct {
 	WithoutRule float64
 }
 
-// RunPlaneRuleAblation measures an 8-node allreduce under both variants.
-func RunPlaneRuleAblation(seed int64) PlaneRuleAblation {
-	return runPlaneRuleAblation(scenario.NewCtx(seed))
-}
-
+// runPlaneRuleAblation measures an 8-node allreduce under both variants.
 func runPlaneRuleAblation(ctx *scenario.Ctx) PlaneRuleAblation {
 	seed := ctx.Seed
 	run := func(disable bool) float64 {
@@ -83,12 +79,8 @@ type AlgoCrossover struct {
 	TreeSec  []float64
 }
 
-// RunAlgoCrossover sweeps message sizes on an 8-node communicator with
+// runAlgoCrossover sweeps message sizes on an 8-node communicator with
 // chunked (stepwise) ring execution so per-step latency is charged.
-func RunAlgoCrossover(seed int64) AlgoCrossover {
-	return runAlgoCrossover(scenario.NewCtx(seed))
-}
-
 func runAlgoCrossover(ctx *scenario.Ctx) AlgoCrossover {
 	seed := ctx.Seed
 	res := AlgoCrossover{}
@@ -167,9 +159,7 @@ type CkptSweep struct {
 	TotalPct     []float64
 }
 
-// RunCkptSweep Monte-Carlos the December regime at varying intervals.
-func RunCkptSweep(seed int64) CkptSweep { return runCkptSweep(scenario.NewCtx(seed)) }
-
+// runCkptSweep Monte-Carlos the December regime at varying intervals.
 func runCkptSweep(ctx *scenario.Ctx) CkptSweep {
 	seed := ctx.Seed
 	res := CkptSweep{}
@@ -234,9 +224,7 @@ type KappaSweep struct {
 	Detected      []float64 // rate on matrices with a 3x row fault
 }
 
-// RunKappaSweep Monte-Carlos both rates per threshold.
-func RunKappaSweep(seed int64) KappaSweep { return runKappaSweep(scenario.NewCtx(seed)) }
-
+// runKappaSweep Monte-Carlos both rates per threshold.
 func runKappaSweep(ctx *scenario.Ctx) KappaSweep {
 	r := sim.NewRand(ctx.Seed)
 	res := KappaSweep{}
@@ -333,9 +321,7 @@ type QPSweep struct {
 	Baseline []float64 // mean busbw across ECMP draws
 }
 
-// RunQPSweep measures a 8-node baseline allreduce at 1..8 QPs/connection.
-func RunQPSweep(seed int64) QPSweep { return runQPSweep(scenario.NewCtx(seed)) }
-
+// runQPSweep measures a 8-node baseline allreduce at 1..8 QPs/connection.
 func runQPSweep(ctx *scenario.Ctx) QPSweep {
 	seed := ctx.Seed
 	res := QPSweep{}

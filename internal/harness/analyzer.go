@@ -16,19 +16,16 @@ import (
 // a monitored allreduce loop suffers a mid-run Rx degradation, the ACCL
 // recorder archives the transport time series, and the same delay-matrix
 // localizer the online master uses replays it per window. `c4 analyze
-// -demo` runs this scenario to generate its demo stats files.
+// -demo` runs this scenario and archives its records as a telemetry
+// stream.
 type AnalyzerDemoResult struct {
 	Victim   int
 	SlowedAt sim.Time
-	// Recorder holds the archived comm/coll/rank/conn stats streams.
+	// Recorder holds the run's communicator, operation, transport and
+	// wait records.
 	Recorder *accl.Recorder
 	// Findings are the offline per-window verdicts.
 	Findings []c4d.OfflineFinding
-}
-
-// RunAnalyzerDemo runs the monitored loop and the offline analysis.
-func RunAnalyzerDemo(seed int64) AnalyzerDemoResult {
-	return runAnalyzerDemo(scenario.NewCtx(seed))
 }
 
 func runAnalyzerDemo(ctx *scenario.Ctx) AnalyzerDemoResult {
@@ -69,18 +66,7 @@ func (r AnalyzerDemoResult) String() string {
 	fmt.Fprintf(&sb, "Offline analyzer demo — node %d Rx degraded at %v\n", r.Victim, r.SlowedAt)
 	fmt.Fprintf(&sb, "%d transport records, %d findings\n", len(r.Recorder.Messages), len(r.Findings))
 	for _, of := range r.Findings {
-		f := of.Finding
-		switch f.Scope {
-		case c4d.ScopeNodeTx:
-			fmt.Fprintf(&sb, "[%v..%v] comm %d: node %d Tx slow (x%.1f)\n",
-				of.WindowStart, of.WindowEnd, of.Comm, f.Src, f.Slowdown)
-		case c4d.ScopeNodeRx:
-			fmt.Fprintf(&sb, "[%v..%v] comm %d: node %d Rx slow (x%.1f)\n",
-				of.WindowStart, of.WindowEnd, of.Comm, f.Dst, f.Slowdown)
-		default:
-			fmt.Fprintf(&sb, "[%v..%v] comm %d: connection n%d->n%d slow (x%.1f)\n",
-				of.WindowStart, of.WindowEnd, of.Comm, f.Src, f.Dst, f.Slowdown)
-		}
+		fmt.Fprintln(&sb, of)
 	}
 	return sb.String()
 }

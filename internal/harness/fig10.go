@@ -42,11 +42,7 @@ func runConcurrentJobs(e *Env, kind c4p.ProviderKind, seed int64, until sim.Time
 	return benches
 }
 
-// RunFig10 executes one oversubscription setting.
-func RunFig10(seed int64, spines int) Fig10Result {
-	return runFig10(scenario.NewCtx(seed), spines)
-}
-
+// runFig10 executes one oversubscription setting.
 func runFig10(ctx *scenario.Ctx, spines int) Fig10Result {
 	seed := ctx.Seed
 	res := Fig10Result{Spines: spines}

@@ -23,11 +23,9 @@ type Fig11Result struct {
 	Max   float64
 }
 
-// RunFig11 repeats the Fig 10b C4P run and samples CNP counters once per
+// runFig11 repeats the Fig 10b C4P run and samples CNP counters once per
 // virtual second. Sampling noise (±12%, seeded) models the burstiness of
 // hardware CNP generation that the fluid model averages away.
-func RunFig11(seed int64) Fig11Result { return runFig11(scenario.NewCtx(seed)) }
-
 func runFig11(ctx *scenario.Ctx) Fig11Result {
 	seed := ctx.Seed
 	e := newEnv(ctx, topo.MultiJobTestbed(4))

@@ -30,10 +30,8 @@ type Fig12Result struct {
 	Dynamic Fig12Variant
 }
 
-// RunFig12 executes both variants on the 1:1 fabric, killing one of the
+// runFig12 executes both variants on the 1:1 fabric, killing one of the
 // affected leaf's 8 uplinks (both directions of the cable) mid-run.
-func RunFig12(seed int64) Fig12Result { return runFig12(scenario.NewCtx(seed)) }
-
 func runFig12(ctx *scenario.Ctx) Fig12Result {
 	seed := ctx.Seed
 	const (

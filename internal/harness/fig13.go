@@ -30,12 +30,10 @@ type Fig13Result struct {
 	Dynamic   Fig13Variant
 }
 
-// RunFig13 re-runs the Fig 12 experiments while sampling the affected
+// runFig13 re-runs the Fig 12 experiments while sampling the affected
 // leaf's uplink counters, reproducing the paper's switch-port bandwidth
 // comparison: without dynamic load balance the orphaned traffic piles onto
 // a few ports; with it the load spreads across all surviving uplinks.
-func RunFig13(seed int64) Fig13Result { return runFig13(scenario.NewCtx(seed)) }
-
 func runFig13(ctx *scenario.Ctx) Fig13Result {
 	seed := ctx.Seed
 	const (

@@ -26,10 +26,8 @@ type Fig14Result struct {
 	Gains    []float64
 }
 
-// RunFig14 measures each job alone on the testbed under both providers,
+// runFig14 measures each job alone on the testbed under both providers,
 // averaging the baseline over ECMP draws.
-func RunFig14(seed int64) Fig14Result { return runFig14(scenario.NewCtx(seed)) }
-
 func runFig14(ctx *scenario.Ctx) Fig14Result {
 	seed := ctx.Seed
 	res := Fig14Result{}

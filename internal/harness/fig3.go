@@ -47,11 +47,9 @@ func fig3Job(nodes []int) workload.JobSpec {
 	}
 }
 
-// RunFig3 sweeps 2..64 nodes, averaging the baseline over ECMP hash draws
+// runFig3 sweeps 2..64 nodes, averaging the baseline over ECMP hash draws
 // (a job's QP placement is fixed for its lifetime, so single runs are
 // bimodal at small scale).
-func RunFig3(seed int64) Fig3Result { return runFig3(scenario.NewCtx(seed)) }
-
 func runFig3(ctx *scenario.Ctx) Fig3Result {
 	seed := ctx.Seed
 	res := Fig3Result{}

@@ -20,11 +20,9 @@ type Fig9Result struct {
 	C4P      []float64
 }
 
-// RunFig9 executes the sweep. Each point is a fresh fabric so runs are
+// runFig9 executes the sweep. Each point is a fresh fabric so runs are
 // independent; the baseline is averaged over several ECMP seeds because a
 // single job either collides or not for its whole lifetime.
-func RunFig9(seed int64) Fig9Result { return runFig9(scenario.NewCtx(seed)) }
-
 func runFig9(ctx *scenario.Ctx) Fig9Result {
 	seed := ctx.Seed
 	res := Fig9Result{}

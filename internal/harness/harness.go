@@ -1,17 +1,17 @@
 // Package harness reproduces every table and figure of the C4 paper's
 // motivation and evaluation sections (§II, §IV). Each experiment is a
-// RunXxx function returning a typed result with a String() rendering of
-// the paper's rows/series and a CheckShape() method asserting the
-// qualitative claims — who wins, by roughly what factor, where crossovers
-// fall. Absolute numbers come from the simulated substrate (DESIGN.md §2)
-// and are compared against the paper's in EXPERIMENTS.md.
+// scenario registered by name (register.go) whose run returns a typed
+// result with a String() rendering of the paper's rows/series and a
+// CheckShape() method asserting the qualitative claims — who wins, by
+// roughly what factor, where crossovers fall. Absolute numbers come from
+// the simulated substrate and are compared against the paper's in
+// EXPERIMENTS.md.
 //
-// Every experiment is also registered by name in the scenario registry
-// (register.go): `c4 bench`, `c4 analyze -demo` and c4.Session run them
-// through the worker-pool runner in internal/scenario, and the tests here
-// prove a parallel sweep reproduces a serial one byte for byte. The
-// RunXxx functions remain as thin wrappers over the registered
-// implementations.
+// `c4 bench`, `c4 analyze -demo` and c4.Session run the experiments
+// through the worker-pool runner in internal/scenario (scenario.RunOne
+// for one), and the tests here prove a parallel sweep reproduces a serial
+// one byte for byte. RunNCCLTest is the one experiment called directly,
+// by `c4 nccltest` with a spec of its own.
 package harness
 
 import (

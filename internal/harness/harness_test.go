@@ -229,7 +229,18 @@ func TestMetricsExtractors(t *testing.T) {
 }
 
 func TestSeedsAreDeterministic(t *testing.T) {
-	a, b := RunFig9(7), RunFig9(7)
+	s, ok := scenario.Get("fig9")
+	if !ok {
+		t.Fatal("fig9 not registered")
+	}
+	run := func() Fig9Result {
+		rep := scenario.RunOne(context.Background(), s, 7)
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		return rep.Result.(Fig9Result)
+	}
+	a, b := run(), run()
 	for i := range a.GPUs {
 		if a.Baseline[i] != b.Baseline[i] || a.C4P[i] != b.C4P[i] {
 			t.Fatalf("same seed diverged: %v vs %v", a, b)

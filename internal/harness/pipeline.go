@@ -35,10 +35,8 @@ type PipelineResult struct {
 	Events      []c4d.Event
 }
 
-// RunPipeline injects one crash into a 16-node job and drives the live
+// runPipeline injects one crash into a 16-node job and drives the live
 // C4D -> steering -> restart loop to completion.
-func RunPipeline(seed int64) PipelineResult { return runPipeline(scenario.NewCtx(seed)) }
-
 func runPipeline(ctx *scenario.Ctx) PipelineResult {
 	fabric := topo.MultiJobTestbed(8)
 	fabric.Nodes = 24 // 16 primaries + 8 backups, the paper's spare ratio

@@ -19,10 +19,8 @@ type TableIResult struct {
 	steering.CrashTable
 }
 
-// RunTableI samples a year of the fault process (12 months shrinks
+// runTableI samples a year of the fault process (12 months shrinks
 // Monte-Carlo noise; proportions are month-invariant).
-func RunTableI(seed int64) TableIResult { return runTableI(scenario.NewCtx(seed)) }
-
 func runTableI(ctx *scenario.Ctx) TableIResult {
 	return TableIResult{steering.SimulateCrashCauses(sim.NewRand(ctx.Seed), 512, 12*30*sim.Day)}
 }
@@ -84,10 +82,8 @@ type TableIIIResult struct {
 	Dec steering.Breakdown
 }
 
-// RunTableIII Monte-Carlos both regimes, averaging across months to table
+// runTableIII Monte-Carlos both regimes, averaging across months to table
 // precision.
-func RunTableIII(seed int64) TableIIIResult { return runTableIII(scenario.NewCtx(seed)) }
-
 func runTableIII(ctx *scenario.Ctx) TableIIIResult {
 	seed := ctx.Seed
 	avg := func(reg steering.Regime) steering.Breakdown {

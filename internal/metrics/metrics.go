@@ -1,7 +1,7 @@
 // Package metrics provides the measurement plumbing shared by the C4
-// reproduction: time series, histograms, robust statistics (median/MAD, the
-// basis of C4D's slow-detection thresholds), CSV emission matching the
-// paper's comm/coll/rank/conn stats files, and ASCII rendering for the
+// reproduction: time series, summary statistics (mean, median,
+// percentiles, Jain's fairness index, guarded ratios), bootstrap
+// intervals, the bench report format, and ASCII rendering for the
 // experiment harness.
 package metrics
 
@@ -50,34 +50,6 @@ func (s *Series) Last() float64 {
 
 // Mean reports the arithmetic mean of the values (0 when empty).
 func (s *Series) Mean() float64 { return Mean(s.Values()) }
-
-// Min reports the minimum value (0 when empty).
-func (s *Series) Min() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	m := s.Samples[0].V
-	for _, p := range s.Samples[1:] {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Max reports the maximum value (0 when empty).
-func (s *Series) Max() float64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
-	m := s.Samples[0].V
-	for _, p := range s.Samples[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
 
 // Window returns the samples with from <= T < to.
 func (s *Series) Window(from, to float64) []Sample {
@@ -128,15 +100,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum reports the total of the elements.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Jain reports Jain's fairness index (Σx)²/(n·Σx²) over non-negative
@@ -210,20 +173,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return mean, math.Sqrt(ss / float64(n))
 }
 
-// Stddev reports the population standard deviation (0 when len < 2).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // Median reports the middle value (0 when empty). The input is not mutated.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -236,20 +185,6 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// MAD reports the median absolute deviation, the robust dispersion measure
-// C4D's analyzers use so a single faulty worker cannot poison the baseline.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
 }
 
 // Percentile reports the p-th percentile (p in [0,100]) using linear
@@ -275,33 +210,6 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
 }
-
-// Histogram is a fixed-bucket histogram.
-type Histogram struct {
-	Bounds []float64 // ascending upper bounds; final bucket is +Inf
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given ascending upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	for i, b := range h.Bounds {
-		if v <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Bounds)]++
-}
-
-// Total reports the observation count.
-func (h *Histogram) Total() int { return h.total }
 
 // Table renders rows of cells with a header, padded for terminals; it is
 // how the harness prints each reproduced paper table.

@@ -23,6 +23,7 @@ import (
 //	op     collective op, phase arrive|complete  coll
 //	bytes  payload bytes                       coll, msg
 //	src/dst, rail/plane/sport/qpn, start_ns/end_ns   msg
+//	                                  (0 <= start_ns <= end_ns)
 //	waiter/on, dur_ns                          wait
 
 // wireRecord is the JSONL line shape.
@@ -104,6 +105,9 @@ func fromWire(w *wireRecord) (Record, error) {
 			Op: accl.OpType(w.Op), Algo: w.Algo, Bytes: w.Bytes, Phase: phase,
 		}
 	case "msg":
+		if w.StartNs < 0 || w.EndNs < w.StartNs {
+			return Record{}, fmt.Errorf("telemetry: transfer spans [%d, %d] ns: times must satisfy 0 <= start_ns <= end_ns", w.StartNs, w.EndNs)
+		}
 		rec.Kind = KindMsg
 		rec.Msg = &accl.MsgEvent{
 			Comm: w.Comm, Seq: w.Seq, SrcNode: w.Src, DstNode: w.Dst,

@@ -260,6 +260,27 @@ func TestReadStreamRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A transfer starts at or after time 0 and ends no earlier than it
+// starts: a msg record breaking that fails the stream, naming its line,
+// by either decode path (the canonical scanner or encoding/json).
+func TestReadStreamRefusesBadMsgTimes(t *testing.T) {
+	const good = `{"t_ns":10,"kind":"msg","node":0,"comm":1,"seq":1,"bytes":8,"dst":1,"end_ns":10}`
+	for _, bad := range []string{
+		`{"t_ns":10,"kind":"msg","node":0,"comm":1,"seq":1,"bytes":8,"dst":1,"start_ns":-5,"end_ns":10}`,
+		`{"t_ns":-10,"kind":"msg","node":0,"comm":1,"seq":1,"bytes":8,"dst":1,"end_ns":-10}`,
+		`{"t_ns":10,"kind":"msg","node":0,"comm":1,"seq":1,"bytes":8,"dst":1,"start_ns":20,"end_ns":10}`,
+		`{"kind": "msg", "t_ns": 10, "node": 0, "comm": 1, "start_ns": 20, "end_ns": 10}`,
+	} {
+		recs, err := ReadStream(strings.NewReader(good + "\n" + good + "\n" + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("line %s: %d records, err %v; want an error naming line 3", bad, len(recs), err)
+		}
+	}
+	if recs, err := ReadStream(strings.NewReader(good + "\n")); err != nil || len(recs) != 1 {
+		t.Fatalf("transfer spanning [0, 10] ns: %v, %v", recs, err)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindCommCreate: "comm-create", KindCommClose: "comm-close",
