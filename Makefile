@@ -73,15 +73,18 @@ kernel-race:
 # own encoding with the same hash. The session spec: random POST
 # /v1/sessions bodies through NewSession (and with them the trace and
 # strategy parsers), which must never panic and may accept only specs
-# inside the creation bounds. The stream reader is also the one archive
-# reader: `c4 replay` and `c4 analyze` both read telemetry streams. Plain
-# `go test` already replays the committed seed corpora (testdata/fuzz/ in
-# each package).
+# inside the creation bounds. The trace reader: random bytes, where an
+# accepted trace must write back with WriteChrome and re-read to equal
+# spans, and the profile and every critical-path walk must return. The
+# stream reader is also the one archive reader: `c4 replay` and `c4
+# analyze` both read telemetry streams. Plain `go test` already replays
+# the committed seed corpora (testdata/fuzz/ in each package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzNewSession -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzParseChrome -fuzztime 10s ./internal/trace/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting

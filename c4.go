@@ -7,10 +7,10 @@
 // on, all simulated deterministically on a laptop:
 //
 //   - C4D — real-time fault detection: instrumented collective library
-//     (accl), per-worker agents and a central master (c4d) that localize
-//     hangs, slow connections/NICs and stragglers from transport timing,
-//     plus the job steering service (steering) that isolates nodes and
-//     restarts jobs from spares.
+//     (accl) and a central master (c4d), fed by its monitoring records,
+//     that localizes hangs, slow connections/NICs and stragglers from
+//     transport timing, plus the job steering service (steering) that
+//     isolates nodes and restarts jobs from spares.
 //   - C4P — cluster-scale traffic engineering (c4p): path probing, QP
 //     placement across spines and bonded ports, and dynamic load balance
 //     under link failures.
@@ -157,10 +157,9 @@ func OpenC4PMaster(opts C4PMasterOptions) (*C4PMaster, error) {
 type (
 	// C4DConfig tunes the detectors.
 	C4DConfig = c4d.Config
-	// C4DMaster is the central analyzer.
+	// C4DMaster is the central analyzer, and the sink a communicator's
+	// monitoring records flow into (an accl.StatsSink).
 	C4DMaster = c4d.Master
-	// C4DFleet is the per-worker agent fleet (an accl.StatsSink).
-	C4DFleet = c4d.Fleet
 	// C4DEvent is one finding.
 	C4DEvent = c4d.Event
 	// Syndrome classifies a finding.
@@ -175,11 +174,8 @@ const (
 	NonCommSlow = c4d.NonCommSlow
 )
 
-// NewC4DMaster creates a C4D master.
-func NewC4DMaster(cfg C4DConfig) *C4DMaster { return c4d.NewMaster(cfg) }
-
-// NewC4DFleet creates the agent fleet and starts its reporting loop.
-func NewC4DFleet(eng *Engine, m *C4DMaster) *C4DFleet { return c4d.NewFleet(eng, m) }
+// NewC4DMaster creates a C4D master and starts its reporting loop.
+func NewC4DMaster(eng *Engine, cfg C4DConfig) *C4DMaster { return c4d.NewMaster(eng, cfg) }
 
 // Jobs, workloads and recovery.
 type (

@@ -33,15 +33,14 @@ func TestFacadeAllReduceECMPvsC4P(t *testing.T) {
 
 func TestFacadeC4DPipeline(t *testing.T) {
 	env := mustEnv(t, PaperTestbed())
-	master := NewC4DMaster(C4DConfig{})
-	fleet := NewC4DFleet(env.Eng, master)
+	master := NewC4DMaster(env.Eng, C4DConfig{})
 	var events []C4DEvent
 	master.Subscribe(func(ev C4DEvent) { events = append(events, ev) })
 
 	comm, err := NewCommunicator(CommConfig{
 		Engine: env.Eng, Net: env.Net,
 		Provider: mustC4PMaster(t, env.Topo),
-		Sink:     fleet,
+		Sink:     master,
 	}, []int{0, 2, 4, 6})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,7 @@ func TestFacadeC4DPipeline(t *testing.T) {
 	iterate()
 	env.Eng.Schedule(10*Second, func() { comm.SetCrashed(4, true) })
 	env.Eng.RunUntil(2 * Minute)
-	fleet.Stop()
+	master.Stop()
 
 	if len(events) == 0 {
 		t.Fatal("no C4D events through the facade")

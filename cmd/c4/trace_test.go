@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"c4/internal/sim"
@@ -71,6 +72,29 @@ func TestTraceCheckAndSummary(t *testing.T) {
 	for _, args := range [][]string{{"-check", path}, {path}, {"-diff", path, path}} {
 		if code, _, stderr := runC4(t, append([]string{"trace"}, args...)...); code != 0 {
 			t.Fatalf("c4 trace %v: exit %d, want 0\n%s", args, code, stderr)
+		}
+	}
+}
+
+// A trace whose parent links loop is refused with a usage error naming the
+// event, in every mode, instead of sending the critical-path walk round
+// the loop.
+func TestTraceRefusesParentLoops(t *testing.T) {
+	dir := t.TempDir()
+	for name, events := range map[string]string{
+		"self-parent": `{"ph":"X","name":"a","cat":"k","args":{"id":1,"parent":1}}`,
+		"two-span-cycle": `{"ph":"X","name":"a","cat":"k","args":{"id":1,"parent":2}},
+			{"ph":"X","name":"b","cat":"k","args":{"id":2,"parent":1}}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(`{"traceEvents":[`+events+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{path}, {"-check", path}, {"-diff", path, path}} {
+			code, _, stderr := runC4(t, append([]string{"trace"}, args...)...)
+			if code != 2 || !strings.Contains(stderr, "event 0 (k/a): parent") {
+				t.Errorf("%s: c4 trace %v: exit %d, stderr %q; want 2 naming event 0", name, args, code, stderr)
+			}
 		}
 	}
 }

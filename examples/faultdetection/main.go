@@ -18,8 +18,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	master := c4.NewC4DMaster(c4.C4DConfig{})
-	fleet := c4.NewC4DFleet(env.Eng, master)
+	master := c4.NewC4DMaster(env.Eng, c4.C4DConfig{})
 	master.Subscribe(func(ev c4.C4DEvent) {
 		fmt.Printf("  C4D finding: %v\n", ev)
 	})
@@ -35,7 +34,7 @@ func main() {
 		Engine:   env.Eng,
 		Net:      env.Net,
 		Provider: prov,
-		Sink:     fleet,
+		Sink:     master,
 	}, nodes)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +80,7 @@ func main() {
 	})
 
 	env.Eng.RunUntil(5 * c4.Minute)
-	fleet.Stop()
+	master.Stop()
 
 	fmt.Printf("\n%d findings emitted; syndromes observed:\n", len(master.Events()))
 	seen := map[c4.Syndrome]bool{}

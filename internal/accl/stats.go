@@ -4,7 +4,8 @@ import "c4/internal/sim"
 
 // The monitoring schema mirrors the paper's Fig 6: ACCL is instrumented at
 // the communicator, operation, and transport layers, emitting time-series
-// records that the per-worker C4 agents forward to the C4D master.
+// records to a StatsSink — the C4D master, which the paper's per-worker C4
+// agents forward them to.
 
 // CommInfo describes a communicator at creation (comm-stats).
 type CommInfo struct {
@@ -116,7 +117,7 @@ type fanoutSink []StatsSink
 // Fanout returns a StatsSink that forwards every record to each sink in
 // order (nil sinks are dropped). It is the single instrumentation point
 // that lets one communicator feed several monitoring pipelines at once —
-// the batch C4D agent fleet and the streaming telemetry pipeline racing it.
+// the batch C4D master and the streaming telemetry pipeline racing it.
 func Fanout(sinks ...StatsSink) StatsSink {
 	kept := make(fanoutSink, 0, len(sinks))
 	for _, s := range sinks {
@@ -165,7 +166,8 @@ func (f fanoutSink) OnWait(ev WaitEvent) {
 	}
 }
 
-// Recorder is an in-memory StatsSink used by tests and by the C4 agent.
+// Recorder is an in-memory StatsSink that keeps every record, for tests
+// and the offline analyzer demo.
 type Recorder struct {
 	Comms       []CommInfo
 	Closed      []int

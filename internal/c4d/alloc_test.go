@@ -9,44 +9,36 @@ import (
 	"c4/internal/sim"
 )
 
-// sumDetector reads every report's records and retains none, as
-// Detector.Ingest requires.
-type sumDetector struct{ records, passes int }
-
-func (d *sumDetector) RegisterComm(accl.CommInfo) {}
-func (d *sumDetector) UnregisterComm(int)         {}
-func (d *sumDetector) Active() bool               { return true }
-func (d *sumDetector) Analyze(sim.Time)           { d.passes++ }
-func (d *sumDetector) Ingest(r Report) {
-	d.records += len(r.Messages) + len(r.Colls) + len(r.Waits)
-}
-
-// A warm fleet tick allocates nothing: agents keep their record buffers
-// across ticks, the reporting order is kept sorted as agents appear, and
-// the ticker is one event the fleet re-arms.
-func TestWarmFleetTickAllocs(t *testing.T) {
+// On a warm master, folding a record of an operation it has already seen
+// allocates nothing: the pair, wait and per-op entries exist, so each
+// record only adds to them. An idle tick allocates nothing either: the
+// ticker is one event the master re-arms.
+func TestWarmMasterIngestAllocs(t *testing.T) {
 	eng := sim.NewEngine()
-	det := &sumDetector{}
-	fleet := NewFleetDetector(eng, det, sim.Second)
-	fleet.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{6, 0, 4, 2}})
-	tick := func() {
-		for i, n := range []int{0, 2, 4, 6} {
-			fleet.OnCollective(accl.CollEvent{Comm: 1, Seq: i, Node: n})
-			fleet.OnMessage(accl.MsgEvent{Comm: 1, Seq: i, SrcNode: n, DstNode: (n + 2) % 8, Bytes: 1})
-			fleet.OnMessage(accl.MsgEvent{Comm: 1, Seq: i, SrcNode: n, DstNode: (n + 2) % 8, Bytes: 1})
-			fleet.OnWait(accl.WaitEvent{Comm: 1, Seq: i, Waiter: n, On: (n + 2) % 8})
+	m := NewMaster(eng, Config{})
+	m.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{6, 0, 4, 2}})
+	if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(ReportInterval) }); allocs != 0 || m.SkippedPasses() != 11 {
+		t.Fatalf("idle tick: %v allocs over %d skipped passes, want 0 over 11", allocs, m.SkippedPasses())
+	}
+	records := 0
+	ingest := func() {
+		for _, n := range []int{0, 2, 4, 6} {
+			m.OnCollective(accl.CollEvent{Comm: 1, Seq: 1, Node: n, Time: sim.Second})
+			m.OnMessage(accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: n, DstNode: (n + 2) % 8, Bytes: 1, End: sim.Second})
+			m.OnWait(accl.WaitEvent{Comm: 1, Seq: 1, Waiter: n, On: (n + 2) % 8, Dur: sim.Millisecond})
+			records += 3
 		}
-		eng.RunFor(sim.Second)
 	}
-	tick()
-	if allocs := testing.AllocsPerRun(50, tick); allocs != 0 {
-		t.Fatalf("warm fleet tick: %v allocs, want 0", allocs)
+	ingest()
+	if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
+		t.Fatalf("warm ingest of 12 records: %v allocs, want 0", allocs)
 	}
-	// AllocsPerRun runs tick once more than asked, to warm up.
-	if det.passes != 52 || det.records != 52*16 {
-		t.Fatalf("%d passes over %d records, want 52 over %d", det.passes, det.records, 52*16)
+	// AllocsPerRun runs ingest once more than asked, to warm up.
+	if records != 52*12 || len(m.comms[1].pairs) != 4 || len(m.comms[1].waits) != 4 {
+		t.Fatalf("%d records into %d pairs and %d waits, want %d into 4 and 4",
+			records, len(m.comms[1].pairs), len(m.comms[1].waits), 52*12)
 	}
-	fleet.Stop()
+	m.Stop()
 }
 
 // HangWatch.Msg prunes per-op transport evidence only when the lowest op
@@ -104,20 +96,18 @@ func TestIngestPrunesOpEvidenceOnlyWhenWindowMoves(t *testing.T) {
 // The master keeps first-arrival times only for the newest ops: after
 // 1,000 operations its hang watch holds at most opWindow of them.
 func TestMasterFirstArrivalsStayBounded(t *testing.T) {
-	m := NewMaster(Config{})
+	m := NewMaster(sim.NewEngine(), Config{})
 	nodes := []int{0, 1, 2, 3}
-	m.RegisterComm(accl.CommInfo{Comm: 1, Nodes: nodes})
+	m.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: nodes})
 	for seq := 1; seq <= 1000; seq++ {
-		var colls []accl.CollEvent
 		for _, n := range nodes {
-			colls = append(colls, accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseArrive, Time: sim.Time(seq) * sim.Second})
+			m.OnCollective(accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseArrive, Time: sim.Time(seq) * sim.Second})
 		}
 		for _, n := range nodes {
-			colls = append(colls, accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseComplete, Time: sim.Time(seq)*sim.Second + 1})
+			m.OnCollective(accl.CollEvent{Comm: 1, Seq: seq, Node: n, Phase: accl.PhaseComplete, Time: sim.Time(seq)*sim.Second + 1})
 		}
-		m.Ingest(Report{Colls: colls})
 		if seq%50 == 0 {
-			m.Analyze(sim.Time(seq) * sim.Second)
+			m.analyze(sim.Time(seq) * sim.Second)
 		}
 	}
 	if n := len(m.comms[1].hang.firstArr); n > opWindow {

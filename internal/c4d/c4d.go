@@ -1,10 +1,13 @@
 // Package c4d implements the C4D (C4 Diagnose) subsystem of the paper
-// (§III-A): per-worker C4 agents collect ACCL's runtime statistics and ship
-// them to a central master, which detects the four production syndromes —
-// communication hang, non-communication hang, communication slow, and
-// non-communication slow — and localizes the faulty component so the job
-// steering service can isolate it and restart the job within seconds
-// instead of the hours-to-days of manual diagnosis the paper reports.
+// (§III-A). ACCL's runtime statistics flow into a central master — in the
+// paper through per-worker C4 agents, here straight from ACCL, since the
+// master is the accl.StatsSink — which folds each record into its
+// communicator's window state and, every reporting period, detects the
+// four production syndromes — communication hang, non-communication hang,
+// communication slow, and non-communication slow — and localizes the
+// faulty component so the job steering service can isolate it and restart
+// the job within seconds instead of the hours-to-days of manual diagnosis
+// the paper reports.
 package c4d
 
 import (

@@ -43,14 +43,14 @@ func (p *plannedProvider) Release(*accl.Assignment) {}
 func (p *plannedProvider) Adaptive() bool { return false }
 
 // rig is a miniature training job: 4 nodes, iterative compute+allreduce,
-// with per-node compute delays and a C4D fleet watching.
+// with per-node compute delays and a C4D master watching, beside any extra
+// sinks newRig is given.
 type rig struct {
 	eng    *sim.Engine
 	topo   *topo.Topology
 	net    *netsim.Network
 	comm   *accl.Communicator
 	master *Master
-	fleet  *Fleet
 	nodes  []int
 
 	computeExtra map[int]sim.Time // per-node straggler injection
@@ -58,24 +58,23 @@ type rig struct {
 	stopped      bool
 }
 
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t *testing.T, extra ...accl.StatsSink) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
 	net := netsim.New(eng, tp, netsim.DefaultConfig())
-	master := NewMaster(cfg)
-	fleet := NewFleet(eng, master)
+	master := NewMaster(eng, Config{})
 	nodes := []int{0, 2, 4, 6}
 	comm, err := accl.NewCommunicator(accl.Config{
 		Engine: eng, Net: net, Provider: &plannedProvider{topo: tp},
-		Sink: fleet, Rand: sim.NewRand(5),
+		Sink: accl.Fanout(append([]accl.StatsSink{master}, extra...)...), Rand: sim.NewRand(5),
 	}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &rig{
 		eng: eng, topo: tp, net: net, comm: comm,
-		master: master, fleet: fleet, nodes: nodes,
+		master: master, nodes: nodes,
 		computeExtra: map[int]sim.Time{},
 	}
 }
@@ -114,7 +113,7 @@ func findEvent(events []Event, syn Syndrome, node int) *Event {
 }
 
 func TestHealthyRunProducesNoEvents(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.run(2 * sim.Minute)
 	if r.iterations < 100 {
 		t.Fatalf("only %d iterations completed", r.iterations)
@@ -125,7 +124,7 @@ func TestHealthyRunProducesNoEvents(t *testing.T) {
 }
 
 func TestDetectNonCommHang(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	var faultAt sim.Time
 	r.eng.Schedule(20*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -149,7 +148,7 @@ func TestDetectNonCommHang(t *testing.T) {
 }
 
 func TestDetectCommHangOnNICBlackout(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	var faultAt sim.Time
 	r.eng.Schedule(20*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -172,7 +171,7 @@ func TestDetectCommHangOnNICBlackout(t *testing.T) {
 }
 
 func TestDetectNonCommSlowStraggler(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.eng.Schedule(15*sim.Second, func() {
 		r.computeExtra[6] = 150 * sim.Millisecond // node 6 becomes 2.5x slower
 	})
@@ -189,7 +188,7 @@ func TestDetectNonCommSlowStraggler(t *testing.T) {
 }
 
 func TestDetectCommSlowRxDegrade(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.eng.Schedule(15*sim.Second, func() {
 		// Node 2's receive side degrades to 1/8 on both planes.
 		for plane := 0; plane < topo.Planes; plane++ {
@@ -221,7 +220,7 @@ func TestDetectCommSlowRxDegrade(t *testing.T) {
 }
 
 func TestDetectCommSlowTxDegrade(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	r.eng.Schedule(15*sim.Second, func() {
 		for plane := 0; plane < topo.Planes; plane++ {
 			r.net.SetLinkCapacity(r.topo.PortAt(6, 0, plane).Up, 25)
@@ -245,95 +244,97 @@ func TestDetectCommSlowTxDegrade(t *testing.T) {
 	}
 }
 
+// A crashed member stays hung for the whole run: the dedup interval lets
+// the finding through once per DedupInterval, and no more often.
 func TestEventDeduplication(t *testing.T) {
-	r := newRig(t, Config{DedupInterval: sim.Hour})
+	r := newRig(t)
 	r.eng.Schedule(15*sim.Second, func() { r.comm.SetCrashed(4, true) })
 	r.run(5 * sim.Minute)
-	count := 0
+	var at []sim.Time
 	for _, e := range r.master.Events() {
 		if e.Syndrome == NonCommHang && e.Node == 4 {
-			count++
+			at = append(at, e.Time)
 		}
 	}
-	if count != 1 {
-		t.Fatalf("hang reported %d times despite dedup, want 1", count)
+	if len(at) != 5 {
+		t.Fatalf("hang reported at %v, want 5 times in 5 minutes", at)
+	}
+	for i := 1; i < len(at); i++ {
+		if at[i]-at[i-1] < DedupInterval {
+			t.Fatalf("hang reported at %v: %v and %v are closer than %v", at, at[i-1], at[i], DedupInterval)
+		}
 	}
 }
 
 func TestMasterConfigDefaults(t *testing.T) {
-	m := NewMaster(Config{})
-	cfg := m.Config()
-	if cfg.HangTimeout <= 0 || cfg.Kappa <= 0 || cfg.MinWait <= 0 ||
-		cfg.DedupInterval <= 0 || cfg.SmoothingWindows <= 0 {
+	m := NewMaster(sim.NewEngine(), Config{})
+	if cfg := m.Config(); cfg.HangTimeout <= 0 || cfg.Kappa <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
 
-// countingDetector wraps a Master, counting interface calls, to pin the
-// fleet's skip behavior without peeking at master internals.
-type countingDetector struct {
-	*Master
-	ingests, analyzes int
-}
-
-func (c *countingDetector) Ingest(r Report)      { c.ingests++; c.Master.Ingest(r) }
-func (c *countingDetector) Analyze(now sim.Time) { c.analyzes++; c.Master.Analyze(now) }
-
-// TestFleetSkipsEmptyPasses is the regression test for the batch hot-path
-// fix: a fleet whose agents flushed zero records and whose detector never
-// saw any evidence must not run a full analysis pass every tick.
-func TestFleetSkipsEmptyPasses(t *testing.T) {
+// TestMasterSkipsEmptyPasses is the regression test for the batch hot-path
+// fix: a master that received no record and never saw any evidence must
+// not run a full analysis pass every tick.
+func TestMasterSkipsEmptyPasses(t *testing.T) {
 	eng := sim.NewEngine()
-	det := &countingDetector{Master: NewMaster(Config{})}
-	fleet := NewFleetDetector(eng, det, 0)
+	m := NewMaster(eng, Config{})
 	// Register a communicator but never run traffic: the idle head of a
 	// deployment (job not started yet).
-	fleet.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{0, 1}})
+	m.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{0, 1}})
 	eng.RunFor(60 * sim.Second)
-	if det.analyzes != 0 || det.ingests != 0 {
-		t.Fatalf("idle fleet ran %d analyzes / %d ingests, want 0/0", det.analyzes, det.ingests)
+	if m.AnalyzePasses() != 0 {
+		t.Fatalf("idle master ran %d passes, want 0", m.AnalyzePasses())
 	}
-	if fleet.SkippedPasses() == 0 {
-		t.Fatal("no passes recorded as skipped")
+	if m.SkippedPasses() != 12 {
+		t.Fatalf("%d passes skipped in 60 s, want 12", m.SkippedPasses())
 	}
-	fleet.Stop()
+	// A record of a communicator the master does not know still makes the
+	// next tick run a pass.
+	m.OnWait(accl.WaitEvent{Comm: 9, Waiter: 0, On: 1, Dur: sim.Second})
+	eng.RunFor(10 * sim.Second)
+	if m.AnalyzePasses() != 1 || m.SkippedPasses() != 13 {
+		t.Fatalf("after a stray record: %d passes, %d skipped, want 1 and 13", m.AnalyzePasses(), m.SkippedPasses())
+	}
+	m.Stop()
 }
 
-// TestFleetKeepsAnalyzingThroughSilence proves the skip cannot mask a
+// TestMasterKeepsAnalyzingThroughSilence proves the skip cannot mask a
 // hang: once a communicator has been seen, silent ticks still analyze, so
 // the hang-timeout detectors fire exactly as before the optimization.
-func TestFleetKeepsAnalyzingThroughSilence(t *testing.T) {
-	r := newRig(t, Config{})
+func TestMasterKeepsAnalyzingThroughSilence(t *testing.T) {
+	r := newRig(t)
 	r.eng.Schedule(20*sim.Second, func() { r.comm.SetCrashed(4, true) })
 	r.run(3 * sim.Minute)
 	if ev := findEvent(r.master.Events(), NonCommHang, 4); ev == nil {
 		t.Fatalf("hang not detected with empty-pass skip in place; events: %v", r.master.Events())
 	}
-	if r.master.AnalyzePasses() == 0 {
-		t.Fatal("no analysis passes ran")
+	if r.master.AnalyzePasses() == 0 || r.master.SkippedPasses() != 0 {
+		t.Fatalf("%d passes ran and %d were skipped, want every tick to run one",
+			r.master.AnalyzePasses(), r.master.SkippedPasses())
 	}
 }
 
-// TestFleetSkipResumesAfterClose covers the idle tail: closing the last
+// TestMasterSkipResumesAfterClose covers the idle tail: closing the last
 // communicator drops its state, so post-job ticks skip again.
-func TestFleetSkipResumesAfterClose(t *testing.T) {
-	r := newRig(t, Config{})
+func TestMasterSkipResumesAfterClose(t *testing.T) {
+	r := newRig(t)
 	r.run(30 * sim.Second)
 	if r.master.AnalyzePasses() == 0 {
 		t.Fatal("active run analyzed nothing")
 	}
 	r.stopped = true
 	r.comm.Close()
-	// The next tick may still drain records buffered before the close;
-	// let it pass, then the deployment must go quiet.
+	// The next tick still runs a pass over the records that arrived
+	// before the close; let it pass, then the deployment must go quiet.
 	r.eng.RunFor(6 * sim.Second)
 	passes := r.master.AnalyzePasses()
-	before := r.fleet.SkippedPasses()
+	before := r.master.SkippedPasses()
 	r.eng.RunFor(60 * sim.Second)
 	if r.master.AnalyzePasses() != passes {
 		t.Fatalf("closed deployment still analyzing: %d -> %d passes", passes, r.master.AnalyzePasses())
 	}
-	if r.fleet.SkippedPasses() <= before {
+	if r.master.SkippedPasses() <= before {
 		t.Fatal("post-close ticks not skipped")
 	}
 }
@@ -359,7 +360,7 @@ func TestEventDetectionConversion(t *testing.T) {
 }
 
 func TestSubscribeDeliversEvents(t *testing.T) {
-	r := newRig(t, Config{})
+	r := newRig(t)
 	var got []Event
 	r.master.Subscribe(func(e Event) { got = append(got, e) })
 	r.eng.Schedule(10*sim.Second, func() { r.comm.SetCrashed(2, true) })

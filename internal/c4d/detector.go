@@ -3,7 +3,6 @@ package c4d
 import (
 	"fmt"
 
-	"c4/internal/accl"
 	"c4/internal/sim"
 )
 
@@ -49,27 +48,4 @@ func Detections(events []Event) []Detection {
 		out[i] = e.Detection()
 	}
 	return out
-}
-
-// Detector is the analysis half of a C4D deployment, extracted so the
-// reporting fleet can drive either the batch master (windowed Analyze
-// passes) or a test double, and so callers can reason about both the
-// batch and the streaming analyzers through one vocabulary.
-type Detector interface {
-	// RegisterComm and UnregisterComm track communicator membership.
-	RegisterComm(accl.CommInfo)
-	UnregisterComm(comm int)
-	// Ingest absorbs one agent report into detector state. An
-	// implementation must not retain the report's slices, as an
-	// accl.StatsSink must not retain an event's: the fleet reuses their
-	// backing arrays for the agent's next batch.
-	Ingest(Report)
-	// Analyze runs the detectors over everything ingested since the last
-	// pass.
-	Analyze(now sim.Time)
-	// Active reports whether the detector holds evidence that could still
-	// ripen into a finding without any further records — the guard that
-	// lets the fleet skip analysis passes over a fully idle deployment
-	// while a silent (hanging) job still gets its timeout checks.
-	Active() bool
 }

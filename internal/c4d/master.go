@@ -11,11 +11,11 @@ import (
 
 // The C4D thresholds no caller tunes; each says which code reads it.
 const (
-	// ReportInterval is the agent reporting period — the quantum of
-	// detection latency. The paper's deployment detects in "tens of
-	// seconds". The online detector, which has no reporting tick, decays
-	// its wait accumulators with it as their time constant, the streaming
-	// analogue of one window's wait total.
+	// ReportInterval is the reporting period — the quantum of detection
+	// latency. The paper's deployment detects in "tens of seconds". The
+	// online detector, which has no reporting tick, decays its wait
+	// accumulators with it as their time constant, the streaming analogue
+	// of one window's wait total.
 	ReportInterval = 5 * sim.Second
 	// RowColFrac is the fraction of a matrix row/column that must be
 	// anomalous to blame a NIC side instead of a connection. Batch master
@@ -24,6 +24,16 @@ const (
 	// WaitKappa is how many times the runner-up a straggler's waited-on
 	// time must exceed (see Straggler). Both detectors.
 	WaitKappa = 3.0
+	// MinWait is the absolute waited-on floor: per window for the batch
+	// master, of the decayed accumulator for the online detector. Both
+	// detectors.
+	MinWait = 50 * sim.Millisecond
+	// DedupInterval suppresses repeated identical findings. Both detectors.
+	DedupInterval = 60 * sim.Second
+	// SmoothingWindows is the number of reporting windows the straggler
+	// rule averages over, smoothing random load variation (the EP
+	// extension discussed in §V). Batch master only.
+	SmoothingWindows = 3
 )
 
 // Config holds the tunable C4D thresholds. The batch master and the
@@ -36,16 +46,6 @@ type Config struct {
 	HangTimeout sim.Time
 	// Kappa is the slowdown multiple considered anomalous. Default 2.
 	Kappa float64
-	// MinWait is the absolute waited-on floor: per window for the batch
-	// master, of the decayed accumulator for the online detector. Default
-	// 50 ms.
-	MinWait sim.Time
-	// DedupInterval suppresses repeated identical findings. Default 60 s.
-	DedupInterval sim.Time
-	// SmoothingWindows is the number of reporting windows the straggler
-	// detector averages over, smoothing random load variation (the EP
-	// extension discussed in §V). Default 3. Batch master only.
-	SmoothingWindows int
 
 	// Trace, when enabled, records each finding as an instant "detect"
 	// span parented under the tracer's current "fault" mark — the causal
@@ -57,13 +57,7 @@ type Config struct {
 
 // DefaultConfig returns the tuning used across the repository.
 func DefaultConfig() Config {
-	return Config{
-		HangTimeout:      30 * sim.Second,
-		Kappa:            2,
-		MinWait:          50 * sim.Millisecond,
-		DedupInterval:    60 * sim.Second,
-		SmoothingWindows: 3,
-	}
+	return Config{HangTimeout: 30 * sim.Second, Kappa: 2}
 }
 
 // WithDefaults fills every unset (non-positive) threshold from
@@ -75,15 +69,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Kappa <= 0 {
 		c.Kappa = d.Kappa
-	}
-	if c.MinWait <= 0 {
-		c.MinWait = d.MinWait
-	}
-	if c.DedupInterval <= 0 {
-		c.DedupInterval = d.DedupInterval
-	}
-	if c.SmoothingWindows <= 0 {
-		c.SmoothingWindows = d.SmoothingWindows
 	}
 	return c
 }
@@ -97,7 +82,7 @@ type commState struct {
 	nodes []int
 
 	// seen flips once any record lands for this communicator; it is what
-	// Active() (and hence the fleet's empty-pass skip) keys on.
+	// active (and hence the tick's idle skip) keys on.
 	seen bool
 
 	hang *HangWatch
@@ -112,13 +97,24 @@ type commState struct {
 	avgWait  []float64
 }
 
-// Master is the central C4D analyzer.
+// Master is the central C4D analyzer. It is the accl.StatsSink ACCL's
+// monitoring records flow into: each record is folded into its
+// communicator's window state as ACCL emits it, and every ReportInterval
+// the master analyzes the window (paper Fig 5, where per-worker agents
+// forward the records).
 type Master struct {
 	cfg      Config
+	eng      *sim.Engine
+	ticker   *sim.Event
 	comms    map[int]*commState
 	handlers []func(Event)
 	events   []Event
 	lastFire map[string]sim.Time
+
+	// fresh says a record arrived since the last pass; skipped counts the
+	// ticks that ran no pass.
+	fresh   bool
+	skipped int
 
 	// Work accounting: full-recompute analysis passes and delay-matrix
 	// cells visited across them. The telemetry scale sweep compares these
@@ -127,14 +123,41 @@ type Master struct {
 	cellVisits int
 }
 
-// NewMaster creates a master with the given (defaulted) config.
-func NewMaster(cfg Config) *Master {
-	return &Master{
+// NewMaster creates a master with the given (defaulted) config and arms
+// its reporting tick on the engine.
+func NewMaster(eng *sim.Engine, cfg Config) *Master {
+	m := &Master{
 		cfg:      cfg.WithDefaults(),
+		eng:      eng,
 		comms:    make(map[int]*commState),
 		lastFire: make(map[string]sim.Time),
 	}
+	m.ticker = sim.NewEvent(sim.Func(m.tick))
+	eng.Arm(m.ticker, eng.Now()+ReportInterval)
+	return m
 }
+
+// tick is the reporting loop: one analysis pass, then re-arm the master's
+// one ticker event. A tick with no record since the last pass and no
+// evidence that could ripen (active is false) runs no pass: before the
+// job's first collective and after its communicators close, a pass is
+// pure overhead. A hang produces no records either, but its communicator
+// was seen before falling silent, so the timeout detectors keep running.
+func (m *Master) tick() {
+	if m.fresh || m.active() {
+		m.fresh = false
+		m.analyze(m.eng.Now())
+	} else {
+		m.skipped++
+	}
+	m.eng.Arm(m.ticker, m.eng.Now()+ReportInterval)
+}
+
+// Stop halts the reporting loop.
+func (m *Master) Stop() { m.ticker.Cancel() }
+
+// SkippedPasses reports how many reporting ticks ran no pass.
+func (m *Master) SkippedPasses() int { return m.skipped }
 
 // Config returns the master's effective configuration.
 func (m *Master) Config() Config { return m.cfg }
@@ -145,8 +168,9 @@ func (m *Master) Subscribe(h func(Event)) { m.handlers = append(m.handlers, h) }
 // Events returns every finding emitted so far.
 func (m *Master) Events() []Event { return append([]Event(nil), m.events...) }
 
-// RegisterComm tells the master about a communicator's membership.
-func (m *Master) RegisterComm(ci accl.CommInfo) {
+// OnCommCreate implements accl.StatsSink: it starts tracking the
+// communicator's membership.
+func (m *Master) OnCommCreate(ci accl.CommInfo) {
 	m.comms[ci.Comm] = &commState{
 		nodes:    append([]int(nil), ci.Nodes...),
 		hang:     NewHangWatch(ci.Nodes),
@@ -156,18 +180,61 @@ func (m *Master) RegisterComm(ci accl.CommInfo) {
 	}
 }
 
-// UnregisterComm drops a closed communicator's state: a torn-down
-// communicator can no longer hang.
-func (m *Master) UnregisterComm(comm int) {
+// OnCommClose implements accl.StatsSink: it drops a closed communicator's
+// state, since a torn-down communicator can no longer hang.
+func (m *Master) OnCommClose(comm int) {
 	delete(m.comms, comm)
 }
 
-// Active implements Detector: true while any registered communicator has
-// ever produced a record. A silent-but-seen communicator may be hanging —
-// its timeout detectors must keep running on records ingested windows ago
-// — whereas a deployment that never saw a record cannot ripen into any
-// finding, so analysis passes over it are pure waste.
-func (m *Master) Active() bool {
+// OnCollective implements accl.StatsSink.
+func (m *Master) OnCollective(ev accl.CollEvent) {
+	if cs := m.arrive(ev.Comm); cs != nil {
+		cs.hang.Coll(ev)
+	}
+}
+
+// OnMessage implements accl.StatsSink. A pair's transfers are summed in
+// emission order.
+func (m *Master) OnMessage(ev accl.MsgEvent) {
+	cs := m.arrive(ev.Comm)
+	if cs == nil {
+		return
+	}
+	key := [2]int{ev.SrcNode, ev.DstNode}
+	agg := cs.pairs[key]
+	if agg == nil {
+		agg = &pairAgg{}
+		cs.pairs[key] = agg
+	}
+	agg.bytes += ev.Bytes
+	agg.dur += ev.Duration()
+	cs.hang.Msg(ev)
+}
+
+// OnWait implements accl.StatsSink.
+func (m *Master) OnWait(ev accl.WaitEvent) {
+	if cs := m.arrive(ev.Comm); cs != nil {
+		cs.waits[ev.On] += ev.Dur
+	}
+}
+
+// arrive notes a record for the next tick and returns its communicator's
+// state, nil when the communicator is unknown or closed. Such a record
+// still makes the next tick run a pass.
+func (m *Master) arrive(comm int) *commState {
+	m.fresh = true
+	cs := m.comms[comm]
+	if cs != nil {
+		cs.seen = true
+	}
+	return cs
+}
+
+// active reports whether any registered communicator has ever produced a
+// record. A silent-but-seen communicator may be hanging — its timeout
+// detectors must keep running on records folded windows ago — whereas a
+// deployment that never saw a record cannot ripen into any finding.
+func (m *Master) active() bool {
 	for _, cs := range m.comms {
 		if cs.seen {
 			return true
@@ -185,45 +252,9 @@ func (m *Master) AnalyzePasses() int { return m.passes }
 // detector pays O(1) per record.
 func (m *Master) MatrixCellVisits() int { return m.cellVisits }
 
-// Ingest absorbs one agent report into the per-communicator state.
-func (m *Master) Ingest(r Report) {
-	for _, ev := range r.Colls {
-		cs := m.comms[ev.Comm]
-		if cs == nil {
-			continue
-		}
-		cs.seen = true
-		cs.hang.Coll(ev)
-	}
-	for _, ev := range r.Messages {
-		cs := m.comms[ev.Comm]
-		if cs == nil {
-			continue
-		}
-		cs.seen = true
-		key := [2]int{ev.SrcNode, ev.DstNode}
-		agg := cs.pairs[key]
-		if agg == nil {
-			agg = &pairAgg{}
-			cs.pairs[key] = agg
-		}
-		agg.bytes += ev.Bytes
-		agg.dur += ev.Duration()
-		cs.hang.Msg(ev)
-	}
-	for _, ev := range r.Waits {
-		cs := m.comms[ev.Comm]
-		if cs == nil {
-			continue
-		}
-		cs.seen = true
-		cs.waits[ev.On] += ev.Dur
-	}
-}
-
-// Analyze runs all detectors over the just-ingested window and resets the
-// window accumulators.
-func (m *Master) Analyze(now sim.Time) {
+// analyze runs all detectors over the window folded since the last pass
+// and resets the window accumulators.
+func (m *Master) analyze(now sim.Time) {
 	m.passes++
 	ids := make([]int, 0, len(m.comms))
 	for id := range m.comms {
@@ -243,7 +274,7 @@ func (m *Master) Analyze(now sim.Time) {
 
 func (m *Master) emit(e Event) {
 	key := fmt.Sprintf("%d/%v/%v/%d/%d", e.Comm, e.Syndrome, e.Scope, e.Node, e.Peer)
-	if last, ok := m.lastFire[key]; ok && e.Time-last < m.cfg.DedupInterval {
+	if last, ok := m.lastFire[key]; ok && e.Time-last < DedupInterval {
 		return
 	}
 	m.lastFire[key] = e.Time
@@ -327,8 +358,8 @@ func (m *Master) detectCommSlow(now sim.Time, comm int, cs *commState) {
 func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 	for _, n := range cs.nodes {
 		hist := append(cs.waitHist[n], cs.waits[n])
-		if len(hist) > m.cfg.SmoothingWindows {
-			hist = hist[len(hist)-m.cfg.SmoothingWindows:]
+		if len(hist) > SmoothingWindows {
+			hist = hist[len(hist)-SmoothingWindows:]
 		}
 		cs.waitHist[n] = hist
 	}
@@ -340,7 +371,7 @@ func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
 		}
 		cs.avgWait = append(cs.avgWait, float64(sum/sim.Time(len(cs.waitHist[n]))))
 	}
-	i, ok := Straggler(cs.avgWait, float64(m.cfg.MinWait), WaitKappa)
+	i, ok := Straggler(cs.avgWait, float64(MinWait), WaitKappa)
 	if !ok {
 		return
 	}

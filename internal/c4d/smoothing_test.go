@@ -12,14 +12,16 @@ import (
 // mitigated by averaging collected data over a predefined period to smooth
 // out random variations and highlight systemic issues." These tests
 // exercise that smoothing: random per-iteration arrival noise must not be
-// blamed, while a persistent straggler still is.
+// blamed, nor one node slow for a single report window, while a persistent
+// straggler still is.
 
 // runEPLikeLoad drives a BSP loop where every iteration a different random
-// node is slow (EP-style routing imbalance), optionally plus one node that
-// is *always* slow.
-func runEPLikeLoad(t *testing.T, cfg Config, systemicNode int, until sim.Time) *Master {
+// node is slow (EP-style routing imbalance), and slow, when set, adds its
+// extra compute time to a node's arrival at an iteration starting at now.
+// Extra sinks receive every record beside the master.
+func runEPLikeLoad(t *testing.T, slow func(node int, now sim.Time) sim.Time, until sim.Time, extra ...accl.StatsSink) *Master {
 	t.Helper()
-	r := newRig(t, cfg)
+	r := newRig(t, extra...)
 	noise := sim.NewRand(99)
 	const compute = 100 * sim.Millisecond
 	const spike = 150 * sim.Millisecond
@@ -33,8 +35,8 @@ func runEPLikeLoad(t *testing.T, cfg Config, systemicNode int, until sim.Time) *
 			if n == lucky {
 				arr[i] += spike // random EP hot expert this iteration
 			}
-			if n == systemicNode {
-				arr[i] += spike // persistent straggler
+			if slow != nil {
+				arr[i] += slow(n, now)
 			}
 		}
 		r.comm.AllReduce(64<<20, arr, func(accl.Result) { iterate() })
@@ -45,7 +47,7 @@ func runEPLikeLoad(t *testing.T, cfg Config, systemicNode int, until sim.Time) *
 }
 
 func TestSmoothingSuppressesRandomEPImbalance(t *testing.T) {
-	master := runEPLikeLoad(t, Config{SmoothingWindows: 4}, -1, 3*sim.Minute)
+	master := runEPLikeLoad(t, nil, 3*sim.Minute)
 	for _, ev := range master.Events() {
 		if ev.Syndrome == NonCommSlow {
 			t.Fatalf("random per-iteration imbalance blamed as straggler: %v", ev)
@@ -54,7 +56,13 @@ func TestSmoothingSuppressesRandomEPImbalance(t *testing.T) {
 }
 
 func TestSmoothingStillCatchesSystemicStraggler(t *testing.T) {
-	master := runEPLikeLoad(t, Config{SmoothingWindows: 4}, 6, 3*sim.Minute)
+	persistent := func(n int, _ sim.Time) sim.Time {
+		if n == 6 {
+			return 150 * sim.Millisecond
+		}
+		return 0
+	}
+	master := runEPLikeLoad(t, persistent, 3*sim.Minute)
 	found := false
 	for _, ev := range master.Events() {
 		if ev.Syndrome == NonCommSlow {
@@ -66,5 +74,40 @@ func TestSmoothingStillCatchesSystemicStraggler(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("systemic straggler escaped under EP noise")
+	}
+}
+
+// Node 6 is slow through the single report window (60 s, 65 s]. Peers
+// wait on it several times as long as on anyone else in that window, so
+// the straggler rule applied to that window alone blames it; averaged over
+// SmoothingWindows windows of EP noise it falls below the rule's ratio.
+func TestSmoothingAbsorbsOneSlowWindow(t *testing.T) {
+	const from, to = 60 * sim.Second, 65 * sim.Second
+	oneWindow := func(n int, now sim.Time) sim.Time {
+		if n == 6 && now >= from && now < to {
+			return 200 * sim.Millisecond
+		}
+		return 0
+	}
+	rec := &accl.Recorder{}
+	master := runEPLikeLoad(t, oneWindow, 3*sim.Minute, rec)
+	for _, ev := range master.Events() {
+		if ev.Syndrome == NonCommSlow {
+			t.Fatalf("one slow window blamed as a straggler: %v", ev)
+		}
+	}
+	nodes := []int{0, 2, 4, 6}
+	waits := make([]float64, len(nodes))
+	for _, w := range rec.Waits {
+		if w.Time > from && w.Time <= to {
+			for i, n := range nodes {
+				if w.On == n {
+					waits[i] += float64(w.Dur)
+				}
+			}
+		}
+	}
+	if i, ok := Straggler(waits, float64(MinWait), WaitKappa); !ok || nodes[i] != 6 {
+		t.Fatalf("waits on %v in the slow window: %v; a one-window rule should blame node 6", nodes, waits)
 	}
 }

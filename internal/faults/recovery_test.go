@@ -29,17 +29,13 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 	tp := topo.MustNew(spec)
 	net := netsim.New(eng, tp, netsim.DefaultConfig())
 
-	// MinWait sits well above jitter noise (tens of ms per window) and
-	// well below the injected straggler's signal (~2 s per iteration), so
-	// the only steering trigger is the real fault.
-	master := c4d.NewMaster(c4d.Config{MinWait: 500 * sim.Millisecond})
-	fleet := c4d.NewFleet(eng, master)
+	master := c4d.NewMaster(eng, c4d.Config{})
 	jobNodes := []int{0, 1, 2, 3}
 	j, err := job.New(job.Config{
 		Engine: eng, Net: net,
 		// The dynamic master also re-weights the job's QPs.
 		Provider:   c4p.NewMaster(tp, c4p.Dynamic, sim.NewRand(1)),
-		Sink:       fleet,
+		Sink:       master,
 		Rand:       sim.NewRand(2),
 		QPsPerConn: 4,
 		Spec: workload.JobSpec{
@@ -108,7 +104,7 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 
 	j.Run(1<<30, nil)
 	eng.RunUntil(4 * sim.Minute)
-	fleet.Stop()
+	master.Stop()
 
 	// C4D must have blamed the victim.
 	blamed := false

@@ -38,10 +38,10 @@ type RigConfig struct {
 	Seed int64
 	// Context, when set, cancels the job and Run.
 	Context context.Context
-	// NoC4D runs the job without a C4D master and fleet.
+	// NoC4D runs the job without a C4D master.
 	NoC4D bool
 	// Stream, when set, builds a second record sink on the rig's engine
-	// (the streaming telemetry pipeline), fed beside the C4D fleet.
+	// (the streaming telemetry pipeline), fed beside the C4D master.
 	Stream func(*sim.Engine) accl.StatsSink
 	// Trace, when set, is bound to the rig's engine.
 	Trace *trace.Tracer
@@ -64,14 +64,13 @@ type SteeringPolicy struct {
 }
 
 // Rig is the assembled run: start it with Job.Run, then drive it with
-// Run. Master and Fleet are nil under NoC4D, Steering without a policy.
+// Run. Master is nil under NoC4D, Steering without a policy.
 type Rig struct {
 	Eng      *sim.Engine
 	Topo     *topo.Topology
 	Net      *netsim.Network
 	Job      *job.Job
 	Master   *c4d.Master
-	Fleet    *c4d.Fleet
 	Steering *steering.Service
 	Injector *Injector
 
@@ -92,9 +91,8 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	}
 	var sink accl.StatsSink
 	if !cfg.NoC4D {
-		r.Master = c4d.NewMaster(c4d.Config{Trace: cfg.Trace})
-		r.Fleet = c4d.NewFleet(eng, r.Master)
-		sink = r.Fleet
+		r.Master = c4d.NewMaster(eng, c4d.Config{Trace: cfg.Trace})
+		sink = r.Master
 	}
 	if cfg.Stream != nil {
 		sink = accl.Fanout(sink, cfg.Stream(eng))
@@ -128,12 +126,13 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	return r, nil
 }
 
-// Run drives the engine to the horizon, then stops the fleet. With a
-// Context it checks cancellation between event instants, which fires the
-// identical event sequence, and returns the context's error.
+// Run drives the engine to the horizon, then stops the master's reporting
+// tick. With a Context it checks cancellation between event instants,
+// which fires the identical event sequence, and returns the context's
+// error.
 func (r *Rig) Run(horizon sim.Time) error {
-	if r.Fleet != nil {
-		defer r.Fleet.Stop()
+	if r.Master != nil {
+		defer r.Master.Stop()
 	}
 	if r.ctx == nil {
 		r.Eng.RunUntil(horizon)

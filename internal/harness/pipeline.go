@@ -16,7 +16,7 @@ import (
 )
 
 // PipelineResult exercises the full Fig 4 loop live: a training job runs
-// under a C4D fleet; a fault is injected; C4D localizes it; the steering
+// under a C4D master; a fault is injected; C4D localizes it; the steering
 // service isolates the node, draws a spare, and restarts the job, which
 // then completes. This is the system-level integration the paper deploys,
 // measured end to end in virtual time.

@@ -12,8 +12,9 @@ import (
 // DetectorConfig is the online detector's configuration. It is
 // c4d.Config, so the two detectors judge with one set of thresholds and
 // differ only in when they look and how they smooth. The online detector
-// reads HangTimeout, Kappa, MinWait and DedupInterval, and decays its
-// wait accumulators with c4d.ReportInterval as their time constant.
+// reads HangTimeout and Kappa and the constants c4d.MinWait and
+// c4d.DedupInterval, and decays its wait accumulators with
+// c4d.ReportInterval as their time constant.
 type DetectorConfig = c4d.Config
 
 // The streaming matrix's warm-up: how many observations a pair needs
@@ -136,7 +137,7 @@ func (d *OnlineDetector) Observe(rec Record) {
 
 func (d *OnlineDetector) emit(det c4d.Detection) {
 	key := fmt.Sprintf("%d/%v/%v", det.Comm, det.Syndrome, det.Suspects)
-	if last, ok := d.lastFire[key]; ok && det.At-last < d.cfg.DedupInterval {
+	if last, ok := d.lastFire[key]; ok && det.At-last < c4d.DedupInterval {
 		return
 	}
 	d.lastFire[key] = det.At
@@ -175,7 +176,7 @@ func (d *OnlineDetector) observeWait(w *commWatch, ev accl.WaitEvent) {
 	// delivery instant — under a batched drain cadence the detector
 	// cannot claim to have known before the drain.
 	now := d.eng.Now()
-	if acc.ValueAt(now) < d.cfg.MinWait.Seconds() {
+	if acc.ValueAt(now) < c4d.MinWait.Seconds() {
 		return
 	}
 	d.checkStraggler(w, now)
@@ -229,7 +230,7 @@ func (d *OnlineDetector) checkStraggler(w *commWatch, now sim.Time) {
 		w.waitVals = append(w.waitVals, w.waits[i].ValueAt(now))
 	}
 	d.updates += uint64(len(w.waits))
-	i, ok := c4d.Straggler(w.waitVals, d.cfg.MinWait.Seconds(), c4d.WaitKappa)
+	i, ok := c4d.Straggler(w.waitVals, c4d.MinWait.Seconds(), c4d.WaitKappa)
 	if !ok {
 		return
 	}

@@ -98,7 +98,7 @@ func fromWire(w *wireRecord) (Record, error) {
 		case "complete":
 			phase = accl.PhaseComplete
 		default:
-			return Record{}, fmt.Errorf("telemetry: unknown coll phase %q", w.Phase)
+			return Record{}, fmt.Errorf("unknown coll phase %q", w.Phase)
 		}
 		rec.Coll = &accl.CollEvent{
 			Time: sim.Time(w.TNs), Comm: w.Comm, Seq: w.Seq, Node: w.Node,
@@ -106,7 +106,7 @@ func fromWire(w *wireRecord) (Record, error) {
 		}
 	case "msg":
 		if w.StartNs < 0 || w.EndNs < w.StartNs {
-			return Record{}, fmt.Errorf("telemetry: transfer spans [%d, %d] ns: times must satisfy 0 <= start_ns <= end_ns", w.StartNs, w.EndNs)
+			return Record{}, fmt.Errorf("transfer spans [%d, %d] ns: times must satisfy 0 <= start_ns <= end_ns", w.StartNs, w.EndNs)
 		}
 		rec.Kind = KindMsg
 		rec.Msg = &accl.MsgEvent{
@@ -121,7 +121,7 @@ func fromWire(w *wireRecord) (Record, error) {
 			Waiter: w.Waiter, On: w.On, Dur: sim.Time(w.DurNs),
 		}
 	default:
-		return Record{}, fmt.Errorf("telemetry: unknown record kind %q", w.Kind)
+		return Record{}, fmt.Errorf("unknown record kind %q", w.Kind)
 	}
 	return rec, nil
 }

@@ -1,13 +1,14 @@
 // Package telemetry is the streaming counterpart of the batch C4D
-// pipeline: where the agent fleet buffers a full reporting window and the
-// master recomputes every detector over it from scratch (detection latency
-// quantized to the tick, per-pass cost growing with fleet size), this
-// package ingests ACCL monitoring records as they happen through bounded
-// per-node ring collectors, merges them in deterministic event-time order,
-// folds them into incremental aggregates (EWMA, fixed-bin streaming
-// quantile sketch, O(1)-per-record delay-matrix updates) and lets an
-// online detector fire the instant a threshold crosses — sub-tick
-// time-to-detect instead of waiting for the next Analyze pass.
+// pipeline: where the batch master sums a full reporting window and, at
+// each tick, recomputes every detector over it from scratch (detection
+// latency quantized to the tick, per-pass cost growing with fleet size),
+// this package ingests ACCL monitoring records as they happen through
+// bounded per-node ring collectors, merges them in deterministic
+// event-time order, folds them into incremental aggregates (EWMA,
+// fixed-bin streaming quantile sketch, O(1)-per-record delay-matrix
+// updates) and lets an online detector fire the instant a threshold
+// crosses — sub-tick time-to-detect instead of waiting for the next
+// analysis pass.
 //
 // The same record stream serializes to a JSONL format (stream.go) that
 // `c4 replay` replays offline for post-hoc triage, and the online/*

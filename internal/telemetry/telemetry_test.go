@@ -238,11 +238,13 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestReadStreamRejectsGarbage(t *testing.T) {
-	if _, err := ReadStream(strings.NewReader("{\"t_ns\":1,\"kind\":\"nope\"}\n")); err == nil {
-		t.Fatal("unknown kind accepted")
+	// Every error names the package once, in ReadStream's line prefix.
+	_, err := ReadStream(strings.NewReader("{\"t_ns\":1,\"kind\":\"nope\"}\n"))
+	if err == nil || strings.Count(err.Error(), "telemetry:") != 1 {
+		t.Fatalf("unknown kind: err %v, want one naming the package once", err)
 	}
-	if _, err := ReadStream(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("malformed line accepted")
+	if _, err := ReadStream(strings.NewReader("not json\n")); err == nil || strings.Count(err.Error(), "telemetry:") != 1 {
+		t.Fatalf("malformed line: err %v, want one naming the package once", err)
 	}
 	// A coll record's phase must be arrive or complete: a misspelled or
 	// missing one is not an arrival.
@@ -251,8 +253,8 @@ func TestReadStreamRejectsGarbage(t *testing.T) {
 		`{"t_ns":1,"kind":"coll","node":0,"comm":1,"seq":1,"op":"allreduce"}`,
 	} {
 		_, err := ReadStream(strings.NewReader("\n" + line + "\n"))
-		if err == nil || !strings.Contains(err.Error(), "line 2") {
-			t.Fatalf("coll line %s: err %v, want a line-2 error", line, err)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || strings.Count(err.Error(), "telemetry:") != 1 {
+			t.Fatalf("coll line %s: err %v, want a line-2 error naming the package once", line, err)
 		}
 	}
 	if recs, err := ReadStream(strings.NewReader("\n\n")); err != nil || len(recs) != 0 {
@@ -272,8 +274,8 @@ func TestReadStreamRefusesBadMsgTimes(t *testing.T) {
 		`{"kind": "msg", "t_ns": 10, "node": 0, "comm": 1, "start_ns": 20, "end_ns": 10}`,
 	} {
 		recs, err := ReadStream(strings.NewReader(good + "\n" + good + "\n" + bad + "\n"))
-		if err == nil || !strings.Contains(err.Error(), "line 3") {
-			t.Errorf("line %s: %d records, err %v; want an error naming line 3", bad, len(recs), err)
+		if err == nil || !strings.Contains(err.Error(), "line 3") || strings.Count(err.Error(), "telemetry:") != 1 {
+			t.Errorf("line %s: %d records, err %v; want an error naming line 3 and the package once", bad, len(recs), err)
 		}
 	}
 	if recs, err := ReadStream(strings.NewReader(good + "\n")); err != nil || len(recs) != 1 {

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -71,14 +73,14 @@ func WriteChrome(w io.Writer, spans []*Span) error {
 }
 
 // usec renders nanoseconds as a decimal microsecond literal ("1234.567")
-// without float formatting, keeping the writer byte-deterministic.
+// without float formatting, keeping the writer byte-deterministic. The
+// magnitude is unsigned, so the most negative int64 renders too.
 func usec(ns int64) string {
-	neg := ""
+	neg, mag := "", uint64(ns)
 	if ns < 0 {
-		neg = "-"
-		ns = -ns
+		neg, mag = "-", -mag
 	}
-	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
+	return fmt.Sprintf("%s%d.%03d", neg, mag/1000, mag%1000)
 }
 
 // jstr renders s as a JSON string via encoding/json, which is
@@ -103,14 +105,21 @@ type chromeEvent struct {
 // reconstructs the spans from the lossless args fields. Attribute order
 // within a span is not preserved by JSON objects, so attrs come back
 // key-sorted; everything else round-trips exactly. Spans are returned in
-// ID order (which is creation order for a single-engine trace).
+// ID order (which is creation order for a single-engine trace). IDs must
+// be unique, and each span's parent must be 0 or the ID of a span before
+// it, as a tracer records them: that keeps the parent links a forest,
+// which Profile and CriticalPath walk.
 func ParseChrome(r io.Reader) ([]*Span, error) {
 	var f chromeFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("trace: parse: %w", err)
 	}
-	var spans []*Span
+	type read struct {
+		span *Span
+		ev   int // index of its event
+	}
+	var rs []read
 	for i, ev := range f.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -147,8 +156,20 @@ func ParseChrome(r io.Reader) ([]*Span, error) {
 		}
 		sort.Slice(attrs, func(a, b int) bool { return attrs[a].Key < attrs[b].Key })
 		s.Attrs = attrs
+		rs = append(rs, read{s, i})
+	}
+	slices.SortStableFunc(rs, func(a, b read) int { return cmp.Compare(a.span.ID, b.span.ID) })
+	var spans []*Span
+	for k, r := range rs {
+		s := r.span
+		if k > 0 && rs[k-1].span.ID == s.ID {
+			return nil, fmt.Errorf("trace: event %d (%s/%s): id %d repeats event %d's", r.ev, s.Kind, s.Name, s.ID, rs[k-1].ev)
+		}
+		_, known := slices.BinarySearchFunc(rs[:k], s.Parent, func(r read, id int) int { return cmp.Compare(r.span.ID, id) })
+		if s.Parent != 0 && !known {
+			return nil, fmt.Errorf("trace: event %d (%s/%s): parent %d is neither 0 nor the id of a span before it", r.ev, s.Kind, s.Name, s.Parent)
+		}
 		spans = append(spans, s)
 	}
-	sort.Slice(spans, func(a, b int) bool { return spans[a].ID < spans[b].ID })
 	return spans, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"c4/internal/sim"
@@ -253,6 +254,31 @@ func TestParseChromeRejectsForeignJSON(t *testing.T) {
 	}
 	if _, err := ParseChrome(bytes.NewReader([]byte(`not json`))); err == nil {
 		t.Fatal("want error for non-JSON input")
+	}
+	// Parent links must form a forest: unique IDs, each parent 0 or a
+	// span before it. A loop would send CriticalPath round it forever.
+	for _, c := range []struct{ name, events, want string }{
+		{"self-parent", `{"ph":"X","name":"a","cat":"k","args":{"id":1,"parent":1}}`, "event 0 (k/a): parent 1"},
+		{"two-span-cycle", `{"ph":"X","name":"a","cat":"k","args":{"id":1,"parent":2}},
+			{"ph":"X","name":"b","cat":"k","args":{"id":2,"parent":1}}`, "event 0 (k/a): parent 2"},
+		{"duplicate-id", `{"ph":"X","name":"a","cat":"k","args":{"id":1}},
+			{"ph":"X","name":"b","cat":"k","args":{"id":1}}`, "event 1 (k/b): id 1 repeats event 0's"},
+		{"forward-parent", `{"ph":"X","name":"a","cat":"k","args":{"id":2,"parent":3}},
+			{"ph":"X","name":"b","cat":"k","args":{"id":3}}`, "event 0 (k/a): parent 3"},
+		{"unknown-parent", `{"ph":"X","name":"a","cat":"k","args":{"id":2,"parent":1}}`, "event 0 (k/a): parent 1"},
+	} {
+		_, err := ParseChrome(strings.NewReader(`{"traceEvents":[` + c.events + `]}`))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	// A parent written after its child in the file is still a span before
+	// it in ID order.
+	spans, err := ParseChrome(strings.NewReader(`{"traceEvents":[
+		{"ph":"X","name":"b","cat":"k","args":{"id":3,"parent":2}},
+		{"ph":"X","name":"a","cat":"k","args":{"id":2}}]}`))
+	if err != nil || len(spans) != 2 || spans[0].ID != 2 || spans[1].Parent != 2 {
+		t.Fatalf("out-of-order file: %v, %v", spans, err)
 	}
 }
 

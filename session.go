@@ -638,14 +638,14 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 			return pipe
 		}
 	}
-	// Once every iteration is done, stop the fleet's reporting ticks and
+	// Once every iteration is done, stop the master's reporting ticks and
 	// drop a fault still pending, so the event queue drains.
 	done := func(rep job.Report) {
 		if rep.Iters < jr.iters {
 			return
 		}
-		if r.Fleet != nil {
-			r.Fleet.Stop()
+		if r.Master != nil {
+			r.Master.Stop()
 		}
 		r.Injector.Drop()
 	}
