@@ -3,10 +3,10 @@
 # the c4vet determinism-lint suite) + build + the full test suite, then
 # the short suite again under the race detector (which also proves the
 # parallel scenario and campaign runners share no state), the smoke
-# trials, and the EXPERIMENTS.md guard (experiments-check). The GitHub
-# workflow (.github/workflows/ci.yml) runs the same targets plus the
-# bench-regression guard and a coverage report, so local and CI gates
-# agree.
+# trials, every benchmark once (bench), and the EXPERIMENTS.md guard
+# (experiments-check). The GitHub workflow (.github/workflows/ci.yml)
+# runs the same targets plus the bench-regression guard and a coverage
+# report, so local and CI gates agree.
 
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
@@ -150,7 +150,7 @@ perf-check:
 docker:
 	docker build -t c4:$(SHA) .
 
-ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check experiments-check
+ci: lint build test test-race kernel-race bench fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check experiments-check
 
 # Every registry scenario (BenchmarkScenarios, one sub-benchmark per row
 # under its registry name) and the microbenchmarks, with allocations
@@ -167,7 +167,9 @@ ci: lint build test test-race kernel-race fuzz-smoke tenancy-smoke telemetry-smo
 # TP8/PP8/DP2/GA16 shapes), the engine (internal/sim: BenchmarkSchedulePop,
 # BenchmarkReschedule, BenchmarkPost) and one warm collective
 # (internal/accl: BenchmarkRingAllReduce). At -benchtime 1x this is a smoke
-# test; measure with, for example, `go test -bench . -count 5 -cpu 2`.
+# test, and `make ci` and the CI test job run it so that a benchmark that
+# panics or fails its own check is caught; measure with, for example,
+# `go test -bench . -count 5 -cpu 2`.
 bench:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 

@@ -82,12 +82,13 @@ func roots(spans []*trace.Span) []*trace.Span {
 // the dominant critical-path contributor, and the full path breakdown of
 // the selected iteration.
 func traceSummary(stdout io.Writer, path string, spans []*trace.Span, iterSel, top int) {
-	horizon := trace.Horizon(spans)
+	forest := trace.NewForest(spans)
+	horizon := forest.Horizon()
 	fmt.Fprintf(stdout, "%s: %d spans, horizon %v\n\n", path, len(spans), horizon)
 
 	fmt.Fprintln(stdout, "where the simulated time went (self = not covered by children):")
 	fmt.Fprintf(stdout, "  %-8s %6s %14s %14s\n", "kind", "count", "total", "self")
-	for i, r := range trace.Profile(spans) {
+	for i, r := range forest.Profile() {
 		if i >= top {
 			break
 		}
@@ -102,8 +103,7 @@ func traceSummary(stdout io.Writer, path string, spans []*trace.Span, iterSel, t
 	fmt.Fprintf(stdout, "\ncritical paths (%d roots):\n", len(rs))
 	var detail *trace.Span
 	for i, root := range rs {
-		segs := trace.CriticalPath(spans, root)
-		rows := trace.PathProfile(segs)
+		rows := trace.PathProfile(forest.CriticalPath(root))
 		lead := "-"
 		if len(rows) > 0 {
 			lead = fmt.Sprintf("%2.0f%% %s %s", rows[0].Share*100, rows[0].Kind, rows[0].Name)
@@ -117,7 +117,7 @@ func traceSummary(stdout io.Writer, path string, spans []*trace.Span, iterSel, t
 		detail = rs[len(rs)-1]
 	}
 
-	segs := trace.CriticalPath(spans, detail)
+	segs := forest.CriticalPath(detail)
 	fmt.Fprintf(stdout, "\ncritical path of %s (%v):\n", detail.Name, detail.Dur(horizon))
 	fmt.Fprintf(stdout, "  %-8s %-24s %14s %7s\n", "kind", "name", "self", "share")
 	for i, r := range trace.PathProfile(segs) {
@@ -133,8 +133,9 @@ func traceSummary(stdout io.Writer, path string, spans []*trace.Span, iterSel, t
 func pathTotals(spans []*trace.Span) (map[string]sim.Time, sim.Time) {
 	totals := map[string]sim.Time{}
 	var whole sim.Time
+	forest := trace.NewForest(spans)
 	for _, root := range roots(spans) {
-		for _, r := range trace.PathProfile(trace.CriticalPath(spans, root)) {
+		for _, r := range trace.PathProfile(forest.CriticalPath(root)) {
 			totals[r.Kind+" "+r.Name] += r.Self
 			whole += r.Self
 		}
@@ -204,8 +205,9 @@ func traceCheck(stdout, stderr io.Writer, path string, spans []*trace.Span) int 
 		fmt.Fprintf(stderr, "c4 trace: %s: no root spans\n", path)
 		return 1
 	}
+	forest := trace.NewForest(spans)
 	for _, root := range rs {
-		if len(trace.CriticalPath(spans, root)) == 0 {
+		if len(forest.CriticalPath(root)) == 0 {
 			fmt.Fprintf(stderr, "c4 trace: %s: empty critical path for %s\n", path, root.Name)
 			return 1
 		}

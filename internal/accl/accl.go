@@ -58,9 +58,17 @@ type Communicator struct {
 	crashed map[int]bool
 
 	// Scratch for planning a rail send (healthyQPs, planShares), reused
-	// across sends; nothing holds either past the call that fills it.
+	// across sends; nothing holds any of them past the send that fills it.
 	healthy []*QP
 	byPlane [topo.Planes][]*QP
+	planned []*share
+
+	// Free lists of finished shares and transfers, linked through their
+	// next fields. A share returns once its flow's FlowDone has emitted
+	// its record and fed back its throughput, a transfer once its onDone
+	// has returned; each communicator keeps its own, so runs share none.
+	freeShares *share
+	freeXfers  *xfer
 }
 
 type connKey struct {

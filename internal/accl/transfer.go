@@ -20,13 +20,20 @@ import (
 // retries; in the meantime the operation hangs, which is exactly the
 // communication-hang syndrome C4D observes.
 //
-// A transfer allocates one xfer and, per rail send, one array of shares;
-// each share is the handler of the flow that carries it.
+// The xfer and its shares come from the communicator's free lists, and
+// each share is the handler of the flow that carries it; a warm transfer
+// allocates nothing.
 func (c *Communicator) transfer(o *Op, src, dst int, bytes float64, onDone func(end sim.Time)) {
 	// The edge span covers the whole member send/recv (all rails, all QP
 	// shares) as a child of the collective op span. A transfer that never
 	// finds transport leaves it open — the hang is visible in the trace.
-	x := &xfer{o: o, onDone: onDone}
+	x := c.freeXfers
+	if x != nil {
+		c.freeXfers = x.next
+	} else {
+		x = new(xfer)
+	}
+	*x = xfer{o: o, onDone: onDone}
 	if tr := c.tracer(); tr.Enabled() {
 		x.span = tr.Start(o.span, "xfer", fmt.Sprintf("n%d->n%d", src, dst))
 	}
@@ -53,6 +60,7 @@ type xfer struct {
 	onDone  func(end sim.Time)
 	pending int
 	lastEnd sim.Time
+	next    *xfer // the free list's link while recycled
 }
 
 // send ships railBytes over one connection, retrying while the connection
@@ -69,14 +77,15 @@ func (x *xfer) send(conn *Conn, railBytes float64) {
 	}
 	x.pending += len(shares) - 1
 	start := c.cfg.Engine.Now()
-	for i := range shares {
-		sh := &shares[i]
+	for _, sh := range shares {
 		sh.x, sh.conn, sh.start = x, conn, start
 		c.cfg.Net.StartFlow(sh.qp.assign.Path, sh.bits, string(x.o.Type), sh)
 	}
 }
 
-// finish accounts one completed share.
+// finish accounts one completed share. The last one completes the
+// transfer and, once onDone returns, recycles the xfer: no share or retry
+// refers to it any more.
 func (x *xfer) finish(end sim.Time) {
 	if end > x.lastEnd {
 		x.lastEnd = end
@@ -85,6 +94,9 @@ func (x *xfer) finish(end sim.Time) {
 	if x.pending == 0 {
 		x.span.FinishAt(x.lastEnd)
 		x.onDone(x.lastEnd)
+		c := x.o.comm
+		*x = xfer{next: c.freeXfers}
+		c.freeXfers = x
 	}
 }
 
@@ -97,22 +109,27 @@ type share struct {
 	bits  float64
 	plane int
 	start sim.Time
+	next  *share // the free list's link while recycled
 }
 
 // FlowDone emits the message's transport record, feeds the QP's measured
-// throughput back into its weight, and accounts the share.
+// throughput back into its weight, recycles the share and accounts it to
+// its transfer.
 func (sh *share) FlowDone(*netsim.Flow) {
-	c := sh.x.o.comm
+	x := sh.x
+	c := x.o.comm
 	end := c.cfg.Engine.Now()
 	c.emitMsg(MsgEvent{
-		Comm: c.ID, Seq: sh.x.o.Seq,
+		Comm: c.ID, Seq: x.o.Seq,
 		SrcNode: sh.conn.Src, DstNode: sh.conn.Dst,
 		Rail: sh.conn.Rail, Plane: sh.plane,
 		Sport: sh.qp.assign.Sport, QPN: sh.qp.QPN,
 		Bytes: sh.bits / 8, Start: sh.start, End: end,
 	})
 	c.recordThroughput(sh.conn, sh.qp, sh.bits, end-sh.start)
-	sh.x.finish(end)
+	*sh = share{next: c.freeShares}
+	c.freeShares = sh
+	x.finish(end)
 }
 
 // PathDown asks the provider to repair the share's QP.
@@ -123,9 +140,10 @@ func (sh *share) PathDown(f *netsim.Flow) {
 // planShares splits a rail's bytes: half per plane that has at least one
 // healthy QP (all to one plane only if the other is completely dark), then
 // within each plane proportionally to QP weights. Every healthy QP gets one
-// share, so the result is one allocation of exactly that length; the
-// per-plane grouping reuses the communicator's scratch.
-func (c *Communicator) planShares(conn *Conn, railBytes float64) []share {
+// share, taken from the communicator's free list. The result and the
+// per-plane grouping are the communicator's scratch, valid until the next
+// call.
+func (c *Communicator) planShares(conn *Conn, railBytes float64) []*share {
 	qps := c.healthyQPs(conn)
 	if len(qps) == 0 {
 		return nil
@@ -144,7 +162,7 @@ func (c *Communicator) planShares(conn *Conn, railBytes float64) []share {
 			livePlanes++
 		}
 	}
-	out := make([]share, 0, len(qps))
+	out := c.planned[:0]
 	for p, qs := range byPlane {
 		if len(qs) == 0 {
 			continue
@@ -159,9 +177,17 @@ func (c *Communicator) planShares(conn *Conn, railBytes float64) []share {
 			if wsum > 0 {
 				w = qp.weight / wsum
 			}
-			out = append(out, share{qp: qp, bits: planeBits * w, plane: p})
+			sh := c.freeShares
+			if sh != nil {
+				c.freeShares = sh.next
+			} else {
+				sh = new(share)
+			}
+			*sh = share{qp: qp, bits: planeBits * w, plane: p}
+			out = append(out, sh)
 		}
 	}
+	c.planned = out
 	return out
 }
 

@@ -12,33 +12,60 @@ import (
 // On a warm master, folding a record of an operation it has already seen
 // allocates nothing: the pair, wait and per-op entries exist, so each
 // record only adds to them. An idle tick allocates nothing either: the
-// ticker is one event the master re-arms.
+// ticker is one event the master re-arms. Nor does a pass over the seen
+// communicator with no new records: the window maps are cleared in place,
+// the pass order and the smoothing windows are kept, and a finding
+// suppressed as a repeat is not formatted. With the hang timeout out of
+// reach such a pass finds nothing and allocates 0; at the default timeout
+// the stalled op's comm-hang repeats every pass, and only its verdict's
+// suspect list allocates (1).
 func TestWarmMasterIngestAllocs(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMaster(eng, Config{})
-	m.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{6, 0, 4, 2}})
-	if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(ReportInterval) }); allocs != 0 || m.SkippedPasses() != 11 {
-		t.Fatalf("idle tick: %v allocs over %d skipped passes, want 0 over 11", allocs, m.SkippedPasses())
-	}
-	records := 0
-	ingest := func() {
-		for _, n := range []int{0, 2, 4, 6} {
-			m.OnCollective(accl.CollEvent{Comm: 1, Seq: 1, Node: n, Time: sim.Second})
-			m.OnMessage(accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: n, DstNode: (n + 2) % 8, Bytes: 1, End: sim.Second})
-			m.OnWait(accl.WaitEvent{Comm: 1, Seq: 1, Waiter: n, On: (n + 2) % 8, Dur: sim.Millisecond})
-			records += 3
+	for _, tc := range []struct {
+		timeout  sim.Time
+		findings int
+		pass     float64
+	}{
+		{timeout: 1000 * sim.Hour, findings: 0, pass: 0},
+		{timeout: 0, findings: 1, pass: 1},
+	} {
+		eng := sim.NewEngine()
+		m := NewMaster(eng, Config{HangTimeout: tc.timeout})
+		m.OnCommCreate(accl.CommInfo{Comm: 1, Nodes: []int{6, 0, 4, 2}})
+		if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(ReportInterval) }); allocs != 0 || m.SkippedPasses() != 11 {
+			t.Fatalf("idle tick: %v allocs over %d skipped passes, want 0 over 11", allocs, m.SkippedPasses())
 		}
+		records := 0
+		ingest := func() {
+			for _, n := range []int{0, 2, 4, 6} {
+				m.OnCollective(accl.CollEvent{Comm: 1, Seq: 1, Node: n, Time: sim.Second})
+				m.OnMessage(accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: n, DstNode: (n + 2) % 8, Bytes: 1, End: sim.Second})
+				m.OnWait(accl.WaitEvent{Comm: 1, Seq: 1, Waiter: n, On: (n + 2) % 8, Dur: sim.Millisecond})
+				records += 3
+			}
+		}
+		ingest()
+		if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
+			t.Fatalf("warm ingest of 12 records: %v allocs, want 0", allocs)
+		}
+		// AllocsPerRun runs ingest once more than asked, to warm up.
+		if records != 52*12 || len(m.comms[1].pairs) != 4 || len(m.comms[1].waits) != 4 {
+			t.Fatalf("%d records into %d pairs and %d waits, want %d into 4 and 4",
+				records, len(m.comms[1].pairs), len(m.comms[1].waits), 52*12)
+		}
+		// The pass over the op's records, where the comm-hang first fires
+		// at the default timeout; the 11 measured passes then fall inside
+		// its DedupInterval.
+		eng.RunFor(ReportInterval)
+		passes := m.AnalyzePasses()
+		if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(ReportInterval) }); allocs > tc.pass {
+			t.Fatalf("timeout %v: warm pass with no new records: %v allocs, want at most %v", tc.timeout, allocs, tc.pass)
+		}
+		if got := m.AnalyzePasses() - passes; got != 11 || len(m.Events()) != tc.findings {
+			t.Fatalf("timeout %v: %d passes, %d findings %v; want 11 passes and %d findings",
+				tc.timeout, got, len(m.Events()), m.Events(), tc.findings)
+		}
+		m.Stop()
 	}
-	ingest()
-	if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
-		t.Fatalf("warm ingest of 12 records: %v allocs, want 0", allocs)
-	}
-	// AllocsPerRun runs ingest once more than asked, to warm up.
-	if records != 52*12 || len(m.comms[1].pairs) != 4 || len(m.comms[1].waits) != 4 {
-		t.Fatalf("%d records into %d pairs and %d waits, want %d into 4 and 4",
-			records, len(m.comms[1].pairs), len(m.comms[1].waits), 52*12)
-	}
-	m.Stop()
 }
 
 // HangWatch.Msg prunes per-op transport evidence only when the lowest op

@@ -2,7 +2,7 @@ package c4d
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"c4/internal/accl"
 	"c4/internal/sim"
@@ -87,13 +87,17 @@ type commState struct {
 
 	hang *HangWatch
 
-	// Window accumulators (reset each analysis pass).
-	pairs map[[2]int]*pairAgg
+	// Window accumulators, cleared in place after each analysis pass so a
+	// warm window re-fills the same entries.
+	pairs map[[2]int]pairAgg
 	waits map[int]sim.Time // node -> time peers spent waiting on it (window)
 
-	// Per-window wait totals of the last SmoothingWindows windows, and the
-	// straggler rule's input built from them (reused across passes).
-	waitHist map[int][]sim.Time
+	// waitRing holds each member's wait totals of the last
+	// SmoothingWindows windows, member i's at [i*SmoothingWindows,
+	// (i+1)*SmoothingWindows); windows counts the passes so far. avgWait
+	// is the straggler rule's input built from them (reused across passes).
+	waitRing []sim.Time
+	windows  int
 	avgWait  []float64
 }
 
@@ -109,7 +113,12 @@ type Master struct {
 	comms    map[int]*commState
 	handlers []func(Event)
 	events   []Event
-	lastFire map[string]sim.Time
+	lastFire map[findingKey]sim.Time
+
+	// ids holds the keys of comms, ascending: the pass order. It is
+	// replaced, never edited in place, so a pass whose finding handler
+	// opens or closes a communicator keeps walking the order it started.
+	ids []int
 
 	// fresh says a record arrived since the last pass; skipped counts the
 	// ticks that ran no pass.
@@ -130,7 +139,7 @@ func NewMaster(eng *sim.Engine, cfg Config) *Master {
 		cfg:      cfg.WithDefaults(),
 		eng:      eng,
 		comms:    make(map[int]*commState),
-		lastFire: make(map[string]sim.Time),
+		lastFire: make(map[findingKey]sim.Time),
 	}
 	m.ticker = sim.NewEvent(sim.Func(m.tick))
 	eng.Arm(m.ticker, eng.Now()+ReportInterval)
@@ -171,18 +180,24 @@ func (m *Master) Events() []Event { return append([]Event(nil), m.events...) }
 // OnCommCreate implements accl.StatsSink: it starts tracking the
 // communicator's membership.
 func (m *Master) OnCommCreate(ci accl.CommInfo) {
+	if i, found := slices.BinarySearch(m.ids, ci.Comm); !found {
+		m.ids = slices.Insert(slices.Clip(m.ids), i, ci.Comm)
+	}
 	m.comms[ci.Comm] = &commState{
 		nodes:    append([]int(nil), ci.Nodes...),
 		hang:     NewHangWatch(ci.Nodes),
-		pairs:    make(map[[2]int]*pairAgg),
+		pairs:    make(map[[2]int]pairAgg),
 		waits:    make(map[int]sim.Time),
-		waitHist: make(map[int][]sim.Time),
+		waitRing: make([]sim.Time, len(ci.Nodes)*SmoothingWindows),
 	}
 }
 
 // OnCommClose implements accl.StatsSink: it drops a closed communicator's
 // state, since a torn-down communicator can no longer hang.
 func (m *Master) OnCommClose(comm int) {
+	if i, found := slices.BinarySearch(m.ids, comm); found {
+		m.ids = slices.Delete(slices.Clone(m.ids), i, i+1)
+	}
 	delete(m.comms, comm)
 }
 
@@ -202,12 +217,9 @@ func (m *Master) OnMessage(ev accl.MsgEvent) {
 	}
 	key := [2]int{ev.SrcNode, ev.DstNode}
 	agg := cs.pairs[key]
-	if agg == nil {
-		agg = &pairAgg{}
-		cs.pairs[key] = agg
-	}
 	agg.bytes += ev.Bytes
 	agg.dur += ev.Duration()
+	cs.pairs[key] = agg
 	cs.hang.Msg(ev)
 }
 
@@ -256,28 +268,39 @@ func (m *Master) MatrixCellVisits() int { return m.cellVisits }
 // and resets the window accumulators.
 func (m *Master) analyze(now sim.Time) {
 	m.passes++
-	ids := make([]int, 0, len(m.comms))
-	for id := range m.comms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for _, id := range m.ids {
 		cs := m.comms[id]
 		m.detectHangs(now, id, cs)
 		m.detectCommSlow(now, id, cs)
 		m.detectStraggler(now, id, cs)
-		// Reset window accumulators.
-		cs.pairs = make(map[[2]int]*pairAgg)
-		cs.waits = make(map[int]sim.Time)
+		clear(cs.pairs)
+		clear(cs.waits)
 	}
 }
 
+// findingKey identifies a finding for deduplication.
+type findingKey struct {
+	comm       int
+	syndrome   Syndrome
+	scope      Scope
+	node, peer int
+}
+
+func keyOf(e Event) findingKey { return findingKey{e.Comm, e.Syndrome, e.Scope, e.Node, e.Peer} }
+
+// repeats reports whether an identical finding fired less than
+// DedupInterval before e, so emit would drop e. Callers that format a
+// detail ask first.
+func (m *Master) repeats(e Event) bool {
+	last, ok := m.lastFire[keyOf(e)]
+	return ok && e.Time-last < DedupInterval
+}
+
 func (m *Master) emit(e Event) {
-	key := fmt.Sprintf("%d/%v/%v/%d/%d", e.Comm, e.Syndrome, e.Scope, e.Node, e.Peer)
-	if last, ok := m.lastFire[key]; ok && e.Time-last < DedupInterval {
+	if m.repeats(e) {
 		return
 	}
-	m.lastFire[key] = e.Time
+	m.lastFire[keyOf(e)] = e.Time
 	m.events = append(m.events, e)
 	if tr := m.cfg.Trace; tr.Enabled() {
 		sp := tr.Event(tr.Mark("fault"), "detect", e.Syndrome.String())
@@ -301,6 +324,9 @@ func (m *Master) detectHangs(now sim.Time, comm int, cs *commState) {
 		ev := Event{
 			Time: now, Comm: comm, Syndrome: h.Syndrome, Scope: ScopeNode,
 			Node: n, Peer: -1, Severity: h.Stalled.Seconds(),
+		}
+		if m.repeats(ev) {
+			continue
 		}
 		switch {
 		case h.Syndrome == NonCommHang:
@@ -356,32 +382,36 @@ func (m *Master) detectCommSlow(now sim.Time, comm int, cs *commState) {
 // SmoothingWindows reporting periods to absorb random variation (§V's EP
 // discussion).
 func (m *Master) detectStraggler(now sim.Time, comm int, cs *commState) {
-	for _, n := range cs.nodes {
-		hist := append(cs.waitHist[n], cs.waits[n])
-		if len(hist) > SmoothingWindows {
-			hist = hist[len(hist)-SmoothingWindows:]
-		}
-		cs.waitHist[n] = hist
-	}
+	slot := cs.windows % SmoothingWindows
+	cs.windows++
+	// Until SmoothingWindows passes have run, the slots not yet written
+	// hold zero, so summing every slot sums the windows so far.
+	count := sim.Time(min(cs.windows, SmoothingWindows))
 	cs.avgWait = cs.avgWait[:0]
-	for _, n := range cs.nodes {
+	for i, n := range cs.nodes {
+		ring := cs.waitRing[i*SmoothingWindows : (i+1)*SmoothingWindows]
+		ring[slot] = cs.waits[n]
 		var sum sim.Time
-		for _, w := range cs.waitHist[n] {
+		for _, w := range ring {
 			sum += w
 		}
-		cs.avgWait = append(cs.avgWait, float64(sum/sim.Time(len(cs.waitHist[n]))))
+		cs.avgWait = append(cs.avgWait, float64(sum/count))
 	}
 	i, ok := Straggler(cs.avgWait, float64(MinWait), WaitKappa)
 	if !ok {
 		return
 	}
 	top := sim.Time(cs.avgWait[i])
-	m.emit(Event{
+	ev := Event{
 		Time: now, Comm: comm, Syndrome: NonCommSlow, Scope: ScopeNode,
 		Node: cs.nodes[i], Peer: -1,
 		Severity: top.Seconds() / ReportInterval.Seconds(),
-		Detail:   fmt.Sprintf("peers waited %v on this node per window", top),
-	})
+	}
+	if m.repeats(ev) {
+		return
+	}
+	ev.Detail = fmt.Sprintf("peers waited %v on this node per window", top)
+	m.emit(ev)
 }
 
 // Straggler is the straggler rule (§III-A) both detectors apply: the

@@ -43,7 +43,7 @@ func (of OfflineFinding) String() string {
 type offlineWindow struct {
 	start sim.Time // a multiple of the window length
 	comm  int
-	pairs map[[2]int]*pairAgg
+	pairs map[[2]int]pairAgg
 }
 
 // offlineWindows buckets transfers by the window their end falls in,
@@ -64,18 +64,15 @@ func offlineWindows(msgs []accl.MsgEvent, window sim.Time) []*offlineWindow {
 		k := key{m.End / window * window, m.Comm}
 		w := byKey[k]
 		if w == nil {
-			w = &offlineWindow{start: k.start, comm: k.comm, pairs: map[[2]int]*pairAgg{}}
+			w = &offlineWindow{start: k.start, comm: k.comm, pairs: map[[2]int]pairAgg{}}
 			byKey[k] = w
 			out = append(out, w)
 		}
 		pair := [2]int{m.SrcNode, m.DstNode}
 		agg := w.pairs[pair]
-		if agg == nil {
-			agg = &pairAgg{}
-			w.pairs[pair] = agg
-		}
 		agg.bytes += m.Bytes
 		agg.dur += m.Duration()
+		w.pairs[pair] = agg
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].start != out[j].start {

@@ -9,8 +9,8 @@ import (
 	"c4/internal/topo"
 )
 
-// settle walks every active Flow at every completion and mutation, and the
-// engine allocates an Event per admission: neither struct may grow.
+// settle walks every active Flow at every completion and mutation, and
+// every Flow keeps its admission Event beside it: neither struct may grow.
 func TestFlowAndEventSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Flow{}); got > 128 {
 		t.Errorf("netsim.Flow is %d bytes, must stay at most 128", got)
@@ -21,24 +21,36 @@ func TestFlowAndEventSizes(t *testing.T) {
 }
 
 // A flow that is started, admitted and completed on a warm network
-// allocates the Flow and its admission Event, and nothing else: admission
-// and completion are handler calls, and the recompute and completion
-// events are the network's own, re-armed in place.
+// allocates nothing: StartFlow reuses the Flow the previous run completed
+// and re-arms its admission Event, admission and completion are handler
+// calls, and the recompute and completion events are the network's own,
+// re-armed in place.
 func TestFlowLifecycleAllocs(t *testing.T) {
 	eng, n := testbed()
 	p, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	done := 0
 	h := FlowFunc(func(*Flow) { done++ })
+	var f *Flow
 	run := func() {
-		n.StartFlow(p, 1e9, "x", h)
+		f = n.StartFlow(p, 1e9, "x", h)
 		eng.Run()
 	}
 	run()
-	if allocs := testing.AllocsPerRun(100, run); allocs > 2 {
-		t.Fatalf("start, admit and complete one flow: %v allocs, want at most 2 (the Flow and its Event)", allocs)
+	// The completed flow waits on the free list holding no pointer into
+	// the caller's objects, still reporting Done, and is the next one out.
+	first := f
+	if n.free != first || first.Path != nil || first.h != nil || first.span != nil || !first.Done() {
+		t.Fatalf("completed flow: on free list %v, path %v, handler %v, done %v; want recycled with nil path and handler",
+			n.free == first, first.Path, first.h, first.Done())
 	}
-	if done != 102 {
-		t.Fatalf("%d flows completed, want 102", done)
+	if run(); f != first {
+		t.Fatal("StartFlow on a warm network did not reuse the completed flow")
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("start, admit and complete one warm flow: %v allocs, want 0", allocs)
+	}
+	if done != 103 {
+		t.Fatalf("%d flows completed, want 103", done)
 	}
 }
 

@@ -20,6 +20,10 @@ import (
 // Each operation takes four bytes: an opcode byte (low 3 bits: the
 // operation; next 3: the delay since the previous one; bit 6: probe after
 // it) and three arguments. Missing bytes read as zero.
+//
+// The harness keeps a flow's handle only until its FlowDone fires, as the
+// ownership rule on StartFlow requires, and fails if StartFlow ever
+// returns a handle it still holds, live or cancelled.
 func FuzzClassKernelAgainstOracle(f *testing.F) {
 	tp := topo.MustNew(topo.PaperTestbed())
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -110,7 +114,12 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 		copy(r.v[:], v)
 		rec = append(rec, r)
 	}
+	// flows holds the handles of the flows started and not yet completed:
+	// live or cancelled. A completed flow's handle is dropped as its
+	// FlowDone fires, since the network may hand the struct to a later
+	// StartFlow.
 	var flows []*Flow
+	started := 0
 	// recent picks a flow counting back from the newest, so small
 	// arguments hit flows still waiting for admission.
 	recent := func(b byte) *Flow {
@@ -122,6 +131,7 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 	start := func(p *topo.Path, size float64, onDown byte, onComplete func(*Flow)) *Flow {
 		h := &handler{done: func(f *Flow) {
 			log("done", f.Label)
+			flows = slices.DeleteFunc(flows, func(g *Flow) bool { return g == f })
 			if onComplete != nil {
 				onComplete(f)
 			}
@@ -133,7 +143,11 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 		case 2:
 			h.down = func(f *Flow) { log("down-cancel", f.Label); n.Cancel(f) }
 		}
-		f := n.StartFlow(p, size, fmt.Sprintf("f%d", len(flows)), h)
+		f := n.StartFlow(p, size, fmt.Sprintf("f%d", started), h)
+		if slices.Contains(flows, f) {
+			t.Fatalf("StartFlow for %s returned a flow the harness still holds, live or cancelled", f.Label)
+		}
+		started++
 		flows = append(flows, f)
 		return f
 	}
@@ -141,7 +155,7 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 	apply := func(op, a, b, c byte) {
 		switch op {
 		case 0: // one flow; its FlowDone may cancel another flow
-			if len(flows) >= fuzzMaxFlows {
+			if started >= fuzzMaxFlows {
 				return
 			}
 			var onComplete func(*Flow)
@@ -154,13 +168,18 @@ func runFuzzOps(t *testing.T, kv kernelVariant, tp *topo.Topology, data []byte) 
 			}
 			start(paths[int(a)%len(paths)], fuzzSizes[b%8], c&0x7f, onComplete)
 		case 1: // two equal flows on one chain: the first's FlowDone cancels its same-instant batchmate
-			if len(flows)+2 > fuzzMaxFlows {
+			if started+2 > fuzzMaxFlows {
 				return
 			}
 			p, size := paths[int(a)%len(paths)], fuzzSizes[b%8]
 			var mate *Flow
-			start(p, size, c, func(*Flow) { n.Cancel(mate) })
-			mate = start(p, size, c, nil)
+			mateDone := false // a rerouted mate may finish first; its handle is then gone
+			start(p, size, c, func(*Flow) {
+				if !mateDone {
+					n.Cancel(mate)
+				}
+			})
+			mate = start(p, size, c, func(*Flow) { mateDone = true })
 		case 2:
 			if f := recent(a); f != nil {
 				n.Cancel(f)

@@ -31,14 +31,15 @@
 // oracle, and to the max-min certificate (CheckMaxMin); the accl and
 // harness tests pin whole workloads to goldens recorded from the oracle.
 //
-// The per-flow path allocates per flow, not per callback. StartFlow, the
-// one way to start a flow, takes a FlowHandler, which the caller
-// implements on the object it already keeps per flow (accl's QP share);
-// the flow is its own admission handler; and the network owns its
-// recompute and completion events and re-arms them in place. Starting,
-// admitting and completing a flow therefore allocates the Flow and its
-// admission Event only. Flow stays at 128 bytes because settle walks every
-// active flow at every completion and mutation (see Flow).
+// The per-flow path allocates nothing once warm. StartFlow, the one way
+// to start a flow, takes a FlowHandler, which the caller implements on
+// the object it already keeps per flow (accl's QP share); the flow is its
+// own admission handler; the network owns its recompute and completion
+// events and re-arms them in place; and a completed flow goes, with its
+// admission Event, to the network's free list for a later StartFlow (see
+// StartFlow for the ownership rule). Flow stays at 128 bytes because
+// settle walks every active flow at every completion and mutation (see
+// Flow).
 package netsim
 
 import (
@@ -85,11 +86,13 @@ func DefaultConfig() Config {
 }
 
 // FlowHandler receives a flow's notifications. FlowDone fires once, when
-// the last bit is delivered. PathDown fires when a link on the flow's path
-// fails, or when the flow is admitted onto an already-failed path; the
-// handler may Reroute or Cancel the flow, and if it does neither the flow
-// stalls at rate zero until the link recovers. A caller that starts many
-// flows implements it on the object it already keeps per flow, so
+// the last bit is delivered; once it returns, the network may recycle the
+// flow (see StartFlow), so neither the handler nor anyone else may keep
+// the *Flow past that return. PathDown fires when a link on the flow's
+// path fails, or when the flow is admitted onto an already-failed path;
+// the handler may Reroute or Cancel the flow, and if it does neither the
+// flow stalls at rate zero until the link recovers. A caller that starts
+// many flows implements it on the object it already keeps per flow, so
 // starting a flow allocates no closure.
 type FlowHandler interface {
 	FlowDone(*Flow)
@@ -116,9 +119,10 @@ func (FlowFunc) PathDown(*Flow) {}
 // every active flow at every completion and every mutation, and on
 // many-flow runs (netsim/scale-*) that walk is about half the CPU, so the
 // fields settle and the kernel's fan-out read come first and share one
-// cache line. Embedding the admission Event in the Flow would save its
-// allocation but add a third cache line to every flow settle walks, so the
-// Event is allocated beside the Flow instead.
+// cache line. Embedding the admission Event in the Flow would add a third
+// cache line to every flow settle walks, so the Event is allocated beside
+// the Flow, once per struct: it stays with its Flow through every
+// recycling and is re-armed by each StartFlow that reuses it.
 type Flow struct {
 	Path *topo.Path
 
@@ -135,8 +139,8 @@ type Flow struct {
 	Label   string
 	h       FlowHandler // nil: no notifications
 	net     *Network
-	admitEv *sim.Event // the pending admission; nil once admitted
-	started sim.Time
+	admitEv *sim.Event  // the admission event, kept for the struct's life
+	next    *Flow       // the free list's link while recycled
 	span    *trace.Span // flow-lifetime span; nil when tracing is off
 }
 
@@ -156,9 +160,6 @@ func (f *Flow) SizeBits() float64 { return f.sizeBits }
 
 // Done reports whether the flow has completed or been cancelled.
 func (f *Flow) Done() bool { return f.done }
-
-// Started reports when the flow was submitted.
-func (f *Flow) Started() sim.Time { return f.started }
 
 // Network is the fluid simulator. All methods must be called from the
 // simulation goroutine (inside engine callbacks).
@@ -209,6 +210,10 @@ type Network struct {
 	// so completions needs no scan.
 	completeEv *sim.Event
 	drained    []*Flow
+
+	// free lists completed flows for StartFlow to reuse, linked through
+	// Flow.next; see StartFlow for the ownership rule.
+	free *Flow
 
 	// carriedBits accumulates delivered bits per link (indexed by link ID)
 	// for bandwidth sampling (Fig 13); cnpCount accumulates CNPs per
@@ -305,27 +310,47 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 // to start a flow. h receives the flow's completion and path-down
 // notifications and may be nil; a completion func adapts through
 // FlowFunc. The flow is admitted BaseLatency later, by an engine event
-// whose handler is the flow itself, so StartFlow allocates the Flow and
-// that Event and nothing else. The returned flow can be rerouted or
+// whose handler is the flow itself. The returned flow can be rerouted or
 // cancelled.
+//
+// Flows are recycled under one ownership rule:
+//   - the returned *Flow belongs to the caller until its FlowDone
+//     returns;
+//   - after that, the network may hand the same struct to a later
+//     StartFlow. Until it does, Done keeps reporting true, and nothing
+//     else about the flow may be used;
+//   - a cancelled flow is never recycled: Cancel may run while the flow
+//     waits in a completion wave, or while its cancelled admission Event
+//     still sits in the engine's queue.
+//
+// StartFlow takes the flow and its admission Event from the free list and
+// re-arms the Event, which gets a fresh sequence number exactly as a new
+// event would; it allocates the pair only when the list is empty.
 func (n *Network) StartFlow(path *topo.Path, sizeBits float64, label string, h FlowHandler) *Flow {
 	if sizeBits <= 0 {
 		sizeBits = 1 // zero-size control message: deliver after latency
 	}
-	f := &Flow{
+	f := n.free
+	var ev *sim.Event
+	if f != nil {
+		n.free, ev = f.next, f.admitEv
+	} else {
+		f = new(Flow)
+		ev = sim.NewEvent((*admission)(f))
+	}
+	*f = Flow{
 		Label:     label,
 		Path:      path,
 		h:         h,
 		net:       n,
 		sizeBits:  sizeBits,
 		remaining: sizeBits,
-		started:   n.Engine.Now(),
+		admitEv:   ev,
 	}
 	if n.Trace.Enabled() {
 		f.span = n.Trace.Start(nil, "flow", label).Annotate("path", pathLabel(path))
 	}
-	f.admitEv = sim.NewEvent((*admission)(f))
-	n.Engine.Arm(f.admitEv, n.Engine.Now()+max(n.Cfg.BaseLatency, 0))
+	n.Engine.Arm(ev, n.Engine.Now()+max(n.Cfg.BaseLatency, 0))
 	return f
 }
 
@@ -342,7 +367,6 @@ func (a *admission) Fire() {
 // admit moves a submitted flow into the flow set once its base latency
 // has elapsed.
 func (n *Network) admit(f *Flow) {
-	f.admitEv = nil
 	f.admitted = true
 	f.slot = int32(len(n.flows))
 	n.flows = append(n.flows, f)
@@ -378,13 +402,12 @@ func (n *Network) Cancel(f *Flow) {
 	f.done = true
 	f.span.Annotate("cancelled", "1")
 	f.span.FinishAt(n.Engine.Now())
-	if f.admitEv != nil {
+	if !f.admitted {
 		f.admitEv.Cancel()
+		return
 	}
-	if f.admitted {
-		n.remove(f)
-		n.invalidate()
-	}
+	n.remove(f)
+	n.invalidate()
 }
 
 // Reroute moves a live flow onto a new path; remaining bits carry over.
@@ -667,6 +690,11 @@ func (n *Network) completions() {
 		if f.h != nil {
 			f.h.FlowDone(f)
 		}
+		// The caller's ownership ended with FlowDone: recycle the flow,
+		// keeping done set and dropping every pointer into the caller's
+		// objects.
+		f.Path, f.h, f.span, f.Label = nil, nil, nil, ""
+		f.next, n.free = n.free, f
 	}
 	clear(n.drained)
 	n.drained = n.drained[:0]

@@ -153,21 +153,37 @@ func TestRerouteOnFailure(t *testing.T) {
 	}
 }
 
+// A flow cancelled while it waits for admission, or after it, never
+// completes and is never recycled: later flows that start and complete
+// around it never get its struct.
 func TestCancel(t *testing.T) {
-	eng, n := testbed()
-	path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
-	fired := false
-	f := n.StartFlow(path, 200e9, "x", FlowFunc(func(*Flow) { fired = true }))
-	eng.After(100*sim.Millisecond, func() { n.Cancel(f) })
-	eng.Run()
-	if fired {
-		t.Fatal("cancelled flow completed")
-	}
-	if !f.Done() {
-		t.Fatal("cancelled flow not marked done")
-	}
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("flows remain: %d", n.ActiveFlows())
+	for _, at := range []sim.Time{0, 100 * sim.Millisecond} {
+		eng, n := testbed()
+		path, _ := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
+		fired := false
+		f := n.StartFlow(path, 200e9, "x", FlowFunc(func(*Flow) { fired = true }))
+		other := n.StartFlow(path, 1e9, "other", nil)
+		eng.After(at, func() { n.Cancel(f) })
+		eng.Run()
+		if fired {
+			t.Fatalf("cancel at %v: cancelled flow completed", at)
+		}
+		if !f.Done() {
+			t.Fatalf("cancel at %v: cancelled flow not marked done", at)
+		}
+		if n.ActiveFlows() != 0 {
+			t.Fatalf("cancel at %v: flows remain: %d", at, n.ActiveFlows())
+		}
+		for i := 0; i < 3; i++ {
+			g, h := n.StartFlow(path, 1e9, "g", nil), n.StartFlow(path, 1e9, "h", nil)
+			if g == f || h == f {
+				t.Fatalf("cancel at %v: StartFlow returned the cancelled flow", at)
+			}
+			if i == 0 && g != other {
+				t.Fatalf("cancel at %v: StartFlow did not reuse the completed flow", at)
+			}
+			eng.Run()
+		}
 	}
 }
 
@@ -420,31 +436,41 @@ func TestCancelMidWindowSettlesCarriedBits(t *testing.T) {
 
 func TestCancelFromOnCompleteSuppressesBatchmate(t *testing.T) {
 	eng, n := testbed()
-	// Two identical flows complete at the same instant; the first flow's
-	// completion handler cancels the second. The cancelled flow must not
-	// have its own OnComplete invoked — the contract per-flow completion
-	// events used to give, preserved by the batched completion event.
+	// Three identical flows complete at the same instant; the second
+	// flow's completion handler cancels the third and starts two new
+	// flows. The cancelled flow must not have its own OnComplete invoked —
+	// the contract per-flow completion events used to give, preserved by
+	// the batched completion event — and must not come back from
+	// StartFlow while it waits in the wave, though the already completed
+	// first flow may.
 	path, err := n.Topo.PathFor(0, 2, 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second *Flow
+	var third *Flow
+	var started []*Flow
+	thirdFired := false
 	secondFired := false
-	firstFired := false
-	first := n.StartFlow(path, 1e9, "first", FlowFunc(func(*Flow) {
-		firstFired = true
-		n.Cancel(second)
+	first := n.StartFlow(path, 1e9, "first", nil)
+	second := n.StartFlow(path, 1e9, "second", FlowFunc(func(*Flow) {
+		secondFired = true
+		n.Cancel(third)
+		started = append(started, n.StartFlow(path, 1e9, "a", nil), n.StartFlow(path, 1e9, "b", nil))
 	}))
-	second = n.StartFlow(path, 1e9, "second", FlowFunc(func(*Flow) { secondFired = true }))
+	third = n.StartFlow(path, 1e9, "third", FlowFunc(func(*Flow) { thirdFired = true }))
 	eng.Run()
-	if !firstFired {
-		t.Fatal("first flow never completed")
+	if !secondFired {
+		t.Fatal("second flow never completed")
 	}
-	if !first.Done() || !second.Done() {
+	if !second.Done() || !third.Done() {
 		t.Fatal("both flows should be done (one completed, one cancelled)")
 	}
-	if secondFired {
+	if thirdFired {
 		t.Fatal("cancelled flow's OnComplete fired")
+	}
+	if started[0] != first || started[1] == third || started[1] == second {
+		t.Fatalf("flows started in the wave reused %p and %p; want the first flow %p, then a new struct (second %p, cancelled %p)",
+			started[0], started[1], first, second, third)
 	}
 	if n.ActiveFlows() != 0 {
 		t.Fatalf("active flows = %d, want 0", n.ActiveFlows())

@@ -75,8 +75,8 @@ func (f Func) Fire() { f() }
 // engine's own: it recycles each one once it fires, so nothing outside the
 // engine ever holds one.
 //
-// The struct is 48 bytes and must not grow: the engine allocates one for
-// every flow admission (netsim), and the heap's sift loops read it.
+// The struct is 48 bytes and must not grow: every netsim flow keeps one
+// for its admission, and the heap's sift loops read it.
 type Event struct {
 	at      Time
 	seq     uint64

@@ -10,7 +10,8 @@ import (
 //   - it never panics;
 //   - a trace it accepts, written back with WriteChrome, parses to equal
 //     spans;
-//   - Profile, and CriticalPath from every span as the root, return.
+//   - Profile, and CriticalPath from every span as the root over the
+//     same Forest, return.
 //
 // Plain `go test` replays the committed corpus (testdata/fuzz/); `make
 // fuzz-smoke` explores further.
@@ -31,9 +32,10 @@ func FuzzParseChrome(f *testing.F) {
 		if !reflect.DeepEqual(back, spans) {
 			t.Fatalf("written trace read back as\n%+v\nwant\n%+v", back, spans)
 		}
-		Profile(spans)
+		f := NewForest(spans)
+		f.Profile()
 		for _, root := range spans {
-			CriticalPath(spans, root)
+			f.CriticalPath(root)
 		}
 	})
 }

@@ -17,14 +17,41 @@ type ProfileRow struct {
 	Self  sim.Time
 }
 
+// Forest is a trace indexed once for analysis: each span's children in
+// creation order, and the trace's horizon. Profile and every CriticalPath
+// walk over one trace share it, so a walk costs the spans it visits, not
+// the whole trace.
+type Forest struct {
+	spans   []*Span
+	horizon sim.Time
+	kids    map[int][]*Span // span ID → children in creation order
+}
+
+// NewForest indexes spans.
+func NewForest(spans []*Span) *Forest {
+	kids := make(map[int][]*Span, len(spans))
+	for _, s := range spans {
+		if s.Parent != 0 {
+			kids[s.Parent] = append(kids[s.Parent], s)
+		}
+	}
+	return &Forest{spans: spans, horizon: Horizon(spans), kids: kids}
+}
+
+// Horizon reports the trace's horizon (see the package function Horizon).
+func (f *Forest) Horizon() sim.Time { return f.horizon }
+
 // Profile aggregates spans by kind. Rows are sorted by Self descending,
 // ties broken by kind name, so the report is deterministic.
-func Profile(spans []*Span) []ProfileRow {
-	horizon := Horizon(spans)
-	kids := childIndex(spans)
+func Profile(spans []*Span) []ProfileRow { return NewForest(spans).Profile() }
+
+// Profile aggregates the forest's spans by kind, as the package function
+// Profile does.
+func (f *Forest) Profile() []ProfileRow {
+	horizon, kids := f.horizon, f.kids
 	agg := make(map[string]*ProfileRow)
 	order := make([]string, 0, 8)
-	for _, s := range spans {
+	for _, s := range f.spans {
 		row := agg[s.Kind]
 		if row == nil {
 			row = &ProfileRow{Kind: s.Kind}
@@ -47,17 +74,6 @@ func Profile(spans []*Span) []ProfileRow {
 		return rows[i].Kind < rows[j].Kind
 	})
 	return rows
-}
-
-// childIndex maps span ID → children in creation order.
-func childIndex(spans []*Span) map[int][]*Span {
-	kids := make(map[int][]*Span, len(spans))
-	for _, s := range spans {
-		if s.Parent != 0 {
-			kids[s.Parent] = append(kids[s.Parent], s)
-		}
-	}
-	return kids
 }
 
 // coveredByChildren returns the length of the union of the children's
@@ -132,9 +148,8 @@ type PathSeg struct {
 // Ties (two children ending at the same instant) break toward the later
 // created span (higher ID), i.e. the one scheduled last, which is the
 // deterministic analogue of "most recently blocked".
-func CriticalPath(spans []*Span, root *Span) []PathSeg {
-	horizon := Horizon(spans)
-	kids := childIndex(spans)
+func (f *Forest) CriticalPath(root *Span) []PathSeg {
+	horizon, kids := f.horizon, f.kids
 	var segs []PathSeg
 	var walk func(s *Span, upTo sim.Time)
 	walk = func(s *Span, upTo sim.Time) {

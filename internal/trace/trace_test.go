@@ -165,7 +165,7 @@ func TestProfileSelfAndTotal(t *testing.T) {
 
 func TestCriticalPathTilesRoot(t *testing.T) {
 	tr, root := buildTree(t)
-	segs := CriticalPath(tr.Spans(), root)
+	segs := NewForest(tr.Spans()).CriticalPath(root)
 	type want struct {
 		name     string
 		from, to sim.Time
@@ -194,7 +194,7 @@ func TestCriticalPathTilesRoot(t *testing.T) {
 
 func TestPathProfileSharesSumToOne(t *testing.T) {
 	tr, root := buildTree(t)
-	rows := PathProfile(CriticalPath(tr.Spans(), root))
+	rows := PathProfile(NewForest(tr.Spans()).CriticalPath(root))
 	var share float64
 	var self sim.Time
 	for _, r := range rows {
