@@ -70,7 +70,10 @@ kernel-race:
 # every record must re-encode and read back unchanged. The campaign
 # manifest reader: random bytes, where only one JSON document with nothing
 # after it may be accepted, and an accepted manifest must re-read from its
-# own encoding with the same hash. The session spec: random POST
+# own encoding with the same hash. The campaign partial and merged
+# artifact readers: random bytes, where likewise only one JSON document
+# may be accepted, and an accepted artifact must re-read from its own
+# WriteJSON output as an equal value. The session spec: random POST
 # /v1/sessions bodies through NewSession (and with them the trace and
 # strategy parsers), which must never panic and may accept only specs
 # inside the creation bounds. The trace reader: random bytes, where an
@@ -83,6 +86,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz FuzzReadPartial -fuzztime 10s ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz FuzzReadMerged -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzNewSession -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseChrome -fuzztime 10s ./internal/trace/
 

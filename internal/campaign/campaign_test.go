@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,6 +94,50 @@ func FuzzReadManifest(f *testing.F) {
 			t.Fatalf("normalized manifest %s re-reads with hash %s, want %s", norm, again.Hash(), m.Hash())
 		}
 	})
+}
+
+// FuzzReadPartial and FuzzReadMerged check the two artifact readers on
+// arbitrary bytes:
+//   - they never panic;
+//   - they accept only input that is exactly one JSON document, with
+//     nothing but whitespace around it (json.Valid is the reference);
+//   - an accepted artifact re-reads from its own WriteJSON output as an
+//     equal value.
+//
+// The seed corpora (testdata/fuzz/) hold the artifacts of
+// campaigns/smoke.json, a truncated one and one with trailing data.
+func FuzzReadPartial(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkArtifact(t, data, ReadPartial, (*Partial).WriteJSON)
+	})
+}
+
+func FuzzReadMerged(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkArtifact(t, data, ReadMerged, (*Merged).WriteJSON)
+	})
+}
+
+// checkArtifact is the body of the artifact fuzz targets.
+func checkArtifact[A any](t *testing.T, data []byte, read func(io.Reader) (*A, error), write func(*A, io.Writer) error) {
+	a, err := read(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	if !json.Valid(data) {
+		t.Fatalf("accepted %q, which is not exactly one JSON document", data)
+	}
+	var out bytes.Buffer
+	if err := write(a, &out); err != nil {
+		t.Fatalf("write accepted artifact: %v", err)
+	}
+	again, err := read(bytes.NewReader(out.Bytes()))
+	if err != nil {
+		t.Fatalf("written artifact %s does not re-read: %v", out.Bytes(), err)
+	}
+	if !reflect.DeepEqual(again, a) {
+		t.Fatalf("written artifact %s re-reads as %+v, want %+v", out.Bytes(), again, a)
+	}
 }
 
 // TestManifestHashNormalized checks the content hash sees the normalized

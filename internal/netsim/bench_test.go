@@ -234,3 +234,34 @@ func BenchmarkSettleParallel(b *testing.B) {
 func BenchmarkRecomputeAggregated128(b *testing.B) {
 	runGangWorld(b, kernelVariants[1], 64, 128)
 }
+
+// BenchmarkSettle times settle alone, without the fill, at the
+// netsim/scale-sweep shape: the 256-node gang world with 128 flows per
+// chain (32,768 flows in 256 classes), every flow admitted and moving,
+// and the clock advanced 1 µs before each settle, far short of any
+// completion.
+func BenchmarkSettle(b *testing.B) {
+	eng := sim.NewEngine()
+	tp := topo.MustNew(benchSpec(256))
+	n := New(eng, tp, DefaultConfig())
+	flows := startGangRings(n, tp, 128, nil)
+	eng.RunUntil(sim.Millisecond) // admits every flow and fills once
+	for _, f := range n.flows {
+		if f == nil || f.goodRate <= 0 {
+			b.Fatalf("a flow is not moving after admission")
+		}
+	}
+	if got := n.ActiveFlows(); got != flows {
+		b.Fatalf("%d of %d flows active", got, flows)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunFor(sim.Microsecond)
+		n.settle()
+	}
+	b.StopTimer()
+	if len(n.drained) != 0 {
+		b.Fatalf("%d flows drained: the clock reached a completion", len(n.drained))
+	}
+}

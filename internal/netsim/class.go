@@ -25,16 +25,24 @@ import (
 // bits individually (members may differ in size), and freezeComponent
 // subtracts the bottleneck share once per member with per-step clamping
 // rather than in one fused multiply, so it rounds exactly like a
-// flow-by-flow loop. Everything else a recompute does per class is
-// O(links): the CNP load is one multiply per class and link, and fanOut
-// copies the class's results to its members only when the class changed.
+// flow-by-flow loop. The remaining-bits update is settle's only per-member
+// work: it sums the members' delivered bits and CNP rates and charges
+// each sum once to the class's links and source port. Everything else a
+// recompute does per class is O(links): the CNP load is one multiply per
+// class and link, and fanOut copies the class's results to its members
+// only when the class changed.
 
 // flowClass is the unit of allocation: every admitted flow whose path has
-// an identical link chain.
+// an identical link chain and source port.
 type flowClass struct {
+	// The fields settle reads come first: the members, the key, whose
+	// chain part holds the chain's link IDs (see classAdmit), and the
+	// source port's up-link ID, -1 for a path without one (NVLink).
+	members []*Flow // admission order
 	key     string
-	links   []*topo.Link // the shared chain, in path order
-	members []*Flow      // admission order
+	port    int32
+
+	links []*topo.Link // the shared chain, in path order
 
 	// Kernel scratch, valid during one recompute. When components fill in
 	// parallel each class belongs to exactly one component, so there is no
@@ -78,26 +86,34 @@ func (fc *flowClass) fanOut(rate, cnp, good float64) float64 {
 	return fc.least.remaining
 }
 
-// classAdmit joins f to the class of its link chain. The aggregation key
-// is the path's dense link IDs packed little-endian: two paths with equal
-// keys cross exactly the same resources in the same order and are
-// indistinguishable to the kernel. The key is built in a reusable byte
-// buffer; Go's map lookup on string(buf) does not allocate, so only the
-// first member a chain ever has pays for a string and a class. A class
-// that lost its last member stays in the index and is revived here: it
-// re-enters n.classes at the end, as a new class would, and starts a fresh
-// class span, so the index stays bounded by the distinct chains a run uses
-// and chains that drain and refill every iteration allocate nothing.
+// classAdmit joins f to the class of its link chain and source port. The
+// aggregation key is the path's dense link IDs followed by its source
+// port's up-link ID (-1 without one), each packed little-endian in 4
+// bytes: two paths with equal keys cross exactly the same resources in the
+// same order and charge their CNPs to the same port, so they are
+// indistinguishable to the kernel and to settle. The port never splits a
+// real chain, whose second link is the source port's up-link. The key is
+// built in a reusable byte buffer; Go's map lookup on string(buf) does not
+// allocate, so only the first member a chain ever has pays for a string
+// and a class. A class that lost its last member stays in the index and is
+// revived here: it re-enters n.classes at the end, as a new class would,
+// and starts a fresh class span, so the index stays bounded by the
+// distinct chains a run uses and chains that drain and refill every
+// iteration allocate nothing.
 func (n *Network) classAdmit(f *Flow) {
+	port := int32(-1)
+	if p := f.Path.SrcPort; p != nil {
+		port = int32(p.Up.ID)
+	}
 	b := n.classKey[:0]
 	for _, l := range f.Path.Links {
-		id := uint32(l.ID)
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+		b = appendKeyID(b, uint32(l.ID))
 	}
+	b = appendKeyID(b, uint32(port))
 	n.classKey = b
 	fc := n.classIndex[string(b)]
 	if fc == nil {
-		fc = &flowClass{key: string(b), links: append([]*topo.Link(nil), f.Path.Links...)}
+		fc = &flowClass{key: string(b), port: port, links: append([]*topo.Link(nil), f.Path.Links...)}
 		n.classIndex[fc.key] = fc
 	}
 	if len(fc.members) == 0 {
@@ -111,6 +127,20 @@ func (n *Network) classAdmit(f *Flow) {
 	f.class = fc
 	n.mark(fc)
 }
+
+// appendKeyID appends id to a class key, little-endian.
+func appendKeyID(b []byte, id uint32) []byte {
+	return append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+}
+
+// keyID reads the ID packed at the start of s, a part of a class key.
+func keyID(s string) uint32 {
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// chain returns the part of fc's key that packs its chain's link IDs, 4
+// bytes each in path order.
+func (fc *flowClass) chain() string { return fc.key[:len(fc.key)-4] }
 
 // mark records that fc's membership changed, so the next recompute
 // re-fills fc and every component it holds or touches.

@@ -56,7 +56,6 @@ func (n *Network) recomputeClasses() {
 	}
 	n.dissolve()
 
-	n.scTouched = n.scTouched[:0]
 	n.region = n.region[:0]
 	minEta := sim.MaxTime
 	horizon := sim.MaxTime - n.Engine.Now()
@@ -93,12 +92,10 @@ func (n *Network) recomputeClasses() {
 		m := len(fc.members)
 		for _, l := range fc.links {
 			id := l.ID
-			if !n.scSeen[id] {
-				n.scSeen[id] = true
+			if !n.markLink(id) {
 				n.scCap[id] = l.Gbps * Gbps
 				n.scCount[id] = 0
 				n.scClasses[id] = n.scClasses[id][:0]
-				n.scTouched = append(n.scTouched, id)
 			}
 			n.scCount[id] += m
 			n.scClasses[id] = append(n.scClasses[id], fc)
@@ -112,9 +109,6 @@ func (n *Network) recomputeClasses() {
 	n.linksChanged = false
 
 	minEta = min(minEta, n.fillComponents(n.partition()))
-	for _, id := range n.scTouched {
-		n.scSeen[id] = false
-	}
 	n.rearmCompletion(minEta)
 }
 

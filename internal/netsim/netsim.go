@@ -37,9 +37,11 @@
 // own admission handler; the network owns its recompute and completion
 // events and re-arms them in place; and a completed flow goes, with its
 // admission Event, to the network's free list for a later StartFlow (see
-// StartFlow for the ownership rule). Flow stays at 128 bytes because
-// settle walks every active flow at every completion and mutation (see
-// Flow).
+// StartFlow for the ownership rule). settle, which advances the network
+// to every completion and mutation, walks the classes: its per-member
+// work is the remaining-bits update only, and it charges carried bits and
+// CNPs once per class. Flow stays at 128 bytes because that update still
+// reads every moving member's first cache line (see Flow).
 package netsim
 
 import (
@@ -115,14 +117,16 @@ func (FlowFunc) PathDown(*Flow) {}
 
 // Flow is one in-flight transfer.
 //
-// A Flow is 128 bytes, two cache lines, and must not grow. settle advances
-// every active flow at every completion and every mutation, and on
-// many-flow runs (netsim/scale-*) that walk is about half the CPU, so the
-// fields settle and the kernel's fan-out read come first and share one
-// cache line. Embedding the admission Event in the Flow would add a third
-// cache line to every flow settle walks, so the Event is allocated beside
-// the Flow, once per struct: it stays with its Flow through every
-// recycling and is re-armed by each StartFlow that reuses it.
+// A Flow is 128 bytes, two cache lines, and must not grow. settle updates
+// every moving member's remaining bits at every completion and every
+// mutation, its only per-member work, and on many-flow runs
+// (netsim/scale-*) loading each member for that update is most of
+// settle's time, so the fields settle and the kernel's fan-out read come
+// first and share one cache line. Embedding the admission Event in the
+// Flow would add a third cache line to every flow settle walks, so the
+// Event is allocated beside the Flow, once per struct: it stays with its
+// Flow through every recycling and is re-armed by each StartFlow that
+// reuses it.
 type Flow struct {
 	Path *topo.Path
 
@@ -235,10 +239,10 @@ type Network struct {
 	scCap     []float64      // remaining capacity during progressive filling
 	scCount   []int          // unfrozen flows on the link
 	scClasses [][]*flowClass // classes crossing the link
-	scSeen    []bool         // link appears in scTouched
+	scMark    []uint64       // bit per link ID: the link is in the region
 	scLoadCnt []int          // allocated flows on the link (CNP pass)
 	scFactor  []float64      // CNP contention factor; 0 = not saturated
-	scTouched []int          // link IDs of the region being re-filled
+	scTouched []int          // the region's link IDs, ascending (partition)
 	region    []*flowClass   // alive classes being re-filled, n.classes order
 
 	// Incremental read-path counters: flowsOn tracks active-flow membership
@@ -289,7 +293,7 @@ func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
 		scCap:       make([]float64, nl),
 		scCount:     make([]int, nl),
 		scClasses:   make([][]*flowClass, nl),
-		scSeen:      make([]bool, nl),
+		scMark:      make([]uint64, (nl+63)/64),
 		scLoadCnt:   make([]int, nl),
 		scFactor:    make([]float64, nl),
 		flowsOn:     make([]int, nl),
@@ -605,9 +609,13 @@ func (n *Network) flush() {
 }
 
 // settle advances all flows to the current instant at their current rates,
-// updating remaining bits, per-link carried-bit counters, and CNP counters.
-// A flow whose remaining bits reach zero joins n.drained for the next
-// completions.
+// class by class. Each moving member's remaining bits drop by what it
+// delivered, clamped at zero, and a member whose remaining bits reach
+// zero joins n.drained for the next completions; the class then charges
+// its members' summed delivered bits once to each link of its chain and
+// their summed CNP rate once to its source port. The per-link and per-port
+// counters therefore round per class, as Utilization does, while every
+// member's remaining bits round exactly as a flow-by-flow walk would.
 func (n *Network) settle() {
 	now := n.Engine.Now()
 	dt := (now - n.lastSettle).Seconds()
@@ -615,23 +623,30 @@ func (n *Network) settle() {
 	if dt <= 0 {
 		return
 	}
-	for _, f := range n.flows {
-		if f == nil || f.goodRate <= 0 {
-			continue
-		}
-		delta := f.goodRate * dt
-		if delta >= f.remaining {
-			if f.remaining > 0 {
-				n.drained = append(n.drained, f)
+	for _, fc := range n.classes {
+		bits, cnp := 0.0, 0.0
+		for _, f := range fc.members {
+			if f.goodRate <= 0 {
+				continue // stalled, or admitted since the last recompute
 			}
-			delta = f.remaining
+			delta := f.goodRate * dt
+			if delta >= f.remaining {
+				if f.remaining > 0 {
+					n.drained = append(n.drained, f)
+				}
+				delta = f.remaining
+			}
+			f.remaining -= delta
+			bits += delta
+			cnp += f.cnpRate
 		}
-		f.remaining -= delta
-		for _, l := range f.Path.Links {
-			n.carriedBits[l.ID] += delta
+		if bits > 0 {
+			for ids := fc.chain(); len(ids) > 0; ids = ids[4:] {
+				n.carriedBits[keyID(ids)] += bits
+			}
 		}
-		if f.cnpRate > 0 && f.Path.SrcPort != nil {
-			n.cnpCount[f.Path.SrcPort.Up.ID] += f.cnpRate * dt
+		if cnp > 0 && fc.port >= 0 {
+			n.cnpCount[fc.port] += cnp * dt
 		}
 	}
 }

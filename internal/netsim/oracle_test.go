@@ -34,6 +34,9 @@ type perFlowScratch struct {
 	best   []float64
 }
 
+// linkMarked reports whether markLink put link id in the region.
+func (n *Network) linkMarked(id int) bool { return n.scMark[id>>6]&(1<<(id&63)) != 0 }
+
 // usePerFlow swaps the per-flow oracle into n's recompute seam. Call it
 // before the first flow is admitted.
 func usePerFlow(n *Network) {
@@ -43,8 +46,8 @@ func usePerFlow(n *Network) {
 }
 
 // recomputePerFlow allocates rates flow by flow, reusing the network's
-// slice-indexed scratch (scCap, scCount, scSeen, union-find, the CNP pass)
-// and its own per-link flow lists.
+// slice-indexed scratch (scCap, scCount, the region's link bitset,
+// union-find, the CNP pass) and its own per-link flow lists.
 func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	n.scTouched = n.scTouched[:0]
 	o.frozen = slices.Grow(o.frozen[:0], len(n.flows))[:len(n.flows)]
@@ -69,8 +72,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		}
 		unfrozen++
 		for _, l := range f.Path.Links {
-			if !n.scSeen[l.ID] {
-				n.scSeen[l.ID] = true
+			if !n.markLink(l.ID) {
 				n.scCap[l.ID] = l.Gbps * Gbps
 				n.scCount[l.ID] = 0
 				o.onLink[l.ID] = o.onLink[l.ID][:0]
@@ -103,14 +105,14 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 	// Bottleneck scanning visits links in ascending ID order by walking
 	// the whole dense ID space and skipping untouched entries. Every
 	// component takes its round's bottleneck from its own links.
-	nl := len(n.scSeen)
+	nl := len(n.scCap)
 	for unfrozen > 0 {
 		for _, id := range n.scTouched {
 			o.best[o.root[id]] = math.Inf(1)
 		}
 		n.stats.LinkVisits += uint64(nl)
 		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
+			if !n.linkMarked(id) || n.scCount[id] <= 0 {
 				continue
 			}
 			r := o.root[id]
@@ -121,7 +123,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		progressed := false
 		n.stats.LinkVisits += uint64(nl)
 		for id := 0; id < nl; id++ {
-			if !n.scSeen[id] || n.scCount[id] <= 0 {
+			if !n.linkMarked(id) || n.scCount[id] <= 0 {
 				continue
 			}
 			share := n.scCap[id] / float64(n.scCount[id])
@@ -199,9 +201,9 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		f.goodRate = f.rate * loss
 	}
 	for _, id := range n.scTouched {
-		n.scSeen[id] = false
 		n.scFactor[id] = 0
 	}
+	clear(n.scMark)
 
 	// The next completion is the earliest ETA across all moving flows,
 	// rounded up by 1 ns exactly like the class kernel's.

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -54,17 +54,37 @@ type component struct {
 	flowVisits uint64
 }
 
-// partition groups the region's links (scTouched) into connected
-// components via union-find over the region's classes, records each link's
-// and class's new component, appends the new components to n.comps and
-// returns them. Component
-// identity and internal ordering are deterministic: the representative is
-// the smallest link ID, so walking the region's links in ascending order
-// meets each representative first; links are listed ascending, and classes
-// keep n.classes order (the order of n.region).
+// markLink adds link id to the region being re-filled and reports
+// whether it was already there.
+func (n *Network) markLink(id int) bool {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	was := n.scMark[w]&bit != 0
+	n.scMark[w] |= bit
+	return was
+}
+
+// partition groups the region's links into connected components via
+// union-find over the region's classes, records each link's and class's
+// new component, appends the new components to n.comps and returns them.
+// It reads the region's links from the bitset markLink set, walking the
+// set bits word by word and clearing them as it goes, so scTouched comes
+// out in ascending ID order without a sort. Component identity and
+// internal ordering are deterministic: the representative is the smallest
+// link ID, so walking the region's links in ascending order meets each
+// representative first; links are listed ascending, and classes keep
+// n.classes order (the order of n.region).
 func (n *Network) partition() []*component {
-	for _, id := range n.scTouched {
-		n.ufParent[id] = int32(id)
+	n.scTouched = n.scTouched[:0]
+	for w, word := range n.scMark {
+		if word == 0 {
+			continue
+		}
+		n.scMark[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			n.scTouched = append(n.scTouched, id)
+			n.ufParent[id] = int32(id)
+		}
 	}
 	for _, fc := range n.region {
 		r := n.ufFind(int32(fc.links[0].ID))
@@ -80,7 +100,6 @@ func (n *Network) partition() []*component {
 		}
 	}
 
-	slices.Sort(n.scTouched)
 	kept := len(n.comps)
 	for _, id := range n.scTouched {
 		root := int(n.ufFind(int32(id)))

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -56,8 +57,12 @@ type OnlineDetector struct {
 	comms      map[int]*commWatch
 	detections []c4d.Detection
 	handlers   []func(c4d.Detection)
-	lastFire   map[string]sim.Time
 	updates    uint64
+
+	// lastFire holds each finding's last firing by its identity key
+	// (findingKey); key is the buffer the key is packed in.
+	lastFire map[string]sim.Time
+	key      []byte
 }
 
 // NewOnlineDetector creates a detector bound to the engine (needed for
@@ -135,12 +140,30 @@ func (d *OnlineDetector) Observe(rec Record) {
 	}
 }
 
-func (d *OnlineDetector) emit(det c4d.Detection) {
-	key := fmt.Sprintf("%d/%v/%v", det.Comm, det.Syndrome, det.Suspects)
-	if last, ok := d.lastFire[key]; ok && det.At-last < c4d.DedupInterval {
-		return
+// findingKey packs a finding's identity, its communicator, syndrome and
+// suspects, into d.key as varints and returns it. A lastFire lookup by
+// string(key) does not allocate.
+func (d *OnlineDetector) findingKey(comm int, syn c4d.Syndrome, suspects []int) []byte {
+	b := binary.AppendVarint(d.key[:0], int64(comm))
+	b = binary.AppendVarint(b, int64(syn))
+	for _, s := range suspects {
+		b = binary.AppendVarint(b, int64(s))
 	}
-	d.lastFire[key] = det.At
+	d.key = b
+	return b
+}
+
+// repeats reports whether the finding fired less than c4d.DedupInterval
+// before at. Callers ask before they build the finding's Detection, so a
+// suppressed repeat allocates nothing.
+func (d *OnlineDetector) repeats(comm int, syn c4d.Syndrome, suspects []int, at sim.Time) bool {
+	last, ok := d.lastFire[string(d.findingKey(comm, syn, suspects))]
+	return ok && at-last < c4d.DedupInterval
+}
+
+// emit fires det, which repeats has cleared.
+func (d *OnlineDetector) emit(det c4d.Detection) {
+	d.lastFire[string(d.findingKey(det.Comm, det.Syndrome, det.Suspects))] = det.At
 	d.detections = append(d.detections, det)
 	for _, h := range d.handlers {
 		h(det)
@@ -200,26 +223,28 @@ func (d *OnlineDetector) checkCommSlow(w *commWatch, src, dst int) {
 	// a NIC side from a single bad cable.
 	if v, n, dsts := w.matrix.Row(src); dsts >= c4d.MinLineCells &&
 		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
-		d.emit(c4d.Detection{
-			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{src},
-			Severity: med / v, Detail: "streaming matrix row slow: source Tx degraded",
-		})
+		d.commSlow(w, now, med/v, "streaming matrix row slow: source Tx degraded", src)
 		return
 	}
 	if v, n, srcs := w.matrix.Col(dst); srcs >= c4d.MinLineCells &&
 		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
-		d.emit(c4d.Detection{
-			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{dst},
-			Severity: med / v, Detail: "streaming matrix column slow: destination Rx degraded",
-		})
+		d.commSlow(w, now, med/v, "streaming matrix column slow: destination Rx degraded", dst)
 		return
 	}
 	if v, n := w.matrix.Pair(src, dst); n >= minPairObs && v > 0 && v < threshold {
-		d.emit(c4d.Detection{
-			At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: []int{src, dst},
-			Severity: med / v, Detail: "streaming connection slow",
-		})
+		d.commSlow(w, now, med/v, "streaming connection slow", src, dst)
 	}
+}
+
+// commSlow fires a comm-slow finding on suspects unless it repeats.
+func (d *OnlineDetector) commSlow(w *commWatch, now sim.Time, severity float64, detail string, suspects ...int) {
+	if d.repeats(w.comm, c4d.CommSlow, suspects, now) {
+		return
+	}
+	d.emit(c4d.Detection{
+		At: now, Comm: w.comm, Syndrome: c4d.CommSlow, Suspects: append([]int(nil), suspects...),
+		Severity: severity, Detail: detail,
+	})
 }
 
 // checkStraggler applies the straggler rule to the decayed waited-on
@@ -234,9 +259,12 @@ func (d *OnlineDetector) checkStraggler(w *commWatch, now sim.Time) {
 	if !ok {
 		return
 	}
-	top := w.waitVals[i]
+	top, node := w.waitVals[i], w.waitNodes[i]
+	if d.repeats(w.comm, c4d.NonCommSlow, []int{node}, now) {
+		return
+	}
 	d.emit(c4d.Detection{
-		At: now, Comm: w.comm, Syndrome: c4d.NonCommSlow, Suspects: []int{w.waitNodes[i]},
+		At: now, Comm: w.comm, Syndrome: c4d.NonCommSlow, Suspects: []int{node},
 		Severity: top / c4d.ReportInterval.Seconds(),
 		Detail:   fmt.Sprintf("peers' decayed wait on this node %.3fs", top),
 	})
@@ -276,7 +304,7 @@ func (d *OnlineDetector) hangAlarm(w *commWatch) {
 		return // closed and replaced
 	}
 	now := d.eng.Now()
-	if h, ok := w.hang.Verdict(now, d.cfg.HangTimeout); ok {
+	if h, ok := w.hang.Verdict(now, d.cfg.HangTimeout); ok && !d.repeats(w.comm, h.Syndrome, h.Suspects, now) {
 		detail := fmt.Sprintf("no kernel launch for op %d (peers launched %v ago)", h.Op, h.Stalled)
 		if h.Syndrome == c4d.CommHang {
 			detail = fmt.Sprintf("op %d transport silent for %v", h.Op, h.Stalled)

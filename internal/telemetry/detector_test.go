@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"c4/internal/accl"
@@ -319,5 +320,74 @@ func TestReplayMemberlessCommunicator(t *testing.T) {
 	}
 	if dets := Replay(records, DetectorConfig{}, 2*time30).Detections(); len(dets) != 0 {
 		t.Fatalf("memberless communicator produced %v", dets)
+	}
+}
+
+// A finding that repeats inside the dedup interval is dropped before its
+// Detection, suspects or detail are built, so a suppressed comm-slow
+// (row, column or connection) or straggler repeat allocates nothing.
+func TestSuppressedRepeatAllocatesNothing(t *testing.T) {
+	// healthy gives nodes 0-3 three 100 Gbps transfers to each other, the
+	// matrix's median; slow pairs then move at 10 Gbps, three times each.
+	// Nodes 4-6 reach fewer than c4d.MinLineCells peers, so only the
+	// slow side with enough peers, or the pair itself, is judged.
+	healthy := func(m *DelayMatrix) {
+		for rep := 0; rep < 3; rep++ {
+			for src := 0; src < 4; src++ {
+				for dst := 0; dst < 4; dst++ {
+					if src != dst {
+						m.Observe(src, dst, 100)
+					}
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		slow     [][2]int
+		src, dst int // the transfer that re-checks the finding
+		want     []int
+	}{
+		{"row", [][2]int{{0, 4}, {0, 5}, {0, 6}}, 0, 4, []int{0}},
+		{"column", [][2]int{{4, 0}, {5, 0}, {6, 0}}, 4, 0, []int{0}},
+		{"connection", [][2]int{{4, 5}}, 4, 5, []int{4, 5}},
+	} {
+		d := NewOnlineDetector(sim.NewEngine(), DetectorConfig{})
+		w := &commWatch{comm: 7, matrix: NewDelayMatrix(matrixAlpha)}
+		healthy(w.matrix)
+		for _, p := range tc.slow {
+			for rep := 0; rep < 3; rep++ {
+				w.matrix.Observe(p[0], p[1], 10)
+			}
+		}
+		d.checkCommSlow(w, tc.src, tc.dst)
+		if dets := d.Detections(); len(dets) != 1 || dets[0].Syndrome != c4d.CommSlow || !slices.Equal(dets[0].Suspects, tc.want) {
+			t.Fatalf("%s: first check fired %v, want one comm-slow on %v", tc.name, dets, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { d.checkCommSlow(w, tc.src, tc.dst) }); allocs != 0 {
+			t.Errorf("%s: suppressed comm-slow repeat: %v allocs, want 0", tc.name, allocs)
+		}
+		if n := len(d.Detections()); n != 1 {
+			t.Errorf("%s: %d detections after the repeats, want 1", tc.name, n)
+		}
+	}
+
+	// Node 1's peers waited on it a second; on nodes 2 and 3, 10 ms.
+	d := NewOnlineDetector(sim.NewEngine(), DetectorConfig{})
+	w := &commWatch{comm: 7}
+	for _, wait := range []struct {
+		on  int
+		dur sim.Time
+	}{{2, 10 * sim.Millisecond}, {3, 10 * sim.Millisecond}, {1, sim.Second}} {
+		d.observeWait(w, accl.WaitEvent{Comm: 7, On: wait.on, Dur: wait.dur})
+	}
+	if dets := d.Detections(); len(dets) != 1 || dets[0].Syndrome != c4d.NonCommSlow || !slices.Equal(dets[0].Suspects, []int{1}) {
+		t.Fatalf("straggler: first check fired %v, want one non-comm-slow on [1]", dets)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.checkStraggler(w, 0) }); allocs != 0 {
+		t.Errorf("suppressed straggler repeat: %v allocs, want 0", allocs)
+	}
+	if n := len(d.Detections()); n != 1 {
+		t.Errorf("straggler: %d detections after the repeats, want 1", n)
 	}
 }
