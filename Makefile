@@ -79,9 +79,16 @@ kernel-race:
 # inside the creation bounds. The trace reader: random bytes, where an
 # accepted trace must write back with WriteChrome and re-read to equal
 # spans, and the profile and every critical-path walk must return. The
-# stream reader is also the one archive reader: `c4 replay` and `c4
-# analyze` both read telemetry streams. Plain `go test` already replays
-# the committed seed corpora (testdata/fuzz/ in each package).
+# bench-report reader: random bytes, where only one JSON document of
+# known keys naming each scenario once may be accepted, and an accepted
+# report must re-read from its own WriteJSON output as an equal value.
+# The c4vet allow-directive parser: random comment text, where a comment
+# is a directive exactly when it is //c4vet:allow followed by nothing, a
+# space or a tab, and is well-formed exactly when a known analyzer and a
+# reason follow. The stream reader is also the one archive reader: `c4
+# replay` and `c4 analyze` both read telemetry streams. Plain `go test`
+# already replays the committed seed corpora (testdata/fuzz/ in each
+# package).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClassKernelAgainstOracle -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzReadStream -fuzztime 10s ./internal/telemetry/
@@ -90,6 +97,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadMerged -fuzztime 10s ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz FuzzNewSession -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzParseChrome -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzReadBenchReport -fuzztime 10s ./internal/metrics/
+	$(GO) test -run '^$$' -fuzz FuzzAllowDirective -fuzztime 10s ./internal/analysis/
 
 # One small multi-tenant churn trial through the registry: Poisson job
 # arrivals/departures on a shared fabric, with the shape check asserting

@@ -19,9 +19,9 @@ import (
 // Fig 5: it reads a telemetry JSONL stream, the archive that `c4 sim
 // -telemetry-out`, `c4 serve` and `c4 analyze -demo` write, and replays
 // its msg records (the transport time series the C4a agents archive)
-// through the same delay-matrix localizer the online master uses, printing
-// per-window findings — the post-mortem workflow for "why was this job
-// slow last night?".
+// through the batch master's window localizer, printing per-window
+// findings — the post-mortem workflow for "why was this job slow last
+// night?".
 //
 //	c4 analyze run.jsonl                 # analyze an archived stream
 //	c4 analyze -demo -dir /tmp/c4s       # run the registered analyzer-demo
@@ -34,7 +34,6 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 		dir    = fs.String("dir", ".", "directory for the demo stream")
 		window = fs.Duration("window", 10e9, "analysis window")
 		kappa  = fs.Float64("kappa", 2, "slowdown multiple considered anomalous")
-		frac   = fs.Float64("frac", 0.6, "row/column fraction for NIC-side verdicts")
 		seed   = fs.Int64("seed", 1, "simulation seed (demo mode)")
 	)
 	if code, ok := parseFlags(fs, args); !ok {
@@ -46,8 +45,6 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 		bad = fmt.Sprintf("-window %v: want a positive window", *window)
 	case !(*kappa > 1):
 		bad = fmt.Sprintf("-kappa %v: want a slowdown multiple above 1", *kappa)
-	case !(*frac > 0 && *frac <= 1):
-		bad = fmt.Sprintf("-frac %v: want a fraction in (0, 1]", *frac)
 	}
 	if bad != "" {
 		fmt.Fprintf(stderr, "c4 analyze: %s\n", bad)
@@ -84,7 +81,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "loaded %d transport records from %s\n", len(msgs), path)
 
-	findings := c4d.AnalyzeOffline(msgs, sim.FromDuration(*window), *kappa, *frac)
+	findings := c4d.AnalyzeOffline(msgs, sim.FromDuration(*window), *kappa)
 	if len(findings) == 0 {
 		fmt.Fprintln(stdout, "no anomalies found")
 		return 0

@@ -88,6 +88,38 @@ func TestCampaignExpand(t *testing.T) {
 // run serially and sharded through the real subcommands, merge both, and
 // require byte-identical artifacts; then exercise the failure paths a
 // smoke loop depends on (gap refusal, resume, check).
+// Each artifact reader refuses the other's document, naming the field it
+// does not know: merging a merged report as if it were a shard partial,
+// and checking a partial as if it were a merged report, both exit 1.
+func TestCampaignArtifactsNotInterchangeable(t *testing.T) {
+	dir := t.TempDir()
+	manifest := writeTinyManifest(t, dir)
+	partial := filepath.Join(dir, "partial.json")
+	merged := filepath.Join(dir, "merged.json")
+	if code, _, stderr := runC4(t, "campaign", "run", "-manifest", manifest, "-out", partial); code != 0 {
+		t.Fatalf("run: exit %d\n%s", code, stderr)
+	}
+	if code, _, stderr := runC4(t, "campaign", "merge", "-manifest", manifest, "-out", merged, partial); code != 0 {
+		t.Fatalf("merge: exit %d\n%s", code, stderr)
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		field string
+	}{
+		{"merged report as a partial", []string{"merge", "-manifest", manifest, "-out", filepath.Join(dir, "again.json"), merged}, `"summary"`},
+		{"partial as a merged report", []string{"check", "-manifest", manifest, partial}, `"shard"`},
+	} {
+		code, _, stderr := runC4(t, append([]string{"campaign"}, tc.args...)...)
+		if code != 1 || !strings.Contains(stderr, "unknown field "+tc.field) {
+			t.Errorf("%s: exit %d, stderr %q; want 1 naming unknown field %s", tc.name, code, stderr, tc.field)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "again.json")); !os.IsNotExist(err) {
+		t.Errorf("refused merge wrote its output: %v", err)
+	}
+}
+
 func TestCampaignEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	manifest := writeTinyManifest(t, dir)

@@ -37,33 +37,42 @@ func collectDirectives(pkg *Package, known map[string]bool) []*directive {
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowPrefix) {
-					continue
+				if d, ok := parseDirective(c.Text, known); ok {
+					d.pos = pkg.Fset.Position(c.Pos())
+					out = append(out, &d)
 				}
-				d := &directive{pos: pkg.Fset.Position(c.Pos())}
-				rest := strings.TrimPrefix(c.Text, allowPrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // some other //c4vet:allowXyz token, not ours
-				}
-				fields := strings.Fields(rest)
-				switch {
-				case len(fields) == 0:
-					d.bad = "allow directive names no analyzer (format: //c4vet:allow <analyzer> <reason>)"
-				case !known[fields[0]]:
-					d.name = fields[0]
-					d.bad = "allow directive names unknown analyzer " + quoted(fields[0])
-				case len(fields) == 1:
-					d.name = fields[0]
-					d.bad = "allow directive for " + quoted(fields[0]) + " has no reason; suppressions must say why"
-				default:
-					d.name = fields[0]
-					d.reason = strings.Join(fields[1:], " ")
-				}
-				out = append(out, d)
 			}
 		}
 	}
 	return out
+}
+
+// parseDirective parses one comment's text. The comment is a directive
+// when it is allowPrefix followed by nothing, a space or a tab; any other
+// //c4vet:allowXyz token is not ours. A directive is well-formed when its
+// first field names a known analyzer and a reason follows; otherwise bad
+// says what is wrong.
+func parseDirective(text string, known map[string]bool) (directive, bool) {
+	rest, ok := strings.CutPrefix(text, allowPrefix)
+	if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return directive{}, false
+	}
+	var d directive
+	fields := strings.Fields(rest)
+	switch {
+	case len(fields) == 0:
+		d.bad = "allow directive names no analyzer (format: //c4vet:allow <analyzer> <reason>)"
+	case !known[fields[0]]:
+		d.name = fields[0]
+		d.bad = "allow directive names unknown analyzer " + quoted(fields[0])
+	case len(fields) == 1:
+		d.name = fields[0]
+		d.bad = "allow directive for " + quoted(fields[0]) + " has no reason; suppressions must say why"
+	default:
+		d.name = fields[0]
+		d.reason = strings.Join(fields[1:], " ")
+	}
+	return d, true
 }
 
 func quoted(s string) string { return `"` + s + `"` }

@@ -17,10 +17,6 @@ const (
 	// accumulators with it as their time constant, the streaming analogue
 	// of one window's wait total.
 	ReportInterval = 5 * sim.Second
-	// RowColFrac is the fraction of a matrix row/column that must be
-	// anomalous to blame a NIC side instead of a connection. Batch master
-	// only.
-	RowColFrac = 0.6
 	// WaitKappa is how many times the runner-up a straggler's waited-on
 	// time must exceed (see Straggler). Both detectors.
 	WaitKappa = 3.0
@@ -73,11 +69,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-type pairAgg struct {
-	bytes float64
-	dur   sim.Time
-}
-
 type commState struct {
 	nodes []int
 
@@ -89,7 +80,7 @@ type commState struct {
 
 	// Window accumulators, cleared in place after each analysis pass so a
 	// warm window re-fills the same entries.
-	pairs map[[2]int]pairAgg
+	pairs pairSums
 	waits map[int]sim.Time // node -> time peers spent waiting on it (window)
 
 	// waitRing holds each member's wait totals of the last
@@ -186,7 +177,7 @@ func (m *Master) OnCommCreate(ci accl.CommInfo) {
 	m.comms[ci.Comm] = &commState{
 		nodes:    append([]int(nil), ci.Nodes...),
 		hang:     NewHangWatch(ci.Nodes),
-		pairs:    make(map[[2]int]pairAgg),
+		pairs:    make(pairSums),
 		waits:    make(map[int]sim.Time),
 		waitRing: make([]sim.Time, len(ci.Nodes)*SmoothingWindows),
 	}
@@ -211,16 +202,10 @@ func (m *Master) OnCollective(ev accl.CollEvent) {
 // OnMessage implements accl.StatsSink. A pair's transfers are summed in
 // emission order.
 func (m *Master) OnMessage(ev accl.MsgEvent) {
-	cs := m.arrive(ev.Comm)
-	if cs == nil {
-		return
+	if cs := m.arrive(ev.Comm); cs != nil {
+		cs.pairs.add(ev)
+		cs.hang.Msg(ev)
 	}
-	key := [2]int{ev.SrcNode, ev.DstNode}
-	agg := cs.pairs[key]
-	agg.bytes += ev.Bytes
-	agg.dur += ev.Duration()
-	cs.pairs[key] = agg
-	cs.hang.Msg(ev)
 }
 
 // OnWait implements accl.StatsSink.
@@ -349,14 +334,7 @@ func (m *Master) detectCommSlow(now sim.Time, comm int, cs *commState) {
 	if len(cs.pairs) < 2 {
 		return
 	}
-	bw := make(map[[2]int]float64, len(cs.pairs))
-	for key, agg := range cs.pairs {
-		if agg.dur <= 0 {
-			continue
-		}
-		bw[key] = agg.bytes * 8 / agg.dur.Seconds()
-	}
-	for _, f := range AnalyzeDelayMatrix(bw, m.cfg.Kappa, RowColFrac) {
+	for _, f := range cs.pairs.localize(m.cfg.Kappa) {
 		ev := Event{
 			Time: now, Comm: comm, Syndrome: CommSlow, Scope: f.Scope,
 			Severity: f.Slowdown, Peer: -1,

@@ -1,172 +1,181 @@
 package c4d
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"c4/internal/accl"
 	"c4/internal/metrics"
+	"c4/internal/sim"
 )
 
-// The communication-slow localizer implements the paper's Fig 7: transfer
+// The communication-slow rule implements the paper's Fig 7: transfer
 // performance between worker pairs forms a matrix (rows = sources, columns
 // = destinations); a single slow cell indicates a specific connection, a
 // slow row a source-side (Tx) problem, and a slow column a destination-side
-// (Rx) problem.
+// (Rx) problem. JudgeCell is the rule, and both detectors apply it: the
+// batch master, the offline analyzer and the κ ablation to the sums of a
+// window (Localize), the online detector to the EWMAs and quantile sketch
+// it keeps since the communicator opened.
 
-// MinLineCells is the breadth a row or column verdict needs. With fewer
-// than three observed cells on a side (e.g. ring traffic, where each node
-// has exactly one outgoing connection), a "whole row slow" claim is
-// indistinguishable from a single bad connection, so the finding stays at
-// connection scope. The online detector's streaming matrix applies the
-// same floor to the distinct peers it has seen on a line.
-const MinLineCells = 3
+// The evidence floors JudgeCell applies.
+const (
+	// MinMatrixObs is how many transfers a matrix needs before its
+	// healthy reference is trusted.
+	MinMatrixObs = 24
+	// MinPairObs is how many transfers a cell needs before it is judged.
+	MinPairObs = 3
+	// MinLineCells is the breadth a row or column verdict needs, in
+	// distinct peers; the line also needs MinPairObs transfers per peer of
+	// that breadth. With fewer peers on a side (e.g. ring traffic, where
+	// each node has exactly one outgoing connection), a "whole row slow"
+	// claim is indistinguishable from a single bad connection, so the
+	// finding stays at connection scope.
+	MinLineCells = 3
+)
 
 // MatrixFinding is one localized slowness.
 type MatrixFinding struct {
 	Scope Scope // ScopeConnection, ScopeNodeTx or ScopeNodeRx
 	Src   int   // source node (-1 for pure-Rx findings)
 	Dst   int   // destination node (-1 for pure-Tx findings)
-	// Slowdown is how many times worse than the healthy median.
+	// Slowdown is how many times worse than the healthy reference.
 	Slowdown float64
 }
 
-// AnalyzeDelayMatrix localizes slow components from per-pair throughput.
-// bw maps (src,dst) to mean observed bandwidth over the analysis window
-// (any consistent unit). kappa is the slowdown multiple considered
-// anomalous (the paper's deployment flags multi-fold degradations; 2.0 is
-// used throughout this repo). rowColFrac is the fraction of a row/column
-// that must be anomalous to blame the whole NIC side rather than single
-// connections (0.6 works well and tolerates missing cells).
-func AnalyzeDelayMatrix(bw map[[2]int]float64, kappa, rowColFrac float64) []MatrixFinding {
-	if len(bw) == 0 {
+// Line is the evidence on one matrix row (a source's transfers) or column
+// (a destination's).
+type Line struct {
+	BW    float64 // average bandwidth
+	Peers int     // distinct peers on the line
+	Obs   int     // transfers
+}
+
+// CellEvidence is what JudgeCell reads about cell (Src, Dst). Bandwidths
+// share one unit, any unit.
+type CellEvidence struct {
+	Src, Dst int
+	Ref      float64 // the matrix's healthy reference bandwidth
+	RefObs   int     // transfers behind Ref
+	Row, Col Line    // the cell's row and column
+	BW       float64 // the cell's bandwidth
+	Obs      int     // the cell's transfers
+}
+
+// JudgeCell is the comm-slow rule both detectors apply to one cell. A
+// value is slow below Ref/kappa, with slowdown Ref/value; a zero value is
+// hard slow, at 2·kappa. The row is judged first (ScopeNodeTx), then the
+// column (ScopeNodeRx), then the cell (ScopeConnection), each only once
+// its evidence clears the floors, and the first slow one is the finding.
+func JudgeCell(e CellEvidence, kappa float64) (MatrixFinding, bool) {
+	if e.RefObs < MinMatrixObs || !(e.Ref > 0) {
+		return MatrixFinding{}, false
+	}
+	slowdown := func(v float64) (float64, bool) {
+		if v <= 0 {
+			return 2 * kappa, true
+		}
+		return e.Ref / v, v < e.Ref/kappa
+	}
+	broad := func(l Line) bool { return l.Peers >= MinLineCells && l.Obs >= MinPairObs*MinLineCells }
+	if s, slow := slowdown(e.Row.BW); slow && broad(e.Row) {
+		return MatrixFinding{Scope: ScopeNodeTx, Src: e.Src, Dst: -1, Slowdown: s}, true
+	}
+	if s, slow := slowdown(e.Col.BW); slow && broad(e.Col) {
+		return MatrixFinding{Scope: ScopeNodeRx, Src: -1, Dst: e.Dst, Slowdown: s}, true
+	}
+	if s, slow := slowdown(e.BW); slow && e.Obs >= MinPairObs {
+		return MatrixFinding{Scope: ScopeConnection, Src: e.Src, Dst: e.Dst, Slowdown: s}, true
+	}
+	return MatrixFinding{}, false
+}
+
+// Cell is one cell of a window's delay matrix: the connection's mean
+// bandwidth over the window and its transfers in it.
+type Cell struct {
+	Src, Dst int
+	BW       float64
+	Obs      int
+}
+
+// Localize judges every cell of one window's delay matrix with JudgeCell,
+// in the order given; callers pass (src, dst) order, which connection
+// findings keep. The healthy reference is the median cell bandwidth and a
+// line's value the mean of its cells'; each blamed row and column is
+// reported once.
+func Localize(cells []Cell, kappa float64) []MatrixFinding {
+	if len(cells) == 0 {
 		return nil
 	}
-	// Healthy baseline: median bandwidth across all pairs. MAD-robust so a
-	// handful of broken cells cannot drag the baseline down.
-	all := make([]float64, 0, len(bw))
-	for _, v := range bw {
-		//c4vet:allow mapiterfloat consumed only by Median, which copies and sorts; any permutation yields the same value
-		all = append(all, v)
+	bws := make([]float64, len(cells))
+	// At most one line per cell: exactly that on a ring, the traffic of
+	// every simulated communicator.
+	rows, cols := make(map[int]lineSum, len(cells)), make(map[int]lineSum, len(cells))
+	obs := 0
+	for i, c := range cells {
+		bws[i] = c.BW
+		obs += c.Obs
+		rows[c.Src] = rows[c.Src].add(c)
+		cols[c.Dst] = cols[c.Dst].add(c)
 	}
-	med := metrics.Median(all)
-	if med <= 0 {
-		return nil
-	}
-
-	type cell struct {
-		src, dst int
-		slow     float64
-	}
-	// Iterate cells in (src, dst) order: map iteration order is randomized,
-	// and the float accumulation below must not depend on it — equal inputs
-	// must yield bit-identical findings (the replay tests assert this).
-	keys := make([][2]int, 0, len(bw))
-	for key := range bw {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-
-	var anomalous []cell
-	rowCells := map[int]int{} // src -> total observed cells
-	colCells := map[int]int{}
-	rowBad := map[int][]cell{}
-	colBad := map[int][]cell{}
-	for _, key := range keys {
-		v := bw[key]
-		src, dst := key[0], key[1]
-		rowCells[src]++
-		colCells[dst]++
-		slow := kappa * 2 // treat zero-bandwidth as hard-slow
-		if v > 0 {
-			slow = med / v
-		}
-		if slow >= kappa {
-			c := cell{src, dst, slow}
-			anomalous = append(anomalous, c)
-			rowBad[src] = append(rowBad[src], c)
-			colBad[dst] = append(colBad[dst], c)
-		}
-	}
-	if len(anomalous) == 0 {
-		return nil
-	}
-
+	ref := metrics.Median(bws)
 	var out []MatrixFinding
-	claimed := map[[2]int]bool{}
-
-	// Rows and columns first (most specific aggregate evidence), larger
-	// coverage first, deterministic order.
-	type side struct {
-		node  int
-		cells []cell
-		frac  float64
-		isRow bool
-	}
-	var sides []side
-	for src, cells := range rowBad {
-		frac := float64(len(cells)) / float64(rowCells[src])
-		sides = append(sides, side{src, cells, frac, true})
-	}
-	for dst, cells := range colBad {
-		frac := float64(len(cells)) / float64(colCells[dst])
-		sides = append(sides, side{dst, cells, frac, false})
-	}
-	sort.Slice(sides, func(i, j int) bool {
-		if sides[i].frac != sides[j].frac {
-			return sides[i].frac > sides[j].frac
+	for _, c := range cells {
+		f, ok := JudgeCell(CellEvidence{
+			Src: c.Src, Dst: c.Dst, Ref: ref, RefObs: obs,
+			Row: rows[c.Src].mean(), Col: cols[c.Dst].mean(), BW: c.BW, Obs: c.Obs,
+		}, kappa)
+		// Every cell of a blamed line yields the same finding.
+		if ok && (f.Scope == ScopeConnection || !slices.Contains(out, f)) {
+			out = append(out, f)
 		}
-		if sides[i].isRow != sides[j].isRow {
-			return sides[i].isRow
-		}
-		return sides[i].node < sides[j].node
-	})
-	for _, s := range sides {
-		if s.frac < rowColFrac || len(s.cells) < MinLineCells {
-			continue
-		}
-		// Skip if most of this side's cells were already claimed by an
-		// earlier (stronger) finding.
-		fresh := 0
-		var slowSum float64
-		for _, c := range s.cells {
-			if !claimed[[2]int{c.src, c.dst}] {
-				fresh++
-				slowSum += c.slow
-			}
-		}
-		if fresh == 0 || float64(fresh) < rowColFrac*float64(len(s.cells)) {
-			continue
-		}
-		for _, c := range s.cells {
-			claimed[[2]int{c.src, c.dst}] = true
-		}
-		f := MatrixFinding{Slowdown: slowSum / float64(fresh)}
-		if s.isRow {
-			f.Scope, f.Src, f.Dst = ScopeNodeTx, s.node, -1
-		} else {
-			f.Scope, f.Src, f.Dst = ScopeNodeRx, -1, s.node
-		}
-		out = append(out, f)
-	}
-
-	// Remaining anomalous cells are individual connection findings.
-	sort.Slice(anomalous, func(i, j int) bool {
-		if anomalous[i].src != anomalous[j].src {
-			return anomalous[i].src < anomalous[j].src
-		}
-		return anomalous[i].dst < anomalous[j].dst
-	})
-	for _, c := range anomalous {
-		if claimed[[2]int{c.src, c.dst}] {
-			continue
-		}
-		out = append(out, MatrixFinding{
-			Scope: ScopeConnection, Src: c.src, Dst: c.dst, Slowdown: c.slow,
-		})
 	}
 	return out
+}
+
+// lineSum is one line's cells in Localize.
+type lineSum struct {
+	bw         float64
+	peers, obs int
+}
+
+func (s lineSum) add(c Cell) lineSum { return lineSum{s.bw + c.BW, s.peers + 1, s.obs + c.Obs} }
+
+func (s lineSum) mean() Line { return Line{BW: s.bw / float64(s.peers), Peers: s.peers, Obs: s.obs} }
+
+// pairAgg is one connection's transfers in a window.
+type pairAgg struct {
+	bytes float64
+	dur   sim.Time
+	n     int
+}
+
+// pairSums are one window's transfer sums by (src, dst): the delay-matrix
+// evidence of the batch master and the offline analyzer.
+type pairSums map[[2]int]pairAgg
+
+// add folds one transfer into its pair's sums.
+func (p pairSums) add(m accl.MsgEvent) {
+	key := [2]int{m.SrcNode, m.DstNode}
+	agg := p[key]
+	agg.bytes += m.Bytes
+	agg.dur += m.Duration()
+	agg.n++
+	p[key] = agg
+}
+
+// localize turns the sums into cells, each pair's mean bandwidth in
+// bits/s, in (src, dst) order and localizes them. A pair with no transfer
+// time has no bandwidth and is left out.
+func (p pairSums) localize(kappa float64) []MatrixFinding {
+	cells := make([]Cell, 0, len(p))
+	for key, agg := range p {
+		if agg.dur > 0 {
+			cells = append(cells, Cell{Src: key[0], Dst: key[1], BW: agg.bytes * 8 / agg.dur.Seconds(), Obs: agg.n})
+		}
+	}
+	slices.SortFunc(cells, func(a, b Cell) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	return Localize(cells, kappa)
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // This file implements the offline "C4 Analyzer" of the paper's Fig 5: it
-// replays archived transport records through the same delay-matrix
-// localizer the online master uses, one fixed window at a time. The
-// archive is the JSONL telemetry stream; its msg records are the paper's
-// conn stats.
+// replays archived transport records through the batch master's window
+// localizer, and so through the comm-slow rule both detectors apply, one
+// fixed window at a time. The archive is the JSONL telemetry stream; its
+// msg records are the paper's conn stats.
 
 // OfflineFinding is one windowed analyzer result.
 type OfflineFinding struct {
@@ -43,7 +43,7 @@ func (of OfflineFinding) String() string {
 type offlineWindow struct {
 	start sim.Time // a multiple of the window length
 	comm  int
-	pairs map[[2]int]pairAgg
+	pairs pairSums
 }
 
 // offlineWindows buckets transfers by the window their end falls in,
@@ -64,15 +64,11 @@ func offlineWindows(msgs []accl.MsgEvent, window sim.Time) []*offlineWindow {
 		k := key{m.End / window * window, m.Comm}
 		w := byKey[k]
 		if w == nil {
-			w = &offlineWindow{start: k.start, comm: k.comm, pairs: map[[2]int]pairAgg{}}
+			w = &offlineWindow{start: k.start, comm: k.comm, pairs: pairSums{}}
 			byKey[k] = w
 			out = append(out, w)
 		}
-		pair := [2]int{m.SrcNode, m.DstNode}
-		agg := w.pairs[pair]
-		agg.bytes += m.Bytes
-		agg.dur += m.Duration()
-		w.pairs[pair] = agg
+		w.pairs.add(m)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].start != out[j].start {
@@ -87,20 +83,14 @@ func offlineWindows(msgs []accl.MsgEvent, window sim.Time) []*offlineWindow {
 // localizer in fixed windows — the paper's "C4 Analyzer" box in Fig 5,
 // used for post-mortems on archived telemetry. Only windows that hold
 // records are analyzed; a window's end saturates at the largest time.
-func AnalyzeOffline(msgs []accl.MsgEvent, window sim.Time, kappa, rowColFrac float64) []OfflineFinding {
+func AnalyzeOffline(msgs []accl.MsgEvent, window sim.Time, kappa float64) []OfflineFinding {
 	if window <= 0 {
 		return nil
 	}
 	var out []OfflineFinding
 	for _, w := range offlineWindows(msgs, window) {
 		end := w.start + min(window, math.MaxInt64-w.start)
-		bw := map[[2]int]float64{}
-		for key, agg := range w.pairs {
-			if agg.dur > 0 {
-				bw[key] = agg.bytes * 8 / agg.dur.Seconds()
-			}
-		}
-		for _, f := range AnalyzeDelayMatrix(bw, kappa, rowColFrac) {
+		for _, f := range w.pairs.localize(kappa) {
 			out = append(out, OfflineFinding{
 				WindowStart: w.start, WindowEnd: end, Comm: w.comm, Finding: f,
 			})

@@ -11,31 +11,34 @@ import (
 )
 
 func TestAnalyzeOfflineFindsInjectedRow(t *testing.T) {
-	// Synthesize two windows of full-mesh traffic: healthy in the first,
-	// node 3's Tx degraded 4x in the second.
+	// Synthesize two windows of full-mesh traffic, MinPairObs transfers
+	// per pair: healthy in the first, node 3's Tx degraded 4x in the
+	// second.
 	var msgs []accl.MsgEvent
 	nodes := []int{0, 1, 2, 3, 4, 5}
 	emit := func(window int, slowSrc int) {
 		base := sim.Time(window) * 10 * sim.Second
-		for _, s := range nodes {
-			for _, d := range nodes {
-				if s == d {
-					continue
+		for range MinPairObs {
+			for _, s := range nodes {
+				for _, d := range nodes {
+					if s == d {
+						continue
+					}
+					dur := 100 * sim.Millisecond
+					if s == slowSrc {
+						dur *= 4
+					}
+					msgs = append(msgs, accl.MsgEvent{
+						Comm: 1, Seq: window, SrcNode: s, DstNode: d,
+						Bytes: 1 << 24, Start: base, End: base + dur,
+					})
 				}
-				dur := 100 * sim.Millisecond
-				if s == slowSrc {
-					dur *= 4
-				}
-				msgs = append(msgs, accl.MsgEvent{
-					Comm: 1, Seq: window, SrcNode: s, DstNode: d,
-					Bytes: 1 << 24, Start: base, End: base + dur,
-				})
 			}
 		}
 	}
 	emit(0, -1)
 	emit(1, 3)
-	findings := AnalyzeOffline(msgs, 10*sim.Second, 2, 0.6)
+	findings := AnalyzeOffline(msgs, 10*sim.Second, 2)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly 1", findings)
 	}
@@ -49,19 +52,22 @@ func TestAnalyzeOfflineFindsInjectedRow(t *testing.T) {
 }
 
 // A record ending exactly on a window boundary belongs to the window it
-// opens, even when it is the last record: four ring transfers ending at
-// 10 s, n3->n0 at a tenth of the others' bandwidth.
+// opens, even when it is the last record: four ring connections of six
+// transfers each (MinMatrixObs in all) ending at 10 s, n3->n0 at a tenth
+// of the others' bandwidth.
 func TestAnalyzeOfflineRecordOnWindowEdge(t *testing.T) {
 	var msgs []accl.MsgEvent
-	for src := 0; src < 4; src++ {
-		bytes := 1e9
-		if src == 3 {
-			bytes = 1e8
+	for range MinMatrixObs / 4 {
+		for src := 0; src < 4; src++ {
+			bytes := 1e9
+			if src == 3 {
+				bytes = 1e8
+			}
+			msgs = append(msgs, accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: src, DstNode: (src + 1) % 4,
+				Bytes: bytes, Start: 9 * sim.Second, End: 10 * sim.Second})
 		}
-		msgs = append(msgs, accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: src, DstNode: (src + 1) % 4,
-			Bytes: bytes, Start: 9 * sim.Second, End: 10 * sim.Second})
 	}
-	got := AnalyzeOffline(msgs, 10*sim.Second, 2, 0.6)
+	got := AnalyzeOffline(msgs, 10*sim.Second, 2)
 	want := OfflineFinding{WindowStart: 10 * sim.Second, WindowEnd: 20 * sim.Second, Comm: 1,
 		Finding: MatrixFinding{Scope: ScopeConnection, Src: 3, Dst: 0, Slowdown: 10}}
 	if len(got) != 1 || got[0] != want {
@@ -70,11 +76,16 @@ func TestAnalyzeOfflineRecordOnWindowEdge(t *testing.T) {
 }
 
 // Records a lifetime apart cost two windows, not every window between
-// them, and the last window's end saturates instead of wrapping negative.
+// them, and the last window's end saturates instead of wrapping negative:
+// MinMatrixObs transfers on one connection near time 0, and as many on
+// its reverse near the largest time.
 func TestAnalyzeOfflineFarApartRecords(t *testing.T) {
-	msgs := []accl.MsgEvent{
-		{Comm: 1, Seq: 1, SrcNode: 0, DstNode: 1, Bytes: 1000, End: sim.Millisecond},
-		{Comm: 1, Seq: 1, SrcNode: 1, DstNode: 0, Bytes: 1000, End: 9223372036854775000},
+	var msgs []accl.MsgEvent
+	for range MinMatrixObs {
+		msgs = append(msgs,
+			accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: 0, DstNode: 1, Bytes: 1000, End: sim.Millisecond},
+			accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: 1, DstNode: 0, Bytes: 1000,
+				Start: 9223372036854775000 - sim.Millisecond, End: 9223372036854775000})
 	}
 	if n := len(offlineWindows(msgs, 10*sim.Second)); n != 2 {
 		t.Fatalf("%d windows, want 2", n)
@@ -82,7 +93,7 @@ func TestAnalyzeOfflineFarApartRecords(t *testing.T) {
 	done := make(chan []OfflineFinding, 1)
 	go func() {
 		// Kappa 0 flags every cell: one finding per analyzed window.
-		done <- AnalyzeOffline(msgs, 10*sim.Second, 0, 0.6)
+		done <- AnalyzeOffline(msgs, 10*sim.Second, 0)
 	}()
 	select {
 	case got := <-done:
@@ -100,11 +111,11 @@ func TestAnalyzeOfflineFarApartRecords(t *testing.T) {
 }
 
 func TestAnalyzeOfflineEmpty(t *testing.T) {
-	if got := AnalyzeOffline(nil, sim.Second, 2, 0.6); got != nil {
+	if got := AnalyzeOffline(nil, sim.Second, 2); got != nil {
 		t.Fatalf("empty input: %+v", got)
 	}
 	msgs := []accl.MsgEvent{{Comm: 1, SrcNode: 0, DstNode: 2, Bytes: 1 << 20, End: sim.Millisecond}}
-	if got := AnalyzeOffline(msgs, 0, 2, 0.6); got != nil {
+	if got := AnalyzeOffline(msgs, 0, 2); got != nil {
 		t.Fatalf("zero window: %+v", got)
 	}
 }
@@ -150,7 +161,7 @@ func TestOfflineWindowsAtMostOnePerRecordProperty(t *testing.T) {
 					return false
 				}
 			}
-			for _, of := range AnalyzeOffline(msgs, w, 0, 0.6) {
+			for _, of := range AnalyzeOffline(msgs, w, 0) {
 				if of.WindowEnd < of.WindowStart || of.WindowEnd-of.WindowStart > w {
 					t.Logf("window [%d, %d] ns for a %d ns window", of.WindowStart, of.WindowEnd, w)
 					return false

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"c4/internal/faults"
+	"c4/internal/metrics"
 	"c4/internal/sim"
 )
 
@@ -151,26 +152,10 @@ func ParsePlacement(s string) (faults.Placement, error) {
 	return 0, fmt.Errorf("campaign: unknown placement %q (want spread or packed)", s)
 }
 
-// decodeDocument decodes the one JSON document a reader holds: anything
-// but whitespace after it is an error, so a concatenated or corrupted
-// file is refused rather than read up to its first value.
-func decodeDocument(dec *json.Decoder, v any) error {
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	end := dec.InputOffset()
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("data after the JSON document, which ends at byte %d", end)
-	}
-	return nil
-}
-
 // ReadManifest parses, normalizes and validates a manifest document.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := decodeDocument(dec, &m); err != nil {
+	if err := metrics.DecodeDocument(r, &m); err != nil {
 		return nil, fmt.Errorf("campaign: bad manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {

@@ -621,6 +621,15 @@ func TestPartialRoundTrip(t *testing.T) {
 	if _, err := ReadPartial(bytes.NewReader(append(b, " \n\t\r\n"...))); err != nil {
 		t.Fatalf("partial with trailing whitespace: %v", err)
 	}
+	// A shard outside 0 <= shard < of names no shard of any run.
+	for _, coords := range [][2]int{{2, 2}, {-1, 2}, {0, 0}} {
+		bad := bytes.Replace(b, []byte(`"shard": 1,
+  "of": 2`), []byte(fmt.Sprintf(`"shard": %d,
+  "of": %d`, coords[0], coords[1])), 1)
+		if _, err := ReadPartial(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "want 0 <= shard < of") {
+			t.Errorf("partial as shard %d of %d: err = %v, want the range refused", coords[0], coords[1], err)
+		}
+	}
 
 	merged, err := Merge([]*Partial{runShard(t, m, 0, 2), p})
 	if err != nil {
@@ -640,6 +649,13 @@ func TestPartialRoundTrip(t *testing.T) {
 	if _, err := ReadMerged(bytes.NewReader(append(mb, mb...))); err == nil ||
 		!strings.Contains(err.Error(), "after the JSON document") {
 		t.Fatalf("merged report with a second object: err = %v, want trailing-data refusal", err)
+	}
+	// Neither reader takes the other's document.
+	if _, err := ReadPartial(bytes.NewReader(mb)); err == nil || !strings.Contains(err.Error(), `unknown field "summary"`) {
+		t.Errorf("merged report read as a partial: err = %v", err)
+	}
+	if _, err := ReadMerged(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), `unknown field "shard"`) {
+		t.Errorf("partial read as a merged report: err = %v", err)
 	}
 	if s := merged.String(); !strings.Contains(s, "precision") || !strings.Contains(s, "aggregate:") {
 		t.Fatalf("merged String() missing summary lines:\n%s", s)

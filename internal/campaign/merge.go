@@ -72,10 +72,11 @@ func (m *Merged) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// ReadMerged parses a merged artifact.
+// ReadMerged parses a merged artifact. It refuses unknown fields, so a
+// shard partial does not read as a merged report.
 func ReadMerged(r io.Reader) (*Merged, error) {
 	var m Merged
-	if err := decodeDocument(json.NewDecoder(r), &m); err != nil {
+	if err := metrics.DecodeDocument(r, &m); err != nil {
 		return nil, fmt.Errorf("campaign: bad merged report: %w", err)
 	}
 	if m.Version != Version {

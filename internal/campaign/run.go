@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"c4/internal/faults"
+	"c4/internal/metrics"
 	"c4/internal/scenario"
 )
 
@@ -50,14 +51,19 @@ func (p *Partial) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadPartial parses a shard artifact.
+// ReadPartial parses a shard artifact. It refuses unknown fields, so a
+// merged report does not read as a partial, and shard coordinates outside
+// 0 <= shard < of.
 func ReadPartial(r io.Reader) (*Partial, error) {
 	var p Partial
-	if err := decodeDocument(json.NewDecoder(r), &p); err != nil {
+	if err := metrics.DecodeDocument(r, &p); err != nil {
 		return nil, fmt.Errorf("campaign: bad partial: %w", err)
 	}
 	if p.Version != Version {
 		return nil, fmt.Errorf("campaign: partial version %d, this build reads version %d", p.Version, Version)
+	}
+	if p.Shard < 0 || p.Shard >= p.Of {
+		return nil, fmt.Errorf("campaign: partial is shard %d of %d, want 0 <= shard < of", p.Shard, p.Of)
 	}
 	return &p, nil
 }

@@ -230,32 +230,32 @@ func runKappaSweep(ctx *scenario.Ctx) KappaSweep {
 	res := KappaSweep{}
 	const trials = 200
 	const n = 8
-	genHealthy := func() map[[2]int]float64 {
-		bw := map[[2]int]float64{}
+	// Every cell carries enough transfers to clear the rule's floors.
+	genHealthy := func() []c4d.Cell {
+		cells := make([]c4d.Cell, 0, n*(n-1))
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s != d {
-					bw[[2]int{s, d}] = 360 * (1 + 0.10*r.NormFloat64())
+					cells = append(cells, c4d.Cell{Src: s, Dst: d, BW: 360 * (1 + 0.10*r.NormFloat64()), Obs: c4d.MinPairObs})
 				}
 			}
 		}
-		return bw
+		return cells
 	}
 	for _, kappa := range []float64{1.2, 1.5, 2, 3, 5} {
 		fp, det := 0, 0
 		for i := 0; i < trials; i++ {
-			if len(c4d.AnalyzeDelayMatrix(genHealthy(), kappa, 0.6)) > 0 {
+			if len(c4d.Localize(genHealthy(), kappa)) > 0 {
 				fp++
 			}
 			bad := genHealthy()
 			victim := r.Intn(n)
-			for d := 0; d < n; d++ {
-				if d != victim {
-					bad[[2]int{victim, d}] /= 3
+			for j := range bad {
+				if bad[j].Src == victim {
+					bad[j].BW /= 3
 				}
 			}
-			findings := c4d.AnalyzeDelayMatrix(bad, kappa, 0.6)
-			for _, f := range findings {
+			for _, f := range c4d.Localize(bad, kappa) {
 				if f.Scope == c4d.ScopeNodeTx && f.Src == victim {
 					det++
 					break

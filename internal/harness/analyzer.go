@@ -14,10 +14,9 @@ import (
 
 // AnalyzerDemoResult exercises the offline C4 Analyzer workflow of Fig 5:
 // a monitored allreduce loop suffers a mid-run Rx degradation, the ACCL
-// recorder archives the transport time series, and the same delay-matrix
-// localizer the online master uses replays it per window. `c4 analyze
-// -demo` runs this scenario and archives its records as a telemetry
-// stream.
+// recorder archives the transport time series, and the batch master's
+// window localizer replays it per window. `c4 analyze -demo` runs this
+// scenario and archives its records as a telemetry stream.
 type AnalyzerDemoResult struct {
 	Victim   int
 	SlowedAt sim.Time
@@ -56,7 +55,7 @@ func runAnalyzerDemo(ctx *scenario.Ctx) AnalyzerDemoResult {
 	})
 	env.Eng.RunUntil(60 * sim.Second)
 
-	res.Findings = c4d.AnalyzeOffline(rec.Messages, 10*sim.Second, 2, 0.6)
+	res.Findings = c4d.AnalyzeOffline(rec.Messages, 10*sim.Second, 2)
 	return res
 }
 

@@ -43,12 +43,35 @@ func (r BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadBenchReport parses a report.
+// ReadBenchReport parses exactly one report: unknown keys, data after the
+// document and a scenario named twice are errors.
 func ReadBenchReport(rd io.Reader) (BenchReport, error) {
 	var r BenchReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	if err := DecodeDocument(rd, &r); err != nil {
 		return BenchReport{}, fmt.Errorf("metrics: bad bench report: %w", err)
 	}
 	r.Sort()
+	for i := 1; i < len(r.Scenarios); i++ {
+		if name := r.Scenarios[i].Name; name == r.Scenarios[i-1].Name {
+			return BenchReport{}, fmt.Errorf("metrics: bad bench report: scenario %q appears twice", name)
+		}
+	}
 	return r, nil
+}
+
+// DecodeDocument decodes the one JSON document r holds into v. Unknown
+// keys are errors, and so is anything but whitespace after the document,
+// so a concatenated or corrupted file is refused rather than read up to
+// its first value.
+func DecodeDocument(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON document, which ends at byte %d", end)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,8 +55,52 @@ func TestBenchReportCanonicalBytes(t *testing.T) {
 	}
 }
 
+// A report is exactly one JSON document of known keys naming each
+// scenario once.
 func TestReadBenchReportRejectsGarbage(t *testing.T) {
-	if _, err := ReadBenchReport(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	var good bytes.Buffer
+	if err := sampleReport().WriteJSON(&good); err != nil {
+		t.Fatal(err)
 	}
+	for _, tc := range []struct{ name, doc, want string }{
+		{"garbage", "not json", "invalid character"},
+		{"trailing data", good.String() + `{"seed": 2}`, "data after the JSON document"},
+		{"unknown key", strings.Replace(good.String(), `"seed"`, `"sead"`, 1), `unknown field "sead"`},
+		{"repeated scenario", strings.Replace(good.String(), `"campaign/flap"`, `"fig9"`, 1), `scenario "fig9" appears twice`},
+	} {
+		if _, err := ReadBenchReport(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := ReadBenchReport(strings.NewReader(good.String() + " \n\t")); err != nil {
+		t.Errorf("trailing whitespace: %v", err)
+	}
+}
+
+// FuzzReadBenchReport checks the baseline reader on random bytes: it never
+// panics, it accepts at most one JSON document, and an accepted report
+// re-reads from its own WriteJSON as an equal value. Its seed corpus holds
+// the committed baseline, and copies of it truncated, with data after it
+// and with an unknown key.
+func FuzzReadBenchReport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadBenchReport(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted %q, which is not exactly one JSON document", data)
+		}
+		var out bytes.Buffer
+		if err := r.WriteJSON(&out); err != nil {
+			t.Fatalf("write accepted report: %v", err)
+		}
+		again, err := ReadBenchReport(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("written report %s does not re-read: %v", out.Bytes(), err)
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("written report %s re-reads as %+v, want %+v", out.Bytes(), again, r)
+		}
+	})
 }

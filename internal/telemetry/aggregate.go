@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 
+	"c4/internal/c4d"
 	"c4/internal/sim"
 )
 
@@ -157,21 +158,25 @@ func (q *QuantileSketch) Quantile(p float64) float64 {
 }
 
 // DelayMatrix is the streaming Fig 7 delay matrix: per-pair, per-row
-// (source NIC) and per-column (destination NIC) bandwidth EWMAs plus a
-// quantile sketch of all observations for the healthy-median baseline.
-// One Observe is a constant number of EWMA/sketch updates regardless of
-// fleet size — the hot-path contrast with c4d.AnalyzeDelayMatrix, which
-// revisits every cell of the window on every pass.
+// (source NIC) and per-column (destination NIC) bandwidth EWMAs, each
+// line's distinct peers, and a quantile sketch of every transfer since the
+// communicator opened for the healthy-median reference. It gathers the
+// evidence c4d.JudgeCell reads: one Observe is a constant number of
+// EWMA/sketch updates regardless of fleet size, where the batch master
+// re-sums every cell of its window on every pass.
 type DelayMatrix struct {
 	alpha  float64
 	pairs  map[[2]int]*EWMA
-	rows   map[int]*EWMA
-	cols   map[int]*EWMA
-	rowDst map[int]map[int]bool // src -> distinct destinations seen
-	colSrc map[int]map[int]bool
+	rows   map[int]*matrixLine
+	cols   map[int]*matrixLine
 	sketch *QuantileSketch
+}
 
-	updates uint64
+// matrixLine is one row's or column's smoothed bandwidth and its distinct
+// peers.
+type matrixLine struct {
+	EWMA
+	peers int
 }
 
 // NewDelayMatrix creates a matrix with the given EWMA smoothing factor.
@@ -181,77 +186,52 @@ func NewDelayMatrix(alpha float64) *DelayMatrix {
 	return &DelayMatrix{
 		alpha:  alpha,
 		pairs:  map[[2]int]*EWMA{},
-		rows:   map[int]*EWMA{},
-		cols:   map[int]*EWMA{},
-		rowDst: map[int]map[int]bool{},
-		colSrc: map[int]map[int]bool{},
+		rows:   map[int]*matrixLine{},
+		cols:   map[int]*matrixLine{},
 		sketch: NewQuantileSketch(0.01, 10000, 256),
 	}
 }
 
-func (m *DelayMatrix) ewma(mp map[int]*EWMA, k int) *EWMA {
-	e := mp[k]
-	if e == nil {
-		e = &EWMA{Alpha: m.alpha}
-		mp[k] = e
+func (m *DelayMatrix) line(mp map[int]*matrixLine, k int) *matrixLine {
+	l := mp[k]
+	if l == nil {
+		l = &matrixLine{EWMA: EWMA{Alpha: m.alpha}}
+		mp[k] = l
 	}
-	return e
+	return l
 }
 
-// Observe folds in one transfer's bandwidth.
+// Observe folds in one transfer's bandwidth. A pair's first transfer adds
+// a peer to its row and its column.
 func (m *DelayMatrix) Observe(src, dst int, bw float64) {
 	key := [2]int{src, dst}
+	row, col := m.line(m.rows, src), m.line(m.cols, dst)
 	p := m.pairs[key]
 	if p == nil {
 		p = &EWMA{Alpha: m.alpha}
 		m.pairs[key] = p
+		row.peers++
+		col.peers++
 	}
 	p.Observe(bw)
-	m.ewma(m.rows, src).Observe(bw)
-	m.ewma(m.cols, dst).Observe(bw)
-	if m.rowDst[src] == nil {
-		m.rowDst[src] = map[int]bool{}
-	}
-	m.rowDst[src][dst] = true
-	if m.colSrc[dst] == nil {
-		m.colSrc[dst] = map[int]bool{}
-	}
-	m.colSrc[dst][src] = true
+	row.Observe(bw)
+	col.Observe(bw)
 	m.sketch.Observe(bw)
-	m.updates++
 }
 
-// Updates reports the total O(1) update operations performed.
-func (m *DelayMatrix) Updates() uint64 { return m.updates }
-
-// Median estimates the healthy baseline bandwidth across all transfers.
-func (m *DelayMatrix) Median() float64 { return m.sketch.Quantile(0.5) }
-
-// Pair returns a pair's smoothed bandwidth and observation count.
-func (m *DelayMatrix) Pair(src, dst int) (float64, int) {
-	p := m.pairs[[2]int{src, dst}]
-	if p == nil {
-		return 0, 0
+// Evidence is what c4d.JudgeCell reads about cell (src, dst): the
+// sketch's median and count, and the pair's, row's and column's EWMAs
+// with their counts and distinct peers.
+func (m *DelayMatrix) Evidence(src, dst int) c4d.CellEvidence {
+	e := c4d.CellEvidence{Src: src, Dst: dst, Ref: m.sketch.Quantile(0.5), RefObs: int(m.sketch.Count())}
+	if p := m.pairs[[2]int{src, dst}]; p != nil {
+		e.BW, e.Obs = p.Value(), p.Count()
 	}
-	return p.Value(), p.Count()
-}
-
-// Row returns a source node's smoothed transmit bandwidth, observation
-// count, and how many distinct destinations contributed.
-func (m *DelayMatrix) Row(src int) (float64, int, int) {
-	e := m.rows[src]
-	if e == nil {
-		return 0, 0, 0
+	if r := m.rows[src]; r != nil {
+		e.Row = c4d.Line{BW: r.Value(), Peers: r.peers, Obs: r.Count()}
 	}
-	return e.Value(), e.Count(), len(m.rowDst[src])
-}
-
-// Col returns a destination node's smoothed receive bandwidth,
-// observation count, and distinct contributing sources.
-func (m *DelayMatrix) Col(dst int) (float64, int, int) {
-	e := m.cols[dst]
-	if e == nil {
-		return 0, 0, 0
+	if c := m.cols[dst]; c != nil {
+		e.Col = c4d.Line{BW: c.Value(), Peers: c.peers, Obs: c.Count()}
 	}
-	return e.Value(), e.Count(), len(m.colSrc[dst])
+	return e
 }

@@ -13,8 +13,8 @@ import (
 
 // The incremental-vs-full-recompute benchmark behind online/scale-sweep:
 // one streaming DelayMatrix update per record versus one batch
-// AnalyzeDelayMatrix pass over a same-sized window, and the JSONL codec's
-// read and write sides. Run via `make bench`.
+// c4d.Localize pass over a same-sized window, and the JSONL codec's read
+// and write sides. Run via `make bench`.
 
 // ringPairs enumerates an n-node ring's (src,dst) edges.
 func ringPairs(n int) [][2]int {
@@ -40,13 +40,13 @@ func BenchmarkIncrementalObserve(b *testing.B) {
 
 func BenchmarkBatchAnalyzePass(b *testing.B) {
 	for _, nodes := range []int{8, 32, 128} {
-		bw := map[[2]int]float64{}
+		var cells []c4d.Cell
 		for _, p := range ringPairs(nodes) {
-			bw[p] = 100
+			cells = append(cells, c4d.Cell{Src: p[0], Dst: p[1], BW: 100, Obs: c4d.MinPairObs})
 		}
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c4d.AnalyzeDelayMatrix(bw, 2, 0.6)
+				c4d.Localize(cells, 2)
 			}
 		})
 	}

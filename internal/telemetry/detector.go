@@ -18,14 +18,8 @@ import (
 // c4d.ReportInterval as their time constant.
 type DetectorConfig = c4d.Config
 
-// The streaming matrix's warm-up: how many observations a pair needs
-// before it can be judged slow, the global count before any slowness
-// verdict, and its EWMA smoothing factor.
-const (
-	minPairObs  = 3
-	minTotalObs = 24
-	matrixAlpha = 0.4
-)
+// matrixAlpha is the streaming matrix's EWMA smoothing factor.
+const matrixAlpha = 0.4
 
 // commWatch is the per-communicator incremental state.
 type commWatch struct {
@@ -205,34 +199,21 @@ func (d *OnlineDetector) observeWait(w *commWatch, ev accl.WaitEvent) {
 	d.checkStraggler(w, now)
 }
 
-// checkCommSlow judges the pair (and its row/column) the record just
-// updated against the sketch's healthy median.
+// checkCommSlow judges the cell the record just updated, with its row and
+// column, by the comm-slow rule.
 func (d *OnlineDetector) checkCommSlow(w *commWatch, src, dst int) {
-	if w.matrix.sketch.Count() < minTotalObs {
-		return
-	}
-	med := w.matrix.Median()
-	if med <= 0 {
+	f, ok := c4d.JudgeCell(w.matrix.Evidence(src, dst), d.cfg.Kappa)
+	if !ok {
 		return
 	}
 	now := d.eng.Now()
-	threshold := med / d.cfg.Kappa
-
-	// Row/column verdicts first (broader evidence), mirroring the batch
-	// analyzer's preference, but only with enough distinct peers to tell
-	// a NIC side from a single bad cable.
-	if v, n, dsts := w.matrix.Row(src); dsts >= c4d.MinLineCells &&
-		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
-		d.commSlow(w, now, med/v, "streaming matrix row slow: source Tx degraded", src)
-		return
-	}
-	if v, n, srcs := w.matrix.Col(dst); srcs >= c4d.MinLineCells &&
-		n >= minPairObs*c4d.MinLineCells && v > 0 && v < threshold {
-		d.commSlow(w, now, med/v, "streaming matrix column slow: destination Rx degraded", dst)
-		return
-	}
-	if v, n := w.matrix.Pair(src, dst); n >= minPairObs && v > 0 && v < threshold {
-		d.commSlow(w, now, med/v, "streaming connection slow", src, dst)
+	switch f.Scope {
+	case c4d.ScopeNodeTx:
+		d.commSlow(w, now, f.Slowdown, "streaming matrix row slow: source Tx degraded", src)
+	case c4d.ScopeNodeRx:
+		d.commSlow(w, now, f.Slowdown, "streaming matrix column slow: destination Rx degraded", dst)
+	default:
+		d.commSlow(w, now, f.Slowdown, "streaming connection slow", src, dst)
 	}
 }
 

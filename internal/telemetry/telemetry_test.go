@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"c4/internal/accl"
+	"c4/internal/c4d"
 	"c4/internal/sim"
 )
 
@@ -155,30 +156,21 @@ func TestDelayMatrixIncrementalUpdates(t *testing.T) {
 			}
 		}
 	}
-	if v, n := m.Pair(1, 2); n != 10 || math.Abs(v-25) > 1e-9 {
-		t.Fatalf("pair(1,2) = %v/%d", v, n)
+	e := m.Evidence(1, 2)
+	if e.BW != 25 || e.Obs != 10 {
+		t.Fatalf("pair(1,2) = %v/%d", e.BW, e.Obs)
 	}
-	med := m.Median()
-	if med < 80 || med > 120 {
-		t.Fatalf("median = %v, want ≈100", med)
+	if e.Ref < 80 || e.Ref > 120 || e.RefObs != 120 {
+		t.Fatalf("median = %v over %d transfers, want ≈100 over 120", e.Ref, e.RefObs)
 	}
-	if v, _, dsts := m.Row(1); dsts != 3 || v >= 100 || v <= 25 {
-		t.Fatalf("row(1) = %v with %d dsts", v, dsts)
+	if e.Row.Peers != 3 || e.Row.Obs != 30 || e.Row.BW >= 100 || e.Row.BW <= 25 {
+		t.Fatalf("row(1) = %+v", e.Row)
 	}
-	if _, _, srcs := m.Col(2); srcs != 3 {
-		t.Fatalf("col(2) sources = %d", srcs)
+	if e.Col.Peers != 3 || e.Col.Obs != 30 {
+		t.Fatalf("col(2) = %+v", e.Col)
 	}
-	if m.Updates() != 120 {
-		t.Fatalf("updates = %d, want 120 (one per record)", m.Updates())
-	}
-	if v, n := m.Pair(9, 9); v != 0 || n != 0 {
-		t.Fatal("unknown pair not zero")
-	}
-	if v, n, d := m.Row(9); v != 0 || n != 0 || d != 0 {
-		t.Fatal("unknown row not zero")
-	}
-	if v, n, s := m.Col(9); v != 0 || n != 0 || s != 0 {
-		t.Fatal("unknown col not zero")
+	if e := m.Evidence(9, 9); e.BW != 0 || e.Obs != 0 || e.Row != (c4d.Line{}) || e.Col != (c4d.Line{}) {
+		t.Fatalf("unknown cell, row and column not zero: %+v", e)
 	}
 }
 
