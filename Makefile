@@ -11,7 +11,7 @@
 GO ?= go
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: all build vet c4vet lint fmt-check test test-race kernel-race fuzz-smoke \
+.PHONY: all build vet c4vet lint fmt-check test test-race fuzz-smoke \
 	tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke \
 	campaign-smoke perf-check docker \
 	ci bench experiments experiments-check bench-baseline bench-check cover clean
@@ -53,18 +53,10 @@ test:
 test-race:
 	$(GO) test -race -short ./...
 
-# The network kernel's parallel component settle under the race detector,
-# without -short: the full kernel-equivalence suite (netsim unit tests,
-# engine heap tests, collective-level accl tests) plus the 256-node
-# netsim/scale-* scenarios, which fill many components on worker pools.
-kernel-race:
-	$(GO) test -race ./internal/sim/ ./internal/netsim/ ./internal/accl/
-	$(GO) run -race ./cmd/c4 bench -only 'netsim/*'
-
 # Ten seconds of coverage-guided fuzzing per target. The network kernel:
 # random flow/link operation sequences on the testbed fabric, where the
-# class kernel (serial and parallel) must replay the per-flow oracle bit
-# for bit and every allocation must pass the max-min certificate. The
+# class kernel must replay the per-flow oracle bit for bit and every
+# allocation must pass the max-min certificate. The
 # telemetry stream reader: random JSONL, where the line scanner must agree
 # with encoding/json, ReadStream with an encoding/json-only reader, and
 # every record must re-encode and read back unchanged. The campaign
@@ -164,7 +156,7 @@ perf-check:
 docker:
 	docker build -t c4:$(SHA) .
 
-ci: lint build test test-race kernel-race bench fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check experiments-check
+ci: lint build test test-race bench fuzz-smoke tenancy-smoke telemetry-smoke plan-smoke serve-smoke trace-smoke campaign-smoke perf-check experiments-check
 
 # Every registry scenario (BenchmarkScenarios, one sub-benchmark per row
 # under its registry name) and the microbenchmarks, with allocations
@@ -174,9 +166,9 @@ ci: lint build test test-race kernel-race bench fuzz-smoke tenancy-smoke telemet
 # BenchmarkReadStream over a 10,000-record stream, BenchmarkEncodeRecord
 # per record), the network-kernel set (internal/netsim:
 # the per-flow test oracle BenchmarkRecomputePerFlow vs the flow-class
-# kernel BenchmarkRecomputeAggregated vs BenchmarkSettleParallel, plus
-# BenchmarkRecomputeAggregated128 at the netsim/scale-sweep shape of 128
-# flows per chain), the iteration executor (internal/plan:
+# kernel BenchmarkRecomputeAggregated, plus BenchmarkRecomputeAggregated128
+# at the netsim/scale-sweep shape of 128 flows per chain, and
+# BenchmarkSettle), the iteration executor (internal/plan:
 # BenchmarkExecIter on a stub fabric at Fig 14 Job1's TP8×DP16 and Job3's
 # TP8/PP8/DP2/GA16 shapes), the engine (internal/sim: BenchmarkSchedulePop,
 # BenchmarkReschedule, BenchmarkPost) and one warm collective

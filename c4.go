@@ -78,17 +78,12 @@ const (
 	Minute      = sim.Minute
 )
 
-// Fabric and network.
+// Fabric.
 type (
 	// ClusterSpec describes a fabric to build.
 	ClusterSpec = topo.Spec
 	// Topology is a built fabric.
 	Topology = topo.Topology
-	// NetConfig tunes the network simulator: its calibration and the
-	// parallel settle width (SettleWorkers), the number of goroutines that
-	// fill the link components a recompute re-fills — the flow-class
-	// kernel's one performance knob.
-	NetConfig = netsim.Config
 )
 
 // PaperTestbed is the paper's Table II testbed (16 nodes × 8 H800 GPUs,
@@ -290,9 +285,6 @@ const (
 type EnvOptions struct {
 	// Spec describes the fabric; the zero value means PaperTestbed().
 	Spec ClusterSpec
-	// Net tunes the network simulator; nil means the calibration used
-	// throughout the repository.
-	Net *NetConfig
 }
 
 // OpenEnv builds an experiment environment — engine, fabric, network —
@@ -306,12 +298,8 @@ func OpenEnv(opts EnvOptions) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := netsim.DefaultConfig()
-	if opts.Net != nil {
-		cfg = *opts.Net
-	}
 	eng := sim.NewEngine()
-	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t, cfg)}, nil
+	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t)}, nil
 }
 
 // Scenario registry and parallel experiment runner. Every paper table and

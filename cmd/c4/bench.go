@@ -380,7 +380,7 @@ multi-tenant runs can mix pipeline and pure-DP traffic on one fabric.`)
 }
 
 // writeScaleDocs documents the netsim kernel family (internal/netsim's
-// flow-class kernel and parallel component settle) in the generated
+// flow-class kernel and its event-local link components) in the generated
 // experiments file.
 func writeScaleDocs(w io.Writer) {
 	fmt.Fprintln(w, `
@@ -401,17 +401,16 @@ in-flight chunks). The kernel is built on that shape:
   with its own smallest share as each round's bottleneck. Components
   persist between recomputes, and a recompute re-fills only the
   components its changes reach (a class whose membership changed, or all
-  of them after a link change); the others keep their rates.
-- parallel component settle (`+"`netsim.Config.SettleWorkers`"+`, the one
-  performance knob): the re-filled components fill on a bounded worker
-  pool, one fork-join per recompute; components are memory-disjoint and
-  outputs merge in deterministic order, so the parallel run is
-  byte-identical to serial (proved under -race in CI).
+  of them after a link change); the others keep their rates. The
+  re-filled components fill one after another: with the flows collapsed
+  into classes, a recompute's fill is too small to pay for a goroutine
+  fork-join.
 
 Work is scored in deterministic KernelStats link visits, so the numbers
 are bench-baseline stable. netsim/scale-aggregate pins the class and
 component census and the kernel's work at 32 flows per chain;
-netsim/scale-parallel pins serial == 8-worker settle; netsim/scale-sweep
+netsim/scale-parallel reruns that world on a fresh engine and pins the
+rerun bit for bit to the first run; netsim/scale-sweep
 shows the work per recompute staying within 1.25x while flows per chain
 grow 16x. The per-flow kernel the class kernel replaced is kept as a test
 oracle in internal/netsim, where the class kernel must match it bit for
@@ -419,7 +418,7 @@ bit while the oracle, which re-fills the whole fabric flow by flow, does
 13.7x, 43.2x and 161.4x the work at 8, 32 and 128 flows per chain; the
 accl collective test and whole-family replays of the
 figure/tenancy/plan/campaign scenarios are pinned to goldens recorded
-from it, under serial and 4-worker settle.`)
+from it.`)
 }
 
 func escape(s string) string {

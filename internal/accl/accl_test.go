@@ -68,7 +68,7 @@ func newHarness() *harness {
 	tp := topo.MustNew(topo.PaperTestbed())
 	return &harness{
 		eng:  eng,
-		net:  netsim.New(eng, tp, netsim.DefaultConfig()),
+		net:  netsim.New(eng, tp),
 		topo: tp,
 		rec:  &Recorder{},
 	}
@@ -429,7 +429,7 @@ func TestMultiRailStripingScalesThroughput(t *testing.T) {
 		spec := topo.PaperTestbed()
 		spec.NVLinkGbps = 1e4 // NIC-bound regime
 		tp := topo.MustNew(spec)
-		net := netsim.New(eng, tp, netsim.DefaultConfig())
+		net := netsim.New(eng, tp)
 		c, err := NewCommunicator(Config{
 			Engine: eng, Net: net, Provider: newPlannedProvider(tp),
 			Rails: rails, Rand: sim.NewRand(1),

@@ -16,7 +16,7 @@ func warmRing(tb testing.TB) func() {
 	tb.Helper()
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
-	net := netsim.New(eng, tp, netsim.DefaultConfig())
+	net := netsim.New(eng, tp)
 	prov := newPlannedProvider(tp)
 	prov.adaptive = true
 	c, err := NewCommunicator(Config{

@@ -17,43 +17,39 @@ const collectiveGolden = "37f658c677271dbffbfdb8a861365ab01fc14f6137a98385261c61
 
 // TestCollectivesEquivalentAcrossKernels runs a multi-op collective
 // workload — a cross-group ring allreduce, an allgather, and a broadcast
-// tree racing on one fabric — with serial and with 4-worker parallel
-// settle. The collective layer sees the network only through flow
-// completion instants, so every result (start, end, busbw) and the
-// engine's fired-event count must match the per-flow golden exactly, and
-// every recompute's allocation must pass the max-min certificate.
+// tree racing on one fabric — on the flow-class kernel. The collective
+// layer sees the network only through flow completion instants, so every
+// result (start, end, busbw) and the engine's fired-event count must match
+// the per-flow golden exactly, and every recompute's allocation must pass
+// the max-min certificate.
 func TestCollectivesEquivalentAcrossKernels(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		cfg := netsim.DefaultConfig()
-		cfg.SettleWorkers = workers
-		eng := sim.NewEngine()
-		tp := topo.MustNew(topo.PaperTestbed())
-		restore := netsim.ForceMaxMinCheck(func(err error) { t.Fatalf("settle workers %d: %v", workers, err) })
-		net := netsim.New(eng, tp, cfg)
-		restore()
-		rec := &Recorder{}
-		mk := func(nodes []int) *Communicator {
-			c, err := NewCommunicator(Config{
-				Engine: eng, Net: net, Provider: newPlannedProvider(tp), Sink: rec,
-			}, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+	eng := sim.NewEngine()
+	tp := topo.MustNew(topo.PaperTestbed())
+	restore := netsim.ForceMaxMinCheck(func(err error) { t.Fatal(err) })
+	net := netsim.New(eng, tp)
+	restore()
+	rec := &Recorder{}
+	mk := func(nodes []int) *Communicator {
+		c, err := NewCommunicator(Config{
+			Engine: eng, Net: net, Provider: newPlannedProvider(tp), Sink: rec,
+		}, nodes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var outcome string
-		done := func(op string) func(Result) {
-			return func(r Result) {
-				outcome += fmt.Sprintf("%s: start=%d end=%d bus=%v\n", op, r.Start, r.End, r.BusGbps)
-			}
+		return c
+	}
+	var outcome string
+	done := func(op string) func(Result) {
+		return func(r Result) {
+			outcome += fmt.Sprintf("%s: start=%d end=%d bus=%v\n", op, r.Start, r.End, r.BusGbps)
 		}
-		mk([]int{0, 2, 4, 6}).AllReduce(256*MiB, nil, done("allreduce"))
-		mk([]int{1, 3, 5, 7}).AllGather(64*MiB, nil, done("allgather"))
-		mk([]int{8, 10, 12, 14}).Broadcast(128*MiB, nil, done("broadcast"))
-		eng.Run()
-		outcome += fmt.Sprintf("fired=%d\n", eng.Fired())
-		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(outcome))); sum != collectiveGolden {
-			t.Errorf("settle workers %d: outcome diverged from the per-flow golden (sha256 %s):\n%s", workers, sum, outcome)
-		}
+	}
+	mk([]int{0, 2, 4, 6}).AllReduce(256*MiB, nil, done("allreduce"))
+	mk([]int{1, 3, 5, 7}).AllGather(64*MiB, nil, done("allgather"))
+	mk([]int{8, 10, 12, 14}).Broadcast(128*MiB, nil, done("broadcast"))
+	eng.Run()
+	outcome += fmt.Sprintf("fired=%d\n", eng.Fired())
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(outcome))); sum != collectiveGolden {
+		t.Errorf("outcome diverged from the per-flow golden (sha256 %s):\n%s", sum, outcome)
 	}
 }

@@ -62,7 +62,7 @@ func newRig(t *testing.T, extra ...accl.StatsSink) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
-	net := netsim.New(eng, tp, netsim.DefaultConfig())
+	net := netsim.New(eng, tp)
 	master := NewMaster(eng, Config{})
 	nodes := []int{0, 2, 4, 6}
 	comm, err := accl.NewCommunicator(accl.Config{

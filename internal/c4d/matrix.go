@@ -154,12 +154,18 @@ type pairAgg struct {
 // evidence of the batch master and the offline analyzer.
 type pairSums map[[2]int]pairAgg
 
-// add folds one transfer into its pair's sums.
+// add folds one transfer into its pair's sums. The duration sum
+// saturates at the largest time rather than wrap negative, which would
+// drop the pair from localize.
 func (p pairSums) add(m accl.MsgEvent) {
 	key := [2]int{m.SrcNode, m.DstNode}
 	agg := p[key]
 	agg.bytes += m.Bytes
-	agg.dur += m.Duration()
+	if d := m.Duration(); d > 0 && agg.dur > sim.MaxTime-d {
+		agg.dur = sim.MaxTime
+	} else {
+		agg.dur += d
+	}
 	agg.n++
 	p[key] = agg
 }

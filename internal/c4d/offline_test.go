@@ -110,6 +110,30 @@ func TestAnalyzeOfflineFarApartRecords(t *testing.T) {
 	}
 }
 
+// A connection whose transfer times add up past the largest time keeps
+// its cell: the window's duration sum saturates instead of wrapping
+// negative. On a 4-node ring, three healthy connections carry 24
+// transfers of 1 GB in 40 ms each, and n3->n0 carries 24 transfers of
+// 4e17 ns each (9.6e18 ns in all), every transfer ending at 4e17 ns.
+func TestAnalyzeOfflineDurationSumSaturates(t *testing.T) {
+	const end = sim.Time(4e17)
+	var msgs []accl.MsgEvent
+	for range 24 {
+		for src := 0; src < 4; src++ {
+			start := end - 40*sim.Millisecond
+			if src == 3 {
+				start = 0
+			}
+			msgs = append(msgs, accl.MsgEvent{Comm: 1, Seq: 1, SrcNode: src, DstNode: (src + 1) % 4,
+				Bytes: 1e9, Start: start, End: end})
+		}
+	}
+	got := AnalyzeOffline(msgs, 10*sim.Second, 2)
+	if len(got) != 1 || got[0].Finding.Scope != ScopeConnection || got[0].Finding.Src != 3 || got[0].Finding.Dst != 0 {
+		t.Fatalf("findings = %+v, want the n3->n0 connection blamed", got)
+	}
+}
+
 func TestAnalyzeOfflineEmpty(t *testing.T) {
 	if got := AnalyzeOffline(nil, sim.Second, 2); got != nil {
 		t.Fatalf("empty input: %+v", got)

@@ -13,7 +13,7 @@ import (
 func testRig() (*sim.Engine, *netsim.Network, *topo.Topology) {
 	eng := sim.NewEngine()
 	t := topo.MustNew(topo.MultiJobTestbed(8))
-	return eng, netsim.New(eng, t, netsim.DefaultConfig()), t
+	return eng, netsim.New(eng, t), t
 }
 
 func TestSpecValidate(t *testing.T) {

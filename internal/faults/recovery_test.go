@@ -27,7 +27,7 @@ func TestTrialRecoversThroughCkptAndSteering(t *testing.T) {
 	spec.Nodes = 12 // 8 primaries + 4 spares
 	eng := sim.NewEngine()
 	tp := topo.MustNew(spec)
-	net := netsim.New(eng, tp, netsim.DefaultConfig())
+	net := netsim.New(eng, tp)
 
 	master := c4d.NewMaster(eng, c4d.Config{})
 	jobNodes := []int{0, 1, 2, 3}

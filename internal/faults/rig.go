@@ -84,7 +84,7 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	r := &Rig{Eng: eng, Topo: t, Net: netsim.New(eng, t, netsim.DefaultConfig()), ctx: cfg.Context}
+	r := &Rig{Eng: eng, Topo: t, Net: netsim.New(eng, t), ctx: cfg.Context}
 	if cfg.Trace != nil {
 		cfg.Trace.Bind(eng)
 		r.Net.Trace = cfg.Trace

@@ -37,7 +37,7 @@ type Env struct {
 func NewEnv(spec topo.Spec) *Env {
 	eng := sim.NewEngine()
 	t := topo.MustNew(spec)
-	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t, netsim.DefaultConfig())}
+	return &Env{Eng: eng, Topo: t, Net: netsim.New(eng, t)}
 }
 
 // newEnv builds an Env for a scenario run and registers its engine with

@@ -39,12 +39,11 @@ var kernelGoldens = []kernelGolden{
 
 // TestAggregatedKernelReplaysFamilies is the whole-repo equivalence proof
 // for the flow-class kernel: scenarios that build their own engines and
-// networks internally are replayed with serial and with 4-worker parallel
-// settle (via the ForceSettleWorkers override), and their renderings and
-// event counts must hash to the per-flow goldens. The serial pass also
-// checks every recompute's allocation against the max-min certificate
-// (via the ForceMaxMinCheck override), which needs no oracle and re-reads
-// the components a recompute left untouched.
+// networks internally are replayed, and their renderings and event counts
+// must hash to the per-flow goldens. Every recompute's allocation is also
+// checked against the max-min certificate (via the ForceMaxMinCheck
+// override), which needs no oracle and re-reads the components a
+// recompute left untouched.
 func TestAggregatedKernelReplaysFamilies(t *testing.T) {
 	for _, g := range kernelGoldens {
 		if g.slow && testing.Short() {
@@ -54,28 +53,21 @@ func TestAggregatedKernelReplaysFamilies(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %q not registered", g.name)
 		}
-		for _, workers := range []int{0, 4} {
-			restore := netsim.ForceSettleWorkers(workers)
-			var violations atomic.Int64
-			restoreCheck := func() {}
-			if workers == 0 {
-				restoreCheck = netsim.ForceMaxMinCheck(func(err error) {
-					if violations.Add(1) == 1 {
-						t.Errorf("scenario %s seed %d: %v", g.name, g.seed, err)
-					}
-				})
+		var violations atomic.Int64
+		restore := netsim.ForceMaxMinCheck(func(err error) {
+			if violations.Add(1) == 1 {
+				t.Errorf("scenario %s seed %d: %v", g.name, g.seed, err)
 			}
-			rep := scenario.RunOne(context.Background(), s, g.seed)
-			restoreCheck()
-			restore()
-			if n := violations.Load(); n > 0 {
-				t.Errorf("scenario %s seed %d: %d max-min certificate violations", g.name, g.seed, n)
-			}
-			got := rep.Result.String()
-			if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d", got, rep.Events)))); sum != g.sha256 {
-				t.Errorf("scenario %s seed %d (settle workers %d, %d events) diverged from the per-flow golden: sha256 %s, want %s\n%s",
-					g.name, g.seed, workers, rep.Events, sum, g.sha256, got)
-			}
+		})
+		rep := scenario.RunOne(context.Background(), s, g.seed)
+		restore()
+		if n := violations.Load(); n > 0 {
+			t.Errorf("scenario %s seed %d: %d max-min certificate violations", g.name, g.seed, n)
+		}
+		got := rep.Result.String()
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d", got, rep.Events)))); sum != g.sha256 {
+			t.Errorf("scenario %s seed %d (%d events) diverged from the per-flow golden: sha256 %s, want %s\n%s",
+				g.name, g.seed, rep.Events, sum, g.sha256, got)
 		}
 	}
 }

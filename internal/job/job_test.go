@@ -25,7 +25,7 @@ func newRig() *rig {
 	spec := topo.PaperTestbed()
 	spec.Nodes = 18
 	tp := topo.MustNew(spec)
-	return &rig{eng: eng, topo: tp, net: netsim.New(eng, tp, netsim.DefaultConfig())}
+	return &rig{eng: eng, topo: tp, net: netsim.New(eng, tp)}
 }
 
 func (r *rig) provider() accl.PathProvider {

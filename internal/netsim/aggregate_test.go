@@ -11,26 +11,21 @@ import (
 )
 
 // kernelVariant is one way to run the rate recompute. Every equivalence
-// test runs all three kernelVariants — the per-flow oracle, the class
-// kernel serial, and the class kernel with parallel component settle —
-// and they must produce bit-identical simulations.
+// test runs both kernelVariants — the per-flow oracle and the class
+// kernel — and they must produce bit-identical simulations.
 type kernelVariant struct {
-	name    string
-	workers int  // Config.SettleWorkers
-	oracle  bool // the per-flow oracle instead of the class kernel
+	name   string
+	oracle bool // the per-flow oracle instead of the class kernel
 }
 
 var kernelVariants = []kernelVariant{
 	{name: "per-flow", oracle: true},
 	{name: "classes"},
-	{name: "parallel", workers: 4},
 }
 
 // build creates a Network on tp running this variant's kernel.
 func (kv kernelVariant) build(eng *sim.Engine, tp *topo.Topology) *Network {
-	cfg := DefaultConfig()
-	cfg.SettleWorkers = kv.workers
-	n := New(eng, tp, cfg)
+	n := New(eng, tp)
 	if kv.oracle {
 		usePerFlow(n)
 	}
@@ -129,8 +124,8 @@ func runWorkload(kv kernelVariant) *wtrace {
 	return tr
 }
 
-// TestKernelsEquivalentOnMixedWorkload is the class kernel's core oath:
-// serial or parallel, it replays the per-flow oracle byte for byte.
+// TestKernelsEquivalentOnMixedWorkload is the class kernel's core oath: it
+// replays the per-flow oracle byte for byte.
 func TestKernelsEquivalentOnMixedWorkload(t *testing.T) {
 	var ref *wtrace
 	for _, kv := range kernelVariants {
@@ -342,21 +337,5 @@ func TestClassSpanPerLifetime(t *testing.T) {
 	if classes[0].Open() || classes[1].Open() || classes[1].Start < classes[0].End {
 		t.Fatalf("class spans [%v, %v] and [%v, %v] must be closed and disjoint",
 			classes[0].Start, classes[0].End, classes[1].Start, classes[1].End)
-	}
-}
-
-// ForceSettleWorkers is the replay-test plumbing: it must override the
-// settle width of every subsequently built Network until restored.
-func TestForceSettleWorkers(t *testing.T) {
-	restore := ForceSettleWorkers(3)
-	n := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), DefaultConfig())
-	if n.Cfg.SettleWorkers != 3 {
-		t.Fatalf("forced settle width not applied: %+v", n.Cfg)
-	}
-	restore()
-	cfg := DefaultConfig()
-	cfg.SettleWorkers = 2
-	if n2 := New(sim.NewEngine(), topo.MustNew(topo.PaperTestbed()), cfg); n2.Cfg.SettleWorkers != 2 {
-		t.Fatalf("restore did not clear the override: %+v", n2.Cfg)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // ring traffic inside each group, nothing between groups — the communication
 // shape of pure-DP training with gang scheduling, and the best case for
 // both flow-class aggregation (16 flows per ring edge collapse into one
-// class) and parallel settle (each gang splits into independent link
-// components, one per (plane, spine) coordinate its ring edges use).
+// class) and event-local re-filling (each gang splits into independent
+// link components, one per (plane, spine) coordinate its ring edges use).
 func benchSpec(nodes int) topo.Spec {
 	return topo.Spec{
 		Nodes:         nodes,
@@ -95,23 +95,14 @@ func TestClassKernelWorkAgainstOracle(t *testing.T) {
 	want := map[int]string{8: "13.7", 32: "43.2", 128: "161.4"}
 	prev := 0.0
 	for _, members := range []int{8, 32, 128} {
-		runs := make([]gangRun, len(kernelVariants))
-		for i, kv := range kernelVariants {
-			runs[i] = runGang(t, kv, nodes, members)
-		}
-		ref, cls := runs[0], runs[1]
+		ref := runGang(t, kernelVariants[0], nodes, members)
+		cls := runGang(t, kernelVariants[1], nodes, members)
 		if len(ref.done) != 2*8*members {
 			t.Fatalf("%d flows/chain: %d of %d flows completed", members, len(ref.done), 2*8*members)
 		}
-		for i, got := range runs[1:] {
-			if !slices.Equal(got.done, ref.done) || got.probes != ref.probes || got.fired != ref.fired {
-				t.Fatalf("%d flows/chain: %s kernel diverged from per-flow (probes %v vs %v, %d vs %d events)",
-					members, kernelVariants[i+1].name, got.probes, ref.probes, got.fired, ref.fired)
-			}
-			if got.stats != cls.stats {
-				t.Fatalf("%d flows/chain: %s kernel did different work than serial: %+v vs %+v",
-					members, kernelVariants[i+1].name, got.stats, cls.stats)
-			}
+		if !slices.Equal(cls.done, ref.done) || cls.probes != ref.probes || cls.fired != ref.fired {
+			t.Fatalf("%d flows/chain: class kernel diverged from per-flow (probes %v vs %v, %d vs %d events)",
+				members, cls.probes, ref.probes, cls.fired, ref.fired)
 		}
 		ratio := float64(ref.stats.LinkVisits) / float64(cls.stats.LinkVisits)
 		t.Logf("%d flows/chain: %d vs %d link visits, ratio %.1fx", members, ref.stats.LinkVisits, cls.stats.LinkVisits, ratio)
@@ -151,44 +142,42 @@ func TestRecomputeIsEventLocal(t *testing.T) {
 		}
 		return after.LinkVisits - before.LinkVisits
 	}
-	for _, kv := range kernelVariants[1:] {
-		eng := sim.NewEngine()
-		tp := topo.MustNew(benchSpec(16))
-		world := kv.build(eng, tp)
-		startGangRings(world, tp, 8, nil)
-		eng.RunUntil(sim.Millisecond)
-		if got := world.ComponentCount(); got != 8 {
-			t.Fatalf("[%s] %d components, want 8", kv.name, got)
+	eng := sim.NewEngine()
+	tp := topo.MustNew(benchSpec(16))
+	world := New(eng, tp)
+	startGangRings(world, tp, 8, nil)
+	eng.RunUntil(sim.Millisecond)
+	if got := world.ComponentCount(); got != 8 {
+		t.Fatalf("%d components, want 8", got)
+	}
+	own := world.flows[0].class.comp
+	var chains [][]*Flow // the component's classes' members, victim first
+	for _, fc := range own.classes {
+		chains = append(chains, slices.Clone(fc.members))
+	}
+	kept := map[*Flow]alloc{}
+	for _, f := range world.flows {
+		if f.class.comp != own {
+			kept[f] = alloc{f.rate, f.cnpRate, f.goodRate}
 		}
-		own := world.flows[0].class.comp
-		var chains [][]*Flow // the component's classes' members, victim first
-		for _, fc := range own.classes {
-			chains = append(chains, slices.Clone(fc.members))
+	}
+	visits := cancelFirst(world, eng)
+	for f, a := range kept {
+		if got := (alloc{f.rate, f.cnpRate, f.goodRate}); got != a {
+			t.Fatalf("%s outside the cancelled flow's component moved from %+v to %+v", f.Label, a, got)
 		}
-		kept := map[*Flow]alloc{}
-		for _, f := range world.flows {
-			if f.class.comp != own {
-				kept[f] = alloc{f.rate, f.cnpRate, f.goodRate}
-			}
-		}
-		visits := cancelFirst(world, eng)
-		for f, a := range kept {
-			if got := (alloc{f.rate, f.cnpRate, f.goodRate}); got != a {
-				t.Fatalf("[%s] %s outside the cancelled flow's component moved from %+v to %+v", kv.name, f.Label, a, got)
-			}
-		}
+	}
 
-		// The same component alone.
-		eng2 := sim.NewEngine()
-		alone := kv.build(eng2, tp)
-		for _, members := range chains {
-			for _, f := range members {
-				alone.StartFlow(f.Path, f.SizeBits(), f.Label, nil)
-			}
+	// The same component alone.
+	eng2 := sim.NewEngine()
+	alone := New(eng2, tp)
+	for _, members := range chains {
+		for _, f := range members {
+			alone.StartFlow(f.Path, f.SizeBits(), f.Label, nil)
 		}
-		if want := cancelFirst(alone, eng2); visits != want {
-			t.Fatalf("[%s] cancel re-filled %d link visits, want %d: the cancelled flow's component alone", kv.name, visits, want)
-		}
+	}
+	if want := cancelFirst(alone, eng2); visits != want {
+		t.Fatalf("cancel re-filled %d link visits, want %d: the cancelled flow's component alone", visits, want)
 	}
 }
 
@@ -221,12 +210,6 @@ func BenchmarkRecomputeAggregated(b *testing.B) {
 	runGangWorld(b, kernelVariants[1], 64, 16)
 }
 
-// BenchmarkSettleParallel adds parallel component settle: the 8 gangs
-// fill on 4 workers.
-func BenchmarkSettleParallel(b *testing.B) {
-	runGangWorld(b, kernelVariants[2], 64, 16)
-}
-
 // BenchmarkRecomputeAggregated128 is the class kernel at the
 // netsim/scale-sweep shape: 128 flows per ring edge, so completion waves
 // retire members from classes of up to 128 and the per-event bookkeeping
@@ -243,7 +226,7 @@ func BenchmarkRecomputeAggregated128(b *testing.B) {
 func BenchmarkSettle(b *testing.B) {
 	eng := sim.NewEngine()
 	tp := topo.MustNew(benchSpec(256))
-	n := New(eng, tp, DefaultConfig())
+	n := New(eng, tp)
 	flows := startGangRings(n, tp, 128, nil)
 	eng.RunUntil(sim.Millisecond) // admits every flow and fills once
 	for _, f := range n.flows {

@@ -71,9 +71,8 @@ var forcedCheck atomic.Pointer[func(error)]
 
 // ForceMaxMinCheck makes every Network created until the returned restore
 // function is called check the max-min certificate after every recompute,
-// passing each violation to report. It is test plumbing, not API, shaped
-// like ForceSettleWorkers: it reaches scenarios that build their own
-// Network internally.
+// passing each violation to report. It is test plumbing, not API: it
+// reaches scenarios that build their own Network internally.
 func ForceMaxMinCheck(report func(error)) (restore func()) {
 	prev := forcedCheck.Swap(&report)
 	return func() { forcedCheck.Store(prev) }

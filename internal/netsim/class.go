@@ -44,9 +44,7 @@ type flowClass struct {
 
 	links []*topo.Link // the shared chain, in path order
 
-	// Kernel scratch, valid during one recompute. When components fill in
-	// parallel each class belongs to exactly one component, so there is no
-	// cross-goroutine sharing.
+	// Kernel scratch, valid during one recompute.
 	frozen bool
 	rate   float64
 

@@ -3,8 +3,6 @@ package netsim
 import (
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"c4/internal/sim"
 )
@@ -14,15 +12,14 @@ import (
 // component never reads or writes capacity in another, so each component
 // fills in its own rounds, with its own smallest share as each round's
 // bottleneck, and its result depends on nothing outside it. That makes
-// components the kernel's unit of both parallelism and reuse.
+// components the kernel's unit of reuse.
 //
 // Components persist between recomputes. A recompute dissolves only the
 // region its changes reach (recomputeClasses), re-partitions that region's
 // links with union-find over the region alone — which handles merges, a
 // new class bridging two components, and splits, a retired class leaving
-// one — and fills the new components, serially or on a bounded worker pool
-// with one fork-join per recompute. Every other component keeps its rates,
-// CNP rates, goodput and link utilization.
+// one — and fills the new components one after another. Every other
+// component keeps its rates, CNP rates, goodput and link utilization.
 //
 // Components generalize "per plane": leaf-up/spine-down links are per
 // (plane, leaf, spine), so plane- and gang-partitioned traffic falls apart
@@ -30,7 +27,7 @@ import (
 // links sit on every path the node originates or terminates, coupling its
 // planes, and only component analysis handles that soundly. When the
 // whole fabric is one traffic web there is one component and the kernel
-// degrades to a full serial re-fill, never to a wrong answer.
+// degrades to a full re-fill, never to a wrong answer.
 
 // component is one independent filling problem: a set of links no class
 // crosses out of, and the classes confined to it.
@@ -46,12 +43,6 @@ type component struct {
 	// component's links as of its last round, the next round's bottleneck.
 	unfrozen int
 	share    float64
-
-	// Per-component outputs, folded into Network state serially after the
-	// fill so worker goroutines never share scratch.
-	eta        sim.Time
-	linkVisits uint64
-	flowVisits uint64
 }
 
 // markLink adds link id to the region being re-filled and reports
@@ -167,62 +158,10 @@ func (n *Network) ufFind(x int32) int32 {
 	return x
 }
 
-// forcedWorkers, when nonzero, overrides Config.SettleWorkers in New. It
-// exists for the deterministic-replay tests, which rerun whole scenario
-// families — code that builds its own Network internally — on a settle
-// worker pool and compare them byte for byte against their goldens.
-var forcedWorkers atomic.Int64
-
-// ForceSettleWorkers sets the parallel settle width of every Network
-// created until the returned restore function is called (<= 1 means
-// serial). It is test plumbing, not API: production callers choose the
-// width per Network via Config.SettleWorkers.
-func ForceSettleWorkers(workers int) (restore func()) {
-	prev := forcedWorkers.Swap(int64(max(workers, 1)))
-	return func() { forcedWorkers.Store(prev) }
-}
-
-// fillComponents fills every new component and returns the earliest
-// completion ETA among their classes. Each component runs start, rounds
-// and finish in one pass, so with SettleWorkers > 1 a recompute is one
-// fork-join over a bounded goroutine pool; each worker takes a static
-// stride so no channel or lock sits on the hot path, and because
-// components are memory-disjoint the schedule cannot affect the results.
-// Outputs merge in component order, so a parallel run is byte-identical to
-// the serial one — the property the replay tests and the -race CI lane pin
-// down.
-func (n *Network) fillComponents(fresh []*component) sim.Time {
-	if workers := min(n.Cfg.SettleWorkers, len(fresh)); workers <= 1 {
-		for _, c := range fresh {
-			n.fillComponent(c)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(fresh); i += workers {
-					n.fillComponent(fresh[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	minEta := sim.MaxTime
-	for _, c := range fresh {
-		n.stats.LinkVisits += c.linkVisits
-		n.stats.FlowVisits += c.flowVisits
-		c.linkVisits, c.flowVisits = 0, 0
-		minEta = min(minEta, c.eta)
-	}
-	return minEta
-}
-
 // fillComponent runs progressive filling on c in its own rounds, then its
-// CNP and ETA passes. Like every per-component pass it may run on a worker
-// goroutine.
-func (n *Network) fillComponent(c *component) {
+// CNP and ETA passes, and returns the earliest completion ETA among c's
+// classes.
+func (n *Network) fillComponent(c *component) sim.Time {
 	c.unfrozen = 0
 	for _, fc := range c.classes {
 		c.unfrozen += len(fc.members)
@@ -233,5 +172,5 @@ func (n *Network) fillComponent(c *component) {
 			break
 		}
 	}
-	n.finishComponent(c)
+	return n.finishComponent(c)
 }

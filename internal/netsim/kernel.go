@@ -8,7 +8,7 @@ import (
 
 // This file holds the rate kernel: max-min fair allocation by progressive
 // filling over flow classes (class.go), one filling problem per link
-// component (parallel.go), re-filled only where the flow set changed. The
+// component (component.go), re-filled only where the flow set changed. The
 // package's tests prove it against a per-flow oracle (oracle_test.go): the
 // two must agree bit for bit on every workload.
 
@@ -33,7 +33,7 @@ type KernelStats struct {
 // loss or health changed. It dissolves that region, walks n.classes once
 // — a region class registers its links, any other class re-derives its
 // completion ETA from its cached least-remaining member — partitions the
-// region into new components (parallel.go) and fills them. The result
+// region into new components (component.go) and fills them. The result
 // depends only on the current flow set, exactly as if every component
 // were re-filled from scratch: a component whose classes, member counts
 // and links did not change would fill to the same bits.
@@ -108,21 +108,17 @@ func (n *Network) recomputeClasses() {
 	n.marked = n.marked[:0]
 	n.linksChanged = false
 
-	minEta = min(minEta, n.fillComponents(n.partition()))
+	for _, c := range n.partition() {
+		minEta = min(minEta, n.fillComponent(c))
+	}
 	n.rearmCompletion(minEta)
 }
 
 // scanComponent finds the smallest fair share on c's links: what is left of
 // a link's capacity split evenly over the unfrozen members crossing it.
-// Like the other per-component passes it may run on a worker goroutine: it
-// touches only the component's own links (disjoint scratch indices by
-// construction), its own classes and their members, and read-only shared
-// state (topology, config, loss fractions). Work counters accumulate in
-// the component and are folded into the network's stats during the
-// deterministic merge.
 func (n *Network) scanComponent(c *component) {
 	c.share = math.Inf(1)
-	c.linkVisits += uint64(len(c.links))
+	n.stats.LinkVisits += uint64(len(c.links))
 	for _, id := range c.links {
 		if n.scCount[id] <= 0 {
 			continue
@@ -144,7 +140,7 @@ func (n *Network) scanComponent(c *component) {
 func (n *Network) freezeComponent(c *component) bool {
 	best := c.share
 	progressed := false
-	c.linkVisits += uint64(len(c.links))
+	n.stats.LinkVisits += uint64(len(c.links))
 	for _, id := range c.links {
 		if n.scCount[id] <= 0 {
 			continue
@@ -157,8 +153,8 @@ func (n *Network) freezeComponent(c *component) bool {
 			if fc.frozen {
 				continue
 			}
-			c.flowVisits++
-			c.linkVisits += uint64(len(fc.links))
+			n.stats.FlowVisits++
+			n.stats.LinkVisits += uint64(len(fc.links))
 			fc.rate = best
 			fc.frozen = true
 			m := len(fc.members)
@@ -183,11 +179,12 @@ func (n *Network) freezeComponent(c *component) bool {
 	return progressed
 }
 
-// finishComponent runs the CNP and ETA passes over a filled component and
+// finishComponent runs the CNP and ETA passes over a filled component,
 // leaves each of its links' aggregate allocated rate in n.utilRate, the
-// snapshot Utilization serves. Both passes cost O(classes): per class and
-// link, not per member.
-func (n *Network) finishComponent(c *component) {
+// snapshot Utilization serves, and returns the earliest completion ETA
+// among its classes. Both passes cost O(classes): per class and link, not
+// per member.
+func (n *Network) finishComponent(c *component) sim.Time {
 	// CNP pass, class-wise: saturated links with contention emit
 	// notifications toward every sender crossing them. A single flow at
 	// line rate builds no queue in the fluid model, so saturation requires
@@ -202,8 +199,8 @@ func (n *Network) finishComponent(c *component) {
 		if fc.rate <= 0 {
 			continue
 		}
-		c.flowVisits++
-		c.linkVisits += uint64(len(fc.links))
+		n.stats.FlowVisits++
+		n.stats.LinkVisits += uint64(len(fc.links))
 		m := len(fc.members)
 		load := float64(m) * fc.rate
 		for _, l := range fc.links {
@@ -211,7 +208,7 @@ func (n *Network) finishComponent(c *component) {
 			n.scLoadCnt[l.ID] += m
 		}
 	}
-	c.linkVisits += uint64(len(c.links))
+	n.stats.LinkVisits += uint64(len(c.links))
 	for _, id := range c.links {
 		n.scFactor[id] = 0
 		capBits := n.linkCap(id)
@@ -225,16 +222,16 @@ func (n *Network) finishComponent(c *component) {
 	// only remaining bits differ, and min(remaining)/goodRate is the
 	// member-wise ETA's minimum. fanOut touches the members only when the
 	// class changed, so a class the wave left alone costs O(1).
-	c.eta = sim.MaxTime
+	eta := sim.MaxTime
 	horizon := sim.MaxTime - n.Engine.Now()
 	for _, fc := range c.classes {
-		c.flowVisits++
-		c.linkVisits += uint64(len(fc.links))
+		n.stats.FlowVisits++
+		n.stats.LinkVisits += uint64(len(fc.links))
 		cnp := 0.0
 		loss := 1.0
 		for _, l := range fc.links {
 			if factor := n.scFactor[l.ID]; factor > 0 {
-				cnp += n.Cfg.CNPPerSecond * factor
+				cnp += CNPPerSecond * factor
 			}
 			if fr := n.lossFrac[l.ID]; fr > 0 {
 				loss *= 1 - fr
@@ -243,9 +240,10 @@ func (n *Network) finishComponent(c *component) {
 		good := fc.rate * loss
 		minRem := fc.fanOut(fc.rate, cnp, good)
 		if good > 0 {
-			c.eta = min(c.eta, completionDelay(minRem, good, horizon))
+			eta = min(eta, completionDelay(minRem, good, horizon))
 		}
 	}
+	return eta
 }
 
 // completionDelay is the completion event's delay for rem bits draining at

@@ -22,9 +22,8 @@
 // is event-local: components persist between recomputes, and a recompute
 // re-fills only the components its changes reach — a class whose
 // membership changed, or every component after a link's capacity, loss or
-// health changed — on a worker pool when Config.SettleWorkers asks for
-// one. Every other component keeps its rates, CNP rates, goodput and link
-// utilization. Neither the locality nor the parallel settle changes a
+// health changed — one after another. Every other component keeps its
+// rates, CNP rates, goodput and link utilization. The locality changes no
 // bit: the result is what re-filling every component from scratch gives —
 // same rates, same completion instants, same event counts. The package's
 // tests hold the kernel to the per-flow reference kernel, kept as a test
@@ -59,33 +58,17 @@ const Gbps = 1e9
 
 const rateEpsilon = 1e-6
 
-// Config tunes simulator-wide constants.
-type Config struct {
-	// BaseLatency is the fixed per-flow setup+propagation delay applied
-	// before a flow starts moving data.
-	BaseLatency sim.Time
-	// CNPPerSecond is the congestion-notification rate a sender receives
-	// for each fully-contended link on its path, scaled by the contention
-	// factor (flows-1)/flows. At 2:1 oversubscription a flow crosses two
-	// saturated stages (leaf-up and spine-down) at factor 1/2 each, and a
-	// bonded port sums its two plane flows, so 7.5e3 reproduces the ~15k
-	// CNP/s per bonded port of the paper's Fig 11.
-	CNPPerSecond float64
+// BaseLatency is the fixed per-flow setup+propagation delay applied before
+// a flow starts moving data.
+const BaseLatency = 10 * sim.Microsecond
 
-	// SettleWorkers bounds the goroutines used to fill the link components
-	// a recompute re-fills concurrently (see parallel.go). Values <= 1 mean
-	// serial. Results are byte-identical to a serial run because
-	// components share no links, classes, or scratch entries.
-	SettleWorkers int
-}
-
-// DefaultConfig returns the calibration used throughout the repository.
-func DefaultConfig() Config {
-	return Config{
-		BaseLatency:  10 * sim.Microsecond,
-		CNPPerSecond: 7.5e3,
-	}
-}
+// CNPPerSecond is the congestion-notification rate a sender receives for
+// each fully-contended link on its path, scaled by the contention factor
+// (flows-1)/flows. At 2:1 oversubscription a flow crosses two saturated
+// stages (leaf-up and spine-down) at factor 1/2 each, and a bonded port
+// sums its two plane flows, so 7.5e3 reproduces the ~15k CNP/s per bonded
+// port of the paper's Fig 11.
+const CNPPerSecond = 7.5e3
 
 // FlowHandler receives a flow's notifications. FlowDone fires once, when
 // the last bit is delivered; once it returns, the network may recycle the
@@ -170,7 +153,6 @@ func (f *Flow) Done() bool { return f.done }
 type Network struct {
 	Engine *sim.Engine
 	Topo   *topo.Topology
-	Cfg    Config
 
 	// Trace, when non-nil, records a span per flow lifetime (submission to
 	// completion, base latency included) plus instant events for reroutes
@@ -254,7 +236,7 @@ type Network struct {
 	flowsOn  []int
 	utilRate []float64
 
-	// Link components (see parallel.go): the live ones, each link's owner
+	// Link components (see component.go): the live ones, each link's owner
 	// (nil when no alive class crosses it), a free list, and union-find
 	// scratch.
 	comps    []*component
@@ -277,15 +259,11 @@ type Network struct {
 }
 
 // New creates a simulator bound to an engine and fabric.
-func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
-	if w := forcedWorkers.Load(); w != 0 {
-		cfg.SettleWorkers = int(w)
-	}
+func New(eng *sim.Engine, t *topo.Topology) *Network {
 	nl := len(t.Links)
 	n := &Network{
 		Engine:      eng,
 		Topo:        t,
-		Cfg:         cfg,
 		classIndex:  make(map[string]*flowClass),
 		carriedBits: make([]float64, nl),
 		cnpCount:    make([]float64, nl),
@@ -354,7 +332,7 @@ func (n *Network) StartFlow(path *topo.Path, sizeBits float64, label string, h F
 	if n.Trace.Enabled() {
 		f.span = n.Trace.Start(nil, "flow", label).Annotate("path", pathLabel(path))
 	}
-	n.Engine.Arm(ev, n.Engine.Now()+max(n.Cfg.BaseLatency, 0))
+	n.Engine.Arm(ev, n.Engine.Now()+BaseLatency)
 	return f
 }
 
@@ -549,8 +527,8 @@ func (n *Network) ClassCount() int { return len(n.classes) }
 
 // ComponentCount reports how many independent link components the alive
 // classes form as of the last recompute: the components that persist
-// between recomputes, and the available parallelism for SettleWorkers
-// when a change reaches all of them.
+// between recomputes, each a filling problem a recompute may re-fill
+// alone.
 func (n *Network) ComponentCount() int { return len(n.comps) }
 
 // remove takes an admitted flow out of the flow set in O(1) amortized: it

@@ -12,7 +12,7 @@ import (
 func testbed() (*sim.Engine, *Network) {
 	eng := sim.NewEngine()
 	t := topo.MustNew(topo.PaperTestbed())
-	return eng, New(eng, t, DefaultConfig())
+	return eng, New(eng, t)
 }
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -43,7 +43,7 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 	size := 200e9 * 1.0 // 200 Gb -> 1 s at 200 Gbps
 	n.StartFlow(path, size, "t", FlowFunc(func(f *Flow) { doneAt = eng.Now() }))
 	eng.Run()
-	want := n.Cfg.BaseLatency + sim.Second
+	want := BaseLatency + sim.Second
 	if doneAt < want-sim.Millisecond || doneAt > want+sim.Millisecond {
 		t.Fatalf("completion at %v, want ~%v", doneAt, want)
 	}
@@ -308,7 +308,7 @@ func TestMaxMinFairnessProperty(t *testing.T) {
 	f := func(seed int64, flowCount uint8) bool {
 		eng := sim.NewEngine()
 		top := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, top, DefaultConfig())
+		n := New(eng, top)
 		r := sim.NewRand(seed)
 		count := int(flowCount%12) + 2
 		var flows []*Flow
@@ -344,7 +344,7 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		eng := sim.NewEngine()
 		top := topo.MustNew(topo.PaperTestbed())
-		n := New(eng, top, DefaultConfig())
+		n := New(eng, top)
 		r := sim.NewRand(seed)
 		total := 0.0
 		delivered := 0.0
@@ -425,7 +425,7 @@ func TestCancelMidWindowSettlesCarriedBits(t *testing.T) {
 	// mid-window cancellation at 500 ms. Cancel must settle that window
 	// before removing the flow, or the delivered bits vanish from the
 	// per-link counters.
-	want := 200e9 * (0.5 - n.Cfg.BaseLatency.Seconds())
+	want := 200e9 * (0.5 - BaseLatency.Seconds())
 	for _, l := range path.Links {
 		if got := n.CarriedBits(l); !almostEqual(got, want, 1e6) {
 			t.Fatalf("link %s carried %.6g bits after mid-window cancel, want %.6g",

@@ -192,7 +192,7 @@ func (o *perFlowScratch) recomputePerFlow(n *Network) {
 		loss := 1.0
 		for _, l := range f.Path.Links {
 			if factor := n.scFactor[l.ID]; factor > 0 {
-				f.cnpRate += n.Cfg.CNPPerSecond * factor
+				f.cnpRate += CNPPerSecond * factor
 			}
 			if fr := n.lossFrac[l.ID]; fr > 0 {
 				loss *= 1 - fr

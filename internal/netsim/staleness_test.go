@@ -43,7 +43,7 @@ func TestObservablesFreshAcrossSameInstantMutations(t *testing.T) {
 	// Readback at the admission instant: the flow is admitted in an earlier
 	// callback of the same instant, its recompute still pending.
 	var atAdmit float64
-	eng.Schedule(n.Cfg.BaseLatency, func() { atAdmit = n.Utilization(up) })
+	eng.Schedule(BaseLatency, func() { atAdmit = n.Utilization(up) })
 	var atFail float64
 	eng.Schedule(sim.Second, func() {
 		n.SetLinkUp(up, false)

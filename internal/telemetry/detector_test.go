@@ -63,13 +63,13 @@ type rig struct {
 	stopped      bool
 }
 
-func newRig(t *testing.T, dcfg DetectorConfig, pcfg PipelineConfig, extra ...Sink) *rig {
+func newRig(t *testing.T, dcfg DetectorConfig, drain sim.Time, extra ...Sink) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := topo.MustNew(topo.PaperTestbed())
-	net := netsim.New(eng, tp, netsim.DefaultConfig())
+	net := netsim.New(eng, tp)
 	det := NewOnlineDetector(eng, dcfg)
-	pipe := NewPipeline(eng, pcfg, append([]Sink{det}, extra...)...)
+	pipe := NewPipeline(eng, drain, append([]Sink{det}, extra...)...)
 	nodes := []int{0, 2, 4, 6}
 	comm, err := accl.NewCommunicator(accl.Config{
 		Engine: eng, Net: net, Provider: &plannedProvider{topo: tp},
@@ -118,7 +118,7 @@ func findDetection(dets []c4d.Detection, syn c4d.Syndrome, node int) *c4d.Detect
 }
 
 func TestOnlineHealthyRunIsQuiet(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	r.run(2 * sim.Minute)
 	if r.iterations < 100 {
 		t.Fatalf("only %d iterations completed", r.iterations)
@@ -135,7 +135,7 @@ func TestOnlineHealthyRunIsQuiet(t *testing.T) {
 }
 
 func TestOnlineDetectsCommSlowBeforeNextTick(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	var faultAt sim.Time
 	r.eng.Schedule(15*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -157,7 +157,7 @@ func TestOnlineDetectsCommSlowBeforeNextTick(t *testing.T) {
 }
 
 func TestOnlineDetectsStraggler(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	var faultAt sim.Time
 	r.eng.Schedule(15*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -179,7 +179,7 @@ func TestOnlineDetectsStraggler(t *testing.T) {
 }
 
 func TestOnlineDetectsCommHangAtExactTimeout(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	var faultAt sim.Time
 	r.eng.Schedule(20*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -204,7 +204,7 @@ func TestOnlineDetectsCommHangAtExactTimeout(t *testing.T) {
 }
 
 func TestOnlineDetectsNonCommHang(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	var faultAt sim.Time
 	r.eng.Schedule(20*sim.Second, func() {
 		faultAt = r.eng.Now()
@@ -228,7 +228,7 @@ func TestCadenceDelaysDetection(t *testing.T) {
 	// than under streaming drains — the TTD-vs-overhead tradeoff the
 	// cadence sweep measures.
 	run := func(cadence sim.Time) (sim.Time, uint64) {
-		r := newRig(t, DetectorConfig{}, PipelineConfig{DrainInterval: cadence})
+		r := newRig(t, DetectorConfig{}, cadence)
 		r.eng.Schedule(15*sim.Second, func() {
 			for plane := 0; plane < topo.Planes; plane++ {
 				r.net.SetLinkCapacity(r.topo.PortAt(2, 0, plane).Down, 25)
@@ -251,11 +251,23 @@ func TestCadenceDelaysDetection(t *testing.T) {
 	}
 }
 
+// A node that pushes more records between two drains than its ring holds
+// loses the oldest, and the pipeline counts every loss: 5,000 transfers
+// from one node at one instant, under a 10 s drain interval, overflow its
+// 4096-record ring by 904, and the next drain delivers the 4096 left.
 func TestTinyRingDropsAreCounted(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{BufCap: 2, DrainInterval: 10 * sim.Second})
-	r.run(time30)
-	if r.pipe.Dropped() == 0 {
-		t.Fatal("2-slot rings under a 10s cadence must drop")
+	eng := sim.NewEngine()
+	delivered := 0
+	p := NewPipeline(eng, 10*sim.Second, SinkFunc(func(Record) { delivered++ }))
+	for i := range 5000 {
+		p.OnMessage(accl.MsgEvent{Comm: 1, Seq: i, SrcNode: 0, DstNode: 2, Bytes: 1 << 20})
+	}
+	if got := p.Dropped(); got != 904 {
+		t.Fatalf("dropped %d of 5000 records, want 904", got)
+	}
+	eng.RunUntil(10 * sim.Second)
+	if delivered != 4096 || p.Drains() != 1 {
+		t.Fatalf("%d drains delivered %d records, want 1 drain of 4096", p.Drains(), delivered)
 	}
 }
 
@@ -264,7 +276,7 @@ const time30 = 30 * sim.Second
 func TestReplayMatchesLiveDetections(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewStreamWriter(&buf)
-	r := newRig(t, DetectorConfig{}, PipelineConfig{}, w)
+	r := newRig(t, DetectorConfig{}, 0, w)
 	r.eng.Schedule(15*sim.Second, func() {
 		for plane := 0; plane < topo.Planes; plane++ {
 			r.net.SetLinkCapacity(r.topo.PortAt(2, 0, plane).Down, 25)
@@ -296,7 +308,7 @@ func TestReplayMatchesLiveDetections(t *testing.T) {
 }
 
 func TestOnlineDetectorWorkIsPerRecord(t *testing.T) {
-	r := newRig(t, DetectorConfig{}, PipelineConfig{})
+	r := newRig(t, DetectorConfig{}, 0)
 	r.run(time30)
 	// Per-record cost (state updates + loop iterations) must be a small
 	// constant — the O(1) ingest property the scale sweep benchmarks

@@ -7,18 +7,9 @@ import (
 	"c4/internal/sim"
 )
 
-// PipelineConfig tunes the collection side of the streaming pipeline.
-type PipelineConfig struct {
-	// BufCap is each node collector's ring capacity. Default 4096.
-	BufCap int
-	// DrainInterval is the collector drain cadence. Zero means streaming:
-	// collectors drain at the end of the simulation instant that filled
-	// them, so the detector sees a record at its event time. A positive
-	// cadence batches records (cheaper, higher time-to-detect, and with
-	// small rings a drop risk) — the knob the online/cadence-sweep
-	// scenario sweeps.
-	DrainInterval sim.Time
-}
+// collectorCap is each node collector's ring capacity: records a node may
+// buffer between drains before the oldest are overwritten.
+const collectorCap = 4096
 
 // Sink receives the merged event-time-ordered record stream. Sinks are
 // pluggable: the online detector, the JSONL StreamWriter, the serving
@@ -43,9 +34,9 @@ func (f SinkFunc) Observe(r Record) { f(r) }
 // order; control-plane records (communicator create/close) bypass the
 // rings so consumers always know memberships before data arrives.
 type Pipeline struct {
-	cfg  PipelineConfig
-	eng  *sim.Engine
-	cons []Sink
+	interval sim.Time // drain interval; 0 streams
+	eng      *sim.Engine
+	cons     []Sink
 
 	collectors map[int]*Collector
 	nodes      []int // sorted keys of collectors
@@ -61,24 +52,27 @@ type Pipeline struct {
 
 // NewPipeline creates a pipeline feeding the given consumers (typically
 // an OnlineDetector and/or a StreamWriter) and starts the drain cadence.
-func NewPipeline(eng *sim.Engine, cfg PipelineConfig, consumers ...Sink) *Pipeline {
-	if cfg.BufCap <= 0 {
-		cfg.BufCap = 4096
-	}
-	p := &Pipeline{cfg: cfg, eng: eng, collectors: map[int]*Collector{}}
+// drain is the collector drain interval. Zero means streaming: collectors
+// drain at the end of the simulation instant that filled them, so the
+// detector sees a record at its event time. A positive interval batches
+// records (cheaper, higher time-to-detect, and a drop risk once a node
+// fills its ring between drains) — the knob the online/cadence-sweep
+// scenario sweeps.
+func NewPipeline(eng *sim.Engine, drain sim.Time, consumers ...Sink) *Pipeline {
+	p := &Pipeline{interval: drain, eng: eng, collectors: map[int]*Collector{}}
 	for _, c := range consumers {
 		if c != nil {
 			p.cons = append(p.cons, c)
 		}
 	}
-	if cfg.DrainInterval > 0 {
+	if drain > 0 {
 		p.scheduleTick()
 	}
 	return p
 }
 
 func (p *Pipeline) scheduleTick() {
-	p.ticker = p.eng.After(p.cfg.DrainInterval, func() {
+	p.ticker = p.eng.After(p.interval, func() {
 		p.drain()
 		p.scheduleTick()
 	})
@@ -116,7 +110,7 @@ func (p *Pipeline) Dropped() uint64 {
 func (p *Pipeline) collector(node int) *Collector {
 	c := p.collectors[node]
 	if c == nil {
-		c = NewCollector(node, p.cfg.BufCap)
+		c = NewCollector(node, collectorCap)
 		p.collectors[node] = c
 		p.nodes = append(p.nodes, node)
 		sort.Ints(p.nodes)
@@ -131,7 +125,7 @@ func (p *Pipeline) push(rec Record) {
 		return
 	}
 	p.collector(rec.Node).Push(rec)
-	if p.cfg.DrainInterval == 0 && !p.pending {
+	if p.interval == 0 && !p.pending {
 		p.pending = true
 		p.eng.After(0, func() {
 			p.pending = false

@@ -63,7 +63,7 @@ func runRace(cfg raceConfig) raceOutcome {
 		Seed: cfg.seed + 1,
 		Stream: func(eng *sim.Engine) accl.StatsSink {
 			det = NewOnlineDetector(eng, DetectorConfig{})
-			pipe = NewPipeline(eng, PipelineConfig{DrainInterval: cfg.drain}, det)
+			pipe = NewPipeline(eng, cfg.drain, det)
 			return pipe
 		},
 		Faults: cfg.specs,

@@ -119,7 +119,7 @@ func Run(cfg Config) RunResult {
 	spec := topo.MultiJobTestbed(cfg.Spines)
 	spec.Nodes = fabricNodes
 	fab := topo.MustNew(spec)
-	net := netsim.New(eng, fab, netsim.DefaultConfig())
+	net := netsim.New(eng, fab)
 
 	st := &runState{
 		cfg: cfg, eng: eng, net: net, prov: cfg.Arm.On(cfg.Seed)(fab),

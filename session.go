@@ -26,6 +26,7 @@ import (
 	"c4/internal/faults"
 	"c4/internal/harness"
 	"c4/internal/job"
+	"c4/internal/metrics"
 	"c4/internal/plan"
 	"c4/internal/rca"
 	"c4/internal/scenario"
@@ -80,14 +81,8 @@ type SessionSpec struct {
 // ignored.
 func DecodeSessionSpec(r io.Reader) (SessionSpec, error) {
 	var spec SessionSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := metrics.DecodeDocument(r, &spec); err != nil {
 		return SessionSpec{}, err
-	}
-	end := dec.InputOffset()
-	if _, err := dec.Token(); err != io.EOF {
-		return SessionSpec{}, fmt.Errorf("data after the JSON document, which ends at byte %d", end)
 	}
 	return spec, nil
 }
@@ -634,7 +629,7 @@ func (s *Session) runJob(ctx context.Context, sinks []TelemetrySink) (map[string
 				det.Subscribe(func(d c4d.Detection) { logf("ONLINE: %v", d) })
 				consumers = append(consumers, det)
 			}
-			pipe = telemetry.NewPipeline(eng, telemetry.PipelineConfig{}, consumers...)
+			pipe = telemetry.NewPipeline(eng, 0, consumers...) // streaming
 			return pipe
 		}
 	}
